@@ -7,7 +7,11 @@ Subcommands: ``solve`` runs a named problem at one index, ``sweep`` (alias
 echo the full configuration, and are byte-identical for identical
 configurations except for the timestamp field.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Each accepted name lives in one table below; entries call library functions
+through module globals, so rebinding a function on this module takes effect.
+
+Exit codes: 0 success, 2 validation error, 3 numerical failure (including
+arithmetic overflow and non-finite results).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,7 +34,6 @@ from .convergence import DEFAULT_GRID, cdf_sequence_probe
 from .problems import (
     DivergentResult,
     PolySpec,
-    SolveResult,
     arcsin_cdf,
     canonical_uniform_family,
     dirichlet_weak,
@@ -47,6 +50,7 @@ from .problems import (
     uniform_cdf,
 )
 from .special import (
+    SeriesValue,
     digamma,
     frac_limit_cdf,
     frac_limit_cdf_series,
@@ -66,18 +70,6 @@ from .stieltjes import (
 
 SCHEMA_VERSION = 1
 THREADS_ENV = "ASYMPTOLIM_THREADS"
-
-SOLVE_PROBLEMS = ("example1", "example2", "example3", "example4", "dirichlet", "poly")
-SWEEP_PROBLEMS = ("canonical-uniform", "example1", "example2", "example3")
-SPECIAL_FUNCTIONS = (
-    "digamma",
-    "trigamma",
-    "hurwitz",
-    "harmonic",
-    "frac-limit-cdf",
-    "frac-limit-density",
-    "frac-limit-series",
-)
 
 
 class CliError(ValueError):
@@ -113,11 +105,6 @@ class RunConfig:
     output_path: Optional[str] = None
     threads: int = 1
 
-    _INT_FIELDS = ("n", "k_max", "poly_r", "levels", "threads")
-    _FLOAT_FIELDS = ("lo", "hi", "t", "x", "s", "poly_b", "lower", "upper", "tolerance")
-    _INT_TUPLE_FIELDS = ("n_list",)
-    _FLOAT_TUPLE_FIELDS = ("grid", "poly_p")
-
     def to_dict(self) -> dict:
         out: dict = {}
         for fld in fields(self):
@@ -129,31 +116,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        hints = get_type_hints(cls)
         kwargs: dict = {}
-        names = {fld.name for fld in fields(cls)}
         for key, value in data.items():
-            if key not in names:
+            if key not in hints:
                 raise CliError(f"unknown config field {key!r}")
-            kwargs[key] = cls._coerce(key, value)
+            kwargs[key] = None if value is None else _coerce(hints[key], value)
         return cls(**kwargs)
 
-    @classmethod
-    def _coerce(cls, key: str, value):
-        if value is None:
-            return None
-        if key in cls._INT_FIELDS:
-            return int(value)
-        if key in cls._FLOAT_FIELDS:
-            return float(value)
-        if key in cls._INT_TUPLE_FIELDS:
-            if isinstance(value, str):
-                value = value.split(";")
-            return tuple(int(v) for v in value)
-        if key in cls._FLOAT_TUPLE_FIELDS:
-            if isinstance(value, str):
-                value = value.split(";")
-            return tuple(float(v) for v in value)
-        return str(value)
+
+def _coerce(hint, value):
+    """Convert a JSON or CSV config value to the annotated field type; CSV
+    renders tuples as ``;``-separated text."""
+    kind = get_args(hint)[0] if get_origin(hint) is Union else hint
+    if get_origin(kind) is tuple:
+        if isinstance(value, str):
+            value = value.split(";")
+        return tuple(get_args(kind)[0](v) for v in value)
+    return kind(value)
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +156,23 @@ def _const(value: float) -> Callable:
     return g
 
 
+# name -> (callback, derivative)
+_FUNCTIONS = {
+    "sin": (np.sin, np.cos),
+    "cos": (np.cos, lambda t: -np.sin(t)),
+    "id": (lambda t: t, _const(1.0)),
+    "const1": (_const(1.0), _const(0.0)),
+}
+
+
 def resolve_function(name: str) -> NamedFunction:
     """Look up a callback by registry name.
 
     Known names: ``sin``, ``cos``, ``id``, ``const1`` and
     ``poly:c0,c1,...`` (ascending coefficients).
     """
-    if name == "sin":
-        return NamedFunction("sin", np.sin, np.cos)
-    if name == "cos":
-        return NamedFunction("cos", np.cos, lambda t: -np.sin(t))
-    if name == "id":
-        return NamedFunction("id", lambda t: t, _const(1.0))
-    if name == "const1":
-        return NamedFunction("const1", _const(1.0), _const(0.0))
+    if name in _FUNCTIONS:
+        return NamedFunction(name, *_FUNCTIONS[name])
     if name.startswith("poly:"):
         try:
             coeffs = [float(c) for c in name[len("poly:") :].split(",")]
@@ -212,21 +195,105 @@ def resolve_function(name: str) -> NamedFunction:
     raise CliError(f"unknown function {name!r}")
 
 
+# name -> limit CDF; ``root:q`` is parsed by resolve_cdf
+CDFS = {
+    "uniform": lambda: uniform_cdf(),
+    "sqrt": lambda: root_cdf(2),
+    "frac-limit": lambda: frac_limit_smooth_cdf(),
+    "arcsin": lambda: arcsin_cdf(),
+}
+
+
 def resolve_cdf(name: str):
-    if name == "uniform":
-        return uniform_cdf()
-    if name == "sqrt":
-        return root_cdf(2)
     if name.startswith("root:"):
         try:
             return root_cdf(int(name[len("root:") :]))
         except ValueError as exc:
             raise CliError(f"bad root spec {name!r}") from exc
-    if name == "frac-limit":
-        return frac_limit_smooth_cdf()
-    if name == "arcsin":
-        return arcsin_cdf()
-    raise CliError(f"unknown cdf {name!r}")
+    return _lookup(CDFS, name, "unknown cdf {!r}")()
+
+
+def _lookup(table: dict, key, message: str):
+    """``table[key]``, or a CliError with ``message`` formatted on the key."""
+    if key not in table:
+        raise CliError(message.format(key))
+    return table[key]
+
+
+def _default(value, fallback):
+    return fallback if value is None else value
+
+
+def _require(value, flag: str):
+    if value is None:
+        raise CliError(f"{flag} is required here")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Problem tables
+# ---------------------------------------------------------------------------
+
+def _poly_spec(c: RunConfig) -> PolySpec:
+    coeffs = _default(c.poly_p, (1.0, 0.0, 0.0))
+    return PolySpec.make(
+        coeffs,
+        _default(c.poly_r, len(coeffs) - 1),
+        _default(c.poly_b, 1.0),
+        resolve_function(c.f or "id").fn,
+    )
+
+
+# problem -> solver call with the CLI defaults
+SOLVE = {
+    "example1": lambda c: sequence_average(
+        c.n, resolve_function(c.f or "sin").fn, threads=c.threads, tol=c.tolerance
+    ),
+    "example2": lambda c: interval_proportion_sin(
+        c.n, _default(c.lo, -0.5), _default(c.hi, 0.5), threads=c.threads
+    ),
+    "example3": lambda c: frac_n_over_i_cdf(c.n, _default(c.t, 0.5), threads=c.threads),
+    "example4": lambda c: frac_n_over_i_mean(
+        c.n, resolve_function(c.f).fn if c.f else None, threads=c.threads, tol=c.tolerance
+    ),
+    "dirichlet": lambda c: dirichlet_weak(c.n, threads=c.threads),
+    "poly": lambda c: polynomial_family(_poly_spec(c), c.n, threads=c.threads, tol=c.tolerance),
+}
+
+# problem -> (measure family, name of the limit CDF in CDFS); the grid domain
+# is the CDF's support
+SWEEP = {
+    "canonical-uniform": (lambda: canonical_uniform_family(), "uniform"),
+    "example1": (lambda: sqrt_frac_family(), "uniform"),
+    "example2": (lambda: sin_sqrt_frac_family(), "arcsin"),
+    "example3": (lambda: reciprocal_frac_family(), "frac-limit"),
+}
+
+# name -> special-function call; a float or a SeriesValue
+SPECIAL = {
+    "digamma": lambda c: digamma(_require(c.x, "--x")),
+    "trigamma": lambda c: trigamma(_require(c.x, "--x")),
+    "hurwitz": lambda c: hurwitz_zeta(_require(c.s, "--s"), _require(c.x, "--x")),
+    "harmonic": lambda c: harmonic(_require(c.n, "--n")),
+    "frac-limit-cdf": lambda c: frac_limit_cdf(_require(c.t, "--t")),
+    "frac-limit-density": lambda c: frac_limit_density(_require(c.t, "--t")),
+    "frac-limit-series": lambda c: frac_limit_cdf_series(
+        _require(c.t, "--t"), _default(c.k_max, 80)
+    ),
+}
+
+# method -> (f, phi, lower, upper, config) -> QuadratureResult or oracle sums
+INTEGRATE = {
+    "density": lambda f, phi, a, b, c: integrate_smooth(
+        f.fn, phi, HyperBox(a, b), tol=c.tolerance
+    ),
+    "parts": lambda f, phi, a, b, c: integrate_by_parts(
+        f.fn, f.derivative, phi.value, (a, b), tol=c.tolerance
+    ),
+    "oracle": lambda f, phi, a, b, c: riemann_stieltjes_oracle(
+        f.fn, phi.value, (a, b), levels=c.levels or 12
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every dest is a RunConfig field name
     def add_common(p):
         p.add_argument("--tol", type=float, default=1e-9, dest="tolerance")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="output file (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
+        p.add_argument("--output", default=None, dest="output_path", metavar="OUTPUT",
+                       help="output file (default stdout)")
         p.add_argument("--threads", type=int, default=None)
 
     p_solve = sub.add_parser("solve", help="run one problem at a single index")
-    p_solve.add_argument("problem", choices=SOLVE_PROBLEMS)
+    p_solve.add_argument("problem", choices=tuple(SOLVE))
     p_solve.add_argument("--n", type=int, required=True)
     p_solve.add_argument("--f", default=None, help="callback name (sin, cos, id, const1, poly:c0,c1,...)")
     p_solve.add_argument("--lo", type=float, default=None)
@@ -262,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", aliases=["probe"], help="CDF convergence probe across an index list"
     )
-    p_sweep.add_argument("problem", choices=SWEEP_PROBLEMS)
-    p_sweep.add_argument("--n", required=True, help="comma-separated increasing indices")
+    p_sweep.add_argument("problem", choices=tuple(SWEEP))
+    p_sweep.add_argument("--n", required=True, dest="n_list", metavar="N",
+                         help="comma-separated increasing indices")
     p_sweep.add_argument("--grid", default=None, help="t1,t2,... or start:stop:step")
     add_common(p_sweep)
 
@@ -272,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--phi", required=True, help="uniform, sqrt, root:q, frac-limit, arcsin")
     p_int.add_argument("--lower", type=float, default=None)
     p_int.add_argument("--upper", type=float, default=None)
-    p_int.add_argument("--method", choices=("density", "parts", "oracle"), default="density")
+    p_int.add_argument("--method", choices=tuple(INTEGRATE), default="density")
     p_int.add_argument("--levels", type=int, default=12)
     add_common(p_int)
 
     p_special = sub.add_parser("special", help="evaluate a special function")
-    p_special.add_argument("problem", choices=SPECIAL_FUNCTIONS)
+    p_special.add_argument("problem", choices=tuple(SPECIAL))
     p_special.add_argument("--x", type=float, default=None)
     p_special.add_argument("--s", type=float, default=None)
     p_special.add_argument("--t", type=float, default=None)
@@ -286,6 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_special)
 
     return parser
+
+
+def _parse_poly_p(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(c) for c in text.split(","))
+    except ValueError as exc:
+        raise CliError("bad --poly-p coefficient list") from exc
+
+
+def _parse_n_list(text: str) -> tuple[int, ...]:
+    try:
+        n_list = tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError as exc:
+        raise CliError("bad --n index list") from exc
+    if not n_list:
+        raise CliError("--n must list at least one index")
+    return n_list
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -307,6 +394,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return pts
 
 
+# RunConfig fields given as text on the command line, parsed in this order
+_TEXT_FIELDS = {"poly_p": _parse_poly_p, "n_list": _parse_n_list, "grid": _parse_grid}
+
+
 def _resolve_threads(explicit: Optional[int]) -> int:
     if explicit is None:
         env = os.environ.get(THREADS_ENV)
@@ -322,163 +413,47 @@ def _resolve_threads(explicit: Optional[int]) -> int:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = "sweep" if args.command == "probe" else args.command
-    common = dict(
-        tolerance=args.tolerance,
-        output_format=args.format,
-        output_path=args.output,
-        threads=_resolve_threads(args.threads),
-    )
-    if common["tolerance"] <= 0:
+    values = dict(vars(args))
+    values["command"] = "sweep" if args.command == "probe" else args.command
+    values["threads"] = _resolve_threads(args.threads)
+    if values["tolerance"] <= 0:
         raise CliError("tolerance must be positive")
-    if command == "solve":
-        poly_p = None
-        if args.poly_p is not None:
-            try:
-                poly_p = tuple(float(c) for c in args.poly_p.split(","))
-            except ValueError as exc:
-                raise CliError("bad --poly-p coefficient list") from exc
-        return RunConfig(
-            command="solve",
-            problem=args.problem,
-            n=args.n,
-            f=args.f,
-            lo=args.lo,
-            hi=args.hi,
-            t=args.t,
-            poly_p=poly_p,
-            poly_r=args.poly_r,
-            poly_b=args.poly_b,
-            **common,
-        )
-    if command == "sweep":
-        try:
-            n_list = tuple(int(v) for v in args.n.split(",") if v.strip())
-        except ValueError as exc:
-            raise CliError("bad --n index list") from exc
-        if not n_list:
-            raise CliError("--n must list at least one index")
-        grid = _parse_grid(args.grid) if args.grid is not None else None
-        return RunConfig(
-            command="sweep", problem=args.problem, n_list=n_list, grid=grid, **common
-        )
-    if command == "integrate":
-        return RunConfig(
-            command="integrate",
-            f=args.f,
-            phi=args.phi,
-            lower=args.lower,
-            upper=args.upper,
-            method=args.method,
-            levels=args.levels,
-            **common,
-        )
-    if command == "special":
-        return RunConfig(
-            command="special",
-            problem=args.problem,
-            x=args.x,
-            s=args.s,
-            t=args.t,
-            n=args.n,
-            k_max=args.k_max,
-            **common,
-        )
-    raise CliError(f"unknown command {args.command!r}")
+    for key, parse in _TEXT_FIELDS.items():
+        if values.get(key) is not None:
+            values[key] = parse(values[key])
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
-def _require(value, flag: str):
-    if value is None:
-        raise CliError(f"{flag} is required here")
-    return value
-
-
-def _solve_result_dict(res) -> dict:
-    if isinstance(res, DivergentResult):
-        return {
-            "empirical": float(res.empirical),
-            "verdict": res.verdict,
-            "n": res.n,
-            "meta": res.meta,
-        }
-    return {
-        "empirical": float(res.empirical),
-        "closed_form": float(res.closed_form),
-        "abs_error": float(res.abs_error),
-        "n": res.n,
-        "meta": res.meta,
-    }
-
-
 def _run_solve(config: RunConfig) -> dict:
-    n = _require(config.n, "--n")
-    if n < 1:
+    if _require(config.n, "--n") < 1:
         raise CliError("--n must be >= 1")
-    threads = config.threads
-    problem = config.problem
-    if problem == "example1":
-        named = resolve_function(config.f or "sin")
-        res = sequence_average(n, named.fn, threads=threads, tol=config.tolerance)
-    elif problem == "example2":
-        lo = -0.5 if config.lo is None else config.lo
-        hi = 0.5 if config.hi is None else config.hi
-        res = interval_proportion_sin(n, lo, hi, threads=threads)
-    elif problem == "example3":
-        t = 0.5 if config.t is None else config.t
-        res = frac_n_over_i_cdf(n, t, threads=threads)
-    elif problem == "example4":
-        fn = resolve_function(config.f).fn if config.f else None
-        res = frac_n_over_i_mean(n, fn, threads=threads, tol=config.tolerance)
-    elif problem == "dirichlet":
-        res = dirichlet_weak(n, threads=threads)
-    elif problem == "poly":
-        coeffs = config.poly_p if config.poly_p is not None else (1.0, 0.0, 0.0)
-        spec = PolySpec.make(
-            coeffs,
-            config.poly_r if config.poly_r is not None else len(coeffs) - 1,
-            config.poly_b if config.poly_b is not None else 1.0,
-            resolve_function(config.f or "id").fn,
-        )
-        res = polynomial_family(spec, n, threads=threads, tol=config.tolerance)
+    res = _lookup(SOLVE, config.problem, "unknown solve problem {!r}")(config)
+    out = {"empirical": float(res.empirical), "n": res.n, "meta": res.meta}
+    if isinstance(res, DivergentResult):
+        out["verdict"] = res.verdict
     else:
-        raise CliError(f"unknown solve problem {config.problem!r}")
-    return _solve_result_dict(res)
-
-
-_SWEEP_SETUPS = {
-    "canonical-uniform": (canonical_uniform_family, uniform_cdf, (0.0, 1.0)),
-    "example1": (sqrt_frac_family, uniform_cdf, (0.0, 1.0)),
-    "example2": (sin_sqrt_frac_family, arcsin_cdf, (-1.0, 1.0)),
-    "example3": (reciprocal_frac_family, frac_limit_smooth_cdf, (0.0, 1.0)),
-}
+        out.update(closed_form=float(res.closed_form), abs_error=float(res.abs_error))
+    return out
 
 
 def _run_sweep(config: RunConfig) -> dict:
-    try:
-        family_factory, cdf_factory, domain = _SWEEP_SETUPS[config.problem]
-    except KeyError:
-        raise CliError(f"problem {config.problem!r} does not support sweep") from None
+    family, cdf_name = _lookup(SWEEP, config.problem, "problem {!r} does not support sweep")
     n_list = _require(config.n_list, "--n")
     if any(n < 1 for n in n_list):
         raise CliError("indices must be >= 1")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise CliError("--n must be strictly increasing")
-    if config.grid is None:
-        if domain == (0.0, 1.0):
-            grid = DEFAULT_GRID
-        else:
-            grid = tuple(-0.9 + 0.1 * j for j in range(19))
-    else:
-        grid = config.grid
+    phi = resolve_cdf(cdf_name)
+    domain = (phi.support.lower[0], phi.support.upper[0])
+    fallback = DEFAULT_GRID if domain == (0.0, 1.0) else tuple(-0.9 + 0.1 * j for j in range(19))
+    grid = _default(config.grid, fallback)
     if any(not (domain[0] < t < domain[1]) for t in grid):
         raise CliError(f"grid must lie strictly inside {domain}")
-    report = cdf_sequence_probe(
-        family_factory(), cdf_factory(), grid=grid, n_list=n_list
-    )
+    report = cdf_sequence_probe(family(), phi, grid=grid, n_list=n_list)
     return {
         "grid": [float(t) for t in report.grid],
         "n_list": [int(n) for n in report.n_list],
@@ -493,71 +468,44 @@ def _run_sweep(config: RunConfig) -> dict:
 def _run_integrate(config: RunConfig) -> dict:
     named = resolve_function(_require(config.f, "--f"))
     phi = resolve_cdf(_require(config.phi, "--phi"))
-    lower = phi.support.lower[0] if config.lower is None else config.lower
-    upper = phi.support.upper[0] if config.upper is None else config.upper
+    lower = _default(config.lower, phi.support.lower[0])
+    upper = _default(config.upper, phi.support.upper[0])
     if not (math.isfinite(lower) and math.isfinite(upper) and lower <= upper):
         raise CliError("need finite --lower <= --upper")
-    method = config.method or "density"
-    if method == "density":
-        res = integrate_smooth(
-            named.fn, phi, HyperBox(lower, upper), tol=config.tolerance
-        )
-        return {"value": float(res.value), "error_estimate": float(res.error)}
-    if method == "parts":
-        res = integrate_by_parts(
-            named.fn, named.derivative, phi.value, (lower, upper), tol=config.tolerance
-        )
-        return {"value": float(res.value), "error_estimate": float(res.error)}
-    if method == "oracle":
-        sums = riemann_stieltjes_oracle(
-            named.fn, phi.value, (lower, upper), levels=config.levels or 12
-        )
-        return {"levels": [float(s) for s in sums], "value": float(sums[-1])}
-    raise CliError(f"unknown method {method!r}")
+    method = _lookup(INTEGRATE, config.method or "density", "unknown method {!r}")
+    res = method(named, phi, lower, upper, config)
+    if isinstance(res, list):
+        return {"levels": [float(s) for s in res], "value": float(res[-1])}
+    return {"value": float(res.value), "error_estimate": float(res.error)}
 
 
 def _run_special(config: RunConfig) -> dict:
-    name = config.problem
-    if name == "digamma":
-        return {"value": float(digamma(_require(config.x, "--x")))}
-    if name == "trigamma":
-        return {"value": float(trigamma(_require(config.x, "--x")))}
-    if name == "hurwitz":
-        return {
-            "value": float(
-                hurwitz_zeta(_require(config.s, "--s"), _require(config.x, "--x"))
-            )
-        }
-    if name == "harmonic":
-        return {"value": float(harmonic(_require(config.n, "--n")))}
-    if name == "frac-limit-cdf":
-        return {"value": float(frac_limit_cdf(_require(config.t, "--t")))}
-    if name == "frac-limit-density":
-        return {"value": float(frac_limit_density(_require(config.t, "--t")))}
-    if name == "frac-limit-series":
-        res = frac_limit_cdf_series(
-            _require(config.t, "--t"),
-            config.k_max if config.k_max is not None else 80,
-        )
-        return {
-            "value": float(res.value),
-            "truncation_bound": float(res.truncation_bound),
-        }
-    raise CliError(f"unknown special function {name!r}")
+    res = _lookup(SPECIAL, config.problem, "unknown special function {!r}")(config)
+    values = res._asdict() if isinstance(res, SeriesValue) else {"value": res}
+    return {key: float(v) for key, v in values.items()}
+
+
+COMMANDS = {
+    "solve": _run_solve,
+    "sweep": _run_sweep,
+    "integrate": _run_integrate,
+    "special": _run_special,
+}
+
+
+def _finite(value) -> bool:
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def execute(config: RunConfig) -> dict:
-    """Run the configured command and assemble the full report."""
-    if config.command == "solve":
-        result = _run_solve(config)
-    elif config.command == "sweep":
-        result = _run_sweep(config)
-    elif config.command == "integrate":
-        result = _run_integrate(config)
-    elif config.command == "special":
-        result = _run_special(config)
-    else:
-        raise CliError(f"unknown command {config.command!r}")
+    """Run the configured command and assemble the full report; a
+    non-finite result field raises FloatingPointError (exit code 3)."""
+    result = _lookup(COMMANDS, config.command, "unknown command {!r}")(config)
+    for key, value in result.items():
+        if not _finite(value):
+            raise FloatingPointError(f"non-finite value in result field {key!r}")
     return {
         "schema": SCHEMA_VERSION,
         "version": __version__,
@@ -652,7 +600,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, VariationError) as exc:
+    except (QuadratureError, VariationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .accum import apply_to_array, fsum_array, map_reduce_fsum, map_reduce_int
-from .convergence import Boundary, MeasureFamily, continuity_set_check
-from .measure import AtomicMeasure, HyperBox, from_points
+from .convergence import Boundary, MeasureFamily
+from .measure import HyperBox, from_points
 from .special import EULER_GAMMA, frac_limit_cdf, frac_limit_density
 from .stieltjes import SmoothCdf, integrate_smooth
 
@@ -57,11 +57,6 @@ class SolveResult:
     abs_error: float
     n: int
     meta: str
-
-    def __post_init__(self):
-        # abs_error is derived state; keep it consistent no matter what the
-        # caller passed
-        object.__setattr__(self, "abs_error", abs(self.empirical - self.closed_form))
 
 
 def _result(empirical: float, closed_form: float, n: int, meta: str) -> SolveResult:
@@ -170,9 +165,28 @@ def _sqrt_frac_chunk(start: int, stop: int) -> np.ndarray:
     return np.sqrt(k.astype(np.float64)) - _isqrt_array(k)
 
 
+def _sin_sqrt_frac_chunk(start: int, stop: int) -> np.ndarray:
+    """sin(2*pi*{sqrt k}) for k in [start, stop)."""
+    return np.sin(2.0 * math.pi * _sqrt_frac_chunk(start, stop))
+
+
 def _remainder_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(start, stop, dtype=np.int64)
     return i, n % i
+
+
+def _reciprocal_frac_chunk(n: int, start: int, stop: int) -> np.ndarray:
+    """{n/i} = (n mod i)/i for i in [start, stop), each rounded once."""
+    i, r = _remainder_chunk(n, start, stop)
+    return r / i
+
+
+def _mean_sum(f: Callable, chunk: Callable, count: int, threads: int) -> float:
+    """Correctly rounded sum of f over the points chunk(1, count + 1), one
+    fixed-width chunk(a, b) at a time."""
+    return map_reduce_fsum(
+        lambda a, b: fsum_array(apply_to_array(f, chunk(a, b))), 1, count + 1, threads=threads
+    )
 
 
 def reciprocal_frac_map(n: int) -> Callable[[float], float]:
@@ -223,18 +237,15 @@ def sqrt_frac_family() -> MeasureFamily:
 
 def sin_sqrt_frac_family() -> MeasureFamily:
     return MeasureFamily(
-        lambda n: from_points(np.sin(2.0 * math.pi * _sqrt_frac_chunk(1, n + 1))),
+        lambda n: from_points(_sin_sqrt_frac_chunk(1, n + 1)),
         description="uniform weights on sin(2*pi*{sqrt k}), k <= n",
     )
 
 
 def reciprocal_frac_family() -> MeasureFamily:
-    def gen(n: int) -> AtomicMeasure:
-        i, r = _remainder_chunk(n, 1, n + 1)
-        return from_points(r / i)
-
     return MeasureFamily(
-        gen, description="uniform weights on {n/i} = (n mod i)/i, i <= n"
+        lambda n: from_points(_reciprocal_frac_chunk(n, 1, n + 1)),
+        description="uniform weights on {n/i} = (n mod i)/i, i <= n",
     )
 
 
@@ -261,15 +272,7 @@ def sequence_average(
 ) -> SolveResult:
     """Mean of f({sqrt k}) for k <= n, against the uniform-law integral."""
     n = _check_n(n)
-    empirical = (
-        map_reduce_fsum(
-            lambda a, b: fsum_array(apply_to_array(f, _sqrt_frac_chunk(a, b))),
-            1,
-            n + 1,
-            threads=threads,
-        )
-        / n
-    )
+    empirical = _mean_sum(f, _sqrt_frac_chunk, n, threads) / n
     closed = integrate_smooth(f, uniform_cdf(), tol=tol).value
     return _result(empirical, closed, n, "mean of f({sqrt k}) vs uniform integral")
 
@@ -283,26 +286,15 @@ def interval_proportion_sin(
     hi = float(hi)
     if not (-1.0 <= lo <= hi <= 1.0):
         raise ValueError("need -1 <= lo <= hi <= 1")
-    boundary = _sin_level_preimages(lo) | _sin_level_preimages(hi)
-    if not continuity_set_check(uniform_cdf().density, Boundary.finite(sorted(boundary))):
-        raise RuntimeError("continuity-set criterion unexpectedly failed")
 
     def kernel(a: int, b: int) -> int:
-        s = np.sin(2.0 * math.pi * _sqrt_frac_chunk(a, b))
+        s = _sin_sqrt_frac_chunk(a, b)
         return int(np.count_nonzero((s >= lo) & (s <= hi)))
 
     empirical = map_reduce_int(kernel, 1, n + 1, threads=threads) / n
     phi = arcsin_cdf().value
     closed = phi(hi) - phi(lo)
     return _result(empirical, closed, n, "proportion of sin(2*pi*{sqrt k}) in [lo, hi]")
-
-
-def _sin_level_preimages(c: float) -> set[float]:
-    """Points x in [0, 1) with sin(2*pi*x) = c."""
-    if not -1.0 <= c <= 1.0:
-        return set()
-    s = math.asin(c) / (2.0 * math.pi)
-    return {s % 1.0, (0.5 - s) % 1.0}
 
 
 def frac_n_over_i_cdf(
@@ -315,16 +307,16 @@ def frac_n_over_i_cdf(
     rational), so jump points are classified without rounding.
     """
     n = _check_n(n)
-    if not continuity_set_check(
-        uniform_cdf().density, reciprocal_frac_boundary(float(t))
-    ):
-        raise RuntimeError("continuity-set criterion unexpectedly failed")
     if isinstance(t, numbers.Rational) and not isinstance(t, float):
         num = int(t.numerator)
         den = int(t.denominator)
+        # r < i <= n, so both products fit int64 below this bound; above it
+        # they are formed as exact Python ints
+        exact = object if max(abs(num), den) * n >= 2**63 else np.int64
 
         def kernel(a: int, b: int) -> int:
             i, r = _remainder_chunk(n, a, b)
+            r, i = r.astype(exact, copy=False), i.astype(exact, copy=False)
             return int(np.count_nonzero(r * den <= num * i))
 
     else:
@@ -354,12 +346,7 @@ def frac_n_over_i_mean(
     n = _check_n(n)
     identity = f is None
     fn = (lambda v: v) if identity else f
-
-    def kernel(a: int, b: int) -> float:
-        i, r = _remainder_chunk(n, a, b)
-        return fsum_array(apply_to_array(fn, r / i))
-
-    empirical = map_reduce_fsum(kernel, 1, n + 1, threads=threads) / n
+    empirical = _mean_sum(fn, lambda a, b: _reciprocal_frac_chunk(n, a, b), n, threads) / n
     if identity:
         closed = 1.0 - EULER_GAMMA
     else:
@@ -460,16 +447,15 @@ def polynomial_family(
     q < r, divergent for q > r, and for q = r the integral of f against the
     root-q CDF scaled by (b/a)**(1/q).
     """
-    n = _check_n(n)
+    n = _check_n(n, limit=math.inf)
     count = _poly_count(spec, n)
     g_norm = (n / spec.norm_b) ** (1.0 / spec.norm_r)
+    coeffs = np.asarray(spec.p_coeffs, dtype=np.float64)
 
-    def kernel(a: int, b: int) -> float:
-        i = np.arange(a, b, dtype=np.float64)
-        x = np.polyval(np.asarray(spec.p_coeffs, dtype=np.float64), i) / n
-        return fsum_array(apply_to_array(spec.f, x))
+    def points(a: int, b: int) -> np.ndarray:
+        return np.polyval(coeffs, np.arange(a, b, dtype=np.float64)) / n
 
-    empirical = map_reduce_fsum(kernel, 1, count + 1, threads=threads) / g_norm
+    empirical = _mean_sum(spec.f, points, count, threads) / g_norm
     meta = (
         f"(n/b)^(-1/r) * sum f(P(i)/n), deg P = {spec.q}, r = {spec.norm_r}, "
         f"N(n) = {count}"
@@ -483,8 +469,15 @@ def polynomial_family(
     return _result(empirical, scale * integral, n, meta)
 
 
-def _check_n(n) -> int:
+# Largest n an index solver accepts: the exactness limit of _sqrt_frac_chunk,
+# checked before any chunk range over 1..n is built.
+_MAX_INDEX = 2**52
+
+
+def _check_n(n, limit: float = _MAX_INDEX) -> int:
     n = int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if n > limit:
+        raise ValueError(f"n must be <= 2**52 for index solvers, got {n}")
     return n

@@ -8,6 +8,7 @@ Euler-Maclaurin.  The Euler-Mascheroni constant is a hard-coded literal.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -198,10 +199,6 @@ def frac_limit_cdf_series(t: float, k_max: int) -> SeriesValue:
     return SeriesValue(math.fsum(terms), bound)
 
 
-_ZETA_CACHE: dict[int, float] = {}
-
-
+@functools.cache
 def _zeta_int(k: int) -> float:
-    if k not in _ZETA_CACHE:
-        _ZETA_CACHE[k] = hurwitz_zeta(float(k), 1.0)
-    return _ZETA_CACHE[k]
+    return hurwitz_zeta(float(k), 1.0)

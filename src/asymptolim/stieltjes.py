@@ -167,6 +167,25 @@ def delta_box(phi: Callable, box: HyperBox) -> float:
 # Total variation on nested dyadic partitions
 # ---------------------------------------------------------------------------
 
+def _refine_until_stable(partition_sum, first_depth, max_depth, tol, stable_rounds) -> float:
+    """``partition_sum(depth)`` for depth = first_depth.. max_depth, until
+    ``stable_rounds`` refinements in a row change it by less than ``tol``."""
+    prev = None
+    stable = 0
+    for depth in range(first_depth, max_depth + 1):
+        v = partition_sum(depth)
+        if prev is not None and abs(v - prev) < tol:
+            stable += 1
+            if stable >= stable_rounds:
+                return v
+        else:
+            stable = 0
+        prev = v
+    raise VariationError(
+        f"variation did not stabilize within {max_depth} dyadic refinements"
+    )
+
+
 def variation(
     phi: Callable,
     window: tuple[float, float],
@@ -184,24 +203,14 @@ def variation(
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("window must be a finite nondegenerate interval")
-    prev = None
-    stable = 0
-    for depth in range(2, max_depth + 1):
-        xs = np.linspace(a, b, 2**depth + 1)
-        vals = apply_to_array(phi, xs)
+
+    def partition_sum(depth: int) -> float:
+        vals = apply_to_array(phi, np.linspace(a, b, 2**depth + 1))
         if not np.all(np.isfinite(vals)):
             raise ValueError("phi is non-finite on the window")
-        v = fsum_array(np.abs(np.diff(vals)))
-        if prev is not None and abs(v - prev) < tol:
-            stable += 1
-            if stable >= stable_rounds:
-                return v
-        else:
-            stable = 0
-        prev = v
-    raise VariationError(
-        f"variation did not stabilize within {max_depth} dyadic refinements"
-    )
+        return fsum_array(np.abs(np.diff(vals)))
+
+    return _refine_until_stable(partition_sum, 2, max_depth, tol, stable_rounds)
 
 
 def variation_nd(
@@ -220,9 +229,8 @@ def variation_nd(
     if not box.is_finite:
         raise ValueError("variation_nd needs a finite box")
     k = box.dim
-    prev = None
-    stable = 0
-    for depth in range(1, max_depth + 1):
+
+    def partition_sum(depth: int) -> float:
         axes = [
             np.linspace(box.lower[i], box.upper[i], 2**depth + 1) for i in range(k)
         ]
@@ -236,17 +244,9 @@ def variation_nd(
         inc = vals
         for axis in range(k):
             inc = np.diff(inc, axis=axis)
-        v = fsum_array(np.abs(inc).ravel())
-        if prev is not None and abs(v - prev) < tol:
-            stable += 1
-            if stable >= stable_rounds:
-                return v
-        else:
-            stable = 0
-        prev = v
-    raise VariationError(
-        f"variation did not stabilize within {max_depth} dyadic refinements"
-    )
+        return fsum_array(np.abs(inc).ravel())
+
+    return _refine_until_stable(partition_sum, 1, max_depth, tol, stable_rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,20 @@ class TestSolveCommand:
         assert code == 2
         assert "n" in err
 
+    def test_n_above_kernel_domain_exits_2(self, monkeypatch, capsys):
+        # the guard must fire before any chunk loop over 1..n starts
+        from asymptolim import problems
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("chunk loop reached")
+
+        monkeypatch.setattr(problems, "map_reduce_int", no_loop)
+        code, out, err = run_cli(
+            ["solve", "dirichlet", "--n", "10000000000000000000"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "2**52" in err
+
 
 class TestSweepCommand:
     def test_canonical_uniform(self, capsys):
@@ -167,27 +181,53 @@ class TestSpecialCommand:
         code, _, _ = run_cli(["special", "digamma"], capsys)
         assert code == 2
 
+    def test_trigamma_division_by_zero_exits_3(self, capsys):
+        code, out, err = run_cli(["special", "trigamma", "--x", "1e-200"], capsys)
+        assert (code, out) == (3, "")
+        assert "numerical failure" in err
+
+    def test_hurwitz_overflow_exits_3(self, capsys):
+        code, out, err = run_cli(["special", "hurwitz", "--s", "1e300", "--x", "0.5"], capsys)
+        assert (code, out) == (3, "")
+        assert "numerical failure" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_exits_3(self, fmt, capsys):
+        code, out, err = run_cli(
+            ["special", "digamma", "--x", "1e-320", "--format", fmt], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "non-finite" in err
+
 
 class TestReports:
     def config_for(self, argv):
         args = build_parser().parse_args(argv)
         return config_from_args(args)
 
-    def test_json_round_trip(self):
-        config = self.config_for(
-            ["solve", "example2", "--n", "100", "--lo", "-0.25", "--hi", "0.75"]
-        )
-        report = execute(config)
-        text = render_report(report, "json")
-        assert parse_config_from_report(text, "json") == config
+    # one argv per command; together they carry every RunConfig field type
+    # (str, int, float, int tuple, float tuple)
+    ROUND_TRIP_ARGVS = {
+        "solve": ["solve", "poly", "--n", "1000", "--poly-p", "1,0.1,0.5", "--poly-r", "2",
+                  "--poly-b", "1.5", "--f", "sin", "--threads", "2"],
+        "sweep": ["sweep", "example1", "--n", "50,500", "--grid", "0.2,0.4,0.6"],
+        "integrate": ["integrate", "--f", "id", "--phi", "sqrt", "--lower", "0.25",
+                      "--upper", "0.75", "--method", "oracle", "--levels", "6"],
+        "special": ["special", "frac-limit-series", "--t", "0.5", "--k-max", "40"],
+    }
 
-    def test_csv_round_trip(self):
-        config = self.config_for(
-            ["sweep", "example1", "--n", "50,500", "--grid", "0.2,0.4,0.6", "--format", "csv"]
-        )
-        report = execute(config)
-        text = render_report(report, "csv")
-        assert parse_config_from_report(text, "csv") == config
+    def round_trip(self, command, fmt):
+        config = self.config_for(self.ROUND_TRIP_ARGVS[command] + ["--format", fmt])
+        text = render_report(execute(config), fmt)
+        assert parse_config_from_report(text, fmt) == config
+
+    @pytest.mark.parametrize("command", list(ROUND_TRIP_ARGVS))
+    def test_json_round_trip(self, command):
+        self.round_trip(command, "json")
+
+    @pytest.mark.parametrize("command", list(ROUND_TRIP_ARGVS))
+    def test_csv_round_trip(self, command):
+        self.round_trip(command, "csv")
 
     def test_csv_has_header_and_full_precision(self):
         config = self.config_for(["solve", "dirichlet", "--n", "10", "--format", "csv"])

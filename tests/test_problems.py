@@ -118,6 +118,16 @@ class TestFracNOverICdf:
         count = sum(1 for i in range(1, n + 1) if Fraction(n % i, i) <= t)
         assert res.empirical == count / n
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rational_threshold_with_wide_denominator(self, threads):
+        # Fraction(0.1) has denominator 2**55: r * den leaves int64 once r >= 256
+        n = 3 * 10**4
+        t = Fraction(0.1)
+        res = frac_n_over_i_cdf(n, t, threads=threads)
+        count = sum(1 for i in range(1, n + 1) if Fraction(n % i, i) <= t)
+        assert res.empirical == count / n
+        assert res.empirical == frac_n_over_i_cdf(n, 0.1).empirical
+
     def test_float_and_rational_agree_off_jumps(self):
         n = 977  # prime, so few exact hits
         assert (
@@ -277,3 +287,39 @@ class TestExactArithmetic:
             again = frac_n_over_i_mean(10**4, np.sin, threads=threads)
             assert again.empirical == base.empirical
             assert again.closed_form == base.closed_form
+
+
+class TestIndexDomain:
+    """Index solvers reject n above 2**52, the exactness limit of the
+    square-root kernel, before any chunk loop over 1..n starts."""
+
+    SOLVERS = {
+        "sequence_average": lambda n: sequence_average(n, np.sin),
+        "interval_proportion_sin": lambda n: interval_proportion_sin(n, -0.5, 0.5),
+        "sqrt_frac_cdf": lambda n: sqrt_frac_cdf(n, 0.5),
+        "frac_n_over_i_cdf": lambda n: frac_n_over_i_cdf(n, 0.5),
+        "frac_n_over_i_mean": lambda n: frac_n_over_i_mean(n),
+        "dirichlet_weak": lambda n: dirichlet_weak(n),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_chunk_loops(self, monkeypatch):
+        from asymptolim import problems
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("chunk loop reached")
+
+        monkeypatch.setattr(problems, "map_reduce_int", no_loop)
+        monkeypatch.setattr(problems, "map_reduce_fsum", no_loop)
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    @pytest.mark.parametrize("n", [2**52 + 1, 10**19], ids=["2**52+1", "1e19"])
+    def test_rejects_n_above_2_52(self, name, n):
+        with pytest.raises(ValueError, match=r"2\*\*52"):
+            self.SOLVERS[name](n)
+
+    def test_polynomial_family_is_not_limited(self):
+        # cubic P: N(n) = floor(n**(1/3)) ~ 2.1e5 points at n = 2**53
+        spec = PolySpec.make((1.0, 0.0, 0.0, 0.0), 3, 1.0, lambda x: x)
+        with pytest.raises(AssertionError, match="chunk loop reached"):
+            polynomial_family(spec, 2**53)
