@@ -10,8 +10,10 @@ index order.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,9 +31,10 @@ def fsum_array(values) -> float:
     return math.fsum(values)
 
 
-def chunk_ranges(lo: int, hi: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
-    """Half-open ``[start, stop)`` ranges of fixed width covering ``[lo, hi)``."""
-    return [(s, min(s + chunk, hi)) for s in range(lo, hi, chunk)]
+def chunk_ranges(lo: int, hi: int, chunk: int = CHUNK) -> Iterator[tuple[int, int]]:
+    """Half-open ``[start, stop)`` ranges of fixed width covering ``[lo, hi)``,
+    produced lazily so that no work scales with the range count up front."""
+    return ((s, min(s + chunk, hi)) for s in range(lo, hi, chunk))
 
 
 def map_reduce_fsum(
@@ -43,24 +46,41 @@ def map_reduce_fsum(
     depend on shared mutable state.  Chunking is independent of ``threads``,
     so the result is bit-identical for every thread count.
     """
-    ranges = chunk_ranges(lo, hi)
-    partials = _map_ordered(kernel, ranges, threads)
-    return math.fsum(partials)
+    return math.fsum(_map_ordered(kernel, chunk_ranges(lo, hi), threads))
 
 
 def map_reduce_int(
     kernel: Callable[[int, int], int], lo: int, hi: int, threads: int = 1
 ) -> int:
-    """Exact integer sum of ``kernel(start, stop)`` over fixed chunks."""
-    ranges = chunk_ranges(lo, hi)
-    return sum(_map_ordered(kernel, ranges, threads))
+    """Exact integer sum of ``kernel(start, stop)`` over fixed chunks.
+
+    A kernel may also return an int64 array (a tally); the arrays are then
+    summed elementwise.
+    """
+    return sum(_map_ordered(kernel, chunk_ranges(lo, hi), threads))
 
 
-def _map_ordered(kernel, ranges, threads):
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda r: kernel(r[0], r[1]), ranges))
-    return [kernel(start, stop) for start, stop in ranges]
+def _map_ordered(
+    kernel: Callable[[int, int], object], ranges: Iterable[tuple[int, int]], threads: int
+) -> Iterator:
+    """Yield ``kernel(start, stop)`` for each range, in range order.
+
+    A pool is started only for more than one range; at most ``2 * threads``
+    chunks are in flight, so memory does not grow with the range count.
+    """
+    ranges = iter(ranges)
+    head = list(islice(ranges, 2))
+    if threads <= 1 or len(head) <= 1:
+        yield from (kernel(start, stop) for start, stop in chain(head, ranges))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for start, stop in chain(head, ranges):
+            pending.append(pool.submit(kernel, start, stop))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def anchored_cumsum(w: np.ndarray) -> np.ndarray:

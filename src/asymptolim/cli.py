@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .convergence import DEFAULT_GRID, cdf_sequence_probe
 from .problems import (
+    _MAX_INDEX,
     DivergentResult,
     PolySpec,
     arcsin_cdf,
@@ -447,13 +448,15 @@ def _run_sweep(config: RunConfig) -> dict:
         raise CliError("indices must be >= 1")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise CliError("--n must be strictly increasing")
+    if n_list[-1] > _MAX_INDEX:
+        raise CliError("indices must be <= 2**52")
     phi = resolve_cdf(cdf_name)
     domain = (phi.support.lower[0], phi.support.upper[0])
     fallback = DEFAULT_GRID if domain == (0.0, 1.0) else tuple(-0.9 + 0.1 * j for j in range(19))
     grid = _default(config.grid, fallback)
     if any(not (domain[0] < t < domain[1]) for t in grid):
         raise CliError(f"grid must lie strictly inside {domain}")
-    report = cdf_sequence_probe(family(), phi, grid=grid, n_list=n_list)
+    report = cdf_sequence_probe(family(), phi, grid=grid, n_list=n_list, threads=config.threads)
     return {
         "grid": [float(t) for t in report.grid],
         "n_list": [int(n) for n in report.n_list],

@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .accum import fsum_array
-from .measure import AtomicMeasure
+from .accum import fsum_array, map_reduce_int
+from .measure import AtomicMeasure, from_points
 from .stieltjes import Partition1D, SmoothCdf, StepCdf, variation
 
 __all__ = [
@@ -38,10 +38,25 @@ DEFAULT_GRID = tuple(i / 20.0 for i in range(1, 20))
 
 @dataclass(frozen=True)
 class MeasureFamily:
-    """An indexed family n -> atomic measure."""
+    """An indexed family n -> atomic measure.
+
+    ``points``, when given, streams the points of the n-th measure, which
+    then carries the uniform weight 1/n on each: ``points(n, start, stop)``
+    returns the points with index in ``[start, stop)`` out of ``1..n``.
+    Probes read such a family one chunk at a time instead of building it.
+    """
 
     generator: Callable[[int], AtomicMeasure]
     description: str = ""
+    points: Optional[Callable[[int, int, int], np.ndarray]] = None
+
+    @classmethod
+    def from_stream(
+        cls, points: Callable[[int, int, int], np.ndarray], description: str = ""
+    ) -> "MeasureFamily":
+        """The uniform-weight family of a point stream; its ``generator``
+        builds the whole measure from ``points(n, 1, n + 1)``."""
+        return cls(lambda n: from_points(points(n, 1, n + 1)), description, points)
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,26 @@ def _target_value(target) -> Callable[[float], float]:
     raise TypeError("target must be a SmoothCdf or a callable")
 
 
+def _streamed_cdf(
+    points: Callable[[int, int, int], np.ndarray], n: int, sorted_grid: np.ndarray, threads: int
+) -> np.ndarray:
+    """count(x <= g) / n at each sorted grid value g over the n streamed
+    points, tallied one fixed chunk at a time: exact counts, rounded once."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    bins = sorted_grid.size + 1
+
+    def tally(start: int, stop: int) -> np.ndarray:
+        x = points(n, start, stop)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("points must be finite")
+        # bin j holds the points in (g[j-1], g[j]]
+        return np.bincount(np.searchsorted(sorted_grid, x, side="left"), minlength=bins)
+
+    counts = map_reduce_int(tally, 1, n + 1, threads=threads)
+    return np.cumsum(counts[:-1]) / n
+
+
 def cdf_sequence_probe(
     family: MeasureFamily,
     target,
@@ -126,6 +161,7 @@ def cdf_sequence_probe(
     n_list: Sequence[int] = (10, 100, 1000),
     jump_step: float = 1e-7,
     jump_tol: float = 1e-3,
+    threads: int = 1,
 ) -> ConvergenceReport:
     """Evaluate the family's CDFs against the target CDF on a grid.
 
@@ -133,6 +169,11 @@ def cdf_sequence_probe(
     guard, any point where target(x + h) - target(x - h) exceeds
     ``jump_tol`` is recorded in ``excluded`` and left out of the sup errors.
     Non-decaying errors are flagged, not failed.
+
+    A family with a point stream is counted chunk by chunk in O(CHUNK)
+    memory, and its CDF values are exact counts over n; chunking does not
+    depend on ``threads``, so neither do the values.  Other families are
+    built whole and read through ``StepCdf``.
     """
     value = _target_value(target)
     pts = tuple(float(t) for t in (DEFAULT_GRID if grid is None else grid))
@@ -151,14 +192,20 @@ def cdf_sequence_probe(
     if not included:
         raise ValueError("every grid point sits on a target jump")
 
+    order = np.argsort(pts, kind="stable")
+    sorted_grid = np.asarray(pts)[order]
     rows = []
     sups = []
     for n in ns:
-        m = family.generator(n)
-        if m.dim != 1:
-            raise ValueError("cdf_sequence_probe expects 1-D measures")
-        cdf = StepCdf(m)
-        row = tuple(float(v) for v in cdf(np.asarray(pts)))
+        if family.points is not None:
+            values = np.empty(len(pts))
+            values[order] = _streamed_cdf(family.points, n, sorted_grid, threads)
+        else:
+            m = family.generator(n)
+            if m.dim != 1:
+                raise ValueError("cdf_sequence_probe expects 1-D measures")
+            values = StepCdf(m)(np.asarray(pts))
+        row = tuple(float(v) for v in values)
         rows.append(row)
         sups.append(max(abs(row[j] - targets[j]) for j in included))
     decay = tuple(bool(b <= a) for a, b in zip(sups, sups[1:]))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .accum import apply_to_array, fsum_array, map_reduce_fsum, map_reduce_int
 from .convergence import Boundary, MeasureFamily
-from .measure import HyperBox, from_points
+from .measure import HyperBox
 from .special import EULER_GAMMA, frac_limit_cdf, frac_limit_density
 from .stieltjes import SmoothCdf, integrate_smooth
 
@@ -222,30 +222,30 @@ def reciprocal_frac_boundary(t: float) -> Boundary:
 # ---------------------------------------------------------------------------
 
 def canonical_uniform_family() -> MeasureFamily:
-    return MeasureFamily(
-        lambda n: from_points(np.arange(1, n + 1, dtype=np.float64) / n),
-        description="uniform weights on {i/n : 1 <= i <= n}",
+    return MeasureFamily.from_stream(
+        lambda n, a, b: np.arange(a, b, dtype=np.float64) / n,
+        "uniform weights on {i/n : 1 <= i <= n}",
     )
 
 
 def sqrt_frac_family() -> MeasureFamily:
-    return MeasureFamily(
-        lambda n: from_points(_sqrt_frac_chunk(1, n + 1)),
-        description="uniform weights on the fractional parts of sqrt(k), k <= n",
+    return MeasureFamily.from_stream(
+        lambda n, a, b: _sqrt_frac_chunk(a, b),
+        "uniform weights on the fractional parts of sqrt(k), k <= n",
     )
 
 
 def sin_sqrt_frac_family() -> MeasureFamily:
-    return MeasureFamily(
-        lambda n: from_points(_sin_sqrt_frac_chunk(1, n + 1)),
-        description="uniform weights on sin(2*pi*{sqrt k}), k <= n",
+    return MeasureFamily.from_stream(
+        lambda n, a, b: _sin_sqrt_frac_chunk(a, b),
+        "uniform weights on sin(2*pi*{sqrt k}), k <= n",
     )
 
 
 def reciprocal_frac_family() -> MeasureFamily:
-    return MeasureFamily(
-        lambda n: from_points(_reciprocal_frac_chunk(n, 1, n + 1)),
-        description="uniform weights on {n/i} = (n mod i)/i, i <= n",
+    return MeasureFamily.from_stream(
+        lambda n, a, b: _reciprocal_frac_chunk(n, a, b),
+        "uniform weights on {n/i} = (n mod i)/i, i <= n",
     )
 
 

@@ -122,6 +122,67 @@ class TestSweepCommand:
         code, _, _ = run_cli(["sweep", "canonical-uniform", "--n", "100,10"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("n", [2**52 + 1, 10**16])
+    def test_n_above_kernel_domain_exits_2(self, n, monkeypatch, capsys):
+        from asymptolim import convergence, problems
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("point stream reached")
+
+        monkeypatch.setattr(problems, "_reciprocal_frac_chunk", no_points)
+        monkeypatch.setattr(convergence, "map_reduce_int", no_points)
+        code, out, err = run_cli(["sweep", "example3", "--n", f"10,{n}"], capsys)
+        assert code == 2 and out == ""
+        assert "2**52" in err
+
+    def test_huge_n_streams_in_chunks(self, monkeypatch, capsys):
+        # n = 1e11 is inside the kernel domain: the sweep reads it one chunk
+        # at a time (stopped here after a few chunks) instead of allocating
+        # all n points up front
+        from asymptolim import problems
+        from asymptolim.accum import CHUNK
+
+        class Stop(Exception):
+            pass
+
+        kernel = problems._reciprocal_frac_chunk
+        seen = []
+
+        def bounded(n, start, stop):
+            assert stop - start <= CHUNK
+            seen.append(n)
+            if seen.count(10**11) == 3:
+                raise Stop
+            return kernel(n, start, stop)
+
+        monkeypatch.setattr(problems, "_reciprocal_frac_chunk", bounded)
+        with pytest.raises(Stop):
+            main(["sweep", "example3", "--n", "10,100000000000"])
+        assert seen == [10] + [10**11] * 3
+
+    def test_threads_reach_the_probe_and_leave_report_unchanged(self, monkeypatch, capsys):
+        from asymptolim import cli
+
+        probe = cli.cdf_sequence_probe
+        passed = []
+
+        def recording_probe(*args, **kwargs):
+            passed.append(kwargs.get("threads"))
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cdf_sequence_probe", recording_probe)
+
+        def report(threads):
+            rep = report_of(
+                ["sweep", "example3", "--n", "1000,300000", "--threads", threads], capsys
+            )
+            rep.pop("timestamp")
+            assert rep["config"].pop("threads") == int(threads)
+            return json.dumps(rep, sort_keys=True)
+
+        assert report("2") == report("1")
+        assert passed == [2, 1]
+
 
 class TestIntegrateCommand:
     def test_sine_against_uniform(self, capsys):

@@ -15,10 +15,15 @@ from asymptolim import (
     from_points,
     variation_limit_check,
 )
+from asymptolim.accum import CHUNK
 from asymptolim.convergence import DEFAULT_GRID
 from asymptolim.problems import (
+    arcsin_cdf,
     canonical_uniform_family,
+    frac_limit_smooth_cdf,
     reciprocal_frac_boundary,
+    reciprocal_frac_family,
+    sin_sqrt_frac_family,
     sqrt_frac_family,
     uniform_cdf,
 )
@@ -97,6 +102,104 @@ class TestCdfSequenceProbe:
             cdf_sequence_probe(
                 canonical_uniform_family(), uniform_cdf(), grid=(), n_list=(10,)
             )
+
+
+class TestStreamedProbe:
+    """Families with a point stream are counted chunk by chunk; the CDF at
+    each grid point is count(x <= t) / n, exactly."""
+
+    # family, limit CDF, and an unsorted grid inside its domain with a
+    # repeated value
+    FAMILIES = {
+        "canonical-uniform": (canonical_uniform_family, uniform_cdf, (0.7, 0.2, 0.5, 0.2, 0.9)),
+        "example1": (sqrt_frac_family, uniform_cdf, (0.7, 0.2, 0.5, 0.2, 0.9)),
+        "example2": (sin_sqrt_frac_family, arcsin_cdf, (0.3, -0.8, 0.0, 0.3, -0.1, 0.95)),
+        "example3": (reciprocal_frac_family, frac_limit_smooth_cdf, (0.7, 0.2, 0.5, 0.2, 0.9)),
+    }
+    SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+
+    @staticmethod
+    def brute_force(family, n, grid):
+        points = np.sort(family.points(n, 1, n + 1))
+        return tuple(np.searchsorted(points, grid, side="right") / n)
+
+    @staticmethod
+    def atom_grid(name, n):
+        if name == "canonical-uniform":
+            # the atoms i/n themselves, unsorted, 1/n twice
+            return tuple(max(i, 1) / n for i in (2 * n // 3, 1, n // 2, n // 7, 1))
+        if name == "example3":
+            # {n/i} = 1/2 exactly for every i = 2n/(2q+1)
+            return (0.5, 0.25, 0.5, 0.75)
+        return ()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_equals_brute_force_counts(self, name, n):
+        make, target, grid = self.FAMILIES[name]
+        family = make()
+        grid = grid + self.atom_grid(name, n)
+        report = cdf_sequence_probe(family, target(), grid=grid, n_list=(n,))
+        assert report.cdf_values[0] == self.brute_force(family, n, grid)
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_agrees_with_whole_measure_route(self, name):
+        make, target, grid = self.FAMILIES[name]
+        family = make()
+        whole = MeasureFamily(family.generator, "the same family, built whole")
+        ns = (1, 999, CHUNK + 1)
+        streamed = cdf_sequence_probe(family, target(), grid=grid, n_list=ns)
+        oracle = cdf_sequence_probe(whole, target(), grid=grid, n_list=ns)
+        for row, ref in zip(streamed.cdf_values, oracle.cdf_values):
+            assert row == pytest.approx(ref, abs=1e-12, rel=0)
+        assert streamed.sup_errors == pytest.approx(oracle.sup_errors, abs=1e-12, rel=0)
+        assert streamed.excluded == oracle.excluded == ()
+
+    def test_atom_at_half_is_counted(self):
+        # {105/i} = 1/2 exactly for the seven i = 2d <= 105 with d | 105
+        n = 105
+        exact = sum(1 for i in range(1, n + 1) if (n % i) * 2 <= i)
+        below = math.nextafter(0.5, 0.0)
+        report = cdf_sequence_probe(
+            reciprocal_frac_family(), frac_limit_smooth_cdf(), grid=(0.5, below), n_list=(n,)
+        )
+        assert report.cdf_values == ((exact / n, (exact - 7) / n),)
+
+    def test_thread_count_changes_nothing(self):
+        ns = (10, CHUNK + 1, 3 * CHUNK + 7)
+        reports = [
+            cdf_sequence_probe(
+                reciprocal_frac_family(), frac_limit_smooth_cdf(), n_list=ns, threads=t
+            )
+            for t in (1, 2, 3)
+        ]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_non_finite_points_rejected(self):
+        def nan_after_one_chunk(n, start, stop):
+            x = np.arange(start, stop, dtype=np.float64) / n
+            x[x > 0.5] = np.nan
+            return x
+
+        family = MeasureFamily.from_stream(nan_after_one_chunk, "NaN past 1/2")
+        n = 3 * CHUNK
+        with pytest.raises(ValueError, match="points must be finite"):
+            cdf_sequence_probe(family, uniform_cdf(), n_list=(n,))
+        # the whole-measure route raises the same error
+        with pytest.raises(ValueError, match="points must be finite"):
+            family.generator(n)
+
+    def test_generator_builds_the_streamed_points(self):
+        family = reciprocal_frac_family()
+        m = family.generator(CHUNK + 5)
+        assert m.source_count == CHUNK + 5
+        assert np.array_equal(
+            m.points[:, 0], np.unique(family.points(CHUNK + 5, 1, CHUNK + 6))
+        )
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            cdf_sequence_probe(canonical_uniform_family(), uniform_cdf(), n_list=(0, 10))
 
 
 class TestCharfn:
