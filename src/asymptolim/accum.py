@@ -104,15 +104,17 @@ def anchored_cumsum(w: np.ndarray) -> np.ndarray:
 
 
 def apply_to_array(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar callback on a 1-D array, vectorized when supported.
+    """Evaluate a callback on a 1-D array, vectorized when supported.
 
     Falls back to an element loop for callbacks that reject arrays (e.g.
-    ``math.sin`` or anything branching on its argument).
+    ``math.sin``, anything branching on its argument or calling a float
+    method) or that return another shape; there a vector-valued callback
+    gives one row per element.
     """
     try:
         y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return y
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, AttributeError):
         pass
-    return np.array([float(f(float(v))) for v in x])
+    return np.asarray([f(float(v)) for v in x], dtype=float)

@@ -7,8 +7,9 @@ Subcommands: ``solve`` runs a named problem at one index, ``sweep`` (alias
 echo the full configuration, and are byte-identical for identical
 configurations except for the timestamp field.
 
-Each accepted name lives in one table below; entries call library functions
-through module globals, so rebinding a function on this module takes effect.
+Each accepted name lives in one table: sweep problems in
+``problems.PROBLEMS``, the rest below.  Entries call library functions
+through module globals, so rebinding a function on its module takes effect.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (including
 arithmetic overflow and non-finite results).
@@ -33,21 +34,18 @@ from . import __version__
 from .convergence import DEFAULT_GRID, cdf_sequence_probe
 from .problems import (
     _MAX_INDEX,
+    PROBLEMS,
     DivergentResult,
     PolySpec,
     arcsin_cdf,
-    canonical_uniform_family,
     dirichlet_weak,
     frac_limit_smooth_cdf,
     frac_n_over_i_cdf,
     frac_n_over_i_mean,
     interval_proportion_sin,
     polynomial_family,
-    reciprocal_frac_family,
     root_cdf,
     sequence_average,
-    sin_sqrt_frac_family,
-    sqrt_frac_family,
     uniform_cdf,
 )
 from .special import (
@@ -261,15 +259,6 @@ SOLVE = {
     "poly": lambda c: polynomial_family(_poly_spec(c), c.n, threads=c.threads, tol=c.tolerance),
 }
 
-# problem -> (measure family, name of the limit CDF in CDFS); the grid domain
-# is the CDF's support
-SWEEP = {
-    "canonical-uniform": (lambda: canonical_uniform_family(), "uniform"),
-    "example1": (lambda: sqrt_frac_family(), "uniform"),
-    "example2": (lambda: sin_sqrt_frac_family(), "arcsin"),
-    "example3": (lambda: reciprocal_frac_family(), "frac-limit"),
-}
-
 # name -> special-function call; a float or a SeriesValue
 SPECIAL = {
     "digamma": lambda c: digamma(_require(c.x, "--x")),
@@ -332,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", aliases=["probe"], help="CDF convergence probe across an index list"
     )
-    p_sweep.add_argument("problem", choices=tuple(SWEEP))
+    p_sweep.add_argument("problem", choices=tuple(PROBLEMS))
     p_sweep.add_argument("--n", required=True, dest="n_list", metavar="N",
                          help="comma-separated increasing indices")
     p_sweep.add_argument("--grid", default=None, help="t1,t2,... or start:stop:step")
@@ -442,7 +431,7 @@ def _run_solve(config: RunConfig) -> dict:
 
 
 def _run_sweep(config: RunConfig) -> dict:
-    family, cdf_name = _lookup(SWEEP, config.problem, "problem {!r} does not support sweep")
+    problem = _lookup(PROBLEMS, config.problem, "problem {!r} does not support sweep")
     n_list = _require(config.n_list, "--n")
     if any(n < 1 for n in n_list):
         raise CliError("indices must be >= 1")
@@ -450,13 +439,16 @@ def _run_sweep(config: RunConfig) -> dict:
         raise CliError("--n must be strictly increasing")
     if n_list[-1] > _MAX_INDEX:
         raise CliError("indices must be <= 2**52")
-    phi = resolve_cdf(cdf_name)
+    # the grid domain is the limit CDF's support
+    phi = problem.limit()
     domain = (phi.support.lower[0], phi.support.upper[0])
     fallback = DEFAULT_GRID if domain == (0.0, 1.0) else tuple(-0.9 + 0.1 * j for j in range(19))
     grid = _default(config.grid, fallback)
     if any(not (domain[0] < t < domain[1]) for t in grid):
         raise CliError(f"grid must lie strictly inside {domain}")
-    report = cdf_sequence_probe(family(), phi, grid=grid, n_list=n_list, threads=config.threads)
+    report = cdf_sequence_probe(
+        problem.family(), phi, grid=grid, n_list=n_list, threads=config.threads
+    )
     return {
         "grid": [float(t) for t in report.grid],
         "n_list": [int(n) for n in report.n_list],

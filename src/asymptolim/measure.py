@@ -9,11 +9,12 @@ over its vertices, exactly.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .accum import fsum_array
+from .accum import apply_to_array, fsum_array
 
 __all__ = [
     "AtomicMeasure",
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class HyperBox:
     """Axis-aligned box ``{x : lower[i] < x[i] <= upper[i] for all i}``.
 
@@ -34,11 +36,12 @@ class HyperBox:
     measures.
     """
 
-    __slots__ = ("lower", "upper")
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
 
-    def __init__(self, lower, upper):
-        lo = _as_bound(lower)
-        up = _as_bound(upper)
+    def __post_init__(self):
+        lo = _as_bound(self.lower)
+        up = _as_bound(self.upper)
         if len(lo) != len(up):
             raise ValueError("lower and upper bounds must have the same dimension")
         for a, b in zip(lo, up):
@@ -46,9 +49,6 @@ class HyperBox:
                 raise ValueError("each lower bound must be <= the upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperBox is immutable")
 
     @classmethod
     def up_to(cls, upper) -> "HyperBox":
@@ -75,19 +75,6 @@ class HyperBox:
             d <= b for d, b in zip(other.upper, self.upper)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HyperBox)
-            and self.lower == other.lower
-            and self.upper == other.upper
-        )
-
-    def __hash__(self):
-        return hash((self.lower, self.upper))
-
-    def __repr__(self):
-        return f"HyperBox(lower={self.lower!r}, upper={self.upper!r})"
-
 
 def _as_bound(value) -> tuple[float, ...]:
     if isinstance(value, (int, float, np.integer, np.floating)):
@@ -95,6 +82,7 @@ def _as_bound(value) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class AtomicMeasure:
     """Probability measure carried by finitely many weighted atoms.
 
@@ -104,18 +92,17 @@ class AtomicMeasure:
     points were folded together, so uniform weighting is 1/source_count.
     """
 
-    __slots__ = ("points", "weights", "dim", "source_count")
+    points: np.ndarray
+    weights: np.ndarray
+    source_count: int
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray, source_count: int):
-        points.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "dim", int(points.shape[1]))
-        object.__setattr__(self, "source_count", int(source_count))
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AtomicMeasure is immutable")
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -218,12 +205,13 @@ def cdf_eval(m: AtomicMeasure, x) -> float:
     return fsum_array(m.weights[mask])
 
 
-def _atom_arg(m: AtomicMeasure, row: np.ndarray):
-    return float(row[0]) if m.dim == 1 else row
-
-
 def _eval_at_atoms(m: AtomicMeasure, f: Callable) -> np.ndarray:
-    vals = np.asarray([f(_atom_arg(m, p)) for p in m.points], dtype=float)
+    if m.dim == 1:
+        vals = apply_to_array(f, m.points[:, 0])
+    else:
+        # one call per row: a call on the whole (m, k) matrix could mean
+        # something else to a callback written for one point
+        vals = np.asarray([f(p) for p in m.points], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("callback produced a non-finite value at an atom")
     return vals
@@ -233,7 +221,9 @@ def pushforward(m: AtomicMeasure, g: Callable) -> AtomicMeasure:
     """Image measure of ``m`` under ``g``: atoms g(e) with inherited weights.
 
     Atoms mapped to bit-identical images are folded together; the weights are
-    carried over unchanged (they already sum to one).
+    carried over unchanged (they already sum to one).  For a 1-D measure
+    ``g`` may first be called once on the whole atom array, as solver
+    callbacks are (``accum.apply_to_array``); k-D atoms go one row at a time.
     """
     imgs = _eval_at_atoms(m, g)
     if imgs.ndim == 1:
@@ -246,7 +236,9 @@ def expectation(m: AtomicMeasure, f: Callable):
     """Weighted mean of ``f`` over the atoms, with compensated summation.
 
     Returns a float for scalar-valued ``f`` and an ndarray for vector-valued
-    ``f``.
+    ``f``.  For a 1-D measure ``f`` may first be called once on the whole
+    atom array, as solver callbacks are (``accum.apply_to_array``); k-D atoms
+    go one row at a time.
     """
     vals = _eval_at_atoms(m, f)
     if vals.ndim == 1:

@@ -32,10 +32,8 @@ __all__ = [
     "root_cdf",
     "arcsin_cdf",
     "frac_limit_smooth_cdf",
-    "canonical_uniform_family",
-    "sqrt_frac_family",
-    "sin_sqrt_frac_family",
-    "reciprocal_frac_family",
+    "Problem",
+    "PROBLEMS",
     "reciprocal_frac_map",
     "reciprocal_frac_boundary",
     "sqrt_frac_cdf",
@@ -147,27 +145,18 @@ def frac_limit_smooth_cdf() -> SmoothCdf:
 # Point kernels (chunked numpy)
 # ---------------------------------------------------------------------------
 
-def _isqrt_array(k: np.ndarray) -> np.ndarray:
-    """Exact integer square roots of an int64 array (valid to 2**52)."""
-    f = np.floor(np.sqrt(k.astype(np.float64))).astype(np.int64)
-    f = np.where((f + 1) * (f + 1) <= k, f + 1, f)
-    f = np.where(f * f > k, f - 1, f)
-    return f
-
-
 def _sqrt_frac_chunk(start: int, stop: int) -> np.ndarray:
     """Fractional parts of sqrt(k) for k in [start, stop).
 
-    The integer part comes from an exact integer square root; only the
-    fractional part takes a floating square root (valid to k ~ 2**52).
+    The floor of the one floating square root is corrected to the exact
+    integer square root before it is subtracted (valid to k ~ 2**52).
     """
     k = np.arange(start, stop, dtype=np.int64)
-    return np.sqrt(k.astype(np.float64)) - _isqrt_array(k)
-
-
-def _sin_sqrt_frac_chunk(start: int, stop: int) -> np.ndarray:
-    """sin(2*pi*{sqrt k}) for k in [start, stop)."""
-    return np.sin(2.0 * math.pi * _sqrt_frac_chunk(start, stop))
+    root = np.sqrt(k.astype(np.float64))
+    f = np.floor(root).astype(np.int64)
+    f = np.where((f + 1) * (f + 1) <= k, f + 1, f)
+    f = np.where(f * f > k, f - 1, f)
+    return root - f
 
 
 def _remainder_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +170,11 @@ def _reciprocal_frac_chunk(n: int, start: int, stop: int) -> np.ndarray:
     return r / i
 
 
-def _mean_sum(f: Callable, chunk: Callable, count: int, threads: int) -> float:
-    """Correctly rounded sum of f over the points chunk(1, count + 1), one
-    fixed-width chunk(a, b) at a time."""
+def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -> float:
+    """Correctly rounded sum of f over the points(n, 1, count + 1) of a
+    stream, one fixed-width chunk points(n, a, b) at a time."""
     return map_reduce_fsum(
-        lambda a, b: fsum_array(apply_to_array(f, chunk(a, b))), 1, count + 1, threads=threads
+        lambda a, b: fsum_array(apply_to_array(f, points(n, a, b))), 1, count + 1, threads=threads
     )
 
 
@@ -218,35 +207,49 @@ def reciprocal_frac_boundary(t: float) -> Boundary:
 
 
 # ---------------------------------------------------------------------------
-# Measure families for convergence probes
+# Problem table
 # ---------------------------------------------------------------------------
 
-def canonical_uniform_family() -> MeasureFamily:
-    return MeasureFamily.from_stream(
+@dataclass(frozen=True)
+class Problem:
+    """A point set with uniform weights and the limit law of its points.
+
+    ``points(n, start, stop)`` returns the points with index in
+    ``[start, stop)`` out of ``1..n``; ``limit()`` builds the limit CDF.
+    """
+
+    points: Callable[[int, int, int], np.ndarray]
+    limit: Callable[[], SmoothCdf]
+    description: str
+
+    def family(self) -> MeasureFamily:
+        return MeasureFamily.from_stream(self.points, self.description)
+
+
+# sweep name -> problem; streams call the kernels through module globals, so
+# rebinding a kernel on this module takes effect
+PROBLEMS = {
+    "canonical-uniform": Problem(
         lambda n, a, b: np.arange(a, b, dtype=np.float64) / n,
+        uniform_cdf,
         "uniform weights on {i/n : 1 <= i <= n}",
-    )
-
-
-def sqrt_frac_family() -> MeasureFamily:
-    return MeasureFamily.from_stream(
+    ),
+    "example1": Problem(
         lambda n, a, b: _sqrt_frac_chunk(a, b),
+        uniform_cdf,
         "uniform weights on the fractional parts of sqrt(k), k <= n",
-    )
-
-
-def sin_sqrt_frac_family() -> MeasureFamily:
-    return MeasureFamily.from_stream(
-        lambda n, a, b: _sin_sqrt_frac_chunk(a, b),
+    ),
+    "example2": Problem(
+        lambda n, a, b: np.sin(2.0 * math.pi * _sqrt_frac_chunk(a, b)),
+        arcsin_cdf,
         "uniform weights on sin(2*pi*{sqrt k}), k <= n",
-    )
-
-
-def reciprocal_frac_family() -> MeasureFamily:
-    return MeasureFamily.from_stream(
+    ),
+    "example3": Problem(
         lambda n, a, b: _reciprocal_frac_chunk(n, a, b),
+        frac_limit_smooth_cdf,
         "uniform weights on {n/i} = (n mod i)/i, i <= n",
-    )
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +264,9 @@ def sqrt_frac_cdf(n: int, t: float) -> float:
         return 0.0
     if t >= 1.0:
         return 1.0
+    points = PROBLEMS["example1"].points
     count = map_reduce_int(
-        lambda a, b: int(np.count_nonzero(_sqrt_frac_chunk(a, b) <= t)), 1, n + 1
+        lambda a, b: int(np.count_nonzero(points(n, a, b) <= t)), 1, n + 1
     )
     return count / n
 
@@ -272,8 +276,9 @@ def sequence_average(
 ) -> SolveResult:
     """Mean of f({sqrt k}) for k <= n, against the uniform-law integral."""
     n = _check_n(n)
-    empirical = _mean_sum(f, _sqrt_frac_chunk, n, threads) / n
-    closed = integrate_smooth(f, uniform_cdf(), tol=tol).value
+    problem = PROBLEMS["example1"]
+    empirical = _mean_sum(f, problem.points, n, n, threads) / n
+    closed = integrate_smooth(f, problem.limit(), tol=tol).value
     return _result(empirical, closed, n, "mean of f({sqrt k}) vs uniform integral")
 
 
@@ -287,12 +292,14 @@ def interval_proportion_sin(
     if not (-1.0 <= lo <= hi <= 1.0):
         raise ValueError("need -1 <= lo <= hi <= 1")
 
+    problem = PROBLEMS["example2"]
+
     def kernel(a: int, b: int) -> int:
-        s = _sin_sqrt_frac_chunk(a, b)
+        s = problem.points(n, a, b)
         return int(np.count_nonzero((s >= lo) & (s <= hi)))
 
     empirical = map_reduce_int(kernel, 1, n + 1, threads=threads) / n
-    phi = arcsin_cdf().value
+    phi = problem.limit().value
     closed = phi(hi) - phi(lo)
     return _result(empirical, closed, n, "proportion of sin(2*pi*{sqrt k}) in [lo, hi]")
 
@@ -346,11 +353,12 @@ def frac_n_over_i_mean(
     n = _check_n(n)
     identity = f is None
     fn = (lambda v: v) if identity else f
-    empirical = _mean_sum(fn, lambda a, b: _reciprocal_frac_chunk(n, a, b), n, threads) / n
+    problem = PROBLEMS["example3"]
+    empirical = _mean_sum(fn, problem.points, n, n, threads) / n
     if identity:
         closed = 1.0 - EULER_GAMMA
     else:
-        closed = integrate_smooth(fn, frac_limit_smooth_cdf(), tol=tol).value
+        closed = integrate_smooth(fn, problem.limit(), tol=tol).value
     return _result(empirical, closed, n, "mean of f({n/i}) vs limit-CDF integral")
 
 
@@ -452,10 +460,10 @@ def polynomial_family(
     g_norm = (n / spec.norm_b) ** (1.0 / spec.norm_r)
     coeffs = np.asarray(spec.p_coeffs, dtype=np.float64)
 
-    def points(a: int, b: int) -> np.ndarray:
+    def points(n: int, a: int, b: int) -> np.ndarray:
         return np.polyval(coeffs, np.arange(a, b, dtype=np.float64)) / n
 
-    empirical = _mean_sum(spec.f, points, count, threads) / g_norm
+    empirical = _mean_sum(spec.f, points, n, count, threads) / g_norm
     meta = (
         f"(n/b)^(-1/r) * sum f(P(i)/n), deg P = {spec.q}, r = {spec.norm_r}, "
         f"N(n) = {count}"
@@ -465,7 +473,8 @@ def polynomial_family(
     if spec.q < spec.norm_r:
         return _result(empirical, 0.0, n, meta)
     scale = (spec.norm_b / spec.a) ** (1.0 / spec.q)
-    integral = integrate_smooth(spec.f, root_cdf(spec.q), tol=tol).value
+    # the scaled integral must meet tol, so the unscaled one gets tol / scale
+    integral = integrate_smooth(spec.f, root_cdf(spec.q), tol=tol / max(scale, 1.0)).value
     return _result(empirical, scale * integral, n, meta)
 
 

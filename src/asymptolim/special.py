@@ -110,8 +110,9 @@ def trigamma(x: float) -> float:
 def hurwitz_zeta(s: float, x: float) -> float:
     """Hurwitz zeta: sum of (m+x)^(-s) over m >= 0, for s > 1 and x > 0.
 
-    Euler-Maclaurin with the correction series through B16; the first
-    omitted term is far below 1e-12 for the shifted argument used here.
+    Euler-Maclaurin with the correction series through B16, at the argument
+    shifted to at least 12.  The omitted remainder grows with s: measured
+    against mpmath, the relative error reaches 2.0e-12 at s = 10, x = 12.
     """
     s = float(s)
     x = float(x)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,6 +48,7 @@ class QuadratureResult(NamedTuple):
     error: float
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class StepCdf:
     """Cumulative distribution of an atomic measure.
 
@@ -55,24 +57,22 @@ class StepCdf:
     evaluation is vectorized via binary search on the sorted support.
     """
 
-    __slots__ = ("source", "dim", "_support", "_cumw")
+    source: AtomicMeasure
+    _support: Optional[np.ndarray] = field(default=None, init=False)
+    _cumw: Optional[np.ndarray] = field(default=None, init=False)
 
-    def __init__(self, source: AtomicMeasure):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "dim", source.dim)
-        if source.dim == 1:
-            support = np.ascontiguousarray(source.points[:, 0])
-            cumw = anchored_cumsum(source.weights)
+    def __post_init__(self):
+        if self.dim == 1:
+            support = np.ascontiguousarray(self.source.points[:, 0])
+            cumw = anchored_cumsum(self.source.weights)
             support.setflags(write=False)
             cumw.setflags(write=False)
             object.__setattr__(self, "_support", support)
             object.__setattr__(self, "_cumw", cumw)
-        else:
-            object.__setattr__(self, "_support", None)
-            object.__setattr__(self, "_cumw", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StepCdf is immutable")
+    @property
+    def dim(self) -> int:
+        return self.source.dim
 
     def __call__(self, x):
         if self.dim == 1:
@@ -91,6 +91,7 @@ class StepCdf:
         return float(self._support[0]) - margin, float(self._support[-1]) + margin
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SmoothCdf:
     """A limit CDF given by callbacks.
 
@@ -100,25 +101,23 @@ class SmoothCdf:
     above.
     """
 
-    __slots__ = ("value", "density", "support", "dim")
+    value: Callable
+    support: HyperBox
+    density: Optional[Callable] = None
 
-    def __init__(self, value: Callable, support: HyperBox, density: Optional[Callable] = None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "dim", support.dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SmoothCdf is immutable")
+    @property
+    def dim(self) -> int:
+        return self.support.dim
 
 
+@dataclass(frozen=True, slots=True)
 class Partition1D:
     """A finite set of non-overlapping closed intervals [a_i, b_i]."""
 
-    __slots__ = ("intervals",)
+    intervals: tuple[tuple[float, float], ...]
 
-    def __init__(self, intervals: Sequence[tuple[float, float]]):
-        ivs = tuple((float(a), float(b)) for a, b in intervals)
+    def __post_init__(self):
+        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
         for a, b in ivs:
             if not (a <= b):
                 raise ValueError("each interval needs a <= b")
@@ -126,9 +125,6 @@ class Partition1D:
             if b0 > a1:
                 raise ValueError("intervals must be non-overlapping and ordered")
         object.__setattr__(self, "intervals", ivs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition1D is immutable")
 
     def __iter__(self):
         return iter(self.intervals)

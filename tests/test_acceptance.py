@@ -45,7 +45,7 @@ from asymptolim import (
 )
 from asymptolim.cli import build_parser, config_from_args, execute
 from asymptolim.convergence import DEFAULT_GRID
-from asymptolim.problems import frac_limit_smooth_cdf, reciprocal_frac_family
+from asymptolim.problems import PROBLEMS, frac_limit_smooth_cdf
 from asymptolim.stieltjes import Partition1D
 
 from test_measure import random_measure
@@ -88,7 +88,7 @@ def test_criterion_3_example3_reproduction():
     with criterion(3, "CDF of {n/i} vs digamma closed form: sup <= 2e-2, decaying"):
         n_list = (10**3, 10**4, 10**5, 10**6)
         report = cdf_sequence_probe(
-            reciprocal_frac_family(),
+            PROBLEMS["example3"].family(),
             frac_limit_smooth_cdf(),
             grid=DEFAULT_GRID,
             n_list=n_list,

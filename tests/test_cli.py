@@ -1,9 +1,13 @@
+import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from asymptolim import EULER_GAMMA
+from asymptolim.problems import PROBLEMS
 from asymptolim.cli import (
     RunConfig,
     config_from_args,
@@ -62,6 +66,25 @@ class TestSolveCommand:
         assert rep["result"]["verdict"] == "divergent"
         assert "closed_form" not in rep["result"]
 
+    def test_poly_closed_form_meets_tol_after_scaling(self, capsys):
+        # (b/a)**(1/q) = 1.81 scales the quadrature error of the unscaled
+        # integral; the closed form scale * (c0 + c1/3 + c2/5) is exact
+        a, b = 0.6010001931024962, 1.9761564206223317
+        c = (-0.47206934741542717, -0.4114487285251822, -0.5895048076443594)
+        argv = [
+            "solve",
+            "poly",
+            "--n=1002545315961",
+            f"--poly-p={a!r},0.22121190351649034,1.7014627786769765",
+            "--poly-r=2",
+            f"--poly-b={b!r}",
+            "--f=poly:" + ",".join(map(repr, c)),
+        ]
+        rep = report_of(argv, capsys)
+        exact = math.sqrt(b / a) * (c[0] + c[1] / 3 + c[2] / 5)
+        assert exact == pytest.approx(-1.3184976950120748, abs=1e-15)
+        assert abs(rep["result"]["closed_form"] - exact) <= 1e-9
+
     def test_unknown_problem_exits_2(self, capsys):
         code, _, _ = run_cli(["solve", "nonsense", "--n", "10"], capsys)
         assert code == 2
@@ -87,6 +110,15 @@ class TestSolveCommand:
 
 
 class TestSweepCommand:
+    def test_choices_are_the_problem_table(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for name in ("sweep", "probe"):
+            actions = commands.choices[name]._actions
+            problem = next(a for a in actions if a.dest == "problem")
+            assert problem.choices == tuple(PROBLEMS)
+
     def test_canonical_uniform(self, capsys):
         rep = report_of(["sweep", "canonical-uniform", "--n", "10,100"], capsys)
         sup = rep["result"]["sup_errors"]
@@ -398,3 +430,16 @@ class TestRunConfig:
 
         with pytest.raises(CliError):
             RunConfig.from_dict({"command": "solve", "bogus": 1})
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("asymptolim ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_example_exits_0(line, capsys):
+    code, out, err = run_cli(shlex.split(line)[1:], capsys)
+    assert code == 0, err
+    assert out

@@ -18,13 +18,9 @@ from asymptolim import (
 from asymptolim.accum import CHUNK
 from asymptolim.convergence import DEFAULT_GRID
 from asymptolim.problems import (
-    arcsin_cdf,
-    canonical_uniform_family,
+    PROBLEMS,
     frac_limit_smooth_cdf,
     reciprocal_frac_boundary,
-    reciprocal_frac_family,
-    sin_sqrt_frac_family,
-    sqrt_frac_family,
     uniform_cdf,
 )
 
@@ -32,7 +28,7 @@ from asymptolim.problems import (
 class TestCdfSequenceProbe:
     def test_canonical_family_error_bound(self):
         report = cdf_sequence_probe(
-            canonical_uniform_family(),
+            PROBLEMS["canonical-uniform"].family(),
             uniform_cdf(),
             n_list=(10, 100, 1000),
         )
@@ -53,7 +49,7 @@ class TestCdfSequenceProbe:
 
     def test_sqrt_frac_family_decays(self):
         report = cdf_sequence_probe(
-            sqrt_frac_family(), uniform_cdf(), n_list=(1000, 10_000, 100_000)
+            PROBLEMS["example1"].family(), uniform_cdf(), n_list=(1000, 10_000, 100_000)
         )
         assert report.sup_errors[-1] <= 0.01
         assert report.sup_errors[-1] <= report.sup_errors[0]
@@ -83,7 +79,7 @@ class TestCdfSequenceProbe:
         # indices chosen so no grid point is an exact atom (real decay,
         # not ulp noise)
         report = cdf_sequence_probe(
-            canonical_uniform_family(), uniform_cdf(), n_list=(7, 73, 641)
+            PROBLEMS["canonical-uniform"].family(), uniform_cdf(), n_list=(7, 73, 641)
         )
         assert report.converged(abs_tol=1e-2)
         assert not report.converged(abs_tol=1e-30)
@@ -94,27 +90,33 @@ class TestCdfSequenceProbe:
     def test_rejects_bad_n_list(self):
         with pytest.raises(ValueError):
             cdf_sequence_probe(
-                canonical_uniform_family(), uniform_cdf(), n_list=(100, 10)
+                PROBLEMS["canonical-uniform"].family(), uniform_cdf(), n_list=(100, 10)
             )
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             cdf_sequence_probe(
-                canonical_uniform_family(), uniform_cdf(), grid=(), n_list=(10,)
+                PROBLEMS["canonical-uniform"].family(), uniform_cdf(), grid=(), n_list=(10,)
             )
+
+
+# per sweep problem: an unsorted grid inside its domain with a repeated value
+STREAM_GRIDS = {
+    "canonical-uniform": (0.7, 0.2, 0.5, 0.2, 0.9),
+    "example1": (0.7, 0.2, 0.5, 0.2, 0.9),
+    "example2": (0.3, -0.8, 0.0, 0.3, -0.1, 0.95),
+    "example3": (0.7, 0.2, 0.5, 0.2, 0.9),
+}
 
 
 class TestStreamedProbe:
     """Families with a point stream are counted chunk by chunk; the CDF at
     each grid point is count(x <= t) / n, exactly."""
 
-    # family, limit CDF, and an unsorted grid inside its domain with a
-    # repeated value
+    # problem name -> (family, limit CDF, grid)
     FAMILIES = {
-        "canonical-uniform": (canonical_uniform_family, uniform_cdf, (0.7, 0.2, 0.5, 0.2, 0.9)),
-        "example1": (sqrt_frac_family, uniform_cdf, (0.7, 0.2, 0.5, 0.2, 0.9)),
-        "example2": (sin_sqrt_frac_family, arcsin_cdf, (0.3, -0.8, 0.0, 0.3, -0.1, 0.95)),
-        "example3": (reciprocal_frac_family, frac_limit_smooth_cdf, (0.7, 0.2, 0.5, 0.2, 0.9)),
+        name: (problem.family, problem.limit, STREAM_GRIDS[name])
+        for name, problem in PROBLEMS.items()
     }
     SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
 
@@ -161,7 +163,7 @@ class TestStreamedProbe:
         exact = sum(1 for i in range(1, n + 1) if (n % i) * 2 <= i)
         below = math.nextafter(0.5, 0.0)
         report = cdf_sequence_probe(
-            reciprocal_frac_family(), frac_limit_smooth_cdf(), grid=(0.5, below), n_list=(n,)
+            PROBLEMS["example3"].family(), frac_limit_smooth_cdf(), grid=(0.5, below), n_list=(n,)
         )
         assert report.cdf_values == ((exact / n, (exact - 7) / n),)
 
@@ -169,7 +171,7 @@ class TestStreamedProbe:
         ns = (10, CHUNK + 1, 3 * CHUNK + 7)
         reports = [
             cdf_sequence_probe(
-                reciprocal_frac_family(), frac_limit_smooth_cdf(), n_list=ns, threads=t
+                PROBLEMS["example3"].family(), frac_limit_smooth_cdf(), n_list=ns, threads=t
             )
             for t in (1, 2, 3)
         ]
@@ -190,7 +192,7 @@ class TestStreamedProbe:
             family.generator(n)
 
     def test_generator_builds_the_streamed_points(self):
-        family = reciprocal_frac_family()
+        family = PROBLEMS["example3"].family()
         m = family.generator(CHUNK + 5)
         assert m.source_count == CHUNK + 5
         assert np.array_equal(
@@ -199,7 +201,7 @@ class TestStreamedProbe:
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            cdf_sequence_probe(canonical_uniform_family(), uniform_cdf(), n_list=(0, 10))
+            cdf_sequence_probe(PROBLEMS["canonical-uniform"].family(), uniform_cdf(), n_list=(0, 10))
 
 
 class TestCharfn:

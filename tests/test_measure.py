@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asymptolim import (
+    AtomicMeasure,
     HyperBox,
     cdf_eval,
     expectation,
@@ -207,7 +208,117 @@ class TestExpectation:
             assert abs(direct - routed) <= 1e-12
 
 
+def _per_atom(m, f):
+    """Callback values one 1-D atom at a time, as plain floats."""
+    return [f(p) for p in m.points[:, 0].tolist()]
+
+
+def expectation_oracle(m, f):
+    vals = np.asarray(_per_atom(m, f), dtype=float)
+    if vals.ndim == 1:
+        return math.fsum((m.weights * vals).tolist())
+    return [math.fsum((m.weights * vals[:, j]).tolist()) for j in range(vals.shape[1])]
+
+
+def pushforward_oracle(m, g):
+    """Atoms of the image measure: images folded by exact equality, weights
+    summed with fsum, in sorted order."""
+    images: dict = {}
+    for y, w in zip(_per_atom(m, g), m.weights.tolist()):
+        key = tuple((np.atleast_1d(np.asarray(y, dtype=float)) + 0.0).tolist())
+        images.setdefault(key, []).append(w)
+    return sorted((key, math.fsum(ws)) for key, ws in images.items())
+
+
+def _array_refusing(x):
+    if isinstance(x, np.ndarray):
+        raise TypeError("scalars only")
+    return math.exp(-x) if x > 1.0 else 0.25 * x
+
+
+class TestCallbackEvaluation:
+    """1-D callbacks may be called once on the whole atom array; the values
+    must equal those of one call per atom."""
+
+    CALLBACKS = {
+        "math.sin": math.sin,
+        "polynomial": lambda x: 0.5 - 1.25 * x + 3.0 * x * x,
+        "np.sqrt": np.sqrt,
+        "vector": lambda x: (x, x * x, 1.0),
+        "refuses-arrays": _array_refusing,
+        "float-method": lambda x: 2.0 if x.is_integer() else x,
+    }
+
+    @staticmethod
+    def measures():
+        rng = np.random.default_rng(31)
+        yield from_points([0.3])
+        yield from_points([2.0], weights=[5.0])
+        for size in (2, 7, 200):
+            pts = rng.integers(0, 40, size=size) / 8.0  # duplicates are likely
+            yield from_points(pts, rng.random(size) + 0.01)
+        yield from_points(rng.random(1000) * 4.0)
+
+    @pytest.mark.parametrize("name", list(CALLBACKS))
+    def test_expectation_equals_per_atom_oracle(self, name):
+        f = self.CALLBACKS[name]
+        for m in self.measures():
+            got = expectation(m, f)
+            want = expectation_oracle(m, f)
+            if isinstance(want, list):
+                assert isinstance(got, np.ndarray) and got.tolist() == want
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("name", list(CALLBACKS))
+    def test_pushforward_equals_per_atom_oracle(self, name):
+        g = self.CALLBACKS[name]
+        for m in self.measures():
+            out = pushforward(m, g)
+            assert out.atoms() == pushforward_oracle(m, g)
+            assert out.source_count == m.source_count
+
+    def test_numpy_sin_within_one_ulp(self):
+        for m in self.measures():
+            got = np.array([p[0] for p, _ in pushforward(m, np.sin).atoms()])
+            want = np.array(sorted({np.sin(x) for x in m.points[:, 0].tolist()}))
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+            e = expectation(m, np.sin)
+            # each value within an ulp of 1, the weights summing to one
+            assert abs(e - expectation_oracle(m, np.sin)) <= np.spacing(1.0) + np.spacing(abs(e))
+
+    def test_rows_of_multi_dimensional_atoms_one_at_a_time(self):
+        m = from_points([(0.0, 1.0), (2.0, 3.0)])
+        seen = []
+
+        def f(row):
+            seen.append(row.shape)
+            return float(row[0] + row[1])
+
+        assert expectation(m, f) == 3.0
+        assert seen == [(2,), (2,)]
+
+
+class TestRecords:
+    def test_measures_compare_by_identity(self):
+        a = from_points([0.25, 0.5, 0.5])
+        b = from_points([0.25, 0.5, 0.5])
+        assert a.atoms() == b.atoms()
+        assert a != b and a == a
+        assert isinstance(a, AtomicMeasure)
+        assert repr(a) == "AtomicMeasure(atoms=2, dim=1)"
+
+
 class TestHyperBox:
+    def test_repr_eq_and_hash(self):
+        box = HyperBox(0, 1)
+        assert repr(box) == "HyperBox(lower=(0.0,), upper=(1.0,))"
+        same = HyperBox((0.0,), [1])
+        assert box == same and hash(box) == hash(same)
+        assert box != HyperBox(0.0, 2.0)
+        assert box != (0.0, 1.0)
+
     def test_membership_rule(self):
         box = HyperBox((0.0, 0.0), (1.0, 1.0))
         assert box.contains((1.0, 1.0))

@@ -20,8 +20,10 @@ from asymptolim import (
     sequence_average,
     sqrt_frac_cdf,
 )
+from asymptolim.accum import CHUNK
 from asymptolim.problems import (
     _poly_count,
+    _sqrt_frac_chunk,
     reciprocal_frac_boundary,
     reciprocal_frac_map,
 )
@@ -48,6 +50,14 @@ class TestSqrtFracCdf:
                 1 for k in range(1, n + 1) if math.sqrt(k) - math.isqrt(k) <= t
             )
             assert sqrt_frac_cdf(n, t) == count / n
+
+    @pytest.mark.parametrize("start", [1, 10**7, 2**52 - CHUNK], ids=["1", "1e7", "2**52-CHUNK"])
+    def test_kernel_subtracts_the_exact_integer_root(self, start):
+        k = np.arange(start, start + CHUNK, dtype=np.int64)
+        isqrt = np.array([math.isqrt(v) for v in k.tolist()], dtype=np.int64)
+        frac = _sqrt_frac_chunk(start, start + CHUNK)
+        assert np.array_equal(frac, np.sqrt(k.astype(np.float64)) - isqrt)
+        assert np.all((frac >= 0.0) & (frac < 1.0))
 
 
 class TestSequenceAverage:

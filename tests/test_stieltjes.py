@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -315,6 +316,33 @@ class TestSmoothCdfInvariants:
             a = lo + float(rng.random()) * (hi - lo)
             b = a + float(rng.random()) * (hi - a)
             assert delta_box(cdf.value, HyperBox(a, b)) >= -1e-9
+
+
+class TestFrozenRecords:
+    @staticmethod
+    def records():
+        m = from_points([0.25, 0.5])
+        return (
+            HyperBox(0.0, 1.0),
+            m,
+            SmoothCdf(lambda t: t, HyperBox(0.0, 1.0)),
+            Partition1D([(0.0, 1.0)]),
+            StepCdf(m),
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        for record in self.records():
+            for fld in dataclasses.fields(record):
+                with pytest.raises(AttributeError):
+                    setattr(record, fld.name, getattr(record, fld.name))
+
+    def test_no_other_attribute_can_be_set(self):
+        # frozen slotted dataclasses raise TypeError here on CPython 3.10-3.13
+        for record in self.records():
+            for name in ("dim", "extra"):
+                with pytest.raises((AttributeError, TypeError)):
+                    setattr(record, name, 1)
+                assert name == "dim" or not hasattr(record, name)
 
 
 class TestStepCdf:
