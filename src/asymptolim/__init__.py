@@ -40,7 +40,6 @@ from .special import (
 from .convergence import (
     Boundary,
     ConvergenceReport,
-    MeasureFamily,
     VariationLimitReport,
     cdf_sequence_probe,
     charfn_compare,

@@ -235,7 +235,7 @@ def _require(value, flag: str):
 
 def _poly_spec(c: RunConfig) -> PolySpec:
     coeffs = _default(c.poly_p, (1.0, 0.0, 0.0))
-    return PolySpec.make(
+    return PolySpec(
         coeffs,
         _default(c.poly_r, len(coeffs) - 1),
         _default(c.poly_b, 1.0),
@@ -447,7 +447,7 @@ def _run_sweep(config: RunConfig) -> dict:
     if any(not (domain[0] < t < domain[1]) for t in grid):
         raise CliError(f"grid must lie strictly inside {domain}")
     report = cdf_sequence_probe(
-        problem.family(), phi, grid=grid, n_list=n_list, threads=config.threads
+        problem.points, phi, grid=grid, n_list=n_list, threads=config.threads
     )
     return {
         "grid": [float(t) for t in report.grid],

@@ -1,6 +1,6 @@
 """Convergence-in-distribution diagnostics.
 
-Probes a family of atomic measures against a limit CDF on a grid, compares
+Probes the point sets of a stream against a limit CDF on a grid, compares
 characteristic functions, applies the countable-boundary continuity-set
 criterion, and checks that variations converge to the variation of the
 limit.
@@ -15,11 +15,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .accum import fsum_array, map_reduce_int
-from .measure import AtomicMeasure, from_points
-from .stieltjes import Partition1D, SmoothCdf, StepCdf, variation
+from .measure import AtomicMeasure
+from .stieltjes import Partition1D, SmoothCdf, variation
 
 __all__ = [
-    "MeasureFamily",
     "ConvergenceReport",
     "Boundary",
     "VariationLimitReport",
@@ -34,29 +33,6 @@ __all__ = [
 # 19 points at 0.05 spacing: the default probe grid for problems on (0, 1),
 # avoiding the endpoints where limit CDFs may be non-smooth.
 DEFAULT_GRID = tuple(i / 20.0 for i in range(1, 20))
-
-
-@dataclass(frozen=True)
-class MeasureFamily:
-    """An indexed family n -> atomic measure.
-
-    ``points``, when given, streams the points of the n-th measure, which
-    then carries the uniform weight 1/n on each: ``points(n, start, stop)``
-    returns the points with index in ``[start, stop)`` out of ``1..n``.
-    Probes read such a family one chunk at a time instead of building it.
-    """
-
-    generator: Callable[[int], AtomicMeasure]
-    description: str = ""
-    points: Optional[Callable[[int, int, int], np.ndarray]] = None
-
-    @classmethod
-    def from_stream(
-        cls, points: Callable[[int, int, int], np.ndarray], description: str = ""
-    ) -> "MeasureFamily":
-        """The uniform-weight family of a point stream; its ``generator``
-        builds the whole measure from ``points(n, 1, n + 1)``."""
-        return cls(lambda n: from_points(points(n, 1, n + 1)), description, points)
 
 
 @dataclass(frozen=True)
@@ -155,7 +131,7 @@ def _streamed_cdf(
 
 
 def cdf_sequence_probe(
-    family: MeasureFamily,
+    points: Callable[[int, int, int], np.ndarray],
     target,
     grid: Optional[Sequence[float]] = None,
     n_list: Sequence[int] = (10, 100, 1000),
@@ -163,17 +139,20 @@ def cdf_sequence_probe(
     jump_tol: float = 1e-3,
     threads: int = 1,
 ) -> ConvergenceReport:
-    """Evaluate the family's CDFs against the target CDF on a grid.
+    """Evaluate the CDFs of a point stream against the target CDF on a grid.
+
+    ``points(n, start, stop)`` returns the points with index in
+    ``[start, stop)`` out of ``1..n``; the n-th measure puts weight 1/n on
+    each of its n points.
 
     Grid points are expected to be continuity points of the target; as a
     guard, any point where target(x + h) - target(x - h) exceeds
     ``jump_tol`` is recorded in ``excluded`` and left out of the sup errors.
     Non-decaying errors are flagged, not failed.
 
-    A family with a point stream is counted chunk by chunk in O(CHUNK)
-    memory, and its CDF values are exact counts over n; chunking does not
-    depend on ``threads``, so neither do the values.  Other families are
-    built whole and read through ``StepCdf``.
+    The points are counted chunk by chunk in O(CHUNK) memory, and the CDF
+    values are exact counts over n; chunking does not depend on
+    ``threads``, so neither do the values.
     """
     value = _target_value(target)
     pts = tuple(float(t) for t in (DEFAULT_GRID if grid is None else grid))
@@ -197,14 +176,8 @@ def cdf_sequence_probe(
     rows = []
     sups = []
     for n in ns:
-        if family.points is not None:
-            values = np.empty(len(pts))
-            values[order] = _streamed_cdf(family.points, n, sorted_grid, threads)
-        else:
-            m = family.generator(n)
-            if m.dim != 1:
-                raise ValueError("cdf_sequence_probe expects 1-D measures")
-            values = StepCdf(m)(np.asarray(pts))
+        values = np.empty(len(pts))
+        values[order] = _streamed_cdf(points, n, sorted_grid, threads)
         row = tuple(float(v) for v in values)
         rows.append(row)
         sups.append(max(abs(row[j] - targets[j]) for j in included))

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class HyperBox:
     """Axis-aligned box ``{x : lower[i] < x[i] <= upper[i] for all i}``.
 
@@ -82,7 +82,7 @@ def _as_bound(value) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class AtomicMeasure:
     """Probability measure carried by finitely many weighted atoms.
 

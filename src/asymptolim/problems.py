@@ -4,8 +4,9 @@ Each solver returns the empirical value at a finite index n, the closed-form
 limit, and their absolute gap.  Index loops run over fixed chunks with
 compensated partial sums reduced in chunk order, so results are bit-identical
 for every thread count.  Fractional parts of rationals are derived from
-integer remainders, never from floating division, so CDF jump points are
-never misclassified.
+integer remainders and rounded once.  The CDF solvers count the rounded
+points against t and settle in exact integer arithmetic every point that
+rounding could have moved across t, so no point is misclassified.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .accum import apply_to_array, fsum_array, map_reduce_fsum, map_reduce_int
-from .convergence import Boundary, MeasureFamily
+from .convergence import Boundary
 from .measure import HyperBox
 from .special import EULER_GAMMA, frac_limit_cdf, frac_limit_density
 from .stieltjes import SmoothCdf, integrate_smooth
@@ -222,9 +223,6 @@ class Problem:
     limit: Callable[[], SmoothCdf]
     description: str
 
-    def family(self) -> MeasureFamily:
-        return MeasureFamily.from_stream(self.points, self.description)
-
 
 # sweep name -> problem; streams call the kernels through module globals, so
 # rebinding a kernel on this module takes effect
@@ -256,17 +254,53 @@ PROBLEMS = {
 # Solvers
 # ---------------------------------------------------------------------------
 
-def sqrt_frac_cdf(n: int, t: float) -> float:
-    """Exact proportion of k <= n with {sqrt k} <= t."""
+def _count_at_most(
+    points: Callable, band: Callable, settle: Callable, n: int, t, threads: int = 1
+) -> int:
+    """Exact number of indices i in 1..n whose exact point x_i is <= t.
+
+    ``points(n, a, b)`` streams the rounded x_i for i in [a, b), each within
+    ``band(b)`` of x_i.  A point farther than the band from float(t) lies on
+    the same side of t as x_i and is counted by one numpy compare; a point
+    inside the band is settled by ``settle(n, i, T)``, the exact test
+    x_i <= T against T = Fraction(t) (of float(t) unless t is rational),
+    built only when such a point occurs.
+    """
+    tf = float(t)
+
+    def kernel(a: int, b: int) -> int:
+        x = points(n, a, b)
+        w = band(b)
+        lo, hi = tf - w, tf + w
+        below = int(np.count_nonzero(x < lo))
+        if np.count_nonzero(x <= hi) == below:
+            return below
+        exact = Fraction(t if isinstance(t, numbers.Rational) else tf)
+        near = np.flatnonzero((x >= lo) & (x <= hi)) + a
+        return below + sum(settle(n, int(i), exact) for i in near)
+
+    return map_reduce_int(kernel, 1, n + 1, threads=threads)
+
+
+def sqrt_frac_cdf(n: int, t: Union[float, Fraction]) -> float:
+    """Exact proportion of k <= n with {sqrt k} <= t.
+
+    {sqrt k} is the correctly rounded sqrt(k) minus the exact isqrt(k), so it
+    is off by at most half the float spacing at sqrt(k); a point within the
+    chunk's largest such spacing of t is settled exactly as
+    k <= (isqrt(k) + t)**2.
+    """
     n = _check_n(n)
-    t = float(t)
-    if t < 0.0:
+    if float(t) < 0.0:
         return 0.0
-    if t >= 1.0:
+    if float(t) >= 1.0:
         return 1.0
-    points = PROBLEMS["example1"].points
-    count = map_reduce_int(
-        lambda a, b: int(np.count_nonzero(points(n, a, b) <= t)), 1, n + 1
+    count = _count_at_most(
+        PROBLEMS["example1"].points,
+        lambda stop: np.spacing(math.sqrt(stop)),
+        lambda n, k, t: k <= (math.isqrt(k) + t) ** 2,
+        n,
+        t,
     )
     return count / n
 
@@ -309,33 +343,22 @@ def frac_n_over_i_cdf(
 ) -> SolveResult:
     """Proportion of i <= n with {n/i} <= t, against the digamma closed form.
 
-    The comparison {n/i} <= t is (n mod i) <= t*i: a single float multiply
-    for float t, or exact integer arithmetic when t is a Fraction (or any
-    rational), so jump points are classified without rounding.
+    Each point (n mod i)/i is correctly rounded and rounding is monotone, so
+    a point below or above float(t) is on that side of t; only a point equal
+    to float(t) is settled, exactly, as (n mod i) <= t*i.  The count is exact
+    for float t and for any rational t.
     """
     n = _check_n(n)
-    if isinstance(t, numbers.Rational) and not isinstance(t, float):
-        num = int(t.numerator)
-        den = int(t.denominator)
-        # r < i <= n, so both products fit int64 below this bound; above it
-        # they are formed as exact Python ints
-        exact = object if max(abs(num), den) * n >= 2**63 else np.int64
-
-        def kernel(a: int, b: int) -> int:
-            i, r = _remainder_chunk(n, a, b)
-            r, i = r.astype(exact, copy=False), i.astype(exact, copy=False)
-            return int(np.count_nonzero(r * den <= num * i))
-
-    else:
-        tf = float(t)
-
-        def kernel(a: int, b: int) -> int:
-            i, r = _remainder_chunk(n, a, b)
-            return int(np.count_nonzero(r <= tf * i))
-
-    empirical = map_reduce_int(kernel, 1, n + 1, threads=threads) / n
+    count = _count_at_most(
+        PROBLEMS["example3"].points,
+        lambda stop: 0.0,
+        lambda n, i, t: n % i <= t * i,
+        n,
+        t,
+        threads,
+    )
     closed = frac_limit_cdf(float(t))
-    return _result(empirical, closed, n, "proportion of {n/i} <= t vs limit CDF")
+    return _result(count / n, closed, n, "proportion of {n/i} <= t vs limit CDF")
 
 
 def frac_n_over_i_mean(
@@ -387,14 +410,12 @@ def dirichlet_weak(n: int, threads: int = 1) -> SolveResult:
 class PolySpec:
     """A normalized polynomial sum problem.
 
-    ``p_coeffs`` are the coefficients of P in descending powers with positive
-    leading coefficient ``a`` and degree ``q``; the normalizer is
-    (n / norm_b) ** (1 / norm_r).  ``f`` is the sampled callback.
+    ``p_coeffs`` are the coefficients of P in descending powers; the degree
+    ``q`` and the positive leading coefficient ``a`` follow from them.  The
+    normalizer is (n / norm_b) ** (1 / norm_r).  ``f`` is the sampled callback.
     """
 
     p_coeffs: tuple
-    q: int
-    a: float
     norm_r: int
     norm_b: float
     f: Callable
@@ -404,26 +425,20 @@ class PolySpec:
         object.__setattr__(self, "p_coeffs", coeffs)
         if len(coeffs) < 2:
             raise ValueError("P must have degree at least 1")
-        if self.q != len(coeffs) - 1:
-            raise ValueError("q must equal the degree of p_coeffs")
-        if not (float(self.a) == float(coeffs[0]) and float(self.a) > 0):
+        if not float(coeffs[0]) > 0:
             raise ValueError("a must be the positive leading coefficient of P")
         if self.norm_r < 1 or int(self.norm_r) != self.norm_r:
             raise ValueError("norm_r must be a positive integer")
         if not float(self.norm_b) > 0:
             raise ValueError("norm_b must be positive")
 
-    @classmethod
-    def make(cls, p_coeffs: Sequence, norm_r: int, norm_b: float, f: Callable) -> "PolySpec":
-        coeffs = tuple(p_coeffs)
-        return cls(
-            p_coeffs=coeffs,
-            q=len(coeffs) - 1,
-            a=float(coeffs[0]),
-            norm_r=int(norm_r),
-            norm_b=float(norm_b),
-            f=f,
-        )
+    @property
+    def q(self) -> int:
+        return len(self.p_coeffs) - 1
+
+    @property
+    def a(self) -> float:
+        return float(self.p_coeffs[0])
 
 
 def _poly_eval(coeffs: Sequence, i):

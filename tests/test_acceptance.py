@@ -88,7 +88,7 @@ def test_criterion_3_example3_reproduction():
     with criterion(3, "CDF of {n/i} vs digamma closed form: sup <= 2e-2, decaying"):
         n_list = (10**3, 10**4, 10**5, 10**6)
         report = cdf_sequence_probe(
-            PROBLEMS["example3"].family(),
+            PROBLEMS["example3"].points,
             frac_limit_smooth_cdf(),
             grid=DEFAULT_GRID,
             n_list=n_list,
@@ -116,7 +116,7 @@ def test_criterion_4_example4_and_dirichlet():
 
 def test_criterion_5_polynomial_family():
     with criterion(5, "square polynomial at n=1e8 within 1e-3 of 1/3, <1s"):
-        spec = PolySpec.make((1, 0, 0), norm_r=2, norm_b=1.0, f=lambda x: x)
+        spec = PolySpec((1, 0, 0), norm_r=2, norm_b=1.0, f=lambda x: x)
         start = time.perf_counter()
         res = polynomial_family(spec, 10**8)
         elapsed = time.perf_counter() - start
@@ -255,7 +255,7 @@ def test_criterion_9_pushforward_chain_identity():
 def test_criterion_10_thread_determinism():
     with criterion(10, "numeric outputs bit-identical across 1, 4 and 8 threads"):
         n = 10**5
-        spec = PolySpec.make((1, 0, 0), norm_r=2, norm_b=1.0, f=lambda x: x)
+        spec = PolySpec((1, 0, 0), norm_r=2, norm_b=1.0, f=lambda x: x)
         baselines = None
         for threads in (1, 4, 8):
             outputs = (

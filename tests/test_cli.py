@@ -432,9 +432,13 @@ class TestRunConfig:
             RunConfig.from_dict({"command": "solve", "bogus": 1})
 
 
-def _readme_cli_lines():
+def _readme_block(section, fence):
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return text.split(section, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
+def _readme_cli_lines():
+    block = _readme_block("## CLI", "```sh")
     return [line for line in block.splitlines() if line.startswith("asymptolim ")]
 
 
@@ -443,3 +447,11 @@ def test_readme_cli_example_exits_0(line, capsys):
     code, out, err = run_cli(shlex.split(line)[1:], capsys)
     assert code == 0, err
     assert out
+
+
+def test_readme_library_example_prints_its_limits(capsys):
+    exec(compile(_readme_block("## Library example", "```python"), "README.md", "exec"), {})
+    printed = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(printed) == 2
+    assert printed[0] == pytest.approx(1 - EULER_GAMMA, abs=1e-2)
+    assert printed[1] == pytest.approx(1 - math.cos(1), abs=1e-2)

@@ -5,7 +5,6 @@ import pytest
 
 from asymptolim import (
     Boundary,
-    MeasureFamily,
     Partition1D,
     StepCdf,
     cdf_sequence_probe,
@@ -28,7 +27,7 @@ from asymptolim.problems import (
 class TestCdfSequenceProbe:
     def test_canonical_family_error_bound(self):
         report = cdf_sequence_probe(
-            PROBLEMS["canonical-uniform"].family(),
+            PROBLEMS["canonical-uniform"].points,
             uniform_cdf(),
             n_list=(10, 100, 1000),
         )
@@ -41,24 +40,25 @@ class TestCdfSequenceProbe:
         assert report.excluded == ()
 
     def test_constant_family_has_zero_error(self):
-        m = from_points([0.1, 0.4, 0.9])
-        cdf = StepCdf(m)
-        family = MeasureFamily(lambda n: m, "constant family")
-        report = cdf_sequence_probe(family, lambda t: cdf(t), n_list=(5, 50))
+        atoms = np.array([0.1, 0.4, 0.9])
+        cdf = StepCdf(from_points(atoms))
+        # the n-th point set repeats the three atoms n/3 times
+        points = lambda n, a, b: atoms[np.arange(a, b) % 3]
+        report = cdf_sequence_probe(points, lambda t: cdf(t), n_list=(6, 60))
         assert report.sup_errors == (0.0, 0.0)
 
     def test_sqrt_frac_family_decays(self):
         report = cdf_sequence_probe(
-            PROBLEMS["example1"].family(), uniform_cdf(), n_list=(1000, 10_000, 100_000)
+            PROBLEMS["example1"].points, uniform_cdf(), n_list=(1000, 10_000, 100_000)
         )
         assert report.sup_errors[-1] <= 0.01
         assert report.sup_errors[-1] <= report.sup_errors[0]
 
     def test_jump_points_are_excluded(self):
         step = lambda t: 0.0 if t < 0.5 else 1.0
-        family = MeasureFamily(lambda n: from_points([0.5]), "point mass")
+        point_mass = lambda n, a, b: np.full(b - a, 0.5)
         report = cdf_sequence_probe(
-            family, step, grid=(0.25, 0.5, 0.75), n_list=(1, 2)
+            point_mass, step, grid=(0.25, 0.5, 0.75), n_list=(1, 2)
         )
         assert report.excluded == (1,)
         # the jump point does not poison the sup errors
@@ -68,10 +68,10 @@ class TestCdfSequenceProbe:
         rng = np.random.default_rng(89)
         pts = rng.random(500)
         shuffled = pts[rng.permutation(500)]
-        fam_a = MeasureFamily(lambda n: from_points(pts), "ordered")
-        fam_b = MeasureFamily(lambda n: from_points(shuffled), "shuffled")
-        rep_a = cdf_sequence_probe(fam_a, uniform_cdf(), n_list=(500,))
-        rep_b = cdf_sequence_probe(fam_b, uniform_cdf(), n_list=(500,))
+        ordered = lambda n, a, b: pts[a - 1 : b - 1]
+        permuted = lambda n, a, b: shuffled[a - 1 : b - 1]
+        rep_a = cdf_sequence_probe(ordered, uniform_cdf(), n_list=(500,))
+        rep_b = cdf_sequence_probe(permuted, uniform_cdf(), n_list=(500,))
         assert rep_a.sup_errors == rep_b.sup_errors
         assert rep_a.cdf_values == rep_b.cdf_values
 
@@ -79,7 +79,7 @@ class TestCdfSequenceProbe:
         # indices chosen so no grid point is an exact atom (real decay,
         # not ulp noise)
         report = cdf_sequence_probe(
-            PROBLEMS["canonical-uniform"].family(), uniform_cdf(), n_list=(7, 73, 641)
+            PROBLEMS["canonical-uniform"].points, uniform_cdf(), n_list=(7, 73, 641)
         )
         assert report.converged(abs_tol=1e-2)
         assert not report.converged(abs_tol=1e-30)
@@ -90,13 +90,13 @@ class TestCdfSequenceProbe:
     def test_rejects_bad_n_list(self):
         with pytest.raises(ValueError):
             cdf_sequence_probe(
-                PROBLEMS["canonical-uniform"].family(), uniform_cdf(), n_list=(100, 10)
+                PROBLEMS["canonical-uniform"].points, uniform_cdf(), n_list=(100, 10)
             )
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             cdf_sequence_probe(
-                PROBLEMS["canonical-uniform"].family(), uniform_cdf(), grid=(), n_list=(10,)
+                PROBLEMS["canonical-uniform"].points, uniform_cdf(), grid=(), n_list=(10,)
             )
 
 
@@ -110,20 +110,20 @@ STREAM_GRIDS = {
 
 
 class TestStreamedProbe:
-    """Families with a point stream are counted chunk by chunk; the CDF at
-    each grid point is count(x <= t) / n, exactly."""
+    """Point streams are counted chunk by chunk; the CDF at each grid point
+    is count(x <= t) / n, exactly."""
 
-    # problem name -> (family, limit CDF, grid)
-    FAMILIES = {
-        name: (problem.family, problem.limit, STREAM_GRIDS[name])
+    # problem name -> (point stream, limit CDF, grid)
+    STREAMS = {
+        name: (problem.points, problem.limit, STREAM_GRIDS[name])
         for name, problem in PROBLEMS.items()
     }
     SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
 
     @staticmethod
-    def brute_force(family, n, grid):
-        points = np.sort(family.points(n, 1, n + 1))
-        return tuple(np.searchsorted(points, grid, side="right") / n)
+    def brute_force(points, n, grid):
+        x = np.sort(points(n, 1, n + 1))
+        return tuple(np.searchsorted(x, grid, side="right") / n)
 
     @staticmethod
     def atom_grid(name, n):
@@ -136,26 +136,25 @@ class TestStreamedProbe:
         return ()
 
     @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("name", list(FAMILIES))
+    @pytest.mark.parametrize("name", list(STREAMS))
     def test_equals_brute_force_counts(self, name, n):
-        make, target, grid = self.FAMILIES[name]
-        family = make()
+        points, target, grid = self.STREAMS[name]
         grid = grid + self.atom_grid(name, n)
-        report = cdf_sequence_probe(family, target(), grid=grid, n_list=(n,))
-        assert report.cdf_values[0] == self.brute_force(family, n, grid)
+        report = cdf_sequence_probe(points, target(), grid=grid, n_list=(n,))
+        assert report.cdf_values[0] == self.brute_force(points, n, grid)
 
-    @pytest.mark.parametrize("name", list(FAMILIES))
+    @pytest.mark.parametrize("name", list(STREAMS))
     def test_agrees_with_whole_measure_route(self, name):
-        make, target, grid = self.FAMILIES[name]
-        family = make()
-        whole = MeasureFamily(family.generator, "the same family, built whole")
+        points, target, grid = self.STREAMS[name]
+        phi = target()
         ns = (1, 999, CHUNK + 1)
-        streamed = cdf_sequence_probe(family, target(), grid=grid, n_list=ns)
-        oracle = cdf_sequence_probe(whole, target(), grid=grid, n_list=ns)
-        for row, ref in zip(streamed.cdf_values, oracle.cdf_values):
-            assert row == pytest.approx(ref, abs=1e-12, rel=0)
-        assert streamed.sup_errors == pytest.approx(oracle.sup_errors, abs=1e-12, rel=0)
-        assert streamed.excluded == oracle.excluded == ()
+        streamed = cdf_sequence_probe(points, phi, grid=grid, n_list=ns)
+        assert streamed.excluded == ()
+        for n, row, sup in zip(ns, streamed.cdf_values, streamed.sup_errors):
+            ref = StepCdf(from_points(points(n, 1, n + 1)))(np.asarray(grid))
+            assert row == pytest.approx(tuple(ref), abs=1e-12, rel=0)
+            ref_sup = max(abs(v - phi.value(g)) for v, g in zip(ref, grid))
+            assert sup == pytest.approx(ref_sup, abs=1e-12, rel=0)
 
     def test_atom_at_half_is_counted(self):
         # {105/i} = 1/2 exactly for the seven i = 2d <= 105 with d | 105
@@ -163,7 +162,7 @@ class TestStreamedProbe:
         exact = sum(1 for i in range(1, n + 1) if (n % i) * 2 <= i)
         below = math.nextafter(0.5, 0.0)
         report = cdf_sequence_probe(
-            PROBLEMS["example3"].family(), frac_limit_smooth_cdf(), grid=(0.5, below), n_list=(n,)
+            PROBLEMS["example3"].points, frac_limit_smooth_cdf(), grid=(0.5, below), n_list=(n,)
         )
         assert report.cdf_values == ((exact / n, (exact - 7) / n),)
 
@@ -171,7 +170,7 @@ class TestStreamedProbe:
         ns = (10, CHUNK + 1, 3 * CHUNK + 7)
         reports = [
             cdf_sequence_probe(
-                PROBLEMS["example3"].family(), frac_limit_smooth_cdf(), n_list=ns, threads=t
+                PROBLEMS["example3"].points, frac_limit_smooth_cdf(), n_list=ns, threads=t
             )
             for t in (1, 2, 3)
         ]
@@ -183,25 +182,16 @@ class TestStreamedProbe:
             x[x > 0.5] = np.nan
             return x
 
-        family = MeasureFamily.from_stream(nan_after_one_chunk, "NaN past 1/2")
         n = 3 * CHUNK
         with pytest.raises(ValueError, match="points must be finite"):
-            cdf_sequence_probe(family, uniform_cdf(), n_list=(n,))
+            cdf_sequence_probe(nan_after_one_chunk, uniform_cdf(), n_list=(n,))
         # the whole-measure route raises the same error
         with pytest.raises(ValueError, match="points must be finite"):
-            family.generator(n)
-
-    def test_generator_builds_the_streamed_points(self):
-        family = PROBLEMS["example3"].family()
-        m = family.generator(CHUNK + 5)
-        assert m.source_count == CHUNK + 5
-        assert np.array_equal(
-            m.points[:, 0], np.unique(family.points(CHUNK + 5, 1, CHUNK + 6))
-        )
+            from_points(nan_after_one_chunk(n, 1, n + 1))
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            cdf_sequence_probe(PROBLEMS["canonical-uniform"].family(), uniform_cdf(), n_list=(0, 10))
+            cdf_sequence_probe(PROBLEMS["canonical-uniform"].points, uniform_cdf(), n_list=(0, 10))
 
 
 class TestCharfn:

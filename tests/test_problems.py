@@ -130,7 +130,7 @@ class TestFracNOverICdf:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rational_threshold_with_wide_denominator(self, threads):
-        # Fraction(0.1) has denominator 2**55: r * den leaves int64 once r >= 256
+        # Fraction(0.1) has denominator 2**55, so r * den leaves int64
         n = 3 * 10**4
         t = Fraction(0.1)
         res = frac_n_over_i_cdf(n, t, threads=threads)
@@ -148,6 +148,68 @@ class TestFracNOverICdf:
     def test_continuity_set_is_discharged(self):
         for t in (0.1, 0.5, 0.9):
             assert continuity_set_check(lambda x: 1.0, reciprocal_frac_boundary(t))
+
+
+def exact_frac_count(n, t):
+    """#{i <= n : (n mod i)/i <= t} in Python integers."""
+    t = Fraction(t)
+    return sum(1 for i in range(1, n + 1) if n % i * t.denominator <= t.numerator * i)
+
+
+def exact_sqrt_count(n, t):
+    """#{k <= n : sqrt(k) - isqrt(k) <= t} in Python integers, for t >= 0."""
+    t = Fraction(t)
+    p, q = t.numerator, t.denominator
+    return sum(1 for k in range(1, n + 1) if k * q * q <= (math.isqrt(k) * q + p) ** 2)
+
+
+class TestExactCounting:
+    """The CDF solvers count every point exactly, also where the rounded
+    point and float(t) cannot tell the sides of t apart."""
+
+    THRESHOLDS = (0.0, 0.5, math.nextafter(0.5, 0.0), Fraction(1, 3), Fraction(0.1))
+
+    @pytest.mark.parametrize(
+        "n, t, count",
+        [(4616098, 0.12165717395380989, 849669), (3851222, 0.4766559179776616, 2278600)],
+    )
+    def test_frac_n_over_i_float_near_misses(self, n, t, count):
+        # in each case the float product t*i rounds up to n mod i for one i
+        # whose {n/i} exceeds t
+        assert frac_n_over_i_cdf(n, t).empirical == count / n
+
+    def test_sqrt_frac_float_near_miss(self):
+        # the rounded {sqrt k} of one k falls to t while the exact one exceeds t
+        assert sqrt_frac_cdf(1000002, 0.0009999994999816408) == 1501 / 1000002
+
+    def test_random_sizes_and_thresholds_against_brute_force(self):
+        rng = np.random.default_rng(131)
+        for _ in range(12):
+            n = int(rng.integers(1, 3001))
+            for t in self.THRESHOLDS + tuple(float(v) for v in rng.random(3)):
+                assert frac_n_over_i_cdf(n, t).empirical == exact_frac_count(n, t) / n
+                assert sqrt_frac_cdf(n, t) == exact_sqrt_count(n, t) / n
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_chunk_edges_against_brute_force(self, n, threads):
+        for t in (0.5, Fraction(1, 3)):
+            assert frac_n_over_i_cdf(n, t, threads=threads).empirical == exact_frac_count(n, t) / n
+        if threads == 1:
+            assert sqrt_frac_cdf(n, 0.25) == exact_sqrt_count(n, 0.25) / n
+
+    def test_float_and_its_fraction_count_alike(self):
+        rng = np.random.default_rng(137)
+        for t in self.THRESHOLDS[:3] + tuple(float(v) for v in rng.random(5)):
+            for n in (1, 105, 2520, 9973):
+                a = frac_n_over_i_cdf(n, t).empirical
+                assert a == frac_n_over_i_cdf(n, Fraction(t)).empirical
+                assert sqrt_frac_cdf(n, t) == sqrt_frac_cdf(n, Fraction(t))
+
+    def test_infinite_thresholds_need_no_fraction(self):
+        # Fraction(inf) raises: no point falls in the band of an infinite t
+        assert frac_n_over_i_cdf(1000, math.inf).empirical == 1.0
+        assert frac_n_over_i_cdf(1000, -math.inf).empirical == 0.0
 
 
 class TestFracNOverIMean:
@@ -210,7 +272,7 @@ class TestDirichletWeak:
 
 class TestPolynomialFamily:
     def test_square_polynomial_matches_brute_force(self):
-        spec = PolySpec.make((1, 0, 0), norm_r=2, norm_b=1.0, f=lambda x: x)
+        spec = PolySpec((1, 0, 0), norm_r=2, norm_b=1.0, f=lambda x: x)
         n = 10**8
         res = polynomial_family(spec, n)
         count = math.isqrt(n)
@@ -220,46 +282,52 @@ class TestPolynomialFamily:
         assert res.abs_error <= 1e-3
 
     def test_linear_polynomial_reduces_to_uniform_integral(self):
-        spec = PolySpec.make((1, 0), norm_r=1, norm_b=1.0, f=np.sin)
+        spec = PolySpec((1, 0), norm_r=1, norm_b=1.0, f=np.sin)
         res = polynomial_family(spec, 10**5, tol=1e-10)
         assert abs(res.closed_form - (1 - math.cos(1))) <= 1e-9
         assert res.abs_error <= 1e-4
 
     def test_total_mass_for_constant_function(self):
-        spec = PolySpec.make((2.0, 1.0, 0.0), norm_r=2, norm_b=2.0, f=lambda x: 1.0)
+        spec = PolySpec((2.0, 1.0, 0.0), norm_r=2, norm_b=2.0, f=lambda x: 1.0)
         res = polynomial_family(spec, 10**6)
         assert abs(res.closed_form - 1.0) <= 1e-9
 
     def test_slow_normalizer_gives_zero_limit(self):
-        spec = PolySpec.make((1, 0), norm_r=2, norm_b=1.0, f=lambda x: 1.0)
+        spec = PolySpec((1, 0), norm_r=2, norm_b=1.0, f=lambda x: 1.0)
         res = polynomial_family(spec, 10**4)
         assert res.closed_form == 0.0
 
     def test_fast_normalizer_is_divergent(self):
-        spec = PolySpec.make((1, 0, 0, 0), norm_r=1, norm_b=1.0, f=lambda x: 1.0)
+        spec = PolySpec((1, 0, 0, 0), norm_r=1, norm_b=1.0, f=lambda x: 1.0)
         res = polynomial_family(spec, 10**4)
         assert isinstance(res, DivergentResult)
         assert res.verdict == "divergent"
 
     def test_index_count_search(self):
-        spec = PolySpec.make((1, 0, 0), norm_r=2, norm_b=1.0, f=lambda x: x)
+        spec = PolySpec((1, 0, 0), norm_r=2, norm_b=1.0, f=lambda x: x)
         assert _poly_count(spec, 10**8) == 10**4
         assert _poly_count(spec, 99) == 9
-        shifted = PolySpec.make((1, 0, 10), norm_r=2, norm_b=1.0, f=lambda x: x)
+        shifted = PolySpec((1, 0, 10), norm_r=2, norm_b=1.0, f=lambda x: x)
         assert _poly_count(shifted, 110) == 10
 
     def test_no_valid_index_raises(self):
-        spec = PolySpec.make((1, 0, 10), norm_r=2, norm_b=1.0, f=lambda x: x)
+        spec = PolySpec((1, 0, 10), norm_r=2, norm_b=1.0, f=lambda x: x)
         with pytest.raises(ValueError):
             polynomial_family(spec, 5)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            PolySpec.make((-1, 0), norm_r=1, norm_b=1.0, f=lambda x: x)
+            PolySpec((-1, 0), norm_r=1, norm_b=1.0, f=lambda x: x)
         with pytest.raises(ValueError):
-            PolySpec.make((1, 0), norm_r=0, norm_b=1.0, f=lambda x: x)
+            PolySpec((1, 0), norm_r=0, norm_b=1.0, f=lambda x: x)
         with pytest.raises(ValueError):
-            PolySpec(p_coeffs=(1, 0), q=2, a=1.0, norm_r=1, norm_b=1.0, f=lambda x: x)
+            PolySpec((1, 0), norm_r=1, norm_b=0.0, f=lambda x: x)
+        with pytest.raises(ValueError):
+            PolySpec((1,), norm_r=1, norm_b=1.0, f=lambda x: x)
+
+    def test_degree_and_leading_coefficient_follow_the_coefficients(self):
+        spec = PolySpec([2, 1, 0], norm_r=2, norm_b=1.0, f=lambda x: x)
+        assert (spec.p_coeffs, spec.q, spec.a) == ((2, 1, 0), 2, 2.0)
 
 
 class TestErrorDecay:
@@ -330,6 +398,6 @@ class TestIndexDomain:
 
     def test_polynomial_family_is_not_limited(self):
         # cubic P: N(n) = floor(n**(1/3)) ~ 2.1e5 points at n = 2**53
-        spec = PolySpec.make((1.0, 0.0, 0.0, 0.0), 3, 1.0, lambda x: x)
+        spec = PolySpec((1.0, 0.0, 0.0, 0.0), 3, 1.0, lambda x: x)
         with pytest.raises(AssertionError, match="chunk loop reached"):
             polynomial_family(spec, 2**53)
