@@ -1,10 +1,13 @@
-"""Deterministic compensated accumulation helpers.
+"""Deterministic exact accumulation helpers.
 
 Every reduction in this package goes through these functions so that results
-do not depend on atom order or thread count: per-chunk sums are correctly
-rounded (``math.fsum`` is an error-free transformation of its inputs), chunk
-boundaries are fixed constants, and partial results are always combined in
-index order.
+do not depend on atom order or thread count.  A float64 array is reduced by
+error-free extraction (``exact_partials``) to a few floats with the same exact
+sum; ``math.fsum`` of those rounds once, so ``fsum_array`` returns the
+correctly rounded sum, bit for bit the value of ``math.fsum``.  Chunked
+reductions pass each chunk's partials on unrounded, so a sum over all chunks
+is correctly rounded as well: chunk boundaries, and the thread count, cannot
+change it.
 """
 
 from __future__ import annotations
@@ -23,12 +26,78 @@ CHUNK = 1 << 17
 # Block width for anchored cumulative sums.
 _CUMSUM_BLOCK = 4096
 
+# Shortest float64 array reduced by extraction.  Below it ``math.fsum`` of the
+# list is faster: they break even at 600-800 values of one sign or 1-3 decades.
+_EXTRACT_MIN = 1024
+
+# Extraction passes before the remainder is handed on as it is.  Each pass
+# clears the top 53 - log2(size) bits; values of 0-3 decades need 2-3 passes.
+_EXTRACT_PASSES = 8
+
+# Every finite float is an integer multiple of 2**-1074.
+_UNIT = 1 << 1074
+
 
 def fsum_array(values) -> float:
-    """Correctly rounded sum of a 1-D array or iterable of floats."""
+    """Correctly rounded sum of a 1-D array or iterable of floats; the same
+    value, or the same exception, as ``math.fsum``."""
     if isinstance(values, np.ndarray):
-        return math.fsum(values.tolist())
+        return math.fsum(exact_partials(values))
     return math.fsum(values)
+
+
+def exact_partials(x: np.ndarray) -> list:
+    """A short list of numbers whose exact sum is the exact sum of ``x``.
+
+    For a 1-D float64 array of at least ``_EXTRACT_MIN`` finite values this is
+    ExtractVector (Rump, Ogita and Oishi, "Accurate floating-point summation
+    I", SIAM J. Sci. Comput. 31, 2008).  With 2**e > max|r| and
+    2**M >= len(x) + 2, sigma = 2**(e+M) splits each remainder r exactly into
+    q = (sigma + r) - sigma, a multiple of 2**(e+M-53) of size <= 2**e, and
+    r - q; every partial sum of the q is such a multiple below sigma, so
+    ``np.sum(q)`` is exact in any order.  Numpy releases the GIL in every pass.
+
+    Anything else (other dtypes or shapes, short or non-finite arrays, a sigma
+    that would overflow) is returned as ``x.tolist()``, as is the remainder
+    left after ``_EXTRACT_PASSES`` passes, so ``math.fsum`` of the result
+    raises or returns what it does for ``x``.
+    """
+    if x.dtype != np.float64 or x.ndim != 1 or x.size < _EXTRACT_MIN:
+        return x.tolist()
+    top = max(float(x.max()), -float(x.min()))
+    if top == 0.0:
+        # the IEEE sum of zeros is -0.0 only when every term is
+        return [-0.0 if np.signbit(x).all() else 0.0]
+    shift = (x.size + 1).bit_length()
+    partials: list = []
+    r = x
+    q = np.empty_like(x)
+    rest = np.empty_like(x)
+    for _ in range(_EXTRACT_PASSES):
+        exponent = math.frexp(top)[1] + shift
+        if not (math.isfinite(top) and exponent <= 1023):
+            break
+        sigma = math.ldexp(1.0, exponent)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        partials.append(float(q.sum()))
+        r = np.subtract(r, q, out=rest)
+        top = max(float(r.max()), -float(r.min()))
+        if top == 0.0:
+            return partials
+    return partials + r.tolist()
+
+
+def exact_units(x: float) -> int:
+    """A finite float as the exact integer ``x * 2**1074``; a running total of
+    these is exact, and ``round_units`` rounds it once, as ``math.fsum``."""
+    num, den = x.as_integer_ratio()
+    return num * (_UNIT // den)
+
+
+def round_units(units: int) -> float:
+    """The float nearest ``units * 2**-1074`` (int division rounds correctly)."""
+    return units / _UNIT
 
 
 def chunk_ranges(lo: int, hi: int, chunk: int = CHUNK) -> Iterator[tuple[int, int]]:
@@ -38,15 +107,17 @@ def chunk_ranges(lo: int, hi: int, chunk: int = CHUNK) -> Iterator[tuple[int, in
 
 
 def map_reduce_fsum(
-    kernel: Callable[[int, int], float], lo: int, hi: int, threads: int = 1
+    kernel: Callable[[int, int], Iterable[float]], lo: int, hi: int, threads: int = 1
 ) -> float:
-    """fsum of ``kernel(start, stop)`` over the fixed chunks of ``[lo, hi)``.
+    """Correctly rounded sum over the fixed chunks of ``[lo, hi)``.
 
-    ``kernel`` must return the compensated sum of its own chunk and must not
-    depend on shared mutable state.  Chunking is independent of ``threads``,
-    so the result is bit-identical for every thread count.
+    ``kernel(start, stop)`` returns its chunk's partials: numbers whose exact
+    sum is the chunk's sum, such as ``exact_partials`` of the chunk's values.
+    It must not depend on shared mutable state.  All partials are summed by
+    one ``math.fsum``, so the result is the correctly rounded sum of the whole
+    range, bit-identical for every chunking and thread count.
     """
-    return math.fsum(_map_ordered(kernel, chunk_ranges(lo, hi), threads))
+    return math.fsum(chain.from_iterable(_map_ordered(kernel, chunk_ranges(lo, hi), threads)))
 
 
 def map_reduce_int(
@@ -87,19 +158,20 @@ def anchored_cumsum(w: np.ndarray) -> np.ndarray:
     """Cumulative sums with per-block fsum anchoring.
 
     Plain ``np.cumsum`` drifts linearly with the array length; re-anchoring
-    every block on the correctly rounded prefix keeps the absolute error of
-    each entry near one ulp of the running total, which the CDF invariants
-    (1e-12 at up to 1e6 atoms) require.
+    every block on the correctly rounded sum of the rounded block sums before
+    it keeps the absolute error of each entry near one ulp of the running
+    total, which the CDF invariants (1e-12 at up to 1e6 atoms) require.
+    The weights must be finite.
     """
     w = np.asarray(w, dtype=float)
     out = np.empty(w.size)
-    block_sums: list[float] = []
+    units = 0
     base = 0.0
     for start in range(0, w.size, _CUMSUM_BLOCK):
         seg = w[start : start + _CUMSUM_BLOCK]
         out[start : start + _CUMSUM_BLOCK] = base + np.cumsum(seg)
-        block_sums.append(math.fsum(seg.tolist()))
-        base = math.fsum(block_sums)
+        units += exact_units(fsum_array(seg))
+        base = round_units(units)
     return out
 
 

@@ -290,6 +290,14 @@ INTEGRATE = {
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _real(text: str) -> float:
+    """argparse type of the float options: a NaN would pass every range check."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asymptolim",
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # every dest is a RunConfig field name
     def add_common(p):
-        p.add_argument("--tol", type=float, default=1e-9, dest="tolerance")
+        p.add_argument("--tol", type=_real, default=1e-9, dest="tolerance")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         p.add_argument("--output", default=None, dest="output_path", metavar="OUTPUT",
                        help="output file (default stdout)")
@@ -310,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("problem", choices=tuple(SOLVE))
     p_solve.add_argument("--n", type=int, required=True)
     p_solve.add_argument("--f", default=None, help="callback name (sin, cos, id, const1, poly:c0,c1,...)")
-    p_solve.add_argument("--lo", type=float, default=None)
-    p_solve.add_argument("--hi", type=float, default=None)
-    p_solve.add_argument("--t", type=float, default=None)
+    p_solve.add_argument("--lo", type=_real, default=None)
+    p_solve.add_argument("--hi", type=_real, default=None)
+    p_solve.add_argument("--t", type=_real, default=None)
     p_solve.add_argument("--poly-p", default=None, help="coefficients of P, descending, comma separated")
     p_solve.add_argument("--poly-r", type=int, default=None)
-    p_solve.add_argument("--poly-b", type=float, default=None)
+    p_solve.add_argument("--poly-b", type=_real, default=None)
     add_common(p_solve)
 
     p_sweep = sub.add_parser(
@@ -330,17 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="Stieltjes integral of f against a named CDF")
     p_int.add_argument("--f", required=True)
     p_int.add_argument("--phi", required=True, help="uniform, sqrt, root:q, frac-limit, arcsin")
-    p_int.add_argument("--lower", type=float, default=None)
-    p_int.add_argument("--upper", type=float, default=None)
+    p_int.add_argument("--lower", type=_real, default=None)
+    p_int.add_argument("--upper", type=_real, default=None)
     p_int.add_argument("--method", choices=tuple(INTEGRATE), default="density")
     p_int.add_argument("--levels", type=int, default=12)
     add_common(p_int)
 
     p_special = sub.add_parser("special", help="evaluate a special function")
     p_special.add_argument("problem", choices=tuple(SPECIAL))
-    p_special.add_argument("--x", type=float, default=None)
-    p_special.add_argument("--s", type=float, default=None)
-    p_special.add_argument("--t", type=float, default=None)
+    p_special.add_argument("--x", type=_real, default=None)
+    p_special.add_argument("--s", type=_real, default=None)
+    p_special.add_argument("--t", type=_real, default=None)
     p_special.add_argument("--n", type=int, default=None)
     p_special.add_argument("--k-max", type=int, default=None)
     add_common(p_special)

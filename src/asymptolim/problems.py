@@ -2,11 +2,11 @@
 
 Each solver returns the empirical value at a finite index n, the closed-form
 limit, and their absolute gap.  Index loops run over fixed chunks with
-compensated partial sums reduced in chunk order, so results are bit-identical
-for every thread count.  Fractional parts of rationals are derived from
-integer remainders and rounded once.  The CDF solvers count the rounded
-points against t and settle in exact integer arithmetic every point that
-rounding could have moved across t, so no point is misclassified.
+exact partial sums reduced by one correctly rounded sum, so results are
+bit-identical for every thread count.  Fractional parts of rationals are
+derived from integer remainders and rounded once.  The CDF solvers count the
+rounded points against t and settle in exact integer arithmetic every point
+that rounding could have moved across t, so no point is misclassified.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .accum import apply_to_array, fsum_array, map_reduce_fsum, map_reduce_int
+from .accum import apply_to_array, exact_partials, map_reduce_fsum, map_reduce_int
 from .convergence import Boundary
 from .measure import HyperBox
 from .special import EULER_GAMMA, frac_limit_cdf, frac_limit_density
@@ -173,9 +173,13 @@ def _reciprocal_frac_chunk(n: int, start: int, stop: int) -> np.ndarray:
 
 def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -> float:
     """Correctly rounded sum of f over the points(n, 1, count + 1) of a
-    stream, one fixed-width chunk points(n, a, b) at a time."""
+    stream, one fixed-width chunk points(n, a, b) at a time; each chunk
+    passes on its exact partials, which are rounded once, all together."""
     return map_reduce_fsum(
-        lambda a, b: fsum_array(apply_to_array(f, points(n, a, b))), 1, count + 1, threads=threads
+        lambda a, b: exact_partials(apply_to_array(f, points(n, a, b))),
+        1,
+        count + 1,
+        threads=threads,
     )
 
 
@@ -221,31 +225,24 @@ class Problem:
 
     points: Callable[[int, int, int], np.ndarray]
     limit: Callable[[], SmoothCdf]
-    description: str
 
 
 # sweep name -> problem; streams call the kernels through module globals, so
 # rebinding a kernel on this module takes effect
 PROBLEMS = {
+    # uniform weights on {i/n : 1 <= i <= n}
     "canonical-uniform": Problem(
-        lambda n, a, b: np.arange(a, b, dtype=np.float64) / n,
-        uniform_cdf,
-        "uniform weights on {i/n : 1 <= i <= n}",
+        lambda n, a, b: np.arange(a, b, dtype=np.float64) / n, uniform_cdf
     ),
-    "example1": Problem(
-        lambda n, a, b: _sqrt_frac_chunk(a, b),
-        uniform_cdf,
-        "uniform weights on the fractional parts of sqrt(k), k <= n",
-    ),
+    # uniform weights on the fractional parts of sqrt(k), k <= n
+    "example1": Problem(lambda n, a, b: _sqrt_frac_chunk(a, b), uniform_cdf),
+    # uniform weights on sin(2*pi*{sqrt k}), k <= n
     "example2": Problem(
-        lambda n, a, b: np.sin(2.0 * math.pi * _sqrt_frac_chunk(a, b)),
-        arcsin_cdf,
-        "uniform weights on sin(2*pi*{sqrt k}), k <= n",
+        lambda n, a, b: np.sin(2.0 * math.pi * _sqrt_frac_chunk(a, b)), arcsin_cdf
     ),
+    # uniform weights on {n/i} = (n mod i)/i, i <= n
     "example3": Problem(
-        lambda n, a, b: _reciprocal_frac_chunk(n, a, b),
-        frac_limit_smooth_cdf,
-        "uniform weights on {n/i} = (n mod i)/i, i <= n",
+        lambda n, a, b: _reciprocal_frac_chunk(n, a, b), frac_limit_smooth_cdf
     ),
 }
 
@@ -291,6 +288,7 @@ def sqrt_frac_cdf(n: int, t: Union[float, Fraction]) -> float:
     k <= (isqrt(k) + t)**2.
     """
     n = _check_n(n)
+    _check_t(t)
     if float(t) < 0.0:
         return 0.0
     if float(t) >= 1.0:
@@ -349,6 +347,7 @@ def frac_n_over_i_cdf(
     for float t and for any rational t.
     """
     n = _check_n(n)
+    _check_t(t)
     count = _count_at_most(
         PROBLEMS["example3"].points,
         lambda stop: 0.0,
@@ -505,3 +504,9 @@ def _check_n(n, limit: float = _MAX_INDEX) -> int:
     if n > limit:
         raise ValueError(f"n must be <= 2**52 for index solvers, got {n}")
     return n
+
+
+def _check_t(t) -> None:
+    """Reject a NaN threshold, which every compare would silently count as 0."""
+    if math.isnan(t):
+        raise ValueError("t must be a number, got nan")

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .accum import anchored_cumsum, apply_to_array, fsum_array
+from .accum import anchored_cumsum, apply_to_array, exact_units, fsum_array, round_units
 from .measure import AtomicMeasure, HyperBox, cdf_eval, expectation
 
 __all__ = [
@@ -310,7 +310,10 @@ def _gk_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float, f
                 acc_g += _G_WEIGHTS[i // 2] * (v1 + v2)
     # below the rounding level of the panel sum |K15 - G7| says nothing
     floor = 50.0 * sys.float_info.epsilon * acc_abs
-    return h * acc_k, abs(h) * max(abs(acc_k - acc_g), floor)
+    value, err = h * acc_k, abs(h) * max(abs(acc_k - acc_g), floor)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureError(f"panel sum overflows on [{a!r}, {b!r}]")
+    return value, err
 
 
 def adaptive_quadrature(
@@ -326,9 +329,11 @@ def adaptive_quadrature(
     Gauss and 15-point Kronrod values, but never below the rounding level of
     the panel sum (50 eps times the panel's integral of |g|), so a
     tolerance under that level is reported as not reached.  Panels are split worst-first until
-    the summed estimate is below ``tol``.  Deterministic: the splitting order
-    is fixed by the error/insertion-order heap, and the final value is the
-    fsum of panel values sorted by position.
+    the summed estimate is below ``tol``; that sum is kept exactly, as an
+    integer multiple of 2**-1074, and rounded once per split, so it equals
+    the fsum of the panel estimates at O(1) cost.  Deterministic: the
+    splitting order is fixed by the error/insertion-order heap, and the final
+    value is the fsum of panel values sorted by position.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -337,6 +342,7 @@ def adaptive_quadrature(
     val, err = _gk_panel(g, a, b)
     heap = [(-err, 0, a, b, val, err)]
     serial = 1
+    total_units = exact_units(err)
     total_err = err
     while total_err > tol:
         if len(heap) >= max_panels:
@@ -344,7 +350,7 @@ def adaptive_quadrature(
                 f"tolerance {tol:g} not reached within {max_panels} panels "
                 f"(estimate {total_err:g})"
             )
-        _, _, pa, pb, _, _ = heapq.heappop(heap)
+        _, _, pa, pb, _, e = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
             raise QuadratureError("panel underflow before tolerance was met")
@@ -354,7 +360,8 @@ def adaptive_quadrature(
         serial += 1
         heapq.heappush(heap, (-e2, serial, mid, pb, v2, e2))
         serial += 1
-        total_err = math.fsum(item[5] for item in heap)
+        total_units += exact_units(e1) + exact_units(e2) - exact_units(e)
+        total_err = round_units(total_units)
     panels = sorted(heap, key=lambda item: item[2])
     value = math.fsum(p[4] for p in panels)
     return QuadratureResult(value, total_err)

@@ -1,11 +1,24 @@
 import itertools
+import math
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from asymptolim.accum import CHUNK, _map_ordered, chunk_ranges, map_reduce_fsum, map_reduce_int
+from asymptolim.accum import (
+    CHUNK,
+    _EXTRACT_MIN,
+    _map_ordered,
+    anchored_cumsum,
+    chunk_ranges,
+    exact_partials,
+    exact_units,
+    fsum_array,
+    map_reduce_fsum,
+    map_reduce_int,
+    round_units,
+)
 
 
 class TestChunkRanges:
@@ -66,7 +79,115 @@ class TestReductions:
     @pytest.mark.parametrize("threads", [2, 3])
     def test_fsum_independent_of_threads(self, threads):
         def kernel(a, b):
-            return float(np.sum(1.0 / np.arange(a, b, dtype=np.float64)))
+            return exact_partials(1.0 / np.arange(a, b, dtype=np.float64))
 
         base = map_reduce_fsum(kernel, 1, 5 * CHUNK + 11)
         assert map_reduce_fsum(kernel, 1, 5 * CHUNK + 11, threads=threads) == base
+
+    def test_fsum_of_partials_is_the_whole_sum(self):
+        # a rounded sum per chunk would be off here; the partials are not
+        x = np.random.default_rng(7).standard_normal(3 * CHUNK + 5) * 1e10
+        whole = math.fsum(x.tolist())
+        assert map_reduce_fsum(lambda a, b: exact_partials(x[a:b]), 0, x.size) == whole
+        rounded = math.fsum(math.fsum(x[a:b].tolist()) for a, b in chunk_ranges(0, x.size))
+        assert rounded != whole
+
+
+def _outcome(fn, values):
+    """``fn(values)`` as comparable data: the float's hex, sign of zero and
+    NaN included, or the exception's type and message."""
+    try:
+        return float(fn(values)).hex()
+    except (ValueError, OverflowError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_as_fsum(x):
+    assert _outcome(fsum_array, x) == _outcome(lambda v: math.fsum(v.tolist()), x)
+
+
+class TestFsumArray:
+    def test_iterables_use_fsum(self):
+        values = [0.1] * 10
+        assert fsum_array(values) == math.fsum(values)
+        assert fsum_array(iter(values)) == math.fsum(values)
+
+    @pytest.mark.parametrize("size", [0, 1, _EXTRACT_MIN - 1, _EXTRACT_MIN, 3 * CHUNK + 1])
+    def test_sizes_around_the_cutoff(self, size):
+        _same_as_fsum(np.random.default_rng(size).standard_normal(size) * 1e-3)
+
+    def test_massive_cancellation(self):
+        rng = np.random.default_rng(1)
+        big = rng.standard_normal(2000) * 1e200
+        small = rng.standard_normal(2000)
+        x = np.concatenate([big, small, -big])
+        rng.shuffle(x)
+        _same_as_fsum(x)
+        assert fsum_array(x) == math.fsum(small.tolist())
+
+    def test_spread_of_decades(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+        _same_as_fsum(x)
+        _same_as_fsum(np.concatenate([x, -x[::-1], [1e-300]]))
+
+    def test_subnormals_only(self):
+        rng = np.random.default_rng(3)
+        x = rng.integers(-(2**52), 2**52, 4000) * 5e-324
+        assert np.all(np.abs(x) < 2.3e-308)
+        _same_as_fsum(x)
+
+    @pytest.mark.parametrize("zeros", [[-0.0], [0.0], [0.0, -0.0]])
+    def test_signed_zeros(self, zeros):
+        x = np.resize(np.array(zeros), 2 * _EXTRACT_MIN)
+        _same_as_fsum(x)
+        ieee_sum = -0.0 if np.signbit(zeros).all() else 0.0
+        assert [v.hex() for v in exact_partials(x)] == [ieee_sum.hex()]
+
+    def test_near_overflow(self):
+        x = np.full(2000, 1e308)
+        assert _outcome(fsum_array, x)[0] is OverflowError
+        _same_as_fsum(x)
+        _same_as_fsum(np.resize(np.array([1e308, -1e308, 3.0]), 3000))
+        _same_as_fsum(np.resize(np.array([8e307, 1.0]), 3000))
+
+    @pytest.mark.parametrize(
+        "special", [[math.inf], [-math.inf], [math.nan], [math.inf, -math.inf], [math.inf, math.nan]]
+    )
+    def test_non_finite(self, special):
+        x = np.random.default_rng(4).random(3000)
+        x[[5, 2000, 2999][: len(special)]] = special
+        _same_as_fsum(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.arange(-3000, 5000, dtype=np.int64) * (2**40 + 1),
+            np.linspace(-1.0, 3.0, 3000, dtype=np.float32),
+            np.arange(3000) % 3 == 0,
+            np.ones((40, 40)),
+        ],
+        ids=["int64", "float32", "bool", "2-D"],
+    )
+    def test_other_dtypes_and_shapes(self, x):
+        _same_as_fsum(x)
+
+    def test_passes_capped(self):
+        # 2000 values 30 binades apart need more passes than the cap; the
+        # remainder is passed on exactly
+        x = 2.0 ** (30.0 * (np.arange(2000) % 60) - 900.0)
+        parts = exact_partials(x)
+        assert len(parts) > 2000
+        _same_as_fsum(x)
+
+
+class TestAnchoredCumsum:
+    def test_matches_the_quadratic_anchoring(self):
+        # the anchors are the fsum of all rounded block sums before them
+        w = np.random.default_rng(5).random(10 * 4096 + 17) * 1e-5
+        block_sums, expected = [], np.empty(w.size)
+        for start in range(0, w.size, 4096):
+            seg = w[start : start + 4096]
+            expected[start : start + 4096] = math.fsum(block_sums) + np.cumsum(seg)
+            block_sums.append(math.fsum(seg.tolist()))
+        assert np.array_equal(anchored_cumsum(w), expected)

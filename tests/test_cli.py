@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,22 @@ class TestSolveCommand:
         exact = math.sqrt(b / a) * (c[0] + c[1] / 3 + c[2] / 5)
         assert exact == pytest.approx(-1.3184976950120748, abs=1e-15)
         assert abs(rep["result"]["closed_form"] - exact) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "example3", "--n", "100000", "--t", "nan"],
+            ["solve", "example2", "--n", "10", "--lo", "nan"],
+            ["special", "frac-limit-cdf", "--t", "NaN"],
+            ["integrate", "--f", "sin", "--phi", "uniform", "--tol", "nan"],
+        ],
+    )
+    def test_nan_option_exits_2_naming_the_flag(self, argv, capsys):
+        # rejected while parsing: NaN passes every range check and counts as 0
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        flag = argv[[a.lower() for a in argv].index("nan") - 1]
+        assert f"argument {flag}: not a number" in err
 
     def test_unknown_problem_exits_2(self, capsys):
         code, _, _ = run_cli(["solve", "nonsense", "--n", "10"], capsys)
@@ -263,6 +280,12 @@ class TestSpecialCommand:
     def test_harmonic(self, capsys):
         rep = report_of(["special", "harmonic", "--n", "4"], capsys)
         assert rep["result"]["value"] == pytest.approx(25 / 12, abs=1e-15)
+
+    def test_harmonic_at_1e12_answers_at_once(self, capsys):
+        start = time.perf_counter()
+        rep = report_of(["special", "harmonic", "--n", "1000000000000"], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert rep["result"]["value"] == pytest.approx(28.208236780830581, abs=1e-14)
 
     def test_series_reports_bound(self, capsys):
         rep = report_of(

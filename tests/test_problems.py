@@ -211,6 +211,18 @@ class TestExactCounting:
         assert frac_n_over_i_cdf(1000, math.inf).empirical == 1.0
         assert frac_n_over_i_cdf(1000, -math.inf).empirical == 0.0
 
+    def test_nan_threshold_is_rejected_before_counting(self, monkeypatch):
+        # every compare with NaN is false, so a count would silently be 0
+        from asymptolim import problems
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("chunk loop reached")
+
+        monkeypatch.setattr(problems, "map_reduce_int", no_loop)
+        for solve in (sqrt_frac_cdf, frac_n_over_i_cdf):
+            with pytest.raises(ValueError, match="nan"):
+                solve(10, math.nan)
+
 
 class TestFracNOverIMean:
     def test_small_case_by_enumeration(self):
@@ -226,6 +238,14 @@ class TestFracNOverIMean:
     def test_identity_at_large_n(self):
         res = frac_n_over_i_mean(10**5)
         assert res.abs_error <= 5e-3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1000001, 5000011])
+    def test_mean_is_the_correctly_rounded_whole_sum(self, n, threads):
+        # a sum of rounded chunk sums is 1 ulp off the whole fsum at these n
+        i = np.arange(1, n + 1, dtype=np.int64)
+        whole = math.fsum(((n % i) / i).tolist())
+        assert frac_n_over_i_mean(n, threads=threads).empirical == whole / n
 
     def test_quadrature_route_matches_short_circuit(self):
         direct = frac_n_over_i_mean(200)

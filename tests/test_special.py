@@ -14,7 +14,9 @@ from asymptolim import (
     integrate_smooth,
     trigamma,
 )
+from asymptolim.accum import CHUNK
 from asymptolim.problems import frac_limit_smooth_cdf
+from asymptolim.special import _HARMONIC_SUM_MAX
 from asymptolim.stieltjes import adaptive_quadrature
 
 
@@ -137,6 +139,22 @@ class TestHarmonic:
     def test_domain(self):
         with pytest.raises(ValueError):
             harmonic(0)
+
+    @pytest.mark.parametrize("n", [1, 7, 4096, CHUNK + 3, _HARMONIC_SUM_MAX])
+    def test_term_by_term_up_to_the_threshold(self, n):
+        assert harmonic(n) == math.fsum(1.0 / i for i in range(1, n + 1))
+
+    @pytest.mark.parametrize("n", [_HARMONIC_SUM_MAX + 1, _HARMONIC_SUM_MAX + 12345, 3 << 20])
+    def test_expansion_within_2_ulp_above_the_threshold(self, n):
+        terms = math.fsum((1.0 / np.arange(1, n + 1, dtype=np.float64)).tolist())
+        assert abs(harmonic(n) - terms) <= 2 * math.ulp(terms)
+
+    @pytest.mark.parametrize("n", [10**12, 10**18, 2**70, 10**400], ids=["1e12", "1e18", "2**70", "1e400"])
+    def test_large_n_against_mpmath(self, n):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workprec(200):
+            exact = mp.harmonic(n)
+            assert abs(harmonic(n) - exact) <= 2 * math.ulp(float(exact))
 
 
 class TestFracLimitCdf:

@@ -26,7 +26,9 @@ from asymptolim import (
 )
 from asymptolim.problems import frac_limit_smooth_cdf, root_cdf, uniform_cdf
 from asymptolim.special import EULER_GAMMA
-from asymptolim.stieltjes import _G_WEIGHTS, _GK_NODES, _K_WEIGHTS
+import heapq
+
+from asymptolim.stieltjes import _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk_panel, adaptive_quadrature
 
 from test_measure import random_measure
 
@@ -289,6 +291,51 @@ class TestGaussKronrodConstants:
             total = sum(Fraction(w) * Fraction(x) ** d for x, w in getattr(self, rule))
             exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
             assert abs(float(total) - exact) <= 4 * math.ulp(exact), d
+
+
+def quadrature_oracle(g, a, b, tol, max_panels=4096):
+    """The O(panels**2) form of adaptive_quadrature: the total estimate is the
+    fsum over the whole heap after every split.  Returns (value, error) or
+    the QuadratureError message."""
+    val, err = _gk_panel(g, a, b)
+    heap = [(-err, 0, a, b, val, err)]
+    serial = 1
+    total_err = err
+    while total_err > tol:
+        if len(heap) >= max_panels:
+            return f"tolerance {tol:g} not reached within {max_panels} panels (estimate {total_err:g})"
+        _, _, pa, pb, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        for lo, hi in ((pa, mid), (mid, pb)):
+            v, e = _gk_panel(g, lo, hi)
+            heapq.heappush(heap, (-e, serial, lo, hi, v, e))
+            serial += 1
+        total_err = math.fsum(item[5] for item in heap)
+    return math.fsum(p[4] for p in sorted(heap, key=lambda item: item[2])), total_err
+
+
+class TestAdaptiveQuadrature:
+    CASES = {
+        "sqrt-singular": (lambda t: 1.0 / math.sqrt(t) if t > 0 else 0.0, 0.0, 1.0, 1e-10),
+        "oscillating": (lambda t: math.sin(1.0 / t), 0.05, 1.0, 1e-12),
+        "kink": (lambda t: abs(t - 1.0 / 3.0) ** 0.3, -1.0, 2.0, 1e-11),
+        "fails-at-4096": (lambda t: math.sin(1.0 / t), 1e-4, 1.0, 1e-14),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_whole_heap_fsum(self, case):
+        g, a, b, tol = self.CASES[case]
+        expected = quadrature_oracle(g, a, b, tol)
+        try:
+            res = adaptive_quadrature(g, a, b, tol=tol)
+        except QuadratureError as exc:
+            assert str(exc) == expected
+        else:
+            assert (res.value, res.error) == expected
+
+    def test_overflowing_panel_sum_raises(self):
+        with pytest.raises(QuadratureError, match="overflows"):
+            adaptive_quadrature(lambda t: 1e308, 0.0, 1.0)
 
 
 class TestIntegrateByParts:
