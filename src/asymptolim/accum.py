@@ -8,13 +8,25 @@ correctly rounded sum, bit for bit the value of ``math.fsum``.  Chunked
 reductions pass each chunk's partials on unrounded, so a sum over all chunks
 is correctly rounded as well: chunk boundaries, and the thread count, cannot
 change it.
+
+The chunk loops compute in per-thread workspaces, ``CHUNK``-length arrays
+held in ``threading.local``: a reducer holds one for a chunk's points and
+compare mask, and the point kernels and ``exact_partials`` inside it hold a
+second for their temporaries.  Each has three float64 arrays and one bool
+array (3.125 MiB); pages become resident only where written, 4.25 MiB per
+thread in a solve.  They are allocated on a thread's first chunk, so a loop
+allocates no ``CHUNK``-sized temporaries of its own after that.  A stream
+that writes into a reducer's workspace returns an array that lives until
+the same thread's next chunk; a caller that keeps it copies it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
@@ -36,6 +48,42 @@ _EXTRACT_PASSES = 8
 
 # Every finite float is an integer multiple of 2**-1074.
 _UNIT = 1 << 1074
+
+
+class Workspace:
+    """Scratch arrays of ``size`` values: three float64 ``f`` and a bool
+    ``mask``.  The holder may view an ``f`` array as int64."""
+
+    __slots__ = ("f", "mask")
+
+    def __init__(self, size: int = CHUNK):
+        self.f = tuple(np.empty(size) for _ in range(3))
+        self.mask = np.empty(size, dtype=bool)
+
+
+_local = threading.local()
+
+
+@contextmanager
+def workspace(size: int = CHUNK) -> Iterator[Workspace]:
+    """A workspace of the calling thread, for this block's use alone.
+
+    Each thread keeps the workspaces it has made on a free list; a block
+    takes one, or makes one when every one is in use (a kernel inside a
+    reducer, a callback that calls a solver), and puts it back on exit.
+    More than ``CHUNK`` values get a fresh workspace that is not kept.
+    """
+    if size > CHUNK:
+        yield Workspace(size)
+        return
+    free = getattr(_local, "free", None)
+    if free is None:
+        free = _local.free = []
+    ws = free.pop() if free else Workspace()
+    try:
+        yield ws
+    finally:
+        free.append(ws)
 
 
 def fsum_array(values) -> float:
@@ -60,7 +108,8 @@ def exact_partials(x: np.ndarray) -> list:
     Anything else (other dtypes or shapes, short or non-finite arrays, a sigma
     that would overflow) is returned as ``x.tolist()``, as is the remainder
     left after ``_EXTRACT_PASSES`` passes, so ``math.fsum`` of the result
-    raises or returns what it does for ``x``.
+    raises or returns what it does for ``x``.  The passes compute in a
+    workspace of their own.
     """
     if x.dtype != np.float64 or x.ndim != 1 or x.size < _EXTRACT_MIN:
         return x.tolist()
@@ -71,21 +120,21 @@ def exact_partials(x: np.ndarray) -> list:
     shift = (x.size + 1).bit_length()
     partials: list = []
     r = x
-    q = np.empty_like(x)
-    rest = np.empty_like(x)
-    for _ in range(_EXTRACT_PASSES):
-        exponent = math.frexp(top)[1] + shift
-        if not (math.isfinite(top) and exponent <= 1023):
-            break
-        sigma = math.ldexp(1.0, exponent)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        partials.append(float(q.sum()))
-        r = np.subtract(r, q, out=rest)
-        top = max(float(r.max()), -float(r.min()))
-        if top == 0.0:
-            return partials
-    return partials + r.tolist()
+    with workspace(x.size) as ws:
+        q, rest = (a[: x.size] for a in ws.f[:2])
+        for _ in range(_EXTRACT_PASSES):
+            exponent = math.frexp(top)[1] + shift
+            if not (math.isfinite(top) and exponent <= 1023):
+                break
+            sigma = math.ldexp(1.0, exponent)
+            np.add(r, sigma, out=q)
+            q -= sigma
+            partials.append(float(q.sum()))
+            r = np.subtract(r, q, out=rest)
+            top = max(float(r.max()), -float(r.min()))
+            if top == 0.0:
+                return partials
+        return partials + r.tolist()
 
 
 def exact_units(x: float) -> int:

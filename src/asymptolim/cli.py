@@ -155,6 +155,24 @@ def _const(value: float) -> Callable:
     return g
 
 
+def _polynomial(c: np.ndarray) -> Callable:
+    """t -> ``np.polynomial.polynomial.polyval(t, c)``.  On a 1-D float64
+    array it takes polyval's steps, from ``c[-1] + t*0`` on, in one array
+    it allocates; the values are the same bit for bit."""
+
+    def p(t):
+        if not (isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64):
+            return np.polynomial.polynomial.polyval(t, c)
+        y = np.multiply(t, 0)
+        np.add(c[-1], y, out=y)
+        for ci in c[-2::-1]:
+            np.multiply(y, t, out=y)
+            np.add(ci, y, out=y)
+        return y
+
+    return p
+
+
 # name -> (callback, derivative)
 _FUNCTIONS = {
     "sin": (np.sin, np.cos),
@@ -181,15 +199,8 @@ def resolve_function(name: str) -> NamedFunction:
             raise CliError("polynomial needs at least one coefficient")
         c = np.asarray(coeffs, dtype=float)
         dc = c[1:] * np.arange(1, len(c))
-
-        def p(t):
-            return np.polynomial.polynomial.polyval(t, c)
-
-        def dp(t):
-            if dc.size == 0:
-                return _const(0.0)(t)
-            return np.polynomial.polynomial.polyval(t, dc)
-
+        p = _polynomial(c)
+        dp = _polynomial(dc) if dc.size else _const(0.0)
         return NamedFunction(name, p, dp)
     raise CliError(f"unknown function {name!r}")
 

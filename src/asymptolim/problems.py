@@ -11,6 +11,7 @@ that rounding could have moved across t, so no point is misclassified.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -19,7 +20,14 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .accum import apply_to_array, exact_partials, map_reduce_fsum, map_reduce_int
+from .accum import (
+    CHUNK,
+    apply_to_array,
+    exact_partials,
+    map_reduce_fsum,
+    map_reduce_int,
+    workspace,
+)
 from .convergence import Boundary
 from .measure import HyperBox
 from .special import EULER_GAMMA, frac_limit_cdf, frac_limit_density
@@ -146,41 +154,95 @@ def frac_limit_smooth_cdf() -> SmoothCdf:
 # Point kernels (chunked numpy)
 # ---------------------------------------------------------------------------
 
-def _sqrt_frac_chunk(start: int, stop: int) -> np.ndarray:
-    """Fractional parts of sqrt(k) for k in [start, stop).
+@functools.cache
+def _iota() -> np.ndarray:
+    """0, 1, ..., CHUNK - 1 as a shared read-only int64 array."""
+    iota = np.arange(CHUNK, dtype=np.int64)
+    iota.setflags(write=False)
+    return iota
+
+
+def _indices(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """start, ..., stop - 1 written into ``out`` (int64, or float64 below
+    2**53, where every such integer is exact)."""
+    m = stop - start
+    iota = _iota()[:m] if m <= CHUNK else np.arange(m, dtype=np.int64)
+    return np.add(iota, start, out=out)
+
+
+def _sqrt_frac_chunk(start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Fractional parts of sqrt(k) for k in [start, stop), written into
+    ``out`` when it is given, else into a fresh array.
 
     The floor of the one floating square root is corrected to the exact
-    integer square root before it is subtracted (valid to k ~ 2**52).
+    integer square root before it is subtracted (valid to k ~ 2**52, where
+    k, f*f and (f+1)**2 are exact in float64).
     """
-    k = np.arange(start, stop, dtype=np.int64)
-    root = np.sqrt(k.astype(np.float64))
-    f = np.floor(root).astype(np.int64)
-    f = np.where((f + 1) * (f + 1) <= k, f + 1, f)
-    f = np.where(f * f > k, f - 1, f)
-    return root - f
+    m = stop - start
+    out = np.empty(m) if out is None else out
+    with workspace(m) as ws:
+        k, f, t = (a[:m] for a in ws.f)
+        mask = ws.mask[:m]
+        _indices(start, stop, k)
+        np.sqrt(k, out=out)
+        np.floor(out, out=f)
+        np.add(f, 1.0, out=t)
+        np.multiply(t, t, out=t)
+        f += np.less_equal(t, k, out=mask)
+        np.multiply(f, f, out=t)
+        f -= np.greater(t, k, out=mask)
+        return np.subtract(out, f, out=out)
 
 
-def _remainder_chunk(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    i = np.arange(start, stop, dtype=np.int64)
-    return i, n % i
+def _remainder_chunk(
+    n: int, start: int, stop: int, out: Optional[tuple] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The indices i in [start, stop) and n mod i, as int64 arrays; written
+    into the pair ``out`` when it is given."""
+    if out is None:
+        out = (np.empty(stop - start, dtype=np.int64), np.empty(stop - start, dtype=np.int64))
+    i = _indices(start, stop, out[0])
+    return i, np.remainder(n, i, out=out[1])
 
 
-def _reciprocal_frac_chunk(n: int, start: int, stop: int) -> np.ndarray:
-    """{n/i} = (n mod i)/i for i in [start, stop), each rounded once."""
-    i, r = _remainder_chunk(n, start, stop)
-    return r / i
+def _reciprocal_frac_chunk(
+    n: int, start: int, stop: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """{n/i} = (n mod i)/i for i in [start, stop), each rounded once;
+    written into ``out`` when it is given, else into a fresh array."""
+    m = stop - start
+    with workspace(m) as ws:
+        pair = tuple(a[:m].view(np.int64) for a in ws.f[:2])
+        i, r = _remainder_chunk(n, start, stop, out=pair)
+        return np.divide(r, i, out=np.empty(m) if out is None else out)
+
+
+def _uniform_chunk(n: int, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """i/n for i in [start, stop), into ``out`` or a fresh array."""
+    out = _indices(start, stop, np.empty(stop - start) if out is None else out)
+    return np.divide(out, n, out=out)
+
+
+def _sin_2pi_sqrt_frac_chunk(
+    start: int, stop: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """sin(2*pi*{sqrt k}) for k in [start, stop), into ``out`` or a fresh array."""
+    x = _sqrt_frac_chunk(start, stop, out=out)
+    np.multiply(x, 2.0 * math.pi, out=x)
+    return np.sin(x, out=x)
 
 
 def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -> float:
     """Correctly rounded sum of f over the points(n, 1, count + 1) of a
-    stream, one fixed-width chunk points(n, a, b) at a time; each chunk
-    passes on its exact partials, which are rounded once, all together."""
-    return map_reduce_fsum(
-        lambda a, b: exact_partials(apply_to_array(f, points(n, a, b))),
-        1,
-        count + 1,
-        threads=threads,
-    )
+    stream, one fixed-width chunk points(n, a, b, out=...) at a time, written
+    into the thread's workspace; each chunk passes on its exact partials,
+    which are rounded once, all together."""
+
+    def kernel(a: int, b: int) -> list:
+        with workspace() as ws:
+            return exact_partials(apply_to_array(f, points(n, a, b, out=ws.f[0][: b - a])))
+
+    return map_reduce_fsum(kernel, 1, count + 1, threads=threads)
 
 
 def reciprocal_frac_map(n: int) -> Callable[[float], float]:
@@ -219,8 +281,9 @@ def reciprocal_frac_boundary(t: float) -> Boundary:
 class Problem:
     """A point set with uniform weights and the limit law of its points.
 
-    ``points(n, start, stop)`` returns the points with index in
-    ``[start, stop)`` out of ``1..n``; ``limit()`` builds the limit CDF.
+    ``points(n, start, stop, out=None)`` returns the points with index in
+    ``[start, stop)`` out of ``1..n``, written into ``out`` when it is given
+    and into a fresh array otherwise; ``limit()`` builds the limit CDF.
     """
 
     points: Callable[[int, int, int], np.ndarray]
@@ -232,17 +295,20 @@ class Problem:
 PROBLEMS = {
     # uniform weights on {i/n : 1 <= i <= n}
     "canonical-uniform": Problem(
-        lambda n, a, b: np.arange(a, b, dtype=np.float64) / n, uniform_cdf
+        lambda n, a, b, out=None: _uniform_chunk(n, a, b, out=out), uniform_cdf
     ),
     # uniform weights on the fractional parts of sqrt(k), k <= n
-    "example1": Problem(lambda n, a, b: _sqrt_frac_chunk(a, b), uniform_cdf),
+    "example1": Problem(
+        lambda n, a, b, out=None: _sqrt_frac_chunk(a, b, out=out), uniform_cdf
+    ),
     # uniform weights on sin(2*pi*{sqrt k}), k <= n
     "example2": Problem(
-        lambda n, a, b: np.sin(2.0 * math.pi * _sqrt_frac_chunk(a, b)), arcsin_cdf
+        lambda n, a, b, out=None: _sin_2pi_sqrt_frac_chunk(a, b, out=out), arcsin_cdf
     ),
     # uniform weights on {n/i} = (n mod i)/i, i <= n
     "example3": Problem(
-        lambda n, a, b: _reciprocal_frac_chunk(n, a, b), frac_limit_smooth_cdf
+        lambda n, a, b, out=None: _reciprocal_frac_chunk(n, a, b, out=out),
+        frac_limit_smooth_cdf,
     ),
 }
 
@@ -256,25 +322,27 @@ def _count_at_most(
 ) -> int:
     """Exact number of indices i in 1..n whose exact point x_i is <= t.
 
-    ``points(n, a, b)`` streams the rounded x_i for i in [a, b), each within
-    ``band(b)`` of x_i.  A point farther than the band from float(t) lies on
-    the same side of t as x_i and is counted by one numpy compare; a point
-    inside the band is settled by ``settle(n, i, T)``, the exact test
-    x_i <= T against T = Fraction(t) (of float(t) unless t is rational),
-    built only when such a point occurs.
+    ``points(n, a, b, out=...)`` streams the rounded x_i for i in [a, b)
+    into the thread's workspace, each within ``band(b)`` of x_i.  A point
+    farther than the band from float(t) lies on the same side of t as x_i
+    and is counted by one numpy compare; a point inside the band is settled
+    by ``settle(n, i, T)``, the exact test x_i <= T against T = Fraction(t)
+    (of float(t) unless t is rational), built only when such a point occurs.
     """
     tf = float(t)
 
     def kernel(a: int, b: int) -> int:
-        x = points(n, a, b)
-        w = band(b)
-        lo, hi = tf - w, tf + w
-        below = int(np.count_nonzero(x < lo))
-        if np.count_nonzero(x <= hi) == below:
-            return below
-        exact = Fraction(t if isinstance(t, numbers.Rational) else tf)
-        near = np.flatnonzero((x >= lo) & (x <= hi)) + a
-        return below + sum(settle(n, int(i), exact) for i in near)
+        with workspace() as ws:
+            x = points(n, a, b, out=ws.f[0][: b - a])
+            mask = ws.mask[: b - a]
+            w = band(b)
+            lo, hi = tf - w, tf + w
+            below = int(np.count_nonzero(np.less(x, lo, out=mask)))
+            if np.count_nonzero(np.less_equal(x, hi, out=mask)) == below:
+                return below
+            exact = Fraction(t if isinstance(t, numbers.Rational) else tf)
+            near = np.flatnonzero((x >= lo) & (x <= hi)) + a
+            return below + sum(settle(n, int(i), exact) for i in near)
 
     return map_reduce_int(kernel, 1, n + 1, threads=threads)
 
@@ -327,8 +395,12 @@ def interval_proportion_sin(
     problem = PROBLEMS["example2"]
 
     def kernel(a: int, b: int) -> int:
-        s = problem.points(n, a, b)
-        return int(np.count_nonzero((s >= lo) & (s <= hi)))
+        with workspace() as ws:
+            s = problem.points(n, a, b, out=ws.f[0][: b - a])
+            mask = ws.mask[: b - a]
+            # lo <= hi: the points in [lo, hi] are those <= hi less those < lo
+            inside = np.count_nonzero(np.less_equal(s, hi, out=mask))
+            return int(inside - np.count_nonzero(np.less(s, lo, out=mask)))
 
     empirical = map_reduce_int(kernel, 1, n + 1, threads=threads) / n
     phi = problem.limit().value
@@ -390,12 +462,13 @@ def dirichlet_weak(n: int, threads: int = 1) -> SolveResult:
     The floor sum is exact integer arithmetic; the limit is 2*gamma - 1.
     """
     n = _check_n(n)
-    total = map_reduce_int(
-        lambda a, b: int(np.sum(n // np.arange(a, b, dtype=np.int64))),
-        1,
-        n + 1,
-        threads=threads,
-    )
+
+    def kernel(a: int, b: int) -> int:
+        with workspace(b - a) as ws:
+            i = _indices(a, b, ws.f[0][: b - a].view(np.int64))
+            return int(np.floor_divide(n, i, out=i).sum())
+
+    total = map_reduce_int(kernel, 1, n + 1, threads=threads)
     empirical = total / n - math.log(n)
     closed = 2.0 * EULER_GAMMA - 1.0
     return _result(empirical, closed, n, "(1/n) sum floor(n/i) - ln n vs 2*gamma - 1")
@@ -474,8 +547,17 @@ def polynomial_family(
     g_norm = (n / spec.norm_b) ** (1.0 / spec.norm_r)
     coeffs = np.asarray(spec.p_coeffs, dtype=np.float64)
 
-    def points(n: int, a: int, b: int) -> np.ndarray:
-        return np.polyval(coeffs, np.arange(a, b, dtype=np.float64)) / n
+    def points(n: int, a: int, b: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        # np.polyval's Horner steps, in place
+        m = b - a
+        y = np.empty(m) if out is None else out
+        with workspace(m) as ws:
+            x = _indices(a, b, ws.f[0][:m])
+            y.fill(0.0)
+            for c in coeffs:
+                np.multiply(y, x, out=y)
+                np.add(y, c, out=y)
+        return np.divide(y, n, out=y)
 
     empirical = _mean_sum(spec.f, points, n, count, threads) / g_norm
     meta = (

@@ -3,7 +3,8 @@ and the limit CDF of the fractional parts of n/i.
 
 Digamma and trigamma use upward recurrence to a threshold plus the asymptotic
 expansion with Bernoulli-number terms through B14; the Hurwitz zeta uses
-Euler-Maclaurin.  The Euler-Mascheroni constant is a hard-coded literal.
+Euler-Maclaurin from a start that grows with s.  The Euler-Mascheroni
+constant is a hard-coded literal.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015329
 
-# Argument above which the asymptotic expansions are accurate to ~1e-13.
+# Argument above which the digamma expansion is accurate to ~1e-13.
 _ASY_THRESHOLD = 6.0
+
+# Argument above which the trigamma expansion is accurate to ~1e-16 relative:
+# its first omitted term, B16/x**17, is 7e-17 at x = 10 (4e-13 at x = 6).
+_TRI_THRESHOLD = 10.0
 
 # B_{2n}/(2n) for n = 1..7 (through B14), as used by the digamma expansion.
 _PSI_TAIL = (
@@ -70,6 +75,14 @@ _B2J = (
 # Shift the Euler-Maclaurin start so the expansion argument is at least this.
 _ZETA_START = 12.0
 
+# log(|B18| / 18!): the first omitted Euler-Maclaurin term of the zeta sums is
+# |B18|/18! (s)_17 a**(-s-17), against a leading term a**(1-s)/(s-1).
+_LOG_B18 = math.log(43867.0 / 798.0) - math.lgamma(19.0)
+
+# The head of the zeta sum stops once the terms left are below this fraction
+# of it.
+_ZETA_NEGLIGIBLE = 2.0**-60
+
 # Largest n whose harmonic number is summed term by term (about 10 ms); above
 # it the expansion's first omitted term, 1/(120 n**4), is below 1e-25.
 _HARMONIC_SUM_MAX = 1 << 20
@@ -97,13 +110,13 @@ def digamma(x: float) -> float:
 def trigamma(x: float) -> float:
     """Derivative of digamma: sum of 1/(m+x)^2 over m >= 0, for x > 0.
 
-    Absolute error is below 1e-10.
+    Relative error is below 1e-15, measured against mpmath on [1e-6, 1e6].
     """
     x = float(x)
     if not x > 0.0:
         raise ValueError("trigamma requires x > 0")
     acc = 0.0
-    while x < _ASY_THRESHOLD:
+    while x < _TRI_THRESHOLD:
         acc += 1.0 / (x * x)
         x += 1.0
     w = 1.0 / (x * x)
@@ -117,8 +130,12 @@ def hurwitz_zeta(s: float, x: float) -> float:
     """Hurwitz zeta: sum of (m+x)^(-s) over m >= 0, for s > 1 and x > 0.
 
     Euler-Maclaurin with the correction series through B16, at the argument
-    shifted to at least 12.  The omitted remainder grows with s: measured
-    against mpmath, the relative error reaches 2.0e-12 at s = 10, x = 12.
+    x + m shifted to at least 12 and to where the first omitted term is below
+    2**-53 of the leading one (about 1.1 s for large s).  The head terms
+    before it stop early once the rest of the series, at most
+    (x+m)**(1-s)/(s-1), is below 2**-60 of their sum.  Measured against
+    mpmath at 120 digits, the relative error is below 2e-15 for s <= 30 and
+    x in [1e-3, 1e3].  At s = inf it is the limit x**-inf.
     """
     s = float(s)
     x = float(x)
@@ -126,10 +143,26 @@ def hurwitz_zeta(s: float, x: float) -> float:
         raise ValueError("hurwitz_zeta requires s > 1")
     if not x > 0.0:
         raise ValueError("hurwitz_zeta requires x > 0")
+    if s == math.inf:
+        # the limit: every term after the first is 0
+        return x ** -s
+    # log of (first omitted term) / (2**-53 * leading term) at a = 1; the
+    # ratio falls as a**-18 (the cap keeps exp finite for s near 1e308)
+    log_ratio = math.fsum(
+        [_LOG_B18, 53 * math.log(2.0), math.log(s - 1.0)] + [math.log(s + j) for j in range(17)]
+    )
+    start = max(_ZETA_START, math.exp(min(log_ratio / 18.0, 709.0)))
+    terms = []
+    total = 0.0
     shift = 0
-    while x + shift < _ZETA_START:
+    while x + shift < start:
+        term = (x + shift) ** (-s)
+        terms.append(term)
+        total += term
         shift += 1
-    head = math.fsum((x + m) ** (-s) for m in range(shift))
+        if term * (x + shift - 1) <= _ZETA_NEGLIGIBLE * (s - 1.0) * total:
+            return math.fsum(terms)
+    head = math.fsum(terms)
     a = x + shift
     value = head + a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** (-s)
     poch = s

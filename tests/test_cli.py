@@ -197,12 +197,12 @@ class TestSweepCommand:
         kernel = problems._reciprocal_frac_chunk
         seen = []
 
-        def bounded(n, start, stop):
+        def bounded(n, start, stop, out=None):
             assert stop - start <= CHUNK
             seen.append(n)
             if seen.count(10**11) == 3:
                 raise Stop
-            return kernel(n, start, stop)
+            return kernel(n, start, stop, out=out)
 
         monkeypatch.setattr(problems, "_reciprocal_frac_chunk", bounded)
         with pytest.raises(Stop):
@@ -301,6 +301,12 @@ class TestSpecialCommand:
         code, out, err = run_cli(["special", "trigamma", "--x", "1e-200"], capsys)
         assert (code, out) == (3, "")
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("x,code", [("2", 0), ("0.5", 3)])
+    def test_hurwitz_at_infinite_s_returns_at_once(self, x, code, capsys):
+        start = time.perf_counter()
+        assert run_cli(["special", "hurwitz", "--s", "inf", "--x", x], capsys)[0] == code
+        assert time.perf_counter() - start < 0.5
 
     def test_hurwitz_overflow_exits_3(self, capsys):
         code, out, err = run_cli(["special", "hurwitz", "--s", "1e300", "--x", "0.5"], capsys)

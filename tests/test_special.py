@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ class TestHurwitzZeta:
             integrand = lambda t: (t / -math.expm1(-t)) * math.exp(-t * x)
             val = adaptive_quadrature(integrand, 0.0, 60.0 / x, tol=1e-9).value
             assert abs(val - hurwitz_zeta(2.0, x)) <= 1e-6
+
+    def test_huge_s_stops_early(self):
+        # the head sum stops once the rest is negligible, instead of running
+        # up to the expansion start of about 1.1 s
+        assert hurwitz_zeta(1e9, 1.0) == 1.0
+        assert hurwitz_zeta(1e300, 2.0) == 0.0
+        assert hurwitz_zeta(1.7e308, 1.0) == 1.0
+        assert hurwitz_zeta(1e6, 1.0 + 2.0**-30) == (1.0 + 2.0**-30) ** -1e6
+
+    @pytest.mark.parametrize(
+        "x,expected", [(0.5, math.inf), (1.0, 1.0), (2.0, 0.0), (1e308, 0.0), (math.inf, 0.0)]
+    )
+    def test_infinite_s_is_the_limit(self, x, expected):
+        # the head loop's stop test reads inf * 0 = nan at s = inf, so this
+        # case is answered before it
+        start = time.perf_counter()
+        assert hurwitz_zeta(math.inf, x) == expected
+        assert time.perf_counter() - start < 0.5
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -254,10 +273,25 @@ class TestAgainstMpmath:
         assert self.worst(digamma, mp.digamma, lambda v: max(1.0, abs(v))) <= 1e-12
 
     def test_trigamma(self, mp):
-        # absolute where psi' <= 1, relative above (measured 3.4e-13); the
-        # pure relative error reaches 1.8e-12 at x ~ 6.03, just above the
-        # asymptotic-expansion threshold
+        # absolute where psi' <= 1, relative above
         assert self.worst(trigamma, lambda x: mp.psi(1, x), lambda v: max(1.0, v)) <= 1e-12
+
+    def test_trigamma_relative_across_the_expansion_threshold(self, mp):
+        # the expansion starts at x = 10; started at 6 with the same terms,
+        # the relative error was 1.9e-12 at x = 6.0 (measured 6.9e-16 here)
+        xs = np.concatenate([self.XS, np.linspace(5.5, 12.5, 1401)])
+        assert self.worst(trigamma, lambda x: mp.psi(1, x), abs, xs) <= 1e-12
+
+    @pytest.mark.parametrize("s", [5.0, 8.0, 10.0, 12.0, 20.0, 30.0])
+    def test_hurwitz_zeta_relative_at_larger_s(self, mp, s):
+        # the Euler-Maclaurin start grows with s; fixed at 12, the relative
+        # error was 2.0e-12 at s = 10, x = 12 and 1.6e-6 at s = 30.  mpmath's
+        # own zeta is off by 2e-13 at s = 30, x = 100 at 60 digits, so the
+        # reference takes 120 (measured 1.4e-15 at s = 30)
+        xs = np.concatenate([np.geomspace(1e-3, 1e2, 61), np.linspace(11.0, 1.2 * s + 14.0, 61)])
+        with mp.workdps(120):
+            worst = self.worst(lambda x: hurwitz_zeta(s, x), lambda x: mp.zeta(s, x), abs, xs)
+        assert worst <= 1e-14
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 4.0])
     def test_hurwitz_zeta(self, mp, s):
