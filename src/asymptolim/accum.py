@@ -52,7 +52,7 @@ _UNIT = 1 << 1074
 
 class Workspace:
     """Scratch arrays of ``size`` values: three float64 ``f`` and a bool
-    ``mask``.  The holder may view an ``f`` array as int64."""
+    ``mask``.  The holder may view an ``f`` array as int64 or bool."""
 
     __slots__ = ("f", "mask")
 

@@ -70,6 +70,9 @@ from .stieltjes import (
 SCHEMA_VERSION = 1
 THREADS_ENV = "ASYMPTOLIM_THREADS"
 
+# Most grid values a start:stop:step range may expand to.
+MAX_GRID = 10_000
+
 
 class CliError(ValueError):
     """Invalid configuration or arguments (exit code 2)."""
@@ -292,7 +295,7 @@ INTEGRATE = {
         f.fn, f.derivative, phi.value, (a, b), tol=c.tolerance
     ),
     "oracle": lambda f, phi, a, b, c: riemann_stieltjes_oracle(
-        f.fn, phi.value, (a, b), levels=c.levels or 12
+        f.fn, phi.value, (a, b), levels=_default(c.levels, 12)
     ),
 }
 
@@ -395,8 +398,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0 or stop < start:
             raise CliError("grid range needs stop >= start and step > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + j * step for j in range(count))
+        # floor(span) + 1 values; a NaN or infinite span fails the bound too
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID:
+            raise CliError(f"grid range must have at most {MAX_GRID} values")
+        return tuple(start + j * step for j in range(int(span) + 1))
     pts = tuple(float(p) for p in text.split(",") if p.strip())
     if not pts:
         raise CliError("grid must not be empty")
@@ -466,7 +472,7 @@ def _run_sweep(config: RunConfig) -> dict:
     if any(not (domain[0] < t < domain[1]) for t in grid):
         raise CliError(f"grid must lie strictly inside {domain}")
     report = cdf_sequence_probe(
-        problem.points, phi, grid=grid, n_list=n_list, threads=config.threads
+        problem, phi, grid=grid, n_list=n_list, threads=config.threads
     )
     return {
         "grid": [float(t) for t in report.grid],

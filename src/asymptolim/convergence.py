@@ -1,9 +1,12 @@
 """Convergence-in-distribution diagnostics.
 
-Probes the point sets of a stream against a limit CDF on a grid, compares
+Probes the point sets of a problem against a limit CDF on a grid, compares
 characteristic functions, applies the countable-boundary continuity-set
 criterion, and checks that variations converge to the variation of the
-limit.
+limit.  The probe counts through the problem's ``count`` (see
+``problems.Problem``), which settles exactly, by the problem's ``band`` and
+``settle`` rule, every point that rounding could have moved across a grid
+value.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .accum import fsum_array, map_reduce_int
+from .accum import fsum_array
 from .measure import AtomicMeasure
 from .stieltjes import Partition1D, SmoothCdf, variation
 
@@ -110,28 +113,8 @@ def _target_value(target) -> Callable[[float], float]:
     raise TypeError("target must be a SmoothCdf or a callable")
 
 
-def _streamed_cdf(
-    points: Callable[[int, int, int], np.ndarray], n: int, sorted_grid: np.ndarray, threads: int
-) -> np.ndarray:
-    """count(x <= g) / n at each sorted grid value g over the n streamed
-    points, tallied one fixed chunk at a time: exact counts, rounded once."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    bins = sorted_grid.size + 1
-
-    def tally(start: int, stop: int) -> np.ndarray:
-        x = points(n, start, stop)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("points must be finite")
-        # bin j holds the points in (g[j-1], g[j]]
-        return np.bincount(np.searchsorted(sorted_grid, x, side="left"), minlength=bins)
-
-    counts = map_reduce_int(tally, 1, n + 1, threads=threads)
-    return np.cumsum(counts[:-1]) / n
-
-
 def cdf_sequence_probe(
-    points: Callable[[int, int, int], np.ndarray],
+    problem,
     target,
     grid: Optional[Sequence[float]] = None,
     n_list: Sequence[int] = (10, 100, 1000),
@@ -139,20 +122,21 @@ def cdf_sequence_probe(
     jump_tol: float = 1e-3,
     threads: int = 1,
 ) -> ConvergenceReport:
-    """Evaluate the CDFs of a point stream against the target CDF on a grid.
+    """Evaluate the CDFs of a problem's point sets against the target CDF on
+    a grid.
 
-    ``points(n, start, stop)`` returns the points with index in
-    ``[start, stop)`` out of ``1..n``; the n-th measure puts weight 1/n on
-    each of its n points.
+    ``problem.count(n, grid, threads)`` returns, for each grid value t, how
+    many of the n points of the n-th set are <= t, as ``problems.Problem``
+    does; the n-th measure puts weight 1/n on each of its points.
 
     Grid points are expected to be continuity points of the target; as a
     guard, any point where target(x + h) - target(x - h) exceeds
     ``jump_tol`` is recorded in ``excluded`` and left out of the sup errors.
     Non-decaying errors are flagged, not failed.
 
-    The points are counted chunk by chunk in O(CHUNK) memory, and the CDF
-    values are exact counts over n; chunking does not depend on
-    ``threads``, so neither do the values.
+    The CDF values are the exact counts over n, rounded once; a
+    ``Problem`` counts chunk by chunk in O(CHUNK) memory, and its chunking
+    does not depend on ``threads``, so neither do the values.
     """
     value = _target_value(target)
     pts = tuple(float(t) for t in (DEFAULT_GRID if grid is None else grid))
@@ -171,14 +155,10 @@ def cdf_sequence_probe(
     if not included:
         raise ValueError("every grid point sits on a target jump")
 
-    order = np.argsort(pts, kind="stable")
-    sorted_grid = np.asarray(pts)[order]
     rows = []
     sups = []
     for n in ns:
-        values = np.empty(len(pts))
-        values[order] = _streamed_cdf(points, n, sorted_grid, threads)
-        row = tuple(float(v) for v in values)
+        row = tuple(float(v) for v in problem.count(n, pts, threads) / n)
         rows.append(row)
         sups.append(max(abs(row[j] - targets[j]) for j in included))
     decay = tuple(bool(b <= a) for a, b in zip(sups, sups[1:]))

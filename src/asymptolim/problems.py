@@ -4,9 +4,11 @@ Each solver returns the empirical value at a finite index n, the closed-form
 limit, and their absolute gap.  Index loops run over fixed chunks with
 exact partial sums reduced by one correctly rounded sum, so results are
 bit-identical for every thread count.  Fractional parts of rationals are
-derived from integer remainders and rounded once.  The CDF solvers count the
-rounded points against t and settle in exact integer arithmetic every point
-that rounding could have moved across t, so no point is misclassified.
+derived from integer remainders and rounded once.  Every count of points
+<= t (the CDF solvers, the interval proportion, the sweep) is
+``Problem.count``: it compares the rounded points with t and settles in exact
+integer arithmetic every point that rounding could have moved across t, so
+no point is misclassified.
 """
 
 from __future__ import annotations
@@ -284,10 +286,60 @@ class Problem:
     ``points(n, start, stop, out=None)`` returns the points with index in
     ``[start, stop)`` out of ``1..n``, written into ``out`` when it is given
     and into a fresh array otherwise; ``limit()`` builds the limit CDF.
+
+    A problem whose float points are rounded values of exact points names
+    its exactness rule: every rounded point with index below ``stop`` lies
+    within ``band(stop)`` of its exact point x_i, and ``settle(n, i, T)``
+    decides x_i <= T exactly for a Fraction T.  Without a rule the float
+    points are the points.
     """
 
     points: Callable[[int, int, int], np.ndarray]
     limit: Callable[[], SmoothCdf]
+    band: Optional[Callable[[int], float]] = None
+    settle: Optional[Callable[[int, int, Fraction], bool]] = None
+
+    def count(self, n: int, ts: Sequence, threads: int = 1) -> np.ndarray:
+        """#{i in 1..n : x_i <= t} for each threshold t in ``ts``, as int64.
+
+        The points are streamed one chunk at a time into the thread's
+        workspace and compared with each threshold in turn.  With a settle
+        rule, a point farther than the band from float(t) lies on the same
+        side of t as x_i and is counted by the compare; a point inside the
+        band is settled against T = Fraction(t) (of float(t) unless t is
+        rational), built only when such a point occurs.  A NaN threshold or
+        a non-finite point raises ValueError.
+        """
+        n = _check_n(n)
+        ts = tuple(ts)
+        tfs = tuple(float(t) for t in ts)
+        if any(math.isnan(tf) for tf in tfs):
+            raise ValueError("t must be a number, got nan")
+
+        def kernel(a: int, b: int) -> np.ndarray:
+            m = b - a
+            counts = np.empty(len(ts), dtype=np.int64)
+            with workspace() as ws:
+                x = self.points(n, a, b, out=ws.f[0][:m])
+                mask = ws.mask[:m]
+                if not np.isfinite(x, out=mask).all():
+                    raise ValueError("points must be finite")
+                below = ws.f[1].view(np.bool_)[:m]
+                w = self.band(b) if self.settle else 0.0
+                for j, (t, tf) in enumerate(zip(ts, tfs)):
+                    counts[j] = np.count_nonzero(np.less_equal(x, tf + w, out=mask))
+                    if not self.settle:
+                        continue
+                    exact = np.count_nonzero(np.less(x, tf - w, out=below))
+                    if exact < counts[j]:
+                        # the band: x <= tf + w and not x < tf - w
+                        mask &= np.logical_not(below, out=below)
+                        T = Fraction(t if isinstance(t, numbers.Rational) else tf)
+                        exact += sum(self.settle(n, int(i), T) for i in np.flatnonzero(mask) + a)
+                    counts[j] = exact
+            return counts
+
+        return map_reduce_int(kernel, 1, n + 1, threads=threads)
 
 
 # sweep name -> problem; streams call the kernels through module globals, so
@@ -297,18 +349,27 @@ PROBLEMS = {
     "canonical-uniform": Problem(
         lambda n, a, b, out=None: _uniform_chunk(n, a, b, out=out), uniform_cdf
     ),
-    # uniform weights on the fractional parts of sqrt(k), k <= n
+    # uniform weights on the fractional parts of sqrt(k), k <= n: the rounded
+    # sqrt(k) less the exact isqrt(k) is within half the float spacing at
+    # sqrt(k), and {sqrt k} <= T exactly when k <= (isqrt(k) + T)**2
     "example1": Problem(
-        lambda n, a, b, out=None: _sqrt_frac_chunk(a, b, out=out), uniform_cdf
+        lambda n, a, b, out=None: _sqrt_frac_chunk(a, b, out=out),
+        uniform_cdf,
+        band=lambda stop: np.spacing(math.sqrt(stop)),
+        settle=lambda n, k, T: k <= (math.isqrt(k) + T) ** 2,
     ),
     # uniform weights on sin(2*pi*{sqrt k}), k <= n
     "example2": Problem(
         lambda n, a, b, out=None: _sin_2pi_sqrt_frac_chunk(a, b, out=out), arcsin_cdf
     ),
-    # uniform weights on {n/i} = (n mod i)/i, i <= n
+    # uniform weights on {n/i} = (n mod i)/i, i <= n: each point is correctly
+    # rounded and rounding is monotone, so only a point equal to float(T) can
+    # be on the other side of T, where (n mod i) <= T*i decides
     "example3": Problem(
         lambda n, a, b, out=None: _reciprocal_frac_chunk(n, a, b, out=out),
         frac_limit_smooth_cdf,
+        band=lambda stop: 0.0,
+        settle=lambda n, i, T: n % i <= T * i,
     ),
 }
 
@@ -317,58 +378,14 @@ PROBLEMS = {
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _count_at_most(
-    points: Callable, band: Callable, settle: Callable, n: int, t, threads: int = 1
-) -> int:
-    """Exact number of indices i in 1..n whose exact point x_i is <= t.
-
-    ``points(n, a, b, out=...)`` streams the rounded x_i for i in [a, b)
-    into the thread's workspace, each within ``band(b)`` of x_i.  A point
-    farther than the band from float(t) lies on the same side of t as x_i
-    and is counted by one numpy compare; a point inside the band is settled
-    by ``settle(n, i, T)``, the exact test x_i <= T against T = Fraction(t)
-    (of float(t) unless t is rational), built only when such a point occurs.
-    """
-    tf = float(t)
-
-    def kernel(a: int, b: int) -> int:
-        with workspace() as ws:
-            x = points(n, a, b, out=ws.f[0][: b - a])
-            mask = ws.mask[: b - a]
-            w = band(b)
-            lo, hi = tf - w, tf + w
-            below = int(np.count_nonzero(np.less(x, lo, out=mask)))
-            if np.count_nonzero(np.less_equal(x, hi, out=mask)) == below:
-                return below
-            exact = Fraction(t if isinstance(t, numbers.Rational) else tf)
-            near = np.flatnonzero((x >= lo) & (x <= hi)) + a
-            return below + sum(settle(n, int(i), exact) for i in near)
-
-    return map_reduce_int(kernel, 1, n + 1, threads=threads)
-
-
 def sqrt_frac_cdf(n: int, t: Union[float, Fraction]) -> float:
-    """Exact proportion of k <= n with {sqrt k} <= t.
-
-    {sqrt k} is the correctly rounded sqrt(k) minus the exact isqrt(k), so it
-    is off by at most half the float spacing at sqrt(k); a point within the
-    chunk's largest such spacing of t is settled exactly as
-    k <= (isqrt(k) + t)**2.
-    """
+    """Exact proportion of k <= n with {sqrt k} <= t, for float or rational t."""
     n = _check_n(n)
-    _check_t(t)
     if float(t) < 0.0:
         return 0.0
     if float(t) >= 1.0:
         return 1.0
-    count = _count_at_most(
-        PROBLEMS["example1"].points,
-        lambda stop: np.spacing(math.sqrt(stop)),
-        lambda n, k, t: k <= (math.isqrt(k) + t) ** 2,
-        n,
-        t,
-    )
-    return count / n
+    return int(PROBLEMS["example1"].count(n, (t,))[0]) / n
 
 
 def sequence_average(
@@ -393,16 +410,9 @@ def interval_proportion_sin(
         raise ValueError("need -1 <= lo <= hi <= 1")
 
     problem = PROBLEMS["example2"]
-
-    def kernel(a: int, b: int) -> int:
-        with workspace() as ws:
-            s = problem.points(n, a, b, out=ws.f[0][: b - a])
-            mask = ws.mask[: b - a]
-            # lo <= hi: the points in [lo, hi] are those <= hi less those < lo
-            inside = np.count_nonzero(np.less_equal(s, hi, out=mask))
-            return int(inside - np.count_nonzero(np.less(s, lo, out=mask)))
-
-    empirical = map_reduce_int(kernel, 1, n + 1, threads=threads) / n
+    # lo <= hi: the points in [lo, hi] are those <= hi less those < lo
+    below, inside = problem.count(n, (math.nextafter(lo, -math.inf), hi), threads)
+    empirical = int(inside - below) / n
     phi = problem.limit().value
     closed = phi(hi) - phi(lo)
     return _result(empirical, closed, n, "proportion of sin(2*pi*{sqrt k}) in [lo, hi]")
@@ -411,23 +421,10 @@ def interval_proportion_sin(
 def frac_n_over_i_cdf(
     n: int, t: Union[float, Fraction], threads: int = 1
 ) -> SolveResult:
-    """Proportion of i <= n with {n/i} <= t, against the digamma closed form.
-
-    Each point (n mod i)/i is correctly rounded and rounding is monotone, so
-    a point below or above float(t) is on that side of t; only a point equal
-    to float(t) is settled, exactly, as (n mod i) <= t*i.  The count is exact
-    for float t and for any rational t.
-    """
+    """Exact proportion of i <= n with {n/i} <= t, for float or rational t,
+    against the digamma closed form."""
     n = _check_n(n)
-    _check_t(t)
-    count = _count_at_most(
-        PROBLEMS["example3"].points,
-        lambda stop: 0.0,
-        lambda n, i, t: n % i <= t * i,
-        n,
-        t,
-        threads,
-    )
+    count = int(PROBLEMS["example3"].count(n, (t,), threads)[0])
     closed = frac_limit_cdf(float(t))
     return _result(count / n, closed, n, "proportion of {n/i} <= t vs limit CDF")
 
@@ -587,8 +584,3 @@ def _check_n(n, limit: float = _MAX_INDEX) -> int:
         raise ValueError(f"n must be <= 2**52 for index solvers, got {n}")
     return n
 
-
-def _check_t(t) -> None:
-    """Reject a NaN threshold, which every compare would silently count as 0."""
-    if math.isnan(t):
-        raise ValueError("t must be a number, got nan")

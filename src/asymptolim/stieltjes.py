@@ -164,6 +164,10 @@ def delta_box(phi: Callable, box: HyperBox) -> float:
 # Total variation on nested dyadic partitions
 # ---------------------------------------------------------------------------
 
+# Deepest 1-D dyadic partition: 2**22 + 1 points, 32 MiB of float64.
+_MAX_DEPTH = 22
+
+
 def _refine_until_stable(partition_sum, first_depth, max_depth, tol, stable_rounds) -> float:
     """``partition_sum(depth)`` for depth = first_depth.. max_depth, until
     ``stable_rounds`` refinements in a row change it by less than ``tol``."""
@@ -187,7 +191,7 @@ def variation(
     phi: Callable,
     window: tuple[float, float],
     tol: float = 1e-9,
-    max_depth: int = 22,
+    max_depth: int = _MAX_DEPTH,
     stable_rounds: int = 2,
 ) -> float:
     """Total variation of ``phi`` on ``window`` via nested dyadic partitions.
@@ -457,6 +461,8 @@ def riemann_stieltjes_oracle(
     the increment of ``phi``; the caller inspects stabilization across
     levels.  Used as an independent check of the quadrature route.
     """
+    if not 1 <= levels <= _MAX_DEPTH:
+        raise ValueError(f"levels must be in 1..{_MAX_DEPTH}, got {levels}")
     a, b = float(interval[0]), float(interval[1])
     sums = []
     for level in range(1, levels + 1):

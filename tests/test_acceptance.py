@@ -88,7 +88,7 @@ def test_criterion_3_example3_reproduction():
     with criterion(3, "CDF of {n/i} vs digamma closed form: sup <= 2e-2, decaying"):
         n_list = (10**3, 10**4, 10**5, 10**6)
         report = cdf_sequence_probe(
-            PROBLEMS["example3"].points,
+            PROBLEMS["example3"],
             frac_limit_smooth_cdf(),
             grid=DEFAULT_GRID,
             n_list=n_list,

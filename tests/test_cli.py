@@ -10,6 +10,7 @@ import pytest
 from asymptolim import EULER_GAMMA
 from asymptolim.problems import PROBLEMS
 from asymptolim.cli import (
+    MAX_GRID,
     RunConfig,
     config_from_args,
     build_parser,
@@ -167,19 +168,42 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_grid_range_at_the_bound(self, capsys):
+        rep = report_of(
+            ["sweep", "canonical-uniform", "--n", "1", "--grid", "1e-5:0.1:1e-5"], capsys
+        )
+        assert len(rep["result"]["grid"]) == MAX_GRID
+
+    @pytest.mark.parametrize("step", ["1.25e-9", "1e-320"])
+    def test_grid_range_over_the_bound_exits_2(self, step, capsys):
+        # 6.4e8 values at 1.25e-9; an infinite count at 1e-320
+        code, out, err = run_cli(
+            ["sweep", "example1", "--n", "10", "--grid", f"0.1:0.9:{step}"], capsys
+        )
+        assert code == 2 and out == ""
+        assert f"at most {MAX_GRID} values" in err
+
+    def test_sweep_settles_the_sqrt_near_miss(self, capsys):
+        # the float compare counted 1502: one rounded {sqrt k} falls to the
+        # grid value while the exact one exceeds it
+        rep = report_of(
+            ["sweep", "example1", "--n", "1000002", "--grid", "0.0009999994999816408"], capsys
+        )
+        assert rep["result"]["cdf_values"] == [[1501 / 1000002]]
+
     def test_non_increasing_n_exits_2(self, capsys):
         code, _, _ = run_cli(["sweep", "canonical-uniform", "--n", "100,10"], capsys)
         assert code == 2
 
     @pytest.mark.parametrize("n", [2**52 + 1, 10**16])
     def test_n_above_kernel_domain_exits_2(self, n, monkeypatch, capsys):
-        from asymptolim import convergence, problems
+        from asymptolim import problems
 
         def no_points(*args, **kwargs):
             raise AssertionError("point stream reached")
 
         monkeypatch.setattr(problems, "_reciprocal_frac_chunk", no_points)
-        monkeypatch.setattr(convergence, "map_reduce_int", no_points)
+        monkeypatch.setattr(problems, "map_reduce_int", no_points)
         code, out, err = run_cli(["sweep", "example3", "--n", f"10,{n}"], capsys)
         assert code == 2 and out == ""
         assert "2**52" in err
@@ -255,6 +279,23 @@ class TestIntegrateCommand:
         levels = rep["result"]["levels"]
         assert len(levels) == 12
         assert levels[-1] == pytest.approx(1 / 3, abs=1e-2)
+
+    @pytest.mark.parametrize("levels", ["-3", "0", "23", "40"])
+    def test_oracle_levels_out_of_range_exit_2(self, levels, capsys):
+        # 40 would ask for a 2**40-point partition; 0 used to run 12 levels
+        code, out, err = run_cli(
+            ["integrate", "--f", "id", "--phi", "sqrt", "--method", "oracle", "--levels", levels],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "levels must be in 1..22" in err
+
+    def test_oracle_single_level(self, capsys):
+        rep = report_of(
+            ["integrate", "--f", "id", "--phi", "sqrt", "--method", "oracle", "--levels", "1"],
+            capsys,
+        )
+        assert len(rep["result"]["levels"]) == 1
 
     def test_impossible_tolerance_exits_3(self, capsys):
         code, _, err = run_cli(

@@ -18,18 +18,20 @@ from asymptolim.accum import CHUNK
 from asymptolim.convergence import DEFAULT_GRID
 from asymptolim.problems import (
     PROBLEMS,
+    Problem,
     frac_limit_smooth_cdf,
+    frac_n_over_i_cdf,
     reciprocal_frac_boundary,
+    sqrt_frac_cdf,
     uniform_cdf,
 )
+from test_problems import exact_frac_count, exact_sqrt_count
 
 
 class TestCdfSequenceProbe:
     def test_canonical_family_error_bound(self):
         report = cdf_sequence_probe(
-            PROBLEMS["canonical-uniform"].points,
-            uniform_cdf(),
-            n_list=(10, 100, 1000),
+            PROBLEMS["canonical-uniform"], uniform_cdf(), n_list=(10, 100, 1000)
         )
         assert report.grid == DEFAULT_GRID
         for n, sup in zip(report.n_list, report.sup_errors):
@@ -43,20 +45,20 @@ class TestCdfSequenceProbe:
         atoms = np.array([0.1, 0.4, 0.9])
         cdf = StepCdf(from_points(atoms))
         # the n-th point set repeats the three atoms n/3 times
-        points = lambda n, a, b: atoms[np.arange(a, b) % 3]
+        points = Problem(lambda n, a, b, out=None: atoms[np.arange(a, b) % 3], uniform_cdf)
         report = cdf_sequence_probe(points, lambda t: cdf(t), n_list=(6, 60))
         assert report.sup_errors == (0.0, 0.0)
 
     def test_sqrt_frac_family_decays(self):
         report = cdf_sequence_probe(
-            PROBLEMS["example1"].points, uniform_cdf(), n_list=(1000, 10_000, 100_000)
+            PROBLEMS["example1"], uniform_cdf(), n_list=(1000, 10_000, 100_000)
         )
         assert report.sup_errors[-1] <= 0.01
         assert report.sup_errors[-1] <= report.sup_errors[0]
 
     def test_jump_points_are_excluded(self):
         step = lambda t: 0.0 if t < 0.5 else 1.0
-        point_mass = lambda n, a, b: np.full(b - a, 0.5)
+        point_mass = Problem(lambda n, a, b, out=None: np.full(b - a, 0.5), uniform_cdf)
         report = cdf_sequence_probe(
             point_mass, step, grid=(0.25, 0.5, 0.75), n_list=(1, 2)
         )
@@ -68,8 +70,8 @@ class TestCdfSequenceProbe:
         rng = np.random.default_rng(89)
         pts = rng.random(500)
         shuffled = pts[rng.permutation(500)]
-        ordered = lambda n, a, b: pts[a - 1 : b - 1]
-        permuted = lambda n, a, b: shuffled[a - 1 : b - 1]
+        ordered = Problem(lambda n, a, b, out=None: pts[a - 1 : b - 1], uniform_cdf)
+        permuted = Problem(lambda n, a, b, out=None: shuffled[a - 1 : b - 1], uniform_cdf)
         rep_a = cdf_sequence_probe(ordered, uniform_cdf(), n_list=(500,))
         rep_b = cdf_sequence_probe(permuted, uniform_cdf(), n_list=(500,))
         assert rep_a.sup_errors == rep_b.sup_errors
@@ -79,7 +81,7 @@ class TestCdfSequenceProbe:
         # indices chosen so no grid point is an exact atom (real decay,
         # not ulp noise)
         report = cdf_sequence_probe(
-            PROBLEMS["canonical-uniform"].points, uniform_cdf(), n_list=(7, 73, 641)
+            PROBLEMS["canonical-uniform"], uniform_cdf(), n_list=(7, 73, 641)
         )
         assert report.converged(abs_tol=1e-2)
         assert not report.converged(abs_tol=1e-30)
@@ -89,14 +91,12 @@ class TestCdfSequenceProbe:
 
     def test_rejects_bad_n_list(self):
         with pytest.raises(ValueError):
-            cdf_sequence_probe(
-                PROBLEMS["canonical-uniform"].points, uniform_cdf(), n_list=(100, 10)
-            )
+            cdf_sequence_probe(PROBLEMS["canonical-uniform"], uniform_cdf(), n_list=(100, 10))
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             cdf_sequence_probe(
-                PROBLEMS["canonical-uniform"].points, uniform_cdf(), grid=(), n_list=(10,)
+                PROBLEMS["canonical-uniform"], uniform_cdf(), grid=(), n_list=(10,)
             )
 
 
@@ -110,19 +110,21 @@ STREAM_GRIDS = {
 
 
 class TestStreamedProbe:
-    """Point streams are counted chunk by chunk; the CDF at each grid point
-    is count(x <= t) / n, exactly."""
+    """Problems are counted chunk by chunk; the CDF at each grid point is
+    count(x <= t) / n, exactly: of the float points where they are the
+    points, and of the exact points of example1 and example3."""
 
-    # problem name -> (point stream, limit CDF, grid)
-    STREAMS = {
-        name: (problem.points, problem.limit, STREAM_GRIDS[name])
-        for name, problem in PROBLEMS.items()
-    }
     SIZES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
 
-    @staticmethod
-    def brute_force(points, n, grid):
-        x = np.sort(points(n, 1, n + 1))
+    # exact counts of the problems whose float points are rounded
+    EXACT = {"example1": exact_sqrt_count, "example3": exact_frac_count}
+
+    @classmethod
+    def brute_force(cls, name, n, grid):
+        if name in cls.EXACT:
+            counts = {t: cls.EXACT[name](n, t) for t in set(grid)}
+            return tuple(counts[t] / n for t in grid)
+        x = np.sort(PROBLEMS[name].points(n, 1, n + 1))
         return tuple(np.searchsorted(x, grid, side="right") / n)
 
     @staticmethod
@@ -136,25 +138,46 @@ class TestStreamedProbe:
         return ()
 
     @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("name", list(STREAMS))
+    @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_equals_brute_force_counts(self, name, n):
-        points, target, grid = self.STREAMS[name]
-        grid = grid + self.atom_grid(name, n)
-        report = cdf_sequence_probe(points, target(), grid=grid, n_list=(n,))
-        assert report.cdf_values[0] == self.brute_force(points, n, grid)
+        problem = PROBLEMS[name]
+        grid = STREAM_GRIDS[name] + self.atom_grid(name, n)
+        report = cdf_sequence_probe(problem, problem.limit(), grid=grid, n_list=(n,))
+        assert report.cdf_values[0] == self.brute_force(name, n, grid)
 
-    @pytest.mark.parametrize("name", list(STREAMS))
+    @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_agrees_with_whole_measure_route(self, name):
-        points, target, grid = self.STREAMS[name]
-        phi = target()
+        problem = PROBLEMS[name]
+        phi = problem.limit()
+        grid = STREAM_GRIDS[name]
         ns = (1, 999, CHUNK + 1)
-        streamed = cdf_sequence_probe(points, phi, grid=grid, n_list=ns)
+        streamed = cdf_sequence_probe(problem, phi, grid=grid, n_list=ns)
         assert streamed.excluded == ()
         for n, row, sup in zip(ns, streamed.cdf_values, streamed.sup_errors):
-            ref = StepCdf(from_points(points(n, 1, n + 1)))(np.asarray(grid))
+            if name in self.EXACT:
+                ref = self.brute_force(name, n, grid)
+            else:
+                ref = StepCdf(from_points(problem.points(n, 1, n + 1)))(np.asarray(grid))
             assert row == pytest.approx(tuple(ref), abs=1e-12, rel=0)
             ref_sup = max(abs(v - phi.value(g)) for v, g in zip(ref, grid))
             assert sup == pytest.approx(ref_sup, abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("n", [999, CHUNK + 1, 1000002])
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    def test_sweep_equals_cdf_solver(self, name, n):
+        solve = {
+            "example1": sqrt_frac_cdf,
+            "example3": lambda n, t: frac_n_over_i_cdf(n, t).empirical,
+        }[name]
+        problem = PROBLEMS[name]
+        report = cdf_sequence_probe(problem, problem.limit(), n_list=(n,))
+        assert report.cdf_values[0] == tuple(solve(n, t) for t in DEFAULT_GRID)
+
+    def test_settles_the_sqrt_near_miss(self):
+        # the rounded {sqrt k} of one k falls to t while the exact one exceeds t
+        n, t = 1000002, 0.0009999994999816408
+        report = cdf_sequence_probe(PROBLEMS["example1"], uniform_cdf(), grid=(t,), n_list=(n,))
+        assert report.cdf_values == ((1501 / n,),)
 
     def test_atom_at_half_is_counted(self):
         # {105/i} = 1/2 exactly for the seven i = 2d <= 105 with d | 105
@@ -162,7 +185,7 @@ class TestStreamedProbe:
         exact = sum(1 for i in range(1, n + 1) if (n % i) * 2 <= i)
         below = math.nextafter(0.5, 0.0)
         report = cdf_sequence_probe(
-            PROBLEMS["example3"].points, frac_limit_smooth_cdf(), grid=(0.5, below), n_list=(n,)
+            PROBLEMS["example3"], frac_limit_smooth_cdf(), grid=(0.5, below), n_list=(n,)
         )
         assert report.cdf_values == ((exact / n, (exact - 7) / n),)
 
@@ -170,28 +193,41 @@ class TestStreamedProbe:
         ns = (10, CHUNK + 1, 3 * CHUNK + 7)
         reports = [
             cdf_sequence_probe(
-                PROBLEMS["example3"].points, frac_limit_smooth_cdf(), n_list=ns, threads=t
+                PROBLEMS["example3"], frac_limit_smooth_cdf(), n_list=ns, threads=t
             )
             for t in (1, 2, 3)
         ]
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_non_finite_points_rejected(self):
-        def nan_after_one_chunk(n, start, stop):
+        def nan_after_one_chunk(n, start, stop, out=None):
             x = np.arange(start, stop, dtype=np.float64) / n
             x[x > 0.5] = np.nan
             return x
 
         n = 3 * CHUNK
         with pytest.raises(ValueError, match="points must be finite"):
-            cdf_sequence_probe(nan_after_one_chunk, uniform_cdf(), n_list=(n,))
+            cdf_sequence_probe(Problem(nan_after_one_chunk, uniform_cdf), uniform_cdf(), n_list=(n,))
         # the whole-measure route raises the same error
         with pytest.raises(ValueError, match="points must be finite"):
             from_points(nan_after_one_chunk(n, 1, n + 1))
 
+    def test_nan_grid_value_rejected_before_counting(self, monkeypatch):
+        # every compare with NaN is false: its CDF value would be a count of
+        # nothing against a NaN target, and the sup error would skip it
+        from asymptolim import problems
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("chunk loop reached")
+
+        monkeypatch.setattr(problems, "map_reduce_int", no_loop)
+        for name in PROBLEMS:
+            with pytest.raises(ValueError, match="nan"):
+                cdf_sequence_probe(PROBLEMS[name], uniform_cdf(), grid=(0.5, math.nan))
+
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            cdf_sequence_probe(PROBLEMS["canonical-uniform"].points, uniform_cdf(), n_list=(0, 10))
+            cdf_sequence_probe(PROBLEMS["canonical-uniform"], uniform_cdf(), n_list=(0, 10))
 
 
 class TestCharfn:

@@ -97,6 +97,15 @@ class TestIntervalProportionSin:
         assert abs(res.closed_form - 1.0 / 3.0) <= 1e-15
         assert res.abs_error <= 5e-3
 
+    def test_closed_interval_against_the_points(self):
+        # lo and hi are points themselves: both ends of [lo, hi] are counted
+        n = CHUNK + 5
+        s = np.sin(2.0 * math.pi * _sqrt_frac_chunk(1, n + 1))
+        for lo, hi in ((s[7], s[CHUNK + 2]), (s[3], s[3]), (-1.0, s[11])):
+            lo, hi = min(lo, hi), max(lo, hi)
+            inside = np.count_nonzero((s >= lo) & (s <= hi))
+            assert interval_proportion_sin(n, lo, hi).empirical == inside / n
+
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             interval_proportion_sin(10, -2.0, 0.5)

@@ -5,6 +5,7 @@ form and against the allocating formula it replaced, which is kept here as
 the oracle.
 """
 
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -16,9 +17,9 @@ from asymptolim import PolySpec, polynomial_family, sequence_average
 from asymptolim import accum
 from asymptolim.accum import CHUNK, Workspace, exact_partials, workspace
 from asymptolim.cli import resolve_function
+from asymptolim.convergence import cdf_sequence_probe
 from asymptolim.problems import (
     PROBLEMS,
-    _count_at_most,
     _mean_sum,
     _reciprocal_frac_chunk,
     _remainder_chunk,
@@ -317,11 +318,33 @@ class TestAllocation:
         assert rest < threads * 8 * CHUNK + 4 * CHUNK
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_count_at_most_peak(self, threads, monkeypatch):
-        points = PROBLEMS["example3"].points
-
-        def run():
-            _count_at_most(points, lambda stop: 0.0, lambda n, i, t: n % i <= t * i,
-                           self.N, 0.37, threads)
-
+    def test_count_peak(self, threads, monkeypatch):
+        problem = PROBLEMS["example3"]
+        run = lambda: problem.count(self.N, (0.37,), threads)
         assert self.traced_peak(run, threads, monkeypatch) < 4 * CHUNK
+
+    @pytest.mark.parametrize("name", ["example1", "example3"])
+    def test_probe_peak(self, name):
+        # the traced peak between one call of the point stream and the next:
+        # what the sweep's counting allocates, apart from the kernels' own
+        # casting buffers; the default grid holds 0.5, where {n/i} points
+        # are settled in one chunk of each n
+        real = PROBLEMS[name]
+        peaks = []
+
+        def points(n, a, b, out=None):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            x = real.points(n, a, b, out=out)
+            tracemalloc.reset_peak()
+            return x
+
+        problem = dataclasses.replace(real, points=points)
+        run = lambda: cdf_sequence_probe(problem, real.limit(), n_list=(self.N // 2, self.N))
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < CHUNK // 8
