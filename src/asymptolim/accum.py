@@ -35,6 +35,10 @@ import numpy as np
 # Fixed chunk width for index loops; never derived from the thread count.
 CHUNK = 1 << 17
 
+# Most worker threads a chunk loop starts: results never depend on the thread
+# count, and each thread keeps its own workspaces.
+MAX_THREADS = 256
+
 # Block width for anchored cumulative sums.
 _CUMSUM_BLOCK = 4096
 
@@ -187,7 +191,10 @@ def _map_ordered(
 
     A pool is started only for more than one range; at most ``2 * threads``
     chunks are in flight, so memory does not grow with the range count.
+    More than ``MAX_THREADS`` threads raise ValueError before any range runs.
     """
+    if threads > MAX_THREADS:
+        raise ValueError(f"threads must be <= {MAX_THREADS}, got {threads}")
     ranges = iter(ranges)
     head = list(islice(ranges, 2))
     if threads <= 1 or len(head) <= 1:

@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence, Union, get_args, get_origin, ge
 import numpy as np
 
 from . import __version__
+from .accum import MAX_THREADS
 from .convergence import DEFAULT_GRID, cdf_sequence_probe
 from .problems import (
     _MAX_INDEX,
@@ -422,8 +423,8 @@ def _resolve_threads(explicit: Optional[int]) -> int:
             explicit = int(env)
         except ValueError as exc:
             raise CliError(f"{THREADS_ENV} must be an integer") from exc
-    if explicit < 1:
-        raise CliError("threads must be >= 1")
+    if not 1 <= explicit <= MAX_THREADS:
+        raise CliError(f"threads must be in 1..{MAX_THREADS}")
     return explicit
 
 

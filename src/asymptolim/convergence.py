@@ -6,7 +6,8 @@ criterion, and checks that variations converge to the variation of the
 limit.  The probe counts through the problem's ``count`` (see
 ``problems.Problem``), which settles exactly, by the problem's ``band`` and
 ``settle`` rule, every point that rounding could have moved across a grid
-value.
+value.  A problem with a block layout is counted in O(sqrt n) per grid value,
+any other by streaming its n points.
 """
 
 from __future__ import annotations
@@ -135,8 +136,9 @@ def cdf_sequence_probe(
     Non-decaying errors are flagged, not failed.
 
     The CDF values are the exact counts over n, rounded once; a
-    ``Problem`` counts chunk by chunk in O(CHUNK) memory, and its chunking
-    does not depend on ``threads``, so neither do the values.
+    ``Problem`` counts in chunks of indices or of blocks, in O(CHUNK)
+    memory, and its chunking does not depend on ``threads``, so neither do
+    the values.
     """
     value = _target_value(target)
     pts = tuple(float(t) for t in (DEFAULT_GRID if grid is None else grid))

@@ -8,7 +8,11 @@ derived from integer remainders and rounded once.  Every count of points
 <= t (the CDF solvers, the interval proportion, the sweep) is
 ``Problem.count``: it compares the rounded points with t and settles in exact
 integer arithmetic every point that rounding could have moved across t, so
-no point is misclassified.
+no point is misclassified.  Where the points are monotone along O(sqrt n)
+blocks of indices (canonical-uniform, example1, example3), ``count`` decides
+only the points next to each block's boundary with t, in O(sqrt n) per
+threshold, and gets the streamed count; the divisor sum takes the hyperbola
+identity, O(sqrt n) as well.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .accum import (
     CHUNK,
+    Workspace,
     apply_to_array,
     exact_partials,
     map_reduce_fsum,
@@ -166,34 +171,56 @@ def _iota() -> np.ndarray:
 
 def _indices(start: int, stop: int, out: np.ndarray) -> np.ndarray:
     """start, ..., stop - 1 written into ``out`` (int64, or float64 below
-    2**53, where every such integer is exact)."""
+    2**53, where every such integer is exact).  A float64 ``out`` takes the
+    iota by a cast copy before start is added: a ufunc with an int64 operand
+    and a float64 output would cast through buffers of 8192 values."""
     m = stop - start
     iota = _iota()[:m] if m <= CHUNK else np.arange(m, dtype=np.int64)
-    return np.add(iota, start, out=out)
+    if out.dtype == iota.dtype:
+        return np.add(iota, start, out=out)
+    np.copyto(out, iota)
+    return np.add(out, start, out=out)
 
 
-def _sqrt_frac_chunk(start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Fractional parts of sqrt(k) for k in [start, stop), written into
-    ``out`` when it is given, else into a fresh array.
+def _sqrt_frac(k: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Fractional parts of sqrt(k) for the float64 integers ``k``, into
+    ``out``, with temporaries in the last two arrays of the workspace ``ws``
+    (its first may hold k).
 
     The floor of the one floating square root is corrected to the exact
     integer square root before it is subtracted (valid to k ~ 2**52, where
     k, f*f and (f+1)**2 are exact in float64).
     """
+    m = k.size
+    f, t = (a[:m] for a in ws.f[1:])
+    mask = ws.mask[:m]
+    np.sqrt(k, out=out)
+    np.floor(out, out=f)
+    np.add(f, 1.0, out=t)
+    np.multiply(t, t, out=t)
+    # masked steps of 1.0, not f += mask: a bool operand would be cast
+    # through buffers
+    np.add(f, 1.0, out=f, where=np.less_equal(t, k, out=mask))
+    np.multiply(f, f, out=t)
+    np.subtract(f, 1.0, out=f, where=np.greater(t, k, out=mask))
+    return np.subtract(out, f, out=out)
+
+
+def _sqrt_frac_chunk(start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Fractional parts of sqrt(k) for k in [start, stop), written into
+    ``out`` when it is given, else into a fresh array."""
     m = stop - start
-    out = np.empty(m) if out is None else out
     with workspace(m) as ws:
-        k, f, t = (a[:m] for a in ws.f)
-        mask = ws.mask[:m]
-        _indices(start, stop, k)
-        np.sqrt(k, out=out)
-        np.floor(out, out=f)
-        np.add(f, 1.0, out=t)
-        np.multiply(t, t, out=t)
-        f += np.less_equal(t, k, out=mask)
-        np.multiply(f, f, out=t)
-        f -= np.greater(t, k, out=mask)
-        return np.subtract(out, f, out=out)
+        k = _indices(start, stop, ws.f[0][:m])
+        return _sqrt_frac(k, np.empty(m) if out is None else out, ws)
+
+
+def _sqrt_frac_at(k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fractional parts of sqrt(k) for the int64 indices ``k``, into ``out``."""
+    with workspace(k.size) as ws:
+        kf = ws.f[0][: k.size]
+        np.copyto(kf, k)
+        return _sqrt_frac(kf, out, ws)
 
 
 def _remainder_chunk(
@@ -207,6 +234,15 @@ def _remainder_chunk(
     return i, np.remainder(n, i, out=out[1])
 
 
+def _ratio(r: np.ndarray, i: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """r/i for int64 arrays below 2**53, each rounded once, into ``out``.
+    Both are cast once into float64 arrays (``scratch`` takes i), so the
+    division allocates no casting buffers."""
+    np.copyto(out, r)
+    np.copyto(scratch, i)
+    return np.divide(out, scratch, out=out)
+
+
 def _reciprocal_frac_chunk(
     n: int, start: int, stop: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -216,12 +252,26 @@ def _reciprocal_frac_chunk(
     with workspace(m) as ws:
         pair = tuple(a[:m].view(np.int64) for a in ws.f[:2])
         i, r = _remainder_chunk(n, start, stop, out=pair)
-        return np.divide(r, i, out=np.empty(m) if out is None else out)
+        return _ratio(r, i, np.empty(m) if out is None else out, ws.f[2][:m])
+
+
+def _reciprocal_frac_at(n: int, i: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """{n/i} for the int64 indices ``i``, each rounded once, into ``out``."""
+    m = i.size
+    with workspace(m) as ws:
+        r = np.remainder(n, i, out=ws.f[0][:m].view(np.int64))
+        return _ratio(r, i, out, ws.f[1][:m])
 
 
 def _uniform_chunk(n: int, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """i/n for i in [start, stop), into ``out`` or a fresh array."""
     out = _indices(start, stop, np.empty(stop - start) if out is None else out)
+    return np.divide(out, n, out=out)
+
+
+def _uniform_at(n: int, i: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """i/n for the int64 indices ``i``, into ``out``."""
+    np.copyto(out, i)
     return np.divide(out, n, out=out)
 
 
@@ -279,6 +329,46 @@ def reciprocal_frac_boundary(t: float) -> Boundary:
 # Problem table
 # ---------------------------------------------------------------------------
 
+class Blocks(NamedTuple):
+    """A problem's indices 1..n at one n, cut into a head 1..``head``, which
+    is streamed, and blocks numbered 1..``size``, along each of which the
+    points are monotone.
+
+    ``bounds(j)`` gives the first and the last index of the blocks with the
+    int64 numbers ``j``; ``at(i, out)`` writes the rounded points with the
+    int64 indices ``i`` into ``out``.  Along a block the points rise
+    (``rising``), so those <= t fill a prefix of it, or fall, so they fill a
+    suffix.  ``guess(j, tau)`` proposes, for a threshold t clipped to tau in
+    [0, 1], the index that ends the prefix (its last index plus one) or
+    starts the suffix, in each block; the proposal is within one index of
+    the exact one and is then settled by the points next to it.
+    """
+
+    head: int
+    size: int
+    bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    guess: Callable[[np.ndarray, float], np.ndarray]
+    at: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    rising: bool
+
+
+def _first(flips: Callable, lo: np.ndarray, stop: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Step each guess c to the first index of its block [lo, stop) at which
+    ``flips`` holds, or to stop; ``flips(i)`` is false, then true, along each
+    block.  A guess within one index of its answer takes one step at most."""
+    sel = np.flatnonzero(c > lo)
+    while sel.size:  # back while the index before it flips
+        sel = sel[flips(c[sel] - 1)]
+        c[sel] -= 1
+        sel = sel[c[sel] > lo[sel]]
+    sel = np.flatnonzero(c < stop)
+    while sel.size:  # on while it does not flip
+        sel = sel[np.logical_not(flips(c[sel]))]
+        c[sel] += 1
+        sel = sel[c[sel] < stop[sel]]
+    return c
+
+
 @dataclass(frozen=True)
 class Problem:
     """A point set with uniform weights and the limit law of its points.
@@ -292,54 +382,157 @@ class Problem:
     within ``band(stop)`` of its exact point x_i, and ``settle(n, i, T)``
     decides x_i <= T exactly for a Fraction T.  Without a rule the float
     points are the points.
+
+    A problem whose points are monotone on O(sqrt n) blocks of indices names
+    them: ``blocks(n)`` returns its ``Blocks`` at n, and ``count`` then
+    counts each block from the settled boundary of its points <= t, in
+    O(sqrt n) per threshold, instead of streaming all n points.  Both routes
+    give the same counts; ``dataclasses.replace(problem, blocks=None)``
+    streams.
     """
 
     points: Callable[[int, int, int], np.ndarray]
     limit: Callable[[], SmoothCdf]
     band: Optional[Callable[[int], float]] = None
     settle: Optional[Callable[[int, int, Fraction], bool]] = None
+    blocks: Optional[Callable[[int], Blocks]] = None
 
     def count(self, n: int, ts: Sequence, threads: int = 1) -> np.ndarray:
         """#{i in 1..n : x_i <= t} for each threshold t in ``ts``, as int64.
 
-        The points are streamed one chunk at a time into the thread's
-        workspace and compared with each threshold in turn.  With a settle
-        rule, a point farther than the band from float(t) lies on the same
-        side of t as x_i and is counted by the compare; a point inside the
-        band is settled against T = Fraction(t) (of float(t) unless t is
-        rational), built only when such a point occurs.  A NaN threshold or
-        a non-finite point raises ValueError.
+        Streamed points are computed one chunk at a time into the thread's
+        workspace and compared with each threshold in turn; with blocks, only
+        the head is streamed, and each block is counted from its boundary
+        index, found by the points next to the guessed one.  Every point is
+        decided as ``_at_most`` does: with a settle rule, a point farther than
+        the band from float(t) lies on the same side of t as x_i and is
+        decided by the compare; a point inside the band is settled against
+        T = Fraction(t) (of float(t) unless t is rational), built only when
+        such a point occurs.  A NaN threshold or a non-finite streamed point
+        raises ValueError.
         """
         n = _check_n(n)
         ts = tuple(ts)
         tfs = tuple(float(t) for t in ts)
         if any(math.isnan(tf) for tf in tfs):
             raise ValueError("t must be a number, got nan")
+        counts = np.zeros(len(ts), dtype=np.int64)
+        blocks = self.blocks(n) if self.blocks else None
+        head = n if blocks is None else blocks.head
 
-        def kernel(a: int, b: int) -> np.ndarray:
+        def stream(a: int, b: int) -> np.ndarray:
             m = b - a
-            counts = np.empty(len(ts), dtype=np.int64)
+            tally = np.empty(len(ts), dtype=np.int64)
             with workspace() as ws:
                 x = self.points(n, a, b, out=ws.f[0][:m])
                 mask = ws.mask[:m]
                 if not np.isfinite(x, out=mask).all():
                     raise ValueError("points must be finite")
-                below = ws.f[1].view(np.bool_)[:m]
+                scratch = ws.f[1].view(np.bool_)[:m]
                 w = self.band(b) if self.settle else 0.0
                 for j, (t, tf) in enumerate(zip(ts, tfs)):
-                    counts[j] = np.count_nonzero(np.less_equal(x, tf + w, out=mask))
-                    if not self.settle:
-                        continue
-                    exact = np.count_nonzero(np.less(x, tf - w, out=below))
-                    if exact < counts[j]:
-                        # the band: x <= tf + w and not x < tf - w
-                        mask &= np.logical_not(below, out=below)
-                        T = Fraction(t if isinstance(t, numbers.Rational) else tf)
-                        exact += sum(self.settle(n, int(i), T) for i in np.flatnonzero(mask) + a)
-                    counts[j] = exact
-            return counts
+                    le = self._at_most(n, x, range(a, b), t, tf, w, mask, scratch)
+                    tally[j] = np.count_nonzero(le)
+            return tally
 
-        return map_reduce_int(kernel, 1, n + 1, threads=threads)
+        def block(a: int, b: int) -> np.ndarray:
+            m = b - a
+            tally = np.empty(len(ts), dtype=np.int64)
+            w = self.band(n + 1) if self.settle else 0.0
+            with workspace(m) as ws:
+                num = _indices(a, b, ws.f[0][:m].view(np.int64))
+                lo, hi = blocks.bounds(num)
+                stop = hi + 1
+                for j, (t, tf) in enumerate(zip(ts, tfs)):
+
+                    def flips(i: np.ndarray) -> np.ndarray:
+                        # the first point past the prefix <= t, or in the suffix
+                        k = i.size
+                        x = blocks.at(i, ws.f[1][:k])
+                        le = self._at_most(n, x, i, t, tf, w, ws.mask[:k], ws.f[2].view(np.bool_)[:k])
+                        return np.logical_not(le, out=le) if blocks.rising else le
+
+                    guess = blocks.guess(num, min(max(tf, 0.0), 1.0))
+                    c = _first(flips, lo, stop, np.clip(guess, lo, stop, out=guess))
+                    tally[j] = (c - lo).sum() if blocks.rising else (stop - c).sum()
+            return tally
+
+        counts += map_reduce_int(stream, 1, head + 1, threads=threads)
+        if blocks is not None:
+            counts += map_reduce_int(block, 1, blocks.size + 1, threads=threads)
+        return counts
+
+    def _at_most(self, n, x, index, t, tf, w, out, scratch) -> np.ndarray:
+        """Whether x_i <= t for the rounded point x[j] of each index index[j]:
+        into the bool array ``out``, or with a settle rule into ``scratch``,
+        which is returned.  A point below tf - w is <= t, one above tf + w is
+        not, and one in between is settled."""
+        np.less_equal(x, tf + w, out=out)
+        if not self.settle:
+            return out
+        below = np.less(x, tf - w, out=scratch)
+        band = np.flatnonzero(np.not_equal(out, below, out=out))
+        if band.size:
+            T = Fraction(t if isinstance(t, numbers.Rational) else tf)
+            for j in band.tolist():
+                below[j] = self.settle(n, int(index[j]), T)
+        return below
+
+
+def _sqrt_frac_blocks(n: int) -> Blocks:
+    """Block m = 1..isqrt(n) holds k = m*m .. m*m + 2m (clipped to n), where
+    {sqrt k} = sqrt(k) - m rises, and is <= T in [0, 1) exactly for
+    k <= m*m + floor(2mT + T*T).  The offset 2mT + T*T is below 2m + 1 <=
+    2**27 + 1; its three roundings in float64, and tau = fl(T) for a rational
+    T, move it by less than 2**-23, so its floor is within one of the exact
+    floor."""
+    # block numbers are cast to float64 once, not through ufunc buffers
+    return Blocks(
+        head=0,
+        size=math.isqrt(n),
+        bounds=lambda m: (m * m, np.minimum(m * m + 2 * m, n)),
+        guess=lambda m, tau: (
+            m * m + 1 + np.floor(2.0 * tau * m.astype(np.float64) + tau * tau).astype(np.int64)
+        ),
+        at=_sqrt_frac_at,
+        rising=True,
+    )
+
+
+def _reciprocal_frac_blocks(n: int) -> Blocks:
+    """Indices up to s = isqrt(n) are streamed.  Above s the quotient Q = n//i
+    takes at most s values: on block Q, i in (n//(Q+1), n//Q], {n/i} = n/i - Q
+    falls, and is <= T exactly for i >= y = n/(Q+T).  The guess
+    ceil(fl(n / fl(Q + tau))) takes two roundings of relative error at most
+    2**-53 each, and for a rational T the rounding of tau = fl(T), which
+    moves Q + T by at most T * 2**-53; for n <= 2**52, y <= 2**52/(Q+T), so
+    the guess is within one index of ceil(y).  (Where Q + tau rounds to Q,
+    tau <= 2**-53 and the division by Q is exact for Q = 1, so the bound
+    still holds.)"""
+    s = math.isqrt(n)
+    return Blocks(
+        head=s,
+        size=n // (s + 1),
+        bounds=lambda q: (np.maximum(n // (q + 1), s) + 1, n // q),
+        guess=lambda q, tau: np.ceil(n / (q.astype(np.float64) + tau)).astype(np.int64),
+        at=functools.partial(_reciprocal_frac_at, n),
+        rising=False,
+    )
+
+
+def _uniform_blocks(n: int) -> Blocks:
+    """One block, 1..n: fl(i/n) rises with i, so the points <= t are a
+    prefix.  Its end is floor(n*t') + 1 for the t' up to which values round
+    to at most t, and n*(t' - t) <= n*ulp(t)/2 <= t/2; fl(n*tau) is within
+    t/2 of n*t, so floor(fl(n*tau)) + 1 is within one of the end."""
+    return Blocks(
+        head=0,
+        size=1,
+        bounds=lambda j: (j, j * n),
+        guess=lambda j, tau: np.full_like(j, math.floor(tau * n) + 1),
+        at=functools.partial(_uniform_at, n),
+        rising=True,
+    )
 
 
 # sweep name -> problem; streams call the kernels through module globals, so
@@ -347,7 +540,9 @@ class Problem:
 PROBLEMS = {
     # uniform weights on {i/n : 1 <= i <= n}
     "canonical-uniform": Problem(
-        lambda n, a, b, out=None: _uniform_chunk(n, a, b, out=out), uniform_cdf
+        lambda n, a, b, out=None: _uniform_chunk(n, a, b, out=out),
+        uniform_cdf,
+        blocks=_uniform_blocks,
     ),
     # uniform weights on the fractional parts of sqrt(k), k <= n: the rounded
     # sqrt(k) less the exact isqrt(k) is within half the float spacing at
@@ -357,8 +552,10 @@ PROBLEMS = {
         uniform_cdf,
         band=lambda stop: np.spacing(math.sqrt(stop)),
         settle=lambda n, k, T: k <= (math.isqrt(k) + T) ** 2,
+        blocks=_sqrt_frac_blocks,
     ),
-    # uniform weights on sin(2*pi*{sqrt k}), k <= n
+    # uniform weights on sin(2*pi*{sqrt k}), k <= n; counted on these float
+    # points, so streamed
     "example2": Problem(
         lambda n, a, b, out=None: _sin_2pi_sqrt_frac_chunk(a, b, out=out), arcsin_cdf
     ),
@@ -370,6 +567,7 @@ PROBLEMS = {
         frac_limit_smooth_cdf,
         band=lambda stop: 0.0,
         settle=lambda n, i, T: n % i <= T * i,
+        blocks=_reciprocal_frac_blocks,
     ),
 }
 
@@ -456,16 +654,19 @@ def frac_n_over_i_mean(
 def dirichlet_weak(n: int, threads: int = 1) -> SolveResult:
     """Normalized divisor-type sum: (1/n) sum of floor(n/i) minus ln n.
 
-    The floor sum is exact integer arithmetic; the limit is 2*gamma - 1.
+    The floor sum is exact integer arithmetic, by the hyperbola identity
+    sum_{i<=n} floor(n/i) = 2 sum_{i<=s} floor(n/i) - s*s with s = isqrt(n),
+    in O(sqrt n); the limit is 2*gamma - 1.
     """
     n = _check_n(n)
+    s = math.isqrt(n)
 
     def kernel(a: int, b: int) -> int:
         with workspace(b - a) as ws:
             i = _indices(a, b, ws.f[0][: b - a].view(np.int64))
             return int(np.floor_divide(n, i, out=i).sum())
 
-    total = map_reduce_int(kernel, 1, n + 1, threads=threads)
+    total = 2 * map_reduce_int(kernel, 1, s + 1, threads=threads) - s * s
     empirical = total / n - math.log(n)
     closed = 2.0 * EULER_GAMMA - 1.0
     return _result(empirical, closed, n, "(1/n) sum floor(n/i) - ln n vs 2*gamma - 1")
@@ -517,17 +718,65 @@ def _poly_eval(coeffs: Sequence, i):
     return acc
 
 
+def _bisect(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The first integer i in [lo, hi] with pred(i), or hi + 1; pred is false,
+    then true, along [lo, hi]."""
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _difference(p: list) -> list:
+    """The coefficients, descending, of P(x + 1) - P(x) for those of P."""
+    a = p[::-1]
+    q = len(a) - 1
+    return [sum(a[j] * math.comb(j, k) for j in range(k + 1, q + 1)) for k in range(q - 1, -1, -1)]
+
+
+def _monotone_runs(p: list, lo: int, hi: int) -> list:
+    """Integers lo = c_0 < c_1 < ... < c_m = hi such that the polynomial with
+    the coefficients p (descending) is monotone on each [c_j, c_j+1]."""
+    if len(p) <= 2 or hi - lo < 2:
+        return [lo, hi]
+    d = _difference(p)
+    cuts = _monotone_runs(d, lo, hi - 1)
+    out = [lo]
+    for a, b in zip(cuts, cuts[1:]):
+        # d is monotone on [a, b], so its sign changes once there at most
+        up = _poly_eval(d, a) >= 0
+        x = _bisect(lambda i: (_poly_eval(d, i) >= 0) != up, a, b)
+        if x <= b:
+            out.append(x)
+    return out + [hi]
+
+
 def _poly_count(spec: PolySpec, n: int) -> int:
-    """Greatest i >= 1 with P(i) <= n, by local scan from the degree-q guess."""
-    guess = max(1, math.ceil((n / spec.a) ** (1.0 / spec.q)))
-    i = guess
-    while i > 0 and _poly_eval(spec.p_coeffs, i) > n:
-        i -= 1
-    while _poly_eval(spec.p_coeffs, i + 1) <= n:
-        i += 1
-    if i < 1:
-        raise ValueError("no index i >= 1 satisfies P(i) <= n")
-    return i
+    """Greatest i >= 1 with P(i) <= n, decided on the exact rationals of the
+    coefficients.
+
+    Scaled by their common denominator, P and n are integers.  Every i at or
+    above the Cauchy bound on the roots of P - n has P(i) > n.  Below it P is
+    monotone on runs cut where its forward difference P(i+1) - P(i), of one
+    degree less, changes sign, found the same way; the runs are searched by
+    bisection from the last one back, in O(q**2 log N) exact evaluations.
+    """
+    coeffs = [Fraction(c) for c in spec.p_coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    p = [int(c * scale) for c in coeffs]
+    limit = n * scale
+    top = 2 + max(abs(c) for c in p[1:-1] + [p[-1] - limit]) // p[0]
+    runs = _monotone_runs(p, 1, top)
+    for a, b in zip(runs[-2::-1], runs[::-1]):
+        if _poly_eval(p, b) <= limit:
+            return b
+        if _poly_eval(p, a) <= limit:
+            return _bisect(lambda i: _poly_eval(p, i) > limit, a, b) - 1
+    raise ValueError("no index i >= 1 satisfies P(i) <= n")
 
 
 def polynomial_family(
@@ -541,6 +790,8 @@ def polynomial_family(
     """
     n = _check_n(n, limit=math.inf)
     count = _poly_count(spec, n)
+    if count > _MAX_INDEX:
+        raise ValueError(f"N(n) = {count} indices, but index solvers need N(n) <= 2**52")
     g_norm = (n / spec.norm_b) ** (1.0 / spec.norm_r)
     coeffs = np.asarray(spec.p_coeffs, dtype=np.float64)
 

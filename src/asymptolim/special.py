@@ -227,6 +227,11 @@ class SeriesValue(NamedTuple):
     truncation_bound: float
 
 
+# Most terms frac_limit_cdf_series sums: one term per k, about 4 us each on a
+# first call.
+MAX_SERIES_TERMS = 10**5
+
+
 def frac_limit_cdf_series(t: float, k_max: int) -> SeriesValue:
     """Power-series form of the limit CDF: alternating zeta coefficients.
 
@@ -238,8 +243,8 @@ def frac_limit_cdf_series(t: float, k_max: int) -> SeriesValue:
     if abs(t) >= 1.0:
         raise ValueError("the series diverges for |t| >= 1")
     k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    if not 0 <= k_max <= MAX_SERIES_TERMS:
+        raise ValueError(f"k_max must be in 0..{MAX_SERIES_TERMS}")
     terms = []
     power = 1.0
     for k in range(1, k_max + 1):

@@ -6,8 +6,10 @@ import time
 import numpy as np
 import pytest
 
+from asymptolim import accum
 from asymptolim.accum import (
     CHUNK,
+    MAX_THREADS,
     _EXTRACT_MIN,
     _map_ordered,
     anchored_cumsum,
@@ -65,6 +67,21 @@ class TestMapOrdered:
         assert next(results) == CHUNK
         results.close()
         assert len(calls) <= 8
+
+
+class TestThreadBound:
+    def test_too_many_threads_rejected_before_a_pool_starts(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(accum, "ThreadPoolExecutor", no_pool)
+        kernel = lambda a, b: b - a
+        with pytest.raises(ValueError, match=str(MAX_THREADS)):
+            map_reduce_int(kernel, 0, 10 * CHUNK, threads=MAX_THREADS + 1)
+        with pytest.raises(ValueError, match=str(MAX_THREADS)):
+            map_reduce_fsum(lambda a, b: [1.0], 0, 10 * CHUNK, threads=MAX_THREADS + 1)
+        # the bound itself is allowed: one range runs without a pool
+        assert map_reduce_int(kernel, 0, CHUNK, threads=MAX_THREADS) == CHUNK
 
 
 class TestReductions:

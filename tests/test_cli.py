@@ -435,6 +435,44 @@ class TestReports:
         assert "cannot write" in err
 
 
+class TestBoundedLoops:
+    """Inputs that used to run for as long as they asked: each exits 2 or
+    finishes fast."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "poly", "--n", "1000000000000000000", "--poly-p", "1,0", "--poly-r", "1"],
+            ["special", "frac-limit-series", "--t", "0.5", "--k-max", "1000000000"],
+            ["solve", "example3", "--n", "1000", "--threads", "100000"],
+        ],
+        ids=["N(n)>2**52", "k-max", "threads"],
+    )
+    def test_rejected(self, argv, monkeypatch, capsys):
+        from asymptolim import accum
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(accum, "ThreadPoolExecutor", no_pool)
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert time.perf_counter() - start < 1.0
+
+    def test_thread_environment_above_the_bound_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("ASYMPTOLIM_THREADS", "257")
+        code, _, err = run_cli(["solve", "dirichlet", "--n", "10"], capsys)
+        assert code == 2 and "threads" in err
+
+    def test_poly_index_search_is_fast(self, capsys):
+        argv = ["solve", "poly", "--n", "1000000000000", "--poly-p", "1e-10,1e6,0", "--poly-r", "2"]
+        start = time.perf_counter()
+        rep = report_of(argv, capsys)
+        assert time.perf_counter() - start < 0.5
+        assert rep["result"]["meta"].endswith("N(n) = 999999")
+
+
 class TestThreadsEnvironment:
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("ASYMPTOLIM_THREADS", "3")

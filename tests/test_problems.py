@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from asymptolim import (
 from asymptolim.accum import CHUNK
 from asymptolim.problems import (
     _poly_count,
+    _poly_eval,
     _sqrt_frac_chunk,
     reciprocal_frac_boundary,
     reciprocal_frac_map,
@@ -338,6 +340,46 @@ class TestPolynomialFamily:
         assert _poly_count(spec, 99) == 9
         shifted = PolySpec((1, 0, 10), norm_r=2, norm_b=1.0, f=lambda x: x)
         assert _poly_count(shifted, 110) == 10
+
+    def test_index_search_equals_a_linear_scan(self):
+        # the greatest i with P(i) <= n, on the exact rationals of the
+        # coefficients, also where P falls before it rises
+        rng = np.random.default_rng(41)
+        values = (0.0, 1.0, -1.0, -3.0, 2.5, -7.75, 10.0, -20.0, 0.1, 1e-3)
+        for _ in range(400):
+            coeffs = (float(rng.choice((1.0, 2.0, 0.5, 3.25))),) + tuple(
+                float(v) for v in rng.choice(values, int(rng.integers(1, 5))))
+            n = int(rng.integers(1, 400))
+            # exact in integers, scaled by the common denominator; every root
+            # of P - n lies below 2 + max(20, n)/0.5 = 802
+            exact = [Fraction(c) for c in coeffs]
+            scale = math.lcm(*(c.denominator for c in exact))
+            ints = [int(c * scale) for c in exact]
+            scan = [i for i in range(1, 900) if _poly_eval(ints, i) <= n * scale]
+            spec = PolySpec(coeffs, 1, 1.0, lambda x: x)
+            if scan:
+                assert _poly_count(spec, n) == scan[-1], (coeffs, n)
+            else:
+                with pytest.raises(ValueError):
+                    _poly_count(spec, n)
+
+    def test_index_search_is_logarithmic(self):
+        # the float guess (n/a)**(1/q) = 1e11 is 1e5 times N(n) = 999999
+        spec = PolySpec((1e-10, 1e6, 0.0), 2, 1.0, np.sin)
+        start = time.perf_counter()
+        assert _poly_count(spec, 10**12) == 999999
+        assert time.perf_counter() - start < 0.1
+
+    def test_index_count_above_2_52_is_rejected(self, monkeypatch):
+        from asymptolim import problems
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("chunk loop reached")
+
+        monkeypatch.setattr(problems, "map_reduce_fsum", no_loop)
+        spec = PolySpec((1.0, 0.0), 1, 1.0, np.sin)
+        with pytest.raises(ValueError, match=r"2\*\*52"):
+            polynomial_family(spec, 10**18)
 
     def test_no_valid_index_raises(self):
         spec = PolySpec((1, 0, 10), norm_r=2, norm_b=1.0, f=lambda x: x)

@@ -17,7 +17,7 @@ from asymptolim import (
 )
 from asymptolim.accum import CHUNK
 from asymptolim.problems import frac_limit_smooth_cdf
-from asymptolim.special import _HARMONIC_SUM_MAX
+from asymptolim.special import _HARMONIC_SUM_MAX, MAX_SERIES_TERMS
 from asymptolim.stieltjes import adaptive_quadrature
 
 
@@ -238,6 +238,16 @@ class TestFracLimitSeries:
     def test_diverges_at_radius(self):
         with pytest.raises(ValueError):
             frac_limit_cdf_series(1.0, 10)
+
+    def test_term_count_is_bounded(self):
+        # one term per k: an unbounded k_max would run for as long as it asks
+        for k_max in (-1, MAX_SERIES_TERMS + 1, 10**9):
+            with pytest.raises(ValueError, match="k_max"):
+                frac_limit_cdf_series(0.5, k_max)
+        start = time.perf_counter()
+        res = frac_limit_cdf_series(0.5, MAX_SERIES_TERMS)
+        assert time.perf_counter() - start < 2.0
+        assert res.value == frac_limit_cdf_series(0.5, 1100).value
 
 
 class TestRecurrenceSweep:

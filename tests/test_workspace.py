@@ -325,26 +325,38 @@ class TestAllocation:
 
     @pytest.mark.parametrize("name", ["example1", "example3"])
     def test_probe_peak(self, name):
-        # the traced peak between one call of the point stream and the next:
-        # what the sweep's counting allocates, apart from the kernels' own
-        # casting buffers; the default grid holds 0.5, where {n/i} points
-        # are settled in one chunk of each n
-        real = PROBLEMS[name]
-        peaks = []
-
-        def points(n, a, b, out=None):
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            x = real.points(n, a, b, out=out)
-            tracemalloc.reset_peak()
-            return x
-
-        problem = dataclasses.replace(real, points=points)
-        run = lambda: cdf_sequence_probe(problem, real.limit(), n_list=(self.N // 2, self.N))
+        # the traced peak of a whole sweep on the stream route, the point
+        # kernels included: they cast int64 to float64 once, into arrays of
+        # their workspace, so no ufunc allocates casting buffers (8192
+        # values, 64 KiB each); the default grid holds 0.5, where {n/i}
+        # points are settled in one chunk of each n
+        problem = dataclasses.replace(PROBLEMS[name], blocks=None)
+        run = lambda: cdf_sequence_probe(problem, problem.limit(), n_list=(self.N // 2, self.N))
         run()
         tracemalloc.start()
         try:
             run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert max(peaks) < CHUNK // 8
+        assert peak < CHUNK // 8
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda out: _sqrt_frac_chunk(10**6, 10**6 + CHUNK, out=out),
+            lambda out: _reciprocal_frac_chunk(10**7, 10**6, 10**6 + CHUNK, out=out),
+            lambda out: PROBLEMS["canonical-uniform"].points(10**7, 10**6, 10**6 + CHUNK, out=out),
+        ],
+        ids=["sqrt_frac", "reciprocal_frac", "uniform"],
+    )
+    def test_kernels_allocate_no_casting_buffers(self, kernel):
+        out = np.empty(CHUNK)
+        kernel(out)
+        tracemalloc.start()
+        try:
+            kernel(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
