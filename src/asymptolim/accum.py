@@ -22,6 +22,7 @@ the same thread's next chunk; a caller that keeps it copies it.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from collections import deque
@@ -191,6 +192,7 @@ def _map_ordered(
 
     A pool is started only for more than one range; at most ``2 * threads``
     chunks are in flight, so memory does not grow with the range count.
+    Each runs in a copy of the caller's context, its ``np.errstate`` too.
     More than ``MAX_THREADS`` threads raise ValueError before any range runs.
     """
     if threads > MAX_THREADS:
@@ -203,7 +205,7 @@ def _map_ordered(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
         for start, stop in chain(head, ranges):
-            pending.append(pool.submit(kernel, start, stop))
+            pending.append(pool.submit(contextvars.copy_context().run, kernel, start, stop))
             if len(pending) >= 2 * threads:
                 yield pending.popleft().result()
         while pending:

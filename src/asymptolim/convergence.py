@@ -38,6 +38,10 @@ __all__ = [
 # avoiding the endpoints where limit CDFs may be non-smooth.
 DEFAULT_GRID = tuple(i / 20.0 for i in range(1, 20))
 
+JUMP_STEP = 1e-7
+JUMP_TOL = 1e-3
+VARIATION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -119,8 +123,6 @@ def cdf_sequence_probe(
     target,
     grid: Optional[Sequence[float]] = None,
     n_list: Sequence[int] = (10, 100, 1000),
-    jump_step: float = 1e-7,
-    jump_tol: float = 1e-3,
     threads: int = 1,
 ) -> ConvergenceReport:
     """Evaluate the CDFs of a problem's point sets against the target CDF on
@@ -131,9 +133,9 @@ def cdf_sequence_probe(
     does; the n-th measure puts weight 1/n on each of its points.
 
     Grid points are expected to be continuity points of the target; as a
-    guard, any point where target(x + h) - target(x - h) exceeds
-    ``jump_tol`` is recorded in ``excluded`` and left out of the sup errors.
-    Non-decaying errors are flagged, not failed.
+    guard, any point where target(x + JUMP_STEP) - target(x - JUMP_STEP)
+    exceeds ``JUMP_TOL`` is recorded in ``excluded`` and left out of the sup
+    errors.  Non-decaying errors are flagged, not failed.
 
     The CDF values are the exact counts over n, rounded once; a
     ``Problem`` counts in chunks of indices or of blocks, in O(CHUNK)
@@ -151,7 +153,7 @@ def cdf_sequence_probe(
     excluded = tuple(
         j
         for j, t in enumerate(pts)
-        if float(value(t + jump_step)) - float(value(t - jump_step)) > jump_tol
+        if float(value(t + JUMP_STEP)) - float(value(t - JUMP_STEP)) > JUMP_TOL
     )
     included = [j for j in range(len(pts)) if j not in excluded]
     if not included:
@@ -223,22 +225,22 @@ def variation_limit_check(
     limit: Callable,
     probe_partition: Partition1D,
     tol: float = 1e-8,
-    variation_tol: float = 1e-10,
 ) -> VariationLimitReport:
     """Check that the variations of a CDF sequence approach the limit's.
 
     Each callback's variation is estimated on the shared partition's
-    intervals (summed across intervals); ``converged`` states whether the
-    last sequence variation is within ``tol`` of the limit's variation.
+    intervals (summed across intervals), each to ``VARIATION_TOL``;
+    ``converged`` states whether the last sequence variation is within
+    ``tol`` of the limit's variation.
     """
     var_n = tuple(
         math.fsum(
-            variation(phi, iv, tol=variation_tol) for iv in probe_partition
+            variation(phi, iv, tol=VARIATION_TOL) for iv in probe_partition
         )
         for phi in cdf_sequence
     )
     var_limit = math.fsum(
-        variation(limit, iv, tol=variation_tol) for iv in probe_partition
+        variation(limit, iv, tol=VARIATION_TOL) for iv in probe_partition
     )
     converged = bool(var_n) and abs(var_n[-1] - var_limit) <= tol
     return VariationLimitReport(var_n=var_n, var_limit=var_limit, converged=converged)

@@ -711,6 +711,15 @@ class PolySpec:
         return float(self.p_coeffs[0])
 
 
+def _horner(coeffs: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.polyval(coeffs, x)`` bit for bit, computed in ``out`` (not ``x``)."""
+    out.fill(0.0)
+    for c in coeffs:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
 def _poly_eval(coeffs: Sequence, i):
     acc = 0
     for c in coeffs:
@@ -796,15 +805,10 @@ def polynomial_family(
     coeffs = np.asarray(spec.p_coeffs, dtype=np.float64)
 
     def points(n: int, a: int, b: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        # np.polyval's Horner steps, in place
         m = b - a
         y = np.empty(m) if out is None else out
         with workspace(m) as ws:
-            x = _indices(a, b, ws.f[0][:m])
-            y.fill(0.0)
-            for c in coeffs:
-                np.multiply(y, x, out=y)
-                np.add(y, c, out=y)
+            _horner(coeffs, _indices(a, b, ws.f[0][:m]), y)
         return np.divide(y, n, out=y)
 
     empirical = _mean_sum(spec.f, points, n, count, threads) / g_norm

@@ -49,18 +49,7 @@ _PSI_TAIL = (
     1.0 / 12.0,
 )
 
-# B_{2n} for n = 1..7, as used by the trigamma expansion.
-_TRI_TAIL = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
-
-# B_{2j} for j = 1..8, for the Euler-Maclaurin correction of the zeta sums.
+# B_{2j} for j = 1..8: trigamma's expansion takes B2..B14, the zeta sums all.
 _B2J = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -121,7 +110,7 @@ def trigamma(x: float) -> float:
         x += 1.0
     w = 1.0 / (x * x)
     tail = 0.0
-    for c in reversed(_TRI_TAIL):
+    for c in reversed(_B2J[:7]):
         tail = (tail + c) * w
     return acc + 1.0 / x + 0.5 * w + tail / x
 
@@ -237,7 +226,8 @@ def frac_limit_cdf_series(t: float, k_max: int) -> SeriesValue:
 
     Partial sum of (-1)**(k+1) * zeta(k+1) * t**k for k = 1..k_max, with the
     alternating-series bound (the magnitude of the next term) reported.
-    Diverges at |t| >= 1.
+    Diverges at |t| >= 1.  The sum stops early at the first k where t**k
+    underflows to 0, since every later term and the bound are zeros.
     """
     t = float(t)
     if abs(t) >= 1.0:
@@ -251,6 +241,8 @@ def frac_limit_cdf_series(t: float, k_max: int) -> SeriesValue:
         power *= t
         sign = 1.0 if k % 2 == 1 else -1.0
         terms.append(sign * _zeta_int(k + 1) * power)
+        if power == 0.0:
+            return SeriesValue(math.fsum(terms), 0.0)
     bound = _zeta_int(k_max + 2) * abs(power * t)
     return SeriesValue(math.fsum(terms), bound)
 

@@ -7,11 +7,12 @@ Gauss-Kronrod quadrature of f * density for differentiable CDFs.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -49,47 +50,47 @@ class QuadratureResult(NamedTuple):
     error: float
 
 
+WINDOW_MARGIN = 1.0
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class StepCdf:
     """Cumulative distribution of an atomic measure.
 
     A finitely supported step function, nondecreasing in every coordinate,
     equal to 1 at +infinity; its 1-D total variation is 1.  One-dimensional
-    evaluation is vectorized via binary search on the sorted support.
+    evaluation is a binary search on the sorted support into the cumulative
+    weights, which are built on the first call.
     """
 
     source: AtomicMeasure
-    _support: Optional[np.ndarray] = field(default=None, init=False)
-    _cumw: Optional[np.ndarray] = field(default=None, init=False)
-
-    def __post_init__(self):
-        if self.dim == 1:
-            support = np.ascontiguousarray(self.source.points[:, 0])
-            cumw = anchored_cumsum(self.source.weights)
-            support.setflags(write=False)
-            cumw.setflags(write=False)
-            object.__setattr__(self, "_support", support)
-            object.__setattr__(self, "_cumw", cumw)
 
     @property
     def dim(self) -> int:
         return self.source.dim
 
+    @functools.cached_property
+    def _cumw(self) -> np.ndarray:
+        # entry i is the CDF from the i-th atom up to the next; 0 below all
+        cumw = np.concatenate(([0.0], anchored_cumsum(self.source.weights)))
+        cumw.setflags(write=False)
+        return cumw
+
     def __call__(self, x):
         if self.dim == 1:
+            support = self.source.points[:, 0]
             if isinstance(x, np.ndarray) and x.ndim >= 1:
-                idx = np.searchsorted(self._support, x, side="right")
-                padded = np.concatenate(([0.0], self._cumw))
-                return padded[idx]
-            idx = int(np.searchsorted(self._support, float(x), side="right"))
-            return float(self._cumw[idx - 1]) if idx > 0 else 0.0
+                return self._cumw[np.searchsorted(support, x, side="right")]
+            return float(self._cumw[np.searchsorted(support, float(x), side="right")])
         return cdf_eval(self.source, x)
 
-    def window(self, margin: float = 1.0) -> tuple[float, float]:
-        """A 1-D interval outside which the CDF is constant."""
+    def window(self) -> tuple[float, float]:
+        """A 1-D interval outside which the CDF is constant: the support
+        widened by ``WINDOW_MARGIN`` on each side."""
         if self.dim != 1:
             raise ValueError("window is defined for 1-D step CDFs")
-        return float(self._support[0]) - margin, float(self._support[-1]) + margin
+        points = self.source.points
+        return float(points[0, 0]) - WINDOW_MARGIN, float(points[-1, 0]) + WINDOW_MARGIN
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,17 +168,19 @@ def delta_box(phi: Callable, box: HyperBox) -> float:
 # Deepest 1-D dyadic partition: 2**22 + 1 points, 32 MiB of float64.
 _MAX_DEPTH = 22
 
+STABLE_ROUNDS = 2
 
-def _refine_until_stable(partition_sum, first_depth, max_depth, tol, stable_rounds) -> float:
+
+def _refine_until_stable(partition_sum, first_depth, max_depth, tol) -> float:
     """``partition_sum(depth)`` for depth = first_depth.. max_depth, until
-    ``stable_rounds`` refinements in a row change it by less than ``tol``."""
+    ``STABLE_ROUNDS`` refinements in a row change it by less than ``tol``."""
     prev = None
     stable = 0
     for depth in range(first_depth, max_depth + 1):
         v = partition_sum(depth)
         if prev is not None and abs(v - prev) < tol:
             stable += 1
-            if stable >= stable_rounds:
+            if stable >= STABLE_ROUNDS:
                 return v
         else:
             stable = 0
@@ -192,12 +195,11 @@ def variation(
     window: tuple[float, float],
     tol: float = 1e-9,
     max_depth: int = _MAX_DEPTH,
-    stable_rounds: int = 2,
 ) -> float:
     """Total variation of ``phi`` on ``window`` via nested dyadic partitions.
 
     Refines until successive partition sums differ by less than ``tol`` for
-    ``stable_rounds`` refinements in a row.  The result is a lower bound of
+    ``STABLE_ROUNDS`` refinements in a row.  The result is a lower bound of
     the true variation, exact once the partition separates the monotone
     pieces of a piecewise-monotone ``phi``.
     """
@@ -211,7 +213,7 @@ def variation(
             raise ValueError("phi is non-finite on the window")
         return fsum_array(np.abs(np.diff(vals)))
 
-    return _refine_until_stable(partition_sum, 2, max_depth, tol, stable_rounds)
+    return _refine_until_stable(partition_sum, 2, max_depth, tol)
 
 
 def variation_nd(
@@ -219,13 +221,13 @@ def variation_nd(
     box: HyperBox,
     tol: float = 1e-9,
     max_depth: int = 8,
-    stable_rounds: int = 2,
 ) -> float:
     """Variation of a k-D function: sup of sums of |box increments|.
 
-    Estimated on nested dyadic grids of ``box``; each grid cell contributes
-    the absolute alternating vertex sum, obtained by differencing the vertex
-    value array once along every axis.
+    Estimated on nested dyadic grids of ``box``, refined until
+    ``STABLE_ROUNDS`` refinements in a row change the sum by less than
+    ``tol``; each grid cell contributes the absolute alternating vertex sum,
+    obtained by differencing the vertex value array once along every axis.
     """
     if not box.is_finite:
         raise ValueError("variation_nd needs a finite box")
@@ -247,7 +249,7 @@ def variation_nd(
             inc = np.diff(inc, axis=axis)
         return fsum_array(np.abs(inc).ravel())
 
-    return _refine_until_stable(partition_sum, 1, max_depth, tol, stable_rounds)
+    return _refine_until_stable(partition_sum, 1, max_depth, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +322,14 @@ def _gk_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float, f
     return value, err
 
 
+MAX_PANELS = 4096
+
+
 def adaptive_quadrature(
     g: Callable[[float], float],
     a: float,
     b: float,
     tol: float = 1e-9,
-    max_panels: int = 4096,
 ) -> QuadratureResult:
     """Adaptive bisection with a Gauss-Kronrod rule per panel.
 
@@ -335,7 +339,8 @@ def adaptive_quadrature(
     tolerance under that level is reported as not reached.  Panels are split worst-first until
     the summed estimate is below ``tol``; that sum is kept exactly, as an
     integer multiple of 2**-1074, and rounded once per split, so it equals
-    the fsum of the panel estimates at O(1) cost.  Deterministic: the
+    the fsum of the panel estimates at O(1) cost.  QuadratureError is raised
+    if ``tol`` is not met within ``MAX_PANELS`` panels.  Deterministic: the
     splitting order is fixed by the error/insertion-order heap, and the final
     value is the fsum of panel values sorted by position.
     """
@@ -349,9 +354,9 @@ def adaptive_quadrature(
     total_units = exact_units(err)
     total_err = err
     while total_err > tol:
-        if len(heap) >= max_panels:
+        if len(heap) >= MAX_PANELS:
             raise QuadratureError(
-                f"tolerance {tol:g} not reached within {max_panels} panels "
+                f"tolerance {tol:g} not reached within {MAX_PANELS} panels "
                 f"(estimate {total_err:g})"
             )
         _, _, pa, pb, _, e = heapq.heappop(heap)

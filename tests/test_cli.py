@@ -1,13 +1,18 @@
 import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import asymptolim
 from asymptolim import EULER_GAMMA
+from asymptolim.accum import CHUNK
 from asymptolim.problems import PROBLEMS
 from asymptolim.cli import (
     MAX_GRID,
@@ -125,6 +130,19 @@ class TestSolveCommand:
         )
         assert code == 2 and out == ""
         assert "2**52" in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflow_prints_only_the_failure(self, threads):
+        # a fresh interpreter: pytest would capture numpy's RuntimeWarning
+        # before it reached stderr; 3 chunks put the overflow on pool threads
+        src = str(Path(asymptolim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["solve", "example1", "--n", str(3 * CHUNK), "--f", "poly:1e308,1e308",
+                "--threads", threads]
+        proc = subprocess.run([sys.executable, "-m", "asymptolim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "numerical failure: intermediate overflow in fsum\n"
 
 
 class TestSweepCommand:

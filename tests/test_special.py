@@ -17,6 +17,7 @@ from asymptolim import (
 )
 from asymptolim.accum import CHUNK
 from asymptolim.problems import frac_limit_smooth_cdf
+from asymptolim import special
 from asymptolim.special import _HARMONIC_SUM_MAX, MAX_SERIES_TERMS
 from asymptolim.stieltjes import adaptive_quadrature
 
@@ -248,6 +249,26 @@ class TestFracLimitSeries:
         res = frac_limit_cdf_series(0.5, MAX_SERIES_TERMS)
         assert time.perf_counter() - start < 2.0
         assert res.value == frac_limit_cdf_series(0.5, 1100).value
+
+    def test_stops_where_the_power_underflows(self):
+        # 0.5**1075 rounds to 0: zeta(k + 1) is needed for k <= 1075 only
+        special._zeta_int.cache_clear()
+        res = frac_limit_cdf_series(0.5, MAX_SERIES_TERMS)
+        assert special._zeta_int.cache_info().currsize == 1075
+        assert res == frac_limit_cdf_series(0.5, 1100)
+
+    @pytest.mark.parametrize("t", [0.5, -0.5, 0.0, -0.0, 1e-200, -1e-200, 0.9])
+    def test_early_stop_keeps_every_bit(self, t):
+        # the full sum over k = 1..k_max, every term evaluated
+        k_max = 3000
+        power = 1.0
+        terms = []
+        for k in range(1, k_max + 1):
+            power *= t
+            terms.append((1.0 if k % 2 == 1 else -1.0) * hurwitz_zeta(k + 1.0, 1.0) * power)
+        expected = (math.fsum(terms), hurwitz_zeta(k_max + 2.0, 1.0) * abs(power * t))
+        got = frac_limit_cdf_series(t, k_max)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 class TestRecurrenceSweep:

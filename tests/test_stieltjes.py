@@ -28,6 +28,7 @@ from asymptolim.problems import frac_limit_smooth_cdf, root_cdf, uniform_cdf
 from asymptolim.special import EULER_GAMMA
 import heapq
 
+from asymptolim import stieltjes
 from asymptolim.stieltjes import _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk_panel, adaptive_quadrature
 
 from test_measure import random_measure
@@ -460,11 +461,18 @@ class TestStepCdf:
         assert abs(cdf(math.inf) - 1.0) <= 1e-12
 
     def test_vectorized_matches_scalar(self):
+        # bit for bit: at random points, at every atom, between atoms, and
+        # below the first and above the last
         rng = np.random.default_rng(61)
-        cdf = StepCdf(random_measure(rng, max_atoms=20))
-        xs = np.sort(rng.normal(size=50))
-        vec = cdf(xs)
-        assert all(vec[i] == cdf(float(xs[i])) for i in range(len(xs)))
+        for _ in range(20):
+            cdf = StepCdf(random_measure(rng, max_atoms=20))
+            atoms = cdf.source.points[:, 0]
+            xs = np.concatenate((
+                rng.normal(size=50), atoms, 0.5 * (atoms[:-1] + atoms[1:]),
+                [np.nextafter(atoms[0], -np.inf), atoms[-1] + 1.0, -np.inf, np.inf],
+            ))
+            vec = cdf(xs)
+            assert [v.hex() for v in vec.tolist()] == [cdf(float(x)).hex() for x in xs]
 
     def test_matches_cdf_eval(self):
         rng = np.random.default_rng(67)
@@ -473,3 +481,15 @@ class TestStepCdf:
             cdf = StepCdf(m)
             x = float(rng.normal())
             assert abs(cdf(x) - cdf_eval(m, x)) <= 1e-12
+
+    def test_lookup_is_built_on_the_first_call(self, monkeypatch):
+        def refuse(w):
+            raise AssertionError("cumulative weights built")
+
+        monkeypatch.setattr(stieltjes, "anchored_cumsum", refuse)
+        m = from_points([0.3, 0.6, 0.6, 0.9])
+        cdf = StepCdf(m)
+        assert cdf.window() == (0.3 - 1.0, 0.9 + 1.0)
+        assert integrate_step(np.sin, cdf) == expectation(m, np.sin)
+        with pytest.raises(AssertionError, match="built"):
+            cdf(0.5)
