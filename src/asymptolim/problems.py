@@ -105,7 +105,7 @@ def uniform_cdf() -> SmoothCdf:
         out = np.clip(t, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    return SmoothCdf(value, HyperBox(0.0, 1.0), density=lambda t: 1.0)
+    return SmoothCdf(value, HyperBox(0.0, 1.0), quantile=lambda u: u)
 
 
 def root_cdf(q: int) -> SmoothCdf:
@@ -123,33 +123,17 @@ def root_cdf(q: int) -> SmoothCdf:
             return 1.0
         return x ** (1.0 / q)
 
-    def density(x):
-        x = float(x)
-        if x <= 0.0 or x > 1.0:
-            return 0.0
-        return (1.0 / q) * x ** (1.0 / q - 1.0)
-
-    return SmoothCdf(value, HyperBox(0.0, 1.0), density=density)
+    return SmoothCdf(value, HyperBox(0.0, 1.0), quantile=lambda u: u**q)
 
 
 def arcsin_cdf() -> SmoothCdf:
-    """CDF of sin(U) for U uniform on a full period: arcsin(t)/pi + 1/2."""
-
-    def value(t):
-        t = float(t)
-        if t <= -1.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        return math.asin(t) / math.pi + 0.5
-
-    def density(t):
-        t = float(t)
-        if abs(t) >= 1.0:
-            return 0.0
-        return 1.0 / (math.pi * math.sqrt(1.0 - t * t))
-
-    return SmoothCdf(value, HyperBox(-1.0, 1.0), density=density)
+    """CDF of sin(U) for U uniform on a full period: arcsin(t)/pi + 1/2,
+    with quantile sin(pi (u - 1/2))."""
+    return SmoothCdf(
+        lambda t: math.asin(min(max(float(t), -1.0), 1.0)) / math.pi + 0.5,
+        HyperBox(-1.0, 1.0),
+        quantile=lambda u: math.sin(math.pi * (u - 0.5)),
+    )
 
 
 def frac_limit_smooth_cdf() -> SmoothCdf:
@@ -297,22 +281,23 @@ def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -
     return map_reduce_fsum(kernel, 1, count + 1, threads=threads)
 
 
-def reciprocal_frac_map(n: int) -> Callable[[float], float]:
+def reciprocal_frac_map(n: int) -> Callable:
     """The map x -> {1/x} on the atoms {i/n}, in exact integer arithmetic.
 
-    Recovers i = round(n*x) and returns (n mod i)/i.  Plain floating
-    evaluation of {1/x} wraps just below integers for many i/n (for example
-    1/(1/93) = 92.999...), which would misplace atoms across the CDF jump
-    at 0; this map keeps the push-forward route consistent with the modular
-    counting route.
+    Recovers i = rint(n*x), for a float or an array, and returns (n mod i)/i
+    rounded once.  Plain floating evaluation of {1/x} wraps just below
+    integers for many i/n (for example 1/(1/93) = 92.999...), which would
+    misplace atoms across the CDF jump at 0; this map keeps the push-forward
+    route consistent with the modular counting route.
     """
     n = int(n)
 
-    def g(x: float) -> float:
-        i = int(round(n * float(x)))
-        if i < 1 or i > n:
+    def g(x):
+        i = np.rint(n * np.asarray(x, dtype=float))
+        if not np.all((i >= 1) & (i <= n)):
             raise ValueError(f"{x!r} is not an atom i/n for n={n}")
-        return (n % i) / i
+        y = _reciprocal_frac_at(n, i.astype(np.int64).ravel(), np.empty(i.size))
+        return float(y[0]) if i.ndim == 0 else y.reshape(i.shape)
 
     return g
 

@@ -2,7 +2,7 @@
 
 Box increments (the alternating vertex sum), total variation on nested
 dyadic partitions, exact integration against step CDFs, and adaptive
-Gauss-Kronrod quadrature of f * density for differentiable CDFs.
+Gauss-Kronrod quadrature against differentiable CDFs.
 """
 
 from __future__ import annotations
@@ -97,15 +97,17 @@ class StepCdf:
 class SmoothCdf:
     """A limit CDF given by callbacks.
 
-    ``value`` evaluates the CDF; ``density`` (optional) is its derivative in
-    one dimension and the mixed partial d^k/dx1..dxk in k dimensions;
-    ``support`` is a box outside which ``value`` is constant 0 below and 1
-    above.
+    ``value`` evaluates the CDF; ``support`` is a box outside which ``value``
+    is constant 0 below and 1 above.  ``integrate_smooth`` needs one more
+    callback: ``quantile``, the inverse of a 1-D CDF on [0, 1] (read in one
+    dimension only), or else ``density``, the derivative in 1-D and the mixed
+    partial d^k/dx1..dxk in k-D, which a k-D law always needs.
     """
 
     value: Callable
     support: HyperBox
     density: Optional[Callable] = None
+    quantile: Optional[Callable] = None
 
     @property
     def dim(self) -> int:
@@ -384,12 +386,11 @@ def integrate_smooth(
 ) -> QuadratureResult:
     """Integral of ``f`` with respect to a differentiable CDF.
 
-    Reduces to the ordinary integral of ``f * phi.density`` over ``box``
-    (default: the CDF's support), by adaptive quadrature in one dimension
-    and tensorized adaptive quadrature in k dimensions.
+    Over ``box`` = (a, b] (default: the support), a 1-D law with a quantile Q
+    gives the integral of f(Q(u)) over (phi(a), phi(b)], which has no
+    singular end; any other law that of ``f * phi.density``, by adaptive
+    quadrature in one dimension and tensorized quadrature in k dimensions.
     """
-    if phi.density is None:
-        raise ValueError("integrate_smooth needs phi.density")
     if box is None:
         box = phi.support
     if not box.is_finite:
@@ -398,8 +399,13 @@ def integrate_smooth(
         raise ValueError("box dimension does not match the CDF dimension")
     if not phi.support.contains_box(box):
         raise ValueError("integration box must lie inside the CDF support")
+    a, b = box.lower[0], box.upper[0]
+    if phi.dim == 1 and phi.quantile is not None:
+        g = lambda u: float(f(phi.quantile(u)))
+        return adaptive_quadrature(g, float(phi.value(a)), float(phi.value(b)), tol=tol)
+    if phi.density is None:
+        raise ValueError("integrate_smooth needs phi.density or a 1-D phi.quantile")
     if phi.dim == 1:
-        a, b = box.lower[0], box.upper[0]
         g = lambda t: float(f(t)) * float(phi.density(t))
         return adaptive_quadrature(g, a, b, tol=tol)
     return _tensor_quadrature(f, phi.density, box, tol)
@@ -429,6 +435,14 @@ def _tensor_quadrature(
     return nested((), tol)
 
 
+def _finite_interval(interval: tuple[float, float]) -> tuple[float, float]:
+    """The interval's ends as floats; ValueError unless finite with a <= b."""
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError("interval must be finite with a <= b")
+    return a, b
+
+
 def integrate_by_parts(
     f: Callable,
     f_prime: Callable,
@@ -442,12 +456,10 @@ def integrate_by_parts(
     to ``f(b) phi(b) - f(a) phi(a)``; the remaining term is the ordinary
     integral of ``phi * f_prime``, done by adaptive quadrature.
     """
-    a, b = float(window[0]), float(window[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-        raise ValueError("window must be a finite interval")
+    a, b = _finite_interval(window)
     boundary = float(f(b)) * float(phi(b)) - float(f(a)) * float(phi(a))
     if not math.isfinite(boundary):
-        raise ValueError("boundary term is non-finite")
+        raise FloatingPointError("boundary term is non-finite")
     quad = adaptive_quadrature(
         lambda t: float(phi(t)) * float(f_prime(t)), a, b, tol=tol
     )
@@ -468,7 +480,7 @@ def riemann_stieltjes_oracle(
     """
     if not 1 <= levels <= _MAX_DEPTH:
         raise ValueError(f"levels must be in 1..{_MAX_DEPTH}, got {levels}")
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _finite_interval(interval)
     sums = []
     for level in range(1, levels + 1):
         xs = np.linspace(a, b, 2**level + 1)

@@ -326,6 +326,15 @@ class TestIntegrateCommand:
         code, _, _ = run_cli(["integrate", "--f", "wat", "--phi", "uniform"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["parts", "oracle"])
+    def test_overflow_exits_3(self, method, capsys):
+        code, out, err = run_cli(
+            ["integrate", "--f", "poly:1e308,1e308", "--phi", "uniform", "--method", method],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
 
 class TestSpecialCommand:
     def test_digamma_at_one(self, capsys):

@@ -273,6 +273,21 @@ class TestFracNOverIMean:
             direct = frac_n_over_i_mean(n, f).empirical
             assert abs(routed - direct) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 93, 1000, 9000])
+    def test_reciprocal_map_on_scalars_and_arrays(self, n):
+        g = reciprocal_frac_map(n)
+        i = np.arange(1, n + 1)
+        exact = np.array([(n % k) / k for k in range(1, n + 1)])
+        assert np.array_equal(g(i / n), exact)
+        assert g((i / n).reshape(-1, 1)).shape == (n, 1)
+        for k in (1, (n + 1) // 2, n):
+            assert g(k / n) == (n % k) / k and type(g(k / n)) is float
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, 2.0, math.nan, math.inf, [0.5, 3.0]])
+    def test_reciprocal_map_rejects_a_non_atom(self, x):
+        with pytest.raises(ValueError, match="not an atom"):
+            reciprocal_frac_map(10)(np.asarray(x) if isinstance(x, list) else x)
+
 
 class TestDirichletWeak:
     def test_small_case_by_enumeration(self):

@@ -24,7 +24,7 @@ from asymptolim import (
     variation,
     variation_nd,
 )
-from asymptolim.problems import frac_limit_smooth_cdf, root_cdf, uniform_cdf
+from asymptolim.problems import arcsin_cdf, frac_limit_smooth_cdf, root_cdf, uniform_cdf
 from asymptolim.special import EULER_GAMMA
 import heapq
 
@@ -237,6 +237,99 @@ def _delta_sum_oracle_2d(f, phi, levels):
     return float(math.fsum((fv * inc).ravel().tolist()))
 
 
+def _mp_root(q):
+    return lambda mp, f, a, b: mp.quad(
+        lambda u: f(u**q), [mp.root(mp.mpf(a), q), mp.root(mp.mpf(b), q)]
+    )
+
+
+def _mp_arcsin(mp, f, a, b):
+    u = lambda t: mp.asin(mp.mpf(t)) / mp.pi + 0.5
+    return mp.quad(lambda v: f(mp.sin(mp.pi * (v - 0.5))), [u(a), u(b)])
+
+
+# name -> (law, exact integral of f over (a, b] with mpmath): the closed-form
+# laws are integrated by mpmath in the quantile variable from the exact
+# phi(a) and phi(b), frac-limit against its density psi'(1 + t)
+LAWS = {
+    "uniform": (uniform_cdf, lambda mp, f, a, b: mp.quad(f, [a, b])),
+    "sqrt": (lambda: root_cdf(2), _mp_root(2)),
+    "root:3": (lambda: root_cdf(3), _mp_root(3)),
+    "arcsin": (arcsin_cdf, _mp_arcsin),
+    "frac-limit": (
+        frac_limit_smooth_cdf,
+        lambda mp, f, a, b: mp.quad(lambda t: f(t) * mp.psi(1, 1 + t), [a, b]),
+    ),
+}
+
+# windows as fractions of the support; the first three reach its ends, where
+# the sqrt, root:3 and arcsin densities are unbounded
+WINDOWS = ((0.0, 1.0), (0.0, 0.6), (0.4, 1.0), (0.2, 0.7))
+
+# the CLI's sin, cos, id and const1, with their mpmath twins in the same order
+INTEGRANDS = (math.sin, math.cos, lambda t: t, lambda t: 1.0)
+
+
+def _mp_integrands(mp):
+    return (mp.sin, mp.cos, lambda t: t, lambda t: mp.mpf(1))
+
+
+def _window(law, fractions):
+    lo, hi = law.support.lower[0], law.support.upper[0]
+    return tuple(lo + (hi - lo) * s for s in fractions)
+
+
+class TestSmoothIntegralMatrix:
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_error_estimate_bounds_the_true_error(self, name):
+        mp = pytest.importorskip("mpmath")
+        make, exact = LAWS[name]
+        law = make()
+        eps = np.finfo(float).eps
+        for fractions in WINDOWS:
+            a, b = _window(law, fractions)
+            for f, mp_f in zip(INTEGRANDS, _mp_integrands(mp)):
+                with mp.workdps(30):
+                    ref = exact(mp, mp_f, a, b)
+                for tol in (1e-9, 1e-11, 1e-13):
+                    res = integrate_smooth(f, law, HyperBox(a, b), tol=tol)
+                    bound = res.error + 4.0 * eps * abs(res.value)
+                    assert abs(mp.mpf(res.value) - ref) <= bound, (name, a, b, f, tol)
+
+    @pytest.mark.parametrize(
+        "name, density",
+        [
+            ("uniform", lambda t: 1.0),
+            ("sqrt", lambda t: 0.5 / math.sqrt(t)),
+            ("root:3", lambda t: t ** (-2.0 / 3.0) / 3.0),
+            ("arcsin", lambda t: 1.0 / (math.pi * math.sqrt(1.0 - t * t))),
+        ],
+    )
+    def test_density_route_agrees_away_from_the_ends(self, name, density):
+        law = LAWS[name][0]()
+        assert law.density is None and law.quantile is not None
+        oracle = dataclasses.replace(law, density=density, quantile=None)
+        a, b = _window(law, WINDOWS[-1])
+        for f in INTEGRANDS:
+            for tol in (1e-9, 1e-11, 1e-13):
+                quantile = integrate_smooth(f, law, HyperBox(a, b), tol=tol).value
+                direct = integrate_smooth(f, oracle, HyperBox(a, b), tol=tol).value
+                assert abs(quantile - direct) <= tol
+
+    def test_uniform_quantile_route_is_the_plain_integral(self):
+        law = uniform_cdf()
+        plain = dataclasses.replace(law, density=lambda t: 1.0, quantile=None)
+        for f in (math.sin, math.exp, lambda t: t**3 - t):
+            for box in (HyperBox(0.0, 1.0), HyperBox(0.25, 0.5)):
+                assert integrate_smooth(f, law, box) == integrate_smooth(f, plain, box)
+
+    def test_a_k_dimensional_law_needs_a_density(self):
+        bare = SmoothCdf(lambda p: p[0] * p[1], HyperBox((0.0, 0.0), (1.0, 1.0)),
+                         quantile=lambda u: u)
+        with pytest.raises(ValueError, match="density"):
+            integrate_smooth(lambda p: 1.0, bare)
+
+
 def gauss_kronrod_7_15(mp):
     """Positive G7/K15 nodes in descending order, then 0, with their K15 and
     G7 weights, solved from the moment equations at mp's precision."""
@@ -367,6 +460,21 @@ class TestIntegrateByParts:
             np.cos, lambda t: -np.sin(t), root_cdf(3).value, (0.0, 1.0), tol=1e-10
         )
         assert abs(direct.value - parts.value) <= 1e-8
+
+    def test_non_finite_boundary_term_is_a_numerical_failure(self):
+        with pytest.raises(FloatingPointError, match="boundary term"):
+            integrate_by_parts(lambda t: 1e308 * (1.0 + t), lambda t: 1e308,
+                               lambda t: t, (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "interval", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (1.0, 0.0)]
+)
+def test_interval_must_be_finite_and_ordered(interval):
+    with pytest.raises(ValueError, match="interval"):
+        riemann_stieltjes_oracle(np.sin, lambda t: t, interval, 2)
+    with pytest.raises(ValueError, match="interval"):
+        integrate_by_parts(np.sin, np.cos, lambda t: t, interval)
 
 
 class TestRiemannStieltjesOracle:
