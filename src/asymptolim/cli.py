@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -577,10 +578,16 @@ def write_output(text: str, path: Optional[str]) -> None:
         raise CliError(f"cannot write output to {path!r}: {exc}") from exc
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, as argparse keeps
+    no state from one parse to the next."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -175,10 +175,13 @@ def _fold_sorted(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
         starts = np.flatnonzero(is_new)
         if starts.size != m:
             counts = np.diff(np.append(starts, m))
-            folded = np.empty(starts.size)
-            singles = counts == 1
-            folded[singles] = w[starts[singles]]
-            for j in np.flatnonzero(~singles):
+            first = w[starts]
+            # c equal weights sum to c * w, one rounding of the exact sum as
+            # in math.fsum (+ 0.0: fsum sums -0.0s to +0.0); unequal weights
+            # and an overflowing product go through fsum
+            folded = np.where(counts == 1, first, counts * first + 0.0)
+            equal = np.minimum.reduceat(w, starts) == np.maximum.reduceat(w, starts)
+            for j in np.flatnonzero((counts > 1) & ~(equal & np.isfinite(folded))):
                 s = starts[j]
                 folded[j] = math.fsum(w[s : s + counts[j]].tolist())
             pts = np.ascontiguousarray(pts[starts])

@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -173,13 +173,13 @@ _MAX_DEPTH = 22
 STABLE_ROUNDS = 2
 
 
-def _refine_until_stable(partition_sum, first_depth, max_depth, tol) -> float:
-    """``partition_sum(depth)`` for depth = first_depth.. max_depth, until
-    ``STABLE_ROUNDS`` refinements in a row change it by less than ``tol``."""
+def _refine_until_stable(sums: Iterable[float], max_depth, tol) -> float:
+    """The first of the partition ``sums`` (one per depth, up to
+    ``max_depth``) after ``STABLE_ROUNDS`` refinements in a row changed the
+    sum by less than ``tol``."""
     prev = None
     stable = 0
-    for depth in range(first_depth, max_depth + 1):
-        v = partition_sum(depth)
+    for v in sums:
         if prev is not None and abs(v - prev) < tol:
             stable += 1
             if stable >= STABLE_ROUNDS:
@@ -190,6 +190,29 @@ def _refine_until_stable(partition_sum, first_depth, max_depth, tol) -> float:
     raise VariationError(
         f"variation did not stabilize within {max_depth} dyadic refinements"
     )
+
+
+def _dyadic_values(phi: Callable, a: float, b: float, first: int, last: int):
+    """``(xs, phi(xs))`` on ``xs = np.linspace(a, b, 2**depth + 1)`` for
+    depth = first..last.
+
+    Each grid holds the one before it at its even points, so ``phi`` is
+    called on the new odd points only.  Where rounding moved an even point
+    (a subnormal step), the bits differ and the whole grid is evaluated.
+    """
+    prev_xs = prev_vals = None
+    for depth in range(first, last + 1):
+        xs = np.linspace(a, b, 2**depth + 1)
+        if prev_xs is not None and np.array_equal(
+            xs[::2].view(np.int64), prev_xs.view(np.int64)
+        ):
+            vals = np.empty_like(xs)
+            vals[::2] = prev_vals
+            vals[1::2] = apply_to_array(phi, np.ascontiguousarray(xs[1::2]))
+        else:
+            vals = apply_to_array(phi, xs)
+        yield xs, vals
+        prev_xs, prev_vals = xs, vals
 
 
 def variation(
@@ -203,19 +226,20 @@ def variation(
     Refines until successive partition sums differ by less than ``tol`` for
     ``STABLE_ROUNDS`` refinements in a row.  The result is a lower bound of
     the true variation, exact once the partition separates the monotone
-    pieces of a piecewise-monotone ``phi``.
+    pieces of a piecewise-monotone ``phi``, which is called once per point
+    of the finest partition reached.
     """
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("window must be a finite nondegenerate interval")
 
-    def partition_sum(depth: int) -> float:
-        vals = apply_to_array(phi, np.linspace(a, b, 2**depth + 1))
+    def partition_sum(vals: np.ndarray) -> float:
         if not np.all(np.isfinite(vals)):
             raise ValueError("phi is non-finite on the window")
         return fsum_array(np.abs(np.diff(vals)))
 
-    return _refine_until_stable(partition_sum, 2, max_depth, tol)
+    sums = (partition_sum(vals) for _, vals in _dyadic_values(phi, a, b, 2, max_depth))
+    return _refine_until_stable(sums, max_depth, tol)
 
 
 def variation_nd(
@@ -251,7 +275,8 @@ def variation_nd(
             inc = np.diff(inc, axis=axis)
         return fsum_array(np.abs(inc).ravel())
 
-    return _refine_until_stable(partition_sum, 1, max_depth, tol)
+    sums = (partition_sum(depth) for depth in range(1, max_depth + 1))
+    return _refine_until_stable(sums, max_depth, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +501,14 @@ def riemann_stieltjes_oracle(
 
     Level L splits the interval into 2**L pieces and sums f(midpoint) times
     the increment of ``phi``; the caller inspects stabilization across
-    levels.  Used as an independent check of the quadrature route.
+    levels.  ``phi`` is called once per point of the finest grid.  Used as
+    an independent check of the quadrature route.
     """
     if not 1 <= levels <= _MAX_DEPTH:
         raise ValueError(f"levels must be in 1..{_MAX_DEPTH}, got {levels}")
     a, b = _finite_interval(interval)
     sums = []
-    for level in range(1, levels + 1):
-        xs = np.linspace(a, b, 2**level + 1)
-        pv = apply_to_array(phi, xs)
+    for xs, pv in _dyadic_values(phi, a, b, 1, levels):
         mids = 0.5 * (xs[:-1] + xs[1:])
         fv = apply_to_array(f, mids)
         sums.append(fsum_array(fv * np.diff(pv)))

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -521,6 +522,105 @@ class TestThreadsEnvironment:
         monkeypatch.setenv("ASYMPTOLIM_THREADS", "many")
         code, _, _ = run_cli(["solve", "dirichlet", "--n", "10"], capsys)
         assert code == 2
+
+
+_TIMESTAMP = re.compile(r'(timestamp"?[:,] ?"?)[0-9T:.+-]+')
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; every call then gives
+    what a freshly built parser gives."""
+
+    @staticmethod
+    def sequence(tmp_path):
+        """(argv, ASYMPTOLIM_THREADS) pairs: exit-2 argv between good ones,
+        the probe alias, defaults after explicit values, CSV and --output."""
+        out = str(tmp_path / "report.txt")
+        integrate = ["integrate", "--f", "sin", "--phi", "uniform"]
+        return [
+            (integrate + ["--method", "oracle", "--levels", "3"], None),
+            (integrate + ["--method", "oracle", "--levels", "0"], None),
+            (integrate + ["--method", "oracle"], None),
+            (integrate + ["--method", "parts", "--lower", "nan"], None),
+            (integrate, None),
+            (integrate + ["--method", "nosuch"], None),
+            (["solve", "nosuch", "--n", "10"], None),
+            (["probe", "example3", "--n", "100,1000", "--format", "csv"], None),
+            (["sweep", "example3", "--n", "100,1000"], None),
+            (["special", "digamma", "--x", "nan"], None),
+            (["special", "digamma", "--x", "2", "--format", "csv"], None),
+            (["solve", "example3", "--n", "1000", "--threads", "2"], None),
+            (["solve", "example3", "--n", "1000"], "2"),
+            (["solve", "example3", "--n", "1000"], "many"),
+            (["solve", "example3", "--n", "1000"], None),
+            (["solve", "dirichlet", "--n", "10", "--output", out], None),
+            (["solve", "dirichlet", "--n", "10", "--format", "csv", "--output", out], None),
+            (["solve", "dirichlet", "--n", "10"], None),
+            ([], None),
+            (["integrate", "--help"], None),
+            (integrate + ["--levels", "23", "--method", "oracle"], None),
+            (integrate + ["--method", "oracle", "--tol", "1e-3"], None),
+        ]
+
+    @staticmethod
+    def run_all(steps, tmp_path, monkeypatch, capsys):
+        results = []
+        for argv, threads in steps:
+            if threads is None:
+                monkeypatch.delenv("ASYMPTOLIM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("ASYMPTOLIM_THREADS", threads)
+            code = main(argv)
+            out = capsys.readouterr()
+            written = ""
+            if "--output" in argv:
+                path = tmp_path / "report.txt"
+                written = path.read_text()
+                path.unlink()
+            results.append(
+                (code, _TIMESTAMP.sub(r"\1T", out.out + written), out.err)
+            )
+        return results
+
+    def test_every_call_matches_a_fresh_parser(self, tmp_path, monkeypatch, capsys):
+        from asymptolim import cli
+
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        steps = self.sequence(tmp_path)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._shared_parser.cache_clear()
+        try:
+            shared = self.run_all(steps, tmp_path, monkeypatch, capsys)
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(builds) == 1
+        monkeypatch.setattr(cli, "_shared_parser", counting_build)
+        fresh = self.run_all(steps, tmp_path, monkeypatch, capsys)
+        assert len(builds) == 1 + len(steps)
+        assert shared == fresh
+        assert {code for code, _, _ in shared} == {0, 2}
+
+    def test_parser_is_built_at_the_first_call(self):
+        # a fresh interpreter: this one has built the parser already
+        code = (
+            "from asymptolim import cli; "
+            "assert cli._shared_parser.cache_info().currsize == 0; "
+            "cli.main(['special', 'digamma', '--x', '1']); "
+            "assert cli._shared_parser.cache_info().currsize == 1"
+        )
+        src = str(Path(asymptolim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestFunctionRegistry:

@@ -12,6 +12,8 @@ from asymptolim import (
     measure_box,
     pushforward,
 )
+from asymptolim.measure import _fold_sorted
+from asymptolim.problems import reciprocal_frac_map
 
 
 def random_measure(rng, dim=1, max_atoms=8):
@@ -332,3 +334,118 @@ class TestHyperBox:
         box = HyperBox.up_to((2.0, 3.0))
         assert box.lower == (-math.inf, -math.inf)
         assert box.contains((-100.0, 3.0))
+
+
+def fold_oracle(pts, w):
+    """``measure._fold_sorted`` as it was before equal weights were folded by
+    one multiply: every group of duplicate points is summed by math.fsum."""
+    m = pts.shape[0]
+    order = np.lexsort(pts.T[::-1])
+    pts = np.ascontiguousarray(pts[order])
+    w = np.ascontiguousarray(w[order])
+    if m > 1:
+        is_new = np.empty(m, dtype=bool)
+        is_new[0] = True
+        is_new[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+        starts = np.flatnonzero(is_new)
+        if starts.size != m:
+            counts = np.diff(np.append(starts, m))
+            folded = np.empty(starts.size)
+            singles = counts == 1
+            folded[singles] = w[starts[singles]]
+            for j in np.flatnonzero(~singles):
+                s = starts[j]
+                folded[j] = math.fsum(w[s : s + counts[j]].tolist())
+            pts = np.ascontiguousarray(pts[starts])
+            w = folded
+    return pts, w
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == want.tobytes()
+
+
+_POINT_POOL = (0.0, -0.0, 0.5, 1.0, -3.25, 1e-310, 5e-324, 7.0)
+_SUBNORMALS = (5e-324, 1e-310, 2.2250738585072e-309, 0.0, -0.0)
+
+
+def _fold_case(st):
+    """(points, weights or None): few distinct points, so most atoms have
+    duplicates, and weights that are random, all equal, +-0, subnormal, or
+    equal on some duplicate groups and unequal on the others."""
+    unit = st.floats(0.0, 1.0)
+
+    @st.composite
+    def case(draw):
+        dim = draw(st.sampled_from((1, 2)))
+        m = draw(st.integers(1, 40))
+        picks = draw(st.lists(st.integers(0, len(_POINT_POOL) - 1), min_size=m * dim,
+                              max_size=m * dim))
+        pts = np.array(_POINT_POOL)[picks].reshape(m, dim)
+        mode = draw(st.sampled_from(("none", "random", "equal", "zeros", "subnormal", "mixed")))
+        if mode == "none":
+            return pts, None
+        if mode == "random":
+            w = draw(st.lists(unit, min_size=m, max_size=m))
+        elif mode == "equal":
+            w = [draw(unit)] * m
+        elif mode == "zeros":
+            w = draw(st.lists(st.sampled_from((0.0, -0.0)), min_size=m, max_size=m))
+        elif mode == "subnormal":
+            w = draw(st.lists(st.sampled_from(_SUBNORMALS), min_size=m, max_size=m))
+        else:
+            # one weight per equal-weight point, a fresh one per atom elsewhere
+            shared = {key: draw(unit) for key in {tuple(row) for row in (pts + 0.0).tolist()}
+                      if draw(st.booleans())}
+            w = [shared.get(tuple(row)) for row in (pts + 0.0).tolist()]
+            w = [draw(unit) if v is None else v for v in w]
+        return pts, np.array(w, dtype=float)
+
+    return case()
+
+
+class TestFoldMatchesFsumLoop:
+    """Duplicate points fold to the same bits as the per-group fsum loop."""
+
+    def test_drawn_multisets(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(_fold_case(hypothesis.strategies))
+        def check(case):
+            pts, w = case
+            full = np.full(pts.shape[0], 1.0 / pts.shape[0]) if w is None else w
+            for got, want in zip(_fold_sorted(pts + 0.0, full), fold_oracle(pts + 0.0, full)):
+                assert_same_bits(got, want)
+            if w is not None and not np.any(w > 0.0):
+                return
+            m = from_points(pts, w)
+            if w is not None:
+                full = w / math.fsum(w.tolist())
+            want_pts, want_w = fold_oracle(pts + 0.0, full)
+            assert_same_bits(m.points, want_pts)
+            assert_same_bits(m.weights, want_w)
+
+        check()
+
+    def test_negative_zero_weights_sum_to_positive_zero(self):
+        pts, w = _fold_sorted(np.zeros((3, 1)), np.array([-0.0, -0.0, -0.0]))
+        assert_same_bits(w, np.array([0.0]))
+        pts, w = _fold_sorted(np.array([[0.0], [1.0]]), np.array([-0.0, -0.0]))
+        assert_same_bits(w, np.array([-0.0, -0.0]))
+
+    def test_overflowing_equal_weights_raise_as_fsum_does(self):
+        # not a probability, but AtomicMeasure takes any weights
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            _fold_sorted(np.zeros((2, 1)), np.array([1e308, 1e308]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 97, 1000, 4099, 30000])
+    def test_reciprocal_frac_pushforward(self, n):
+        m = from_points(np.arange(1, n + 1, dtype=np.float64) / n)
+        g = reciprocal_frac_map(n)
+        image = pushforward(m, g)
+        want_pts, want_w = fold_oracle(np.asarray(g(m.points[:, 0]))[:, None] + 0.0, m.weights)
+        assert_same_bits(image.points, want_pts)
+        assert_same_bits(image.weights, want_w)

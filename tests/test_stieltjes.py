@@ -29,6 +29,7 @@ from asymptolim.special import EULER_GAMMA
 import heapq
 
 from asymptolim import stieltjes
+from asymptolim.accum import apply_to_array, fsum_array
 from asymptolim.stieltjes import _G_WEIGHTS, _GK_NODES, _K_WEIGHTS, _gk_panel, adaptive_quadrature
 
 from test_measure import random_measure
@@ -511,6 +512,144 @@ class TestRiemannStieltjesOracle:
             res = integrate_smooth(f, smooth, tol=1e-9)
             combined = abs(sums[-1] - sums[-2]) * 4.0 + 1e-6
             assert abs(res.value - sums[-1]) <= combined
+
+
+def oracle_per_level(f, phi, interval, levels):
+    """``riemann_stieltjes_oracle`` on a fresh ``np.linspace`` grid per level,
+    with phi evaluated on every point of every level."""
+    a, b = float(interval[0]), float(interval[1])
+    sums = []
+    for level in range(1, levels + 1):
+        xs = np.linspace(a, b, 2**level + 1)
+        pv = apply_to_array(phi, xs)
+        fv = apply_to_array(f, 0.5 * (xs[:-1] + xs[1:]))
+        sums.append(fsum_array(fv * np.diff(pv)))
+    return sums
+
+
+def variation_per_depth(phi, window, tol=1e-9, max_depth=22):
+    """``variation`` on a fresh ``np.linspace`` grid per depth, with phi
+    evaluated on every point of every depth."""
+    a, b = float(window[0]), float(window[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError("window must be a finite nondegenerate interval")
+    prev, stable = None, 0
+    for depth in range(2, max_depth + 1):
+        vals = apply_to_array(phi, np.linspace(a, b, 2**depth + 1))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("phi is non-finite on the window")
+        v = fsum_array(np.abs(np.diff(vals)))
+        if prev is not None and abs(v - prev) < tol:
+            stable += 1
+            if stable >= stieltjes.STABLE_ROUNDS:
+                return v
+        else:
+            stable = 0
+        prev = v
+    raise VariationError(f"variation did not stabilize within {max_depth} dyadic refinements")
+
+
+class ScalarPhi:
+    """A math-based phi that rejects arrays, as the root:q, arcsin and
+    frac-limit CDFs do, and counts its scalar calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, t):
+        if isinstance(t, np.ndarray):
+            raise TypeError("scalars only")
+        self.calls += 1
+        return self.fn(t)
+
+
+def _outcome(route, *args, **kwargs):
+    """The bits of a route's result, or the type and text of what it raised."""
+    try:
+        return np.asarray(route(*args, **kwargs), dtype=float).tobytes()
+    except (ValueError, VariationError) as exc:
+        return type(exc), str(exc)
+
+
+_DYADIC_PHIS = {
+    "atan": math.atan,
+    "arcsin": arcsin_cdf().value,
+    "root3": root_cdf(3).value,
+    "kink": lambda t: abs(math.tanh(4.0 * t - 1.0)),
+    # sin of the count of subnormal units: tells every tiny point apart
+    "ulps": lambda t: math.sin(t / 5e-324) if abs(t) < 1e-300 else math.atan(t),
+}
+
+# a == b, +-0 ends, subnormal widths (whose strided grids differ from a fresh
+# linspace at some depths) and a width that overflows to inf, then random ones
+_RNG = np.random.default_rng(2026)
+_DYADIC_WINDOWS = [
+    (0.0, 1.0), (0.3, 0.3), (-0.0, 0.0), (0.0, -0.0), (-0.0, 1.0), (-1.0, -0.0),
+    (0.0, 1e-310), (-1e-310, 1e-310), (0.0, 2.2e-308), (5e-324, 1e-323), (-1e308, 1e308),
+] + [
+    tuple(np.sort(_RNG.normal(size=2) * 10.0 ** _RNG.integers(-12, 12)).tolist())
+    for _ in range(6)
+]
+
+
+class TestDyadicGrids:
+    """Each dyadic point of phi is evaluated once, with the same bits as the
+    per-level routes that evaluate every grid afresh."""
+
+    @pytest.mark.parametrize("window", _DYADIC_WINDOWS, ids=repr)
+    @pytest.mark.parametrize("phi", list(_DYADIC_PHIS), ids=str)
+    def test_oracle_matches_per_level_route(self, phi, window):
+        fn = _DYADIC_PHIS[phi]
+        with np.errstate(all="ignore"):
+            got = riemann_stieltjes_oracle(np.cos, ScalarPhi(fn), window, 11)
+            want = oracle_per_level(np.cos, ScalarPhi(fn), window, 11)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("window", _DYADIC_WINDOWS, ids=repr)
+    @pytest.mark.parametrize("phi", list(_DYADIC_PHIS), ids=str)
+    def test_variation_matches_per_depth_route(self, phi, window):
+        fn = _DYADIC_PHIS[phi]
+        with np.errstate(all="ignore"):
+            for tol, max_depth in ((1e-9, 11), (1e-300, 8), (1e-9, 1)):
+                got = _outcome(variation, ScalarPhi(fn), window, tol, max_depth)
+                want = _outcome(variation_per_depth, ScalarPhi(fn), window, tol, max_depth)
+                assert got == want
+
+    def test_scalar_phi_is_called_once_per_point(self):
+        phi = ScalarPhi(math.atan)
+        seen = []
+
+        def f(mids):
+            # f is called once per level, after phi has seen that level's grid
+            seen.append(phi.calls)
+            return np.sin(mids)
+
+        got = riemann_stieltjes_oracle(f, phi, (-1.0, 3.0), 17)
+        assert seen == [2**level + 1 for level in range(1, 18)]
+        assert np.asarray(got).tobytes() == np.asarray(
+            oracle_per_level(np.sin, ScalarPhi(math.atan), (-1.0, 3.0), 17)
+        ).tobytes()
+
+    @pytest.mark.parametrize("levels", range(1, 23))
+    def test_each_level_evaluates_phi_once_per_point(self, levels):
+        seen = []
+
+        def phi(t):
+            seen.append(np.size(t))
+            return np.arctan(t)
+
+        got = riemann_stieltjes_oracle(np.cos, phi, (-0.5, 2.0), levels)
+        assert sum(seen) == 2**levels + 1
+        want = oracle_per_level(np.cos, np.arctan, (-0.5, 2.0), levels)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_variation_calls_phi_once_per_point_of_its_last_depth(self):
+        # a linear phi sums to phi(1) - phi(0) at every depth, so variation
+        # stops after STABLE_ROUNDS equal refinements: at depth 4
+        phi = ScalarPhi(lambda t: 2.0 * t)
+        assert variation(phi, (0.0, 1.0)) == 2.0
+        assert phi.calls == 2**4 + 1
 
 
 def _numeric_derivative(phi, h=1e-6):
