@@ -13,11 +13,11 @@ The chunk loops compute in per-thread workspaces, ``CHUNK``-length arrays
 held in ``threading.local``: a reducer holds one for a chunk's points and
 compare mask, and the point kernels and ``exact_partials`` inside it hold a
 second for their temporaries.  Each has three float64 arrays and one bool
-array (3.125 MiB); pages become resident only where written, 4.25 MiB per
-thread in a solve.  They are allocated on a thread's first chunk, so a loop
-allocates no ``CHUNK``-sized temporaries of its own after that.  A stream
-that writes into a reducer's workspace returns an array that lives until
-the same thread's next chunk; a caller that keeps it copies it.
+array (3.125 MiB); pages become resident only where written, at most
+3.25 MiB per thread in a solve.  They are allocated on a thread's first
+chunk, so a loop allocates no ``CHUNK``-sized temporaries of its own after
+that.  A stream that writes into a reducer's workspace returns an array that
+lives until the same thread's next chunk; a caller that keeps it copies it.
 """
 
 from __future__ import annotations
@@ -109,6 +109,11 @@ def exact_partials(x: np.ndarray) -> list:
     q = (sigma + r) - sigma, a multiple of 2**(e+M-53) of size <= 2**e, and
     r - q; every partial sum of the q is such a multiple below sigma, so
     ``np.sum(q)`` is exact in any order.  Numpy releases the GIL in every pass.
+    Only the first pass scans for max|x|: r - q is the rounding error of
+    sigma + r, at most half an ulp of sigma, 2**(e+M-53), so the next pass
+    takes e = e + M - 52, and one compare with 0 tells whether a remainder is
+    left (into the workspace's mask: a float ``any`` is slower than max and
+    min together).
 
     Anything else (other dtypes or shapes, short or non-finite arrays, a sigma
     that would overflow) is returned as ``x.tolist()``, as is the remainder
@@ -122,23 +127,26 @@ def exact_partials(x: np.ndarray) -> list:
     if top == 0.0:
         # the IEEE sum of zeros is -0.0 only when every term is
         return [-0.0 if np.signbit(x).all() else 0.0]
+    if not math.isfinite(top):
+        return x.tolist()
     shift = (x.size + 1).bit_length()
+    exponent = math.frexp(top)[1] + shift
+    if exponent > 1023:
+        return x.tolist()
     partials: list = []
     r = x
     with workspace(x.size) as ws:
         q, rest = (a[: x.size] for a in ws.f[:2])
+        nonzero = ws.mask[: x.size]
         for _ in range(_EXTRACT_PASSES):
-            exponent = math.frexp(top)[1] + shift
-            if not (math.isfinite(top) and exponent <= 1023):
-                break
             sigma = math.ldexp(1.0, exponent)
             np.add(r, sigma, out=q)
             q -= sigma
             partials.append(float(q.sum()))
             r = np.subtract(r, q, out=rest)
-            top = max(float(r.max()), -float(r.min()))
-            if top == 0.0:
+            if not np.not_equal(r, 0.0, out=nonzero).any():
                 return partials
+            exponent += shift - 52
         return partials + r.tolist()
 
 

@@ -4,11 +4,12 @@ Each solver returns the empirical value at a finite index n, the closed-form
 limit, and their absolute gap.  Index loops run over fixed chunks with
 exact partial sums reduced by one correctly rounded sum, so results are
 bit-identical for every thread count.  Fractional parts of rationals are
-derived from integer remainders and rounded once.  Every count of points
+derived from exact float64 remainders and rounded once.  Every count of points
 <= t (the CDF solvers, the interval proportion, the sweep) is
-``Problem.count``: it compares the rounded points with t and settles in exact
-integer arithmetic every point that rounding could have moved across t, so
-no point is misclassified.  Where the points are monotone along O(sqrt n)
+``Problem.count``: it compares the rounded points with t and decides exactly
+every point that rounding could have moved across t (in bulk where an error
+bound proves its side, else in exact integer arithmetic), so no point is
+misclassified.  Where the points are monotone along O(sqrt n)
 blocks of indices (canonical-uniform, example1, example3), ``count`` decides
 only the points next to each block's boundary with t, in O(sqrt n) per
 threshold, and gets the streamed count; the divisor sum takes the hyperbola
@@ -146,47 +147,36 @@ def frac_limit_smooth_cdf() -> SmoothCdf:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _iota() -> np.ndarray:
-    """0, 1, ..., CHUNK - 1 as a shared read-only int64 array."""
-    iota = np.arange(CHUNK, dtype=np.int64)
+def _iota(dtype: np.dtype) -> np.ndarray:
+    """0, 1, ..., CHUNK - 1 as a shared read-only array of ``dtype``."""
+    iota = np.arange(CHUNK, dtype=dtype)
     iota.setflags(write=False)
     return iota
 
 
 def _indices(start: int, stop: int, out: np.ndarray) -> np.ndarray:
     """start, ..., stop - 1 written into ``out`` (int64, or float64 below
-    2**53, where every such integer is exact).  A float64 ``out`` takes the
-    iota by a cast copy before start is added: a ufunc with an int64 operand
-    and a float64 output would cast through buffers of 8192 values."""
+    2**53, where every such integer is exact), in one pass from an iota of
+    the same dtype."""
     m = stop - start
-    iota = _iota()[:m] if m <= CHUNK else np.arange(m, dtype=np.int64)
-    if out.dtype == iota.dtype:
-        return np.add(iota, start, out=out)
-    np.copyto(out, iota)
-    return np.add(out, start, out=out)
+    iota = _iota(out.dtype)[:m] if m <= CHUNK else np.arange(m, dtype=out.dtype)
+    return np.add(iota, start, out=out)
 
 
 def _sqrt_frac(k: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
-    """Fractional parts of sqrt(k) for the float64 integers ``k``, into
-    ``out``, with temporaries in the last two arrays of the workspace ``ws``
+    """Fractional parts of sqrt(k) for the float64 integers 1 <= k <= 2**52,
+    into ``out``, with the floor in the second array of the workspace ``ws``
     (its first may hold k).
 
-    The floor of the one floating square root is corrected to the exact
-    integer square root before it is subtracted (valid to k ~ 2**52, where
-    k, f*f and (f+1)**2 are exact in float64).
+    floor(fl(sqrt k)) is isqrt(k), so the result is fl(sqrt k) - isqrt(k),
+    an exact difference.  sqrt is correctly rounded and monotone, and
+    sqrt(m*m) = m is exact, so it is enough that fl(sqrt(M*M - 1)) < M for
+    M <= 2**26: sqrt(M*M - 1) < M - 1/(2M) <= M - 2**-27, and the float
+    below M is at least M - 2**-27, so the root rounds below M.
     """
-    m = k.size
-    f, t = (a[:m] for a in ws.f[1:])
-    mask = ws.mask[:m]
+    f = ws.f[1][: k.size]
     np.sqrt(k, out=out)
     np.floor(out, out=f)
-    np.add(f, 1.0, out=t)
-    np.multiply(t, t, out=t)
-    # masked steps of 1.0, not f += mask: a bool operand would be cast
-    # through buffers
-    np.add(f, 1.0, out=f, where=np.less_equal(t, k, out=mask))
-    np.multiply(f, f, out=t)
-    np.subtract(f, 1.0, out=f, where=np.greater(t, k, out=mask))
     return np.subtract(out, f, out=out)
 
 
@@ -207,24 +197,31 @@ def _sqrt_frac_at(k: np.ndarray, out: np.ndarray) -> np.ndarray:
         return _sqrt_frac(kf, out, ws)
 
 
+def _remainder(n: int, i: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """n mod i, exactly, into ``out``, for 0 <= n <= 2**52 and the float64
+    integers 1 <= i <= 2**52.
+
+    floor(fl(n/i)) is Q = n // i: fl is monotone and Q is a float, so it is
+    at least Q.  Where i divides n, n/i = Q.  Otherwise n/i <= Q + 1 - 1/i,
+    and 1/i > (Q + 1) * 2**-53, since i * (Q + 1) < n + i <= 2**53, is more
+    than half the spacing of the floats below Q + 1; so n/i rounds below
+    Q + 1.  Then Q * i <= n and n - Q * i are exact.
+    """
+    np.divide(float(n), i, out=out)
+    np.floor(out, out=out)
+    np.multiply(out, i, out=out)
+    return np.subtract(float(n), out, out=out)
+
+
 def _remainder_chunk(
     n: int, start: int, stop: int, out: Optional[tuple] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The indices i in [start, stop) and n mod i, as int64 arrays; written
-    into the pair ``out`` when it is given."""
+    """The indices i in [start, stop) and n mod i, as float64 arrays of
+    exact integers; written into the pair ``out`` when it is given."""
     if out is None:
-        out = (np.empty(stop - start, dtype=np.int64), np.empty(stop - start, dtype=np.int64))
+        out = (np.empty(stop - start), np.empty(stop - start))
     i = _indices(start, stop, out[0])
-    return i, np.remainder(n, i, out=out[1])
-
-
-def _ratio(r: np.ndarray, i: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """r/i for int64 arrays below 2**53, each rounded once, into ``out``.
-    Both are cast once into float64 arrays (``scratch`` takes i), so the
-    division allocates no casting buffers."""
-    np.copyto(out, r)
-    np.copyto(scratch, i)
-    return np.divide(out, scratch, out=out)
+    return i, _remainder(n, i, out[1])
 
 
 def _reciprocal_frac_chunk(
@@ -233,18 +230,18 @@ def _reciprocal_frac_chunk(
     """{n/i} = (n mod i)/i for i in [start, stop), each rounded once;
     written into ``out`` when it is given, else into a fresh array."""
     m = stop - start
+    out = np.empty(m) if out is None else out
     with workspace(m) as ws:
-        pair = tuple(a[:m].view(np.int64) for a in ws.f[:2])
-        i, r = _remainder_chunk(n, start, stop, out=pair)
-        return _ratio(r, i, np.empty(m) if out is None else out, ws.f[2][:m])
+        i, r = _remainder_chunk(n, start, stop, out=(ws.f[0][:m], out))
+        return np.divide(r, i, out=r)
 
 
 def _reciprocal_frac_at(n: int, i: np.ndarray, out: np.ndarray) -> np.ndarray:
     """{n/i} for the int64 indices ``i``, each rounded once, into ``out``."""
-    m = i.size
-    with workspace(m) as ws:
-        r = np.remainder(n, i, out=ws.f[0][:m].view(np.int64))
-        return _ratio(r, i, out, ws.f[1][:m])
+    with workspace(i.size) as ws:
+        fi = ws.f[0][: i.size]
+        np.copyto(fi, i)
+        return np.divide(_remainder(n, fi, out), fi, out=out)
 
 
 def _uniform_chunk(n: int, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -282,15 +279,17 @@ def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -
 
 
 def reciprocal_frac_map(n: int) -> Callable:
-    """The map x -> {1/x} on the atoms {i/n}, in exact integer arithmetic.
+    """The map x -> {1/x} on the atoms {i/n}, in exact arithmetic.
 
     Recovers i = rint(n*x), for a float or an array, and returns (n mod i)/i
     rounded once.  Plain floating evaluation of {1/x} wraps just below
     integers for many i/n (for example 1/(1/93) = 92.999...), which would
     misplace atoms across the CDF jump at 0; this map keeps the push-forward
-    route consistent with the modular counting route.
+    route consistent with the modular counting route.  As for the index
+    solvers, n must be in 1..2**52, the domain of the exact float remainders;
+    anything else raises ValueError.
     """
-    n = int(n)
+    n = _check_n(n)
 
     def g(x):
         i = np.rint(n * np.asarray(x, dtype=float))
@@ -366,7 +365,9 @@ class Problem:
     its exactness rule: every rounded point with index below ``stop`` lies
     within ``band(stop)`` of its exact point x_i, and ``settle(n, i, T)``
     decides x_i <= T exactly for a Fraction T.  Without a rule the float
-    points are the points.
+    points are the points.  ``decide(index, t, tf)`` may decide the band
+    points of the int64 indices in bulk first: it returns whether x_i <= t
+    and whether that is certain; only the uncertain ones are settled.
 
     A problem whose points are monotone on O(sqrt n) blocks of indices names
     them: ``blocks(n)`` returns its ``Blocks`` at n, and ``count`` then
@@ -380,6 +381,7 @@ class Problem:
     limit: Callable[[], SmoothCdf]
     band: Optional[Callable[[int], float]] = None
     settle: Optional[Callable[[int, int, Fraction], bool]] = None
+    decide: Optional[Callable[[np.ndarray, object, float], tuple]] = None
     blocks: Optional[Callable[[int], Blocks]] = None
 
     def count(self, n: int, ts: Sequence, threads: int = 1) -> np.ndarray:
@@ -391,10 +393,10 @@ class Problem:
         index, found by the points next to the guessed one.  Every point is
         decided as ``_at_most`` does: with a settle rule, a point farther than
         the band from float(t) lies on the same side of t as x_i and is
-        decided by the compare; a point inside the band is settled against
-        T = Fraction(t) (of float(t) unless t is rational), built only when
-        such a point occurs.  A NaN threshold or a non-finite streamed point
-        raises ValueError.
+        decided by the compare; a point inside the band is decided in bulk
+        where the problem can, else settled against T = Fraction(t) (of
+        float(t) unless t is rational), built only when such a point occurs.
+        A NaN threshold or a non-finite streamed point raises ValueError.
         """
         n = _check_n(n)
         ts = tuple(ts)
@@ -416,7 +418,7 @@ class Problem:
                 scratch = ws.f[1].view(np.bool_)[:m]
                 w = self.band(b) if self.settle else 0.0
                 for j, (t, tf) in enumerate(zip(ts, tfs)):
-                    le = self._at_most(n, x, range(a, b), t, tf, w, mask, scratch)
+                    le = self._at_most(n, x, a, t, tf, w, mask, scratch)
                     tally[j] = np.count_nonzero(le)
             return tally
 
@@ -448,20 +450,58 @@ class Problem:
         return counts
 
     def _at_most(self, n, x, index, t, tf, w, out, scratch) -> np.ndarray:
-        """Whether x_i <= t for the rounded point x[j] of each index index[j]:
-        into the bool array ``out``, or with a settle rule into ``scratch``,
-        which is returned.  A point below tf - w is <= t, one above tf + w is
-        not, and one in between is settled."""
+        """Whether x_i <= t for the rounded point x[j] of each index index[j],
+        or index + j for an int ``index``: into the bool array ``out``, or
+        with a settle rule into ``scratch``, which is returned.  A point
+        below tf - w is <= t, one above tf + w is not, and one in between
+        is decided in bulk or settled."""
         np.less_equal(x, tf + w, out=out)
         if not self.settle:
             return out
         below = np.less(x, tf - w, out=scratch)
         band = np.flatnonzero(np.not_equal(out, below, out=out))
+        ks = band + index if isinstance(index, int) else index[band]
+        if band.size and self.decide:
+            le, sure = self.decide(ks, t, tf)
+            below[band] = le
+            unsure = np.logical_not(sure, out=sure)
+            band, ks = band[unsure], ks[unsure]
         if band.size:
             T = Fraction(t if isinstance(t, numbers.Rational) else tf)
-            for j in band.tolist():
-                below[j] = self.settle(n, int(index[j]), T)
+            for j, k in zip(band.tolist(), ks.tolist()):
+                below[j] = self.settle(n, k, T)
         return below
+
+
+def _sqrt_frac_decide(k: np.ndarray, t, tf: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether {sqrt k} <= t for the int64 indices k <= 2**52, and where that
+    is certain.
+
+    With m = isqrt(k) = floor(fl(sqrt k)) (see ``_sqrt_frac``) and
+    j = k - m*m, {sqrt k} <= T for T >= 0 exactly when j <= D = T(2m + T).
+    For tau = fl(T) clipped to 1 (T >= 1 holds every point),
+    d = fl(fl(2m + tau) * tau) is within 2**-50 d of D, the rounding of a
+    rational T to tau included, unless it underflows, where D < 1.  So
+    j <= d - 2**-48 d is certain, as is j > d + 2**-48 d, and j = 0, as
+    D >= 0; an integer j is uncertain only when D is near an integer.
+    """
+    if t < 0:
+        return np.zeros(k.size, dtype=bool), np.ones(k.size, dtype=bool)
+    tau = min(tf, 1.0)
+    with workspace(k.size) as ws:
+        j, m, d = (a[: k.size] for a in ws.f)
+        np.copyto(j, k)
+        np.sqrt(j, out=m)
+        np.floor(m, out=m)
+        j -= np.multiply(m, m, out=d)
+        np.multiply(m, 2.0, out=d)
+        d += tau
+        d *= tau
+        # the slack d * 2**-48 is taken twice, as d + slack and d - slack
+        gt = np.greater(j, np.add(d, np.multiply(d, 2**-48, out=m), out=m))
+        np.subtract(d, np.multiply(d, 2**-48, out=m), out=d)
+        le = np.less_equal(j, np.maximum(d, 0.0, out=d))
+        return le, np.logical_or(le, gt, out=gt)
 
 
 def _sqrt_frac_blocks(n: int) -> Blocks:
@@ -537,6 +577,7 @@ PROBLEMS = {
         uniform_cdf,
         band=lambda stop: np.spacing(math.sqrt(stop)),
         settle=lambda n, k, T: k <= (math.isqrt(k) + T) ** 2,
+        decide=_sqrt_frac_decide,
         blocks=_sqrt_frac_blocks,
     ),
     # uniform weights on sin(2*pi*{sqrt k}), k <= n; counted on these float
@@ -811,8 +852,8 @@ def polynomial_family(
     return _result(empirical, scale * integral, n, meta)
 
 
-# Largest n an index solver accepts: the exactness limit of _sqrt_frac_chunk,
-# checked before any chunk range over 1..n is built.
+# Largest n an index solver accepts: the exactness limit of _sqrt_frac and
+# _remainder, checked before any chunk range over 1..n is built.
 _MAX_INDEX = 2**52
 
 

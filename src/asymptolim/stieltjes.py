@@ -192,8 +192,28 @@ def _refine_until_stable(sums: Iterable[float], max_depth, tol) -> float:
     )
 
 
+def _grid(a: float, b: float, num: int) -> np.ndarray:
+    """``np.linspace(a, b, num)`` for finite a <= b.  Where b - a overflows,
+    the grid of a/2 and b/2, doubled: halving and doubling are exact at that
+    size, so these are the points of linspace's formula without the
+    overflow."""
+    if math.isinf(b - a):
+        return 2.0 * np.linspace(0.5 * a, 0.5 * b, num)
+    return np.linspace(a, b, num)
+
+
+def _midpoints(xs: np.ndarray) -> np.ndarray:
+    """``0.5 * (xs[:-1] + xs[1:])``; where a sum overflows, the sum of the
+    halves, which are exact at that size."""
+    with np.errstate(over="ignore"):
+        mids = 0.5 * (xs[:-1] + xs[1:])
+    big = np.flatnonzero(np.isinf(mids))
+    mids[big] = 0.5 * xs[big] + 0.5 * xs[big + 1]
+    return mids
+
+
 def _dyadic_values(phi: Callable, a: float, b: float, first: int, last: int):
-    """``(xs, phi(xs))`` on ``xs = np.linspace(a, b, 2**depth + 1)`` for
+    """``(xs, phi(xs))`` on ``xs = _grid(a, b, 2**depth + 1)`` for
     depth = first..last.
 
     Each grid holds the one before it at its even points, so ``phi`` is
@@ -202,7 +222,7 @@ def _dyadic_values(phi: Callable, a: float, b: float, first: int, last: int):
     """
     prev_xs = prev_vals = None
     for depth in range(first, last + 1):
-        xs = np.linspace(a, b, 2**depth + 1)
+        xs = _grid(a, b, 2**depth + 1)
         if prev_xs is not None and np.array_equal(
             xs[::2].view(np.int64), prev_xs.view(np.int64)
         ):
@@ -261,7 +281,7 @@ def variation_nd(
 
     def partition_sum(depth: int) -> float:
         axes = [
-            np.linspace(box.lower[i], box.upper[i], 2**depth + 1) for i in range(k)
+            _grid(box.lower[i], box.upper[i], 2**depth + 1) for i in range(k)
         ]
         grids = np.meshgrid(*axes, indexing="ij")
         flat = np.stack([g.ravel() for g in grids], axis=1)
@@ -509,7 +529,6 @@ def riemann_stieltjes_oracle(
     a, b = _finite_interval(interval)
     sums = []
     for xs, pv in _dyadic_values(phi, a, b, 1, levels):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        fv = apply_to_array(f, mids)
+        fv = apply_to_array(f, _midpoints(xs))
         sums.append(fsum_array(fv * np.diff(pv)))
     return sums

@@ -336,6 +336,16 @@ class TestIntegrateCommand:
         assert code == 3 and out == ""
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lower, upper", [("-1e308", "1e308"), ("-1.7e308", "1.7e308")])
+    def test_oracle_on_a_window_wider_than_the_largest_float(self, lower, upper, capsys):
+        # every grid point is a float though b - a is not
+        rep = report_of(
+            ["integrate", "--f", "const1", "--phi", "uniform", "--method", "oracle",
+             f"--lower={lower}", f"--upper={upper}", "--levels", "3"],
+            capsys,
+        )
+        assert rep["result"]["levels"] == [1.0, 1.0, 1.0]
+
 
 class TestSpecialCommand:
     def test_digamma_at_one(self, capsys):

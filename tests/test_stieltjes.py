@@ -514,28 +514,41 @@ class TestRiemannStieltjesOracle:
             assert abs(res.value - sums[-1]) <= combined
 
 
+def fresh_grid(a, b, num):
+    """``np.linspace(a, b, num)``; where b - a overflows, the same formula on
+    the halved ends, doubled."""
+    if math.isinf(b - a):
+        return 2.0 * np.linspace(a / 2, b / 2, num)
+    return np.linspace(a, b, num)
+
+
 def oracle_per_level(f, phi, interval, levels):
-    """``riemann_stieltjes_oracle`` on a fresh ``np.linspace`` grid per level,
-    with phi evaluated on every point of every level."""
+    """``riemann_stieltjes_oracle`` on a fresh grid per level, with phi
+    evaluated on every point of every level; on a window whose width
+    overflows, the midpoints are sums of exact halves."""
     a, b = float(interval[0]), float(interval[1])
     sums = []
     for level in range(1, levels + 1):
-        xs = np.linspace(a, b, 2**level + 1)
+        xs = fresh_grid(a, b, 2**level + 1)
         pv = apply_to_array(phi, xs)
-        fv = apply_to_array(f, 0.5 * (xs[:-1] + xs[1:]))
+        if math.isinf(b - a):
+            mids = 0.5 * xs[:-1] + 0.5 * xs[1:]
+        else:
+            mids = 0.5 * (xs[:-1] + xs[1:])
+        fv = apply_to_array(f, mids)
         sums.append(fsum_array(fv * np.diff(pv)))
     return sums
 
 
 def variation_per_depth(phi, window, tol=1e-9, max_depth=22):
-    """``variation`` on a fresh ``np.linspace`` grid per depth, with phi
-    evaluated on every point of every depth."""
+    """``variation`` on a fresh grid per depth, with phi evaluated on every
+    point of every depth."""
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("window must be a finite nondegenerate interval")
     prev, stable = None, 0
     for depth in range(2, max_depth + 1):
-        vals = apply_to_array(phi, np.linspace(a, b, 2**depth + 1))
+        vals = apply_to_array(phi, fresh_grid(a, b, 2**depth + 1))
         if not np.all(np.isfinite(vals)):
             raise ValueError("phi is non-finite on the window")
         v = fsum_array(np.abs(np.diff(vals)))
@@ -650,6 +663,32 @@ class TestDyadicGrids:
         phi = ScalarPhi(lambda t: 2.0 * t)
         assert variation(phi, (0.0, 1.0)) == 2.0
         assert phi.calls == 2**4 + 1
+
+
+class TestOverflowingWidth:
+    """Windows whose width b - a overflows, though every grid point is a
+    float: the grid is linspace's formula on the halved ends, doubled."""
+
+    def test_halved_grid_is_linspace_where_both_exist(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            a, b = np.sort(rng.normal(size=2) * 10.0 ** rng.integers(-200, 300, 2))
+            num = 2 ** int(rng.integers(1, 12)) + 1
+            assert np.array_equal(2.0 * np.linspace(a / 2, b / 2, num), np.linspace(a, b, num))
+            assert np.array_equal(stieltjes._grid(a, b, num), np.linspace(a, b, num))
+
+    @pytest.mark.parametrize("window", [(-1e308, 1e308), (-1.7976931348623157e308, 1e308)])
+    def test_oracle_and_variation(self, window):
+        phi = uniform_cdf().value
+        assert riemann_stieltjes_oracle(lambda x: np.ones_like(x), phi, window, 9) == [1.0] * 9
+        assert variation(phi, window) == 1.0
+        sums = riemann_stieltjes_oracle(np.cos, phi, window, 6)
+        assert all(math.isfinite(v) for v in sums)
+
+    def test_midpoints_past_half_the_largest_float(self):
+        xs = [1.6e308, 1.7e308, 1.75e308, -1.75e308]
+        want = [float((Fraction(a) + Fraction(b)) / 2) for a, b in zip(xs, xs[1:])]
+        assert stieltjes._midpoints(np.array(xs)).tolist() == want
 
 
 def _numeric_derivative(phi, h=1e-6):

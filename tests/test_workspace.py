@@ -81,7 +81,7 @@ class TestKernels:
         assert same_bits(got, sqrt_frac_oracle(start, stop))
 
     @pytest.mark.parametrize("start,stop", RANGES, ids=RANGE_IDS)
-    @pytest.mark.parametrize("n", [7, 10**7 + 3, 2**52])
+    @pytest.mark.parametrize("n", [7, 10**7 + 3, 2**52 - 1, 2**52])
     def test_reciprocal_frac_in_place_equals_fresh_and_oracle(self, n, start, stop):
         out = garbage(stop - start)
         got = _reciprocal_frac_chunk(n, start, stop, out=out)
@@ -90,14 +90,16 @@ class TestKernels:
         assert same_bits(got, reciprocal_frac_oracle(n, start, stop))
 
     def test_remainders_into_a_pair(self):
+        # float64 arrays of exact integers
         n, start, stop = 10**9 + 7, 5, CHUNK + 5
-        pair = (garbage(stop - start, np.int64), garbage(stop - start, np.int64))
+        pair = (garbage(stop - start), garbage(stop - start))
         i, r = _remainder_chunk(n, start, stop, out=pair)
         assert i is pair[0] and r is pair[1]
         ref = np.arange(start, stop, dtype=np.int64)
-        assert same_bits(i, ref) and same_bits(r, n % ref)
+        assert same_bits(i, ref.astype(np.float64))
+        assert same_bits(r, (n % ref).astype(np.float64))
         fresh = _remainder_chunk(n, start, stop)
-        assert same_bits(fresh[0], ref) and same_bits(fresh[1], n % ref)
+        assert same_bits(fresh[0], i) and same_bits(fresh[1], r)
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     @pytest.mark.parametrize("start,stop", RANGES[:4], ids=RANGE_IDS[:4])
@@ -326,10 +328,10 @@ class TestAllocation:
     @pytest.mark.parametrize("name", ["example1", "example3"])
     def test_probe_peak(self, name):
         # the traced peak of a whole sweep on the stream route, the point
-        # kernels included: they cast int64 to float64 once, into arrays of
-        # their workspace, so no ufunc allocates casting buffers (8192
-        # values, 64 KiB each); the default grid holds 0.5, where {n/i}
-        # points are settled in one chunk of each n
+        # kernels included: they compute in float64 arrays of their
+        # workspace, so no ufunc allocates casting buffers (8192 values,
+        # 64 KiB each); the default grid holds 0.5, where {n/i} points are
+        # settled in one chunk of each n
         problem = dataclasses.replace(PROBLEMS[name], blocks=None)
         run = lambda: cdf_sequence_probe(problem, problem.limit(), n_list=(self.N // 2, self.N))
         run()
