@@ -138,9 +138,9 @@ def cdf_sequence_probe(
     errors.  Non-decaying errors are flagged, not failed.
 
     The CDF values are the exact counts over n, rounded once; a
-    ``Problem`` counts in chunks of indices or of blocks, in O(CHUNK)
-    memory, and its chunking does not depend on ``threads``, so neither do
-    the values.
+    ``Problem`` counts in closed form, or in chunks of blocks or of indices,
+    in O(CHUNK) memory, and its chunking does not depend on ``threads``, so
+    neither do the values.
     """
     value = _target_value(target)
     pts = tuple(float(t) for t in (DEFAULT_GRID if grid is None else grid))

@@ -6,14 +6,15 @@ exact partial sums reduced by one correctly rounded sum, so results are
 bit-identical for every thread count.  Fractional parts of rationals are
 derived from exact float64 remainders and rounded once.  Every count of points
 <= t (the CDF solvers, the interval proportion, the sweep) is
-``Problem.count``: it compares the rounded points with t and decides exactly
-every point that rounding could have moved across t (in bulk where an error
-bound proves its side, else in exact integer arithmetic), so no point is
-misclassified.  Where the points are monotone along O(sqrt n)
-blocks of indices (canonical-uniform, example1, example3), ``count`` decides
-only the points next to each block's boundary with t, in O(sqrt n) per
-threshold, and gets the streamed count; the divisor sum takes the hyperbola
-identity, O(sqrt n) as well.
+``Problem.count``, by one of three routes.  canonical-uniform and example1
+have a closed-form count: a few float compares, and a floor sum in
+O(log q) Python-int steps for a threshold T = p/q.  example3's points are
+monotone along O(sqrt n) blocks of indices, so ``count`` decides only the
+points next to each block's boundary with t, in O(sqrt n) per threshold.
+example2 streams: it compares the rounded points with t, chunk by chunk.
+Wherever float points stand for exact ones, every point that rounding could
+have moved across t is decided in exact integer arithmetic, so no point is
+misclassified.  The divisor sum takes the hyperbola identity, O(sqrt n).
 """
 
 from __future__ import annotations
@@ -189,14 +190,6 @@ def _sqrt_frac_chunk(start: int, stop: int, out: Optional[np.ndarray] = None) ->
         return _sqrt_frac(k, np.empty(m) if out is None else out, ws)
 
 
-def _sqrt_frac_at(k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fractional parts of sqrt(k) for the int64 indices ``k``, into ``out``."""
-    with workspace(k.size) as ws:
-        kf = ws.f[0][: k.size]
-        np.copyto(kf, k)
-        return _sqrt_frac(kf, out, ws)
-
-
 def _remainder(n: int, i: np.ndarray, out: np.ndarray) -> np.ndarray:
     """n mod i, exactly, into ``out``, for 0 <= n <= 2**52 and the float64
     integers 1 <= i <= 2**52.
@@ -247,12 +240,6 @@ def _reciprocal_frac_at(n: int, i: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _uniform_chunk(n: int, start: int, stop: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """i/n for i in [start, stop), into ``out`` or a fresh array."""
     out = _indices(start, stop, np.empty(stop - start) if out is None else out)
-    return np.divide(out, n, out=out)
-
-
-def _uniform_at(n: int, i: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """i/n for the int64 indices ``i``, into ``out``."""
-    np.copyto(out, i)
     return np.divide(out, n, out=out)
 
 
@@ -316,40 +303,49 @@ def reciprocal_frac_boundary(t: float) -> Boundary:
 class Blocks(NamedTuple):
     """A problem's indices 1..n at one n, cut into a head 1..``head``, which
     is streamed, and blocks numbered 1..``size``, along each of which the
-    points are monotone.
+    points fall, so those <= t fill a suffix of the block.
 
-    ``bounds(j)`` gives the first and the last index of the blocks with the
-    int64 numbers ``j``; ``at(i, out)`` writes the rounded points with the
-    int64 indices ``i`` into ``out``.  Along a block the points rise
-    (``rising``), so those <= t fill a prefix of it, or fall, so they fill a
-    suffix.  ``guess(j, tau)`` proposes, for a threshold t clipped to tau in
-    [0, 1], the index that ends the prefix (its last index plus one) or
-    starts the suffix, in each block; the proposal is within one index of
-    the exact one and is then settled by the points next to it.
+    ``bounds(j, lo, stop)`` writes the first index of the blocks with the
+    int64 numbers ``j`` into ``lo``, and the index past their last into
+    ``stop``; ``at(i, out)`` writes the rounded points with the int64 indices
+    ``i`` into ``out``.  ``guess(j, tau, out)`` writes into the float64
+    ``out``, for a threshold t clipped to tau in [0, 1], an integer that
+    proposes the first index of the suffix in each block; the proposal is
+    within one index of the exact one and is then settled by the points next
+    to it.
     """
 
     head: int
     size: int
-    bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    guess: Callable[[np.ndarray, float], np.ndarray]
+    bounds: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    guess: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
     at: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    rising: bool
 
 
 def _first(flips: Callable, lo: np.ndarray, stop: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Step each guess c to the first index of its block [lo, stop) at which
     ``flips`` holds, or to stop; ``flips(i)`` is false, then true, along each
-    block.  A guess within one index of its answer takes one step at most."""
-    sel = np.flatnonzero(c > lo)
-    while sel.size:  # back while the index before it flips
-        sel = sel[flips(c[sel] - 1)]
-        c[sel] -= 1
-        sel = sel[c[sel] > lo[sel]]
-    sel = np.flatnonzero(c < stop)
-    while sel.size:  # on while it does not flip
-        sel = sel[np.logical_not(flips(c[sel]))]
-        c[sel] += 1
-        sel = sel[c[sel] < stop[sel]]
+    block, and no block is empty.  A guess within one index of its answer
+    takes one step at most.  The first test each way takes every block, at
+    the index to test clipped into it, in a workspace; later tests take the
+    blocks that stepped."""
+    with workspace(c.size) as ws:
+        i, inside = ws.f[0][: c.size].view(np.int64), ws.mask[: c.size]
+        # back while the index before it flips
+        le = flips(np.maximum(np.subtract(c, 1, out=i), lo, out=i))
+        sel = np.flatnonzero(np.logical_and(le, np.greater(c, lo, out=inside), out=inside))
+        while sel.size:
+            c[sel] -= 1
+            sel = sel[c[sel] > lo[sel]]
+            sel = sel[flips(c[sel] - 1)]
+        # on while it does not flip
+        le = flips(np.minimum(np.subtract(stop, 1, out=i), c, out=i))
+        np.logical_not(le, out=le)
+        sel = np.flatnonzero(np.logical_and(le, np.less(c, stop, out=inside), out=inside))
+        while sel.size:
+            c[sel] += 1
+            sel = sel[c[sel] < stop[sel]]
+            sel = sel[np.logical_not(flips(c[sel]))]
     return c
 
 
@@ -365,44 +361,47 @@ class Problem:
     its exactness rule: every rounded point with index below ``stop`` lies
     within ``band(stop)`` of its exact point x_i, and ``settle(n, i, T)``
     decides x_i <= T exactly for a Fraction T.  Without a rule the float
-    points are the points.  ``decide(index, t, tf)`` may decide the band
-    points of the int64 indices in bulk first: it returns whether x_i <= t
-    and whether that is certain; only the uncertain ones are settled.
+    points are the points.
 
-    A problem whose points are monotone on O(sqrt n) blocks of indices names
-    them: ``blocks(n)`` returns its ``Blocks`` at n, and ``count`` then
-    counts each block from the settled boundary of its points <= t, in
-    O(sqrt n) per threshold, instead of streaming all n points.  Both routes
-    give the same counts; ``dataclasses.replace(problem, blocks=None)``
-    streams.
+    ``count`` takes the first count route a problem names.  A problem with
+    a closed form names it: ``closed_count(n, t)`` is the count at one
+    threshold, an int.  A problem whose points are monotone on O(sqrt n)
+    blocks of indices names them: ``blocks(n)`` returns its ``Blocks`` at
+    n, and ``count`` counts each block from the settled boundary of its
+    points <= t, in O(sqrt n) per threshold.  Otherwise all n points are
+    streamed.  Every route gives the streamed counts;
+    ``dataclasses.replace(problem, closed_count=None, blocks=None)`` streams.
     """
 
     points: Callable[[int, int, int], np.ndarray]
     limit: Callable[[], SmoothCdf]
     band: Optional[Callable[[int], float]] = None
     settle: Optional[Callable[[int, int, Fraction], bool]] = None
-    decide: Optional[Callable[[np.ndarray, object, float], tuple]] = None
     blocks: Optional[Callable[[int], Blocks]] = None
+    closed_count: Optional[Callable[[int, object], int]] = None
 
     def count(self, n: int, ts: Sequence, threads: int = 1) -> np.ndarray:
         """#{i in 1..n : x_i <= t} for each threshold t in ``ts``, as int64.
 
-        Streamed points are computed one chunk at a time into the thread's
-        workspace and compared with each threshold in turn; with blocks, only
-        the head is streamed, and each block is counted from its boundary
-        index, found by the points next to the guessed one.  Every point is
-        decided as ``_at_most`` does: with a settle rule, a point farther than
-        the band from float(t) lies on the same side of t as x_i and is
-        decided by the compare; a point inside the band is decided in bulk
-        where the problem can, else settled against T = Fraction(t) (of
-        float(t) unless t is rational), built only when such a point occurs.
-        A NaN threshold or a non-finite streamed point raises ValueError.
+        A closed form is called once per threshold.  Otherwise streamed
+        points are computed one chunk at a time into the thread's workspace
+        and compared with each threshold in turn; with blocks, only the head
+        is streamed, and each block is counted from its boundary index,
+        found by the points next to the guessed one.  Every point is decided
+        as ``_at_most`` does: with a settle rule, a point farther than the
+        band from float(t) lies on the same side of t as x_i and is decided
+        by the compare; a point inside the band is settled against
+        T = Fraction(t) (of float(t) unless t is rational), built only when
+        such a point occurs.  A NaN threshold or a non-finite streamed point
+        raises ValueError.
         """
         n = _check_n(n)
         ts = tuple(ts)
         tfs = tuple(float(t) for t in ts)
         if any(math.isnan(tf) for tf in tfs):
             raise ValueError("t must be a number, got nan")
+        if self.closed_count:
+            return np.array([self.closed_count(n, t) for t in ts], dtype=np.int64)
         counts = np.zeros(len(ts), dtype=np.int64)
         blocks = self.blocks(n) if self.blocks else None
         head = n if blocks is None else blocks.head
@@ -426,22 +425,23 @@ class Problem:
             m = b - a
             tally = np.empty(len(ts), dtype=np.int64)
             w = self.band(n + 1) if self.settle else 0.0
-            with workspace(m) as ws:
-                num = _indices(a, b, ws.f[0][:m].view(np.int64))
-                lo, hi = blocks.bounds(num)
-                stop = hi + 1
+            # block numbers, bounds, guesses and boundaries, and the points
+            # tested, in the thread's workspaces
+            with workspace(m) as ws, workspace(m) as wb:
+                num, lo, stop = (f[:m].view(np.int64) for f in wb.f)
+                blocks.bounds(_indices(a, b, num), lo, stop)
+                c, x = ws.f[0][:m].view(np.int64), ws.f[1]
                 for j, (t, tf) in enumerate(zip(ts, tfs)):
 
                     def flips(i: np.ndarray) -> np.ndarray:
-                        # the first point past the prefix <= t, or in the suffix
+                        # whether the point is <= t, that is in the suffix
                         k = i.size
-                        x = blocks.at(i, ws.f[1][:k])
-                        le = self._at_most(n, x, i, t, tf, w, ws.mask[:k], ws.f[2].view(np.bool_)[:k])
-                        return np.logical_not(le, out=le) if blocks.rising else le
+                        scratch = ws.f[2].view(np.bool_)[:k]
+                        return self._at_most(n, blocks.at(i, x[:k]), i, t, tf, w, ws.mask[:k], scratch)
 
-                    guess = blocks.guess(num, min(max(tf, 0.0), 1.0))
-                    c = _first(flips, lo, stop, np.clip(guess, lo, stop, out=guess))
-                    tally[j] = (c - lo).sum() if blocks.rising else (stop - c).sum()
+                    np.copyto(c, blocks.guess(num, min(max(tf, 0.0), 1.0), x[:m]), casting="unsafe")
+                    _first(flips, lo, stop, np.clip(c, lo, stop, out=c))
+                    tally[j] = np.subtract(stop, c, out=c).sum()
             return tally
 
         counts += map_reduce_int(stream, 1, head + 1, threads=threads)
@@ -454,74 +454,69 @@ class Problem:
         or index + j for an int ``index``: into the bool array ``out``, or
         with a settle rule into ``scratch``, which is returned.  A point
         below tf - w is <= t, one above tf + w is not, and one in between
-        is decided in bulk or settled."""
+        is settled."""
         np.less_equal(x, tf + w, out=out)
         if not self.settle:
             return out
         below = np.less(x, tf - w, out=scratch)
         band = np.flatnonzero(np.not_equal(out, below, out=out))
-        ks = band + index if isinstance(index, int) else index[band]
-        if band.size and self.decide:
-            le, sure = self.decide(ks, t, tf)
-            below[band] = le
-            unsure = np.logical_not(sure, out=sure)
-            band, ks = band[unsure], ks[unsure]
         if band.size:
+            ks = band + index if isinstance(index, int) else index[band]
             T = Fraction(t if isinstance(t, numbers.Rational) else tf)
             for j, k in zip(band.tolist(), ks.tolist()):
                 below[j] = self.settle(n, k, T)
         return below
 
 
-def _sqrt_frac_decide(k: np.ndarray, t, tf: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whether {sqrt k} <= t for the int64 indices k <= 2**52, and where that
-    is certain.
+def _floor_sum(N: int, m: int, a: int, b: int) -> int:
+    """sum_{i<N} floor((a*i + b)/m) for the integers N, a, b >= 0 and m >= 1,
+    in O(log m) steps of Python ints (Graham, Knuth and Patashnik, Concrete
+    Mathematics, 3.5; the AtCoder Library's ``floor_sum``).
 
-    With m = isqrt(k) = floor(fl(sqrt k)) (see ``_sqrt_frac``) and
-    j = k - m*m, {sqrt k} <= T for T >= 0 exactly when j <= D = T(2m + T).
-    For tau = fl(T) clipped to 1 (T >= 1 holds every point),
-    d = fl(fl(2m + tau) * tau) is within 2**-50 d of D, the rounding of a
-    rational T to tau included, unless it underflows, where D < 1.  So
-    j <= d - 2**-48 d is certain, as is j > d + 2**-48 d, and j = 0, as
-    D >= 0; an integer j is uncertain only when D is near an integer.
+    The whole parts of a/m and b/m add up in closed form.  What is left, with
+    a, b < m, counts the lattice points under the line y = (a*x + b)/m for
+    0 <= x < N, and read with the axes swapped that count is the floor sum
+    with m and a exchanged, as in Euclid's algorithm.
     """
-    if t < 0:
-        return np.zeros(k.size, dtype=bool), np.ones(k.size, dtype=bool)
-    tau = min(tf, 1.0)
-    with workspace(k.size) as ws:
-        j, m, d = (a[: k.size] for a in ws.f)
-        np.copyto(j, k)
-        np.sqrt(j, out=m)
-        np.floor(m, out=m)
-        j -= np.multiply(m, m, out=d)
-        np.multiply(m, 2.0, out=d)
-        d += tau
-        d *= tau
-        # the slack d * 2**-48 is taken twice, as d + slack and d - slack
-        gt = np.greater(j, np.add(d, np.multiply(d, 2**-48, out=m), out=m))
-        np.subtract(d, np.multiply(d, 2**-48, out=m), out=d)
-        le = np.less_equal(j, np.maximum(d, 0.0, out=d))
-        return le, np.logical_or(le, gt, out=gt)
+    total = 0
+    while True:
+        if a >= m:
+            total += N * (N - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += N * (b // m)
+            b %= m
+        top = a * N + b
+        if top < m:
+            return total
+        N, b = divmod(top, m)
+        m, a = a, m
 
 
-def _sqrt_frac_blocks(n: int) -> Blocks:
-    """Block m = 1..isqrt(n) holds k = m*m .. m*m + 2m (clipped to n), where
-    {sqrt k} = sqrt(k) - m rises, and is <= T in [0, 1) exactly for
-    k <= m*m + floor(2mT + T*T).  The offset 2mT + T*T is below 2m + 1 <=
-    2**27 + 1; its three roundings in float64, and tau = fl(T) for a rational
-    T, move it by less than 2**-23, so its floor is within one of the exact
-    floor."""
-    # block numbers are cast to float64 once, not through ufunc buffers
-    return Blocks(
-        head=0,
-        size=math.isqrt(n),
-        bounds=lambda m: (m * m, np.minimum(m * m + 2 * m, n)),
-        guess=lambda m, tau: (
-            m * m + 1 + np.floor(2.0 * tau * m.astype(np.float64) + tau * tau).astype(np.int64)
-        ),
-        at=_sqrt_frac_at,
-        rising=True,
-    )
+def _sqrt_frac_count(n: int, t) -> int:
+    """#{1 <= k <= n : {sqrt k} <= T}, exactly, for T = Fraction(t), of
+    float(t) unless t is rational.
+
+    With m = isqrt(k) and j = k - m*m, {sqrt k} = sqrt(k) - m <= T for T >= 0
+    exactly when j <= 2mT + T*T (the ``settle`` rule).  Block m holds the k
+    from m*m to m*m + 2m; for 0 <= T < 1, 2mT + T*T < 2m + 1, so
+    floor(2mT + T*T) + 1 of them are <= T.  With T = p/q and M = isqrt(n),
+    the blocks 1..M-1 are whole and block M ends at n, so the count is
+
+        sum_{m=1}^{M-1} (floor((2pq*m + p*p) / (q*q)) + 1)
+            + min(n - M*M, floor((2pq*M + p*p) / (q*q))) + 1,
+
+    where the sum of floors is ``_floor_sum(M - 1, q*q, 2pq, 2pq + p*p)``.
+    T < 0 holds no point and T >= 1 all n, so a float t may be clipped to
+    [-1, 1] first, which keeps an infinite one from Fraction.
+    """
+    T = Fraction(t if isinstance(t, numbers.Rational) else min(max(float(t), -1.0), 1.0))
+    if not 0 <= T < 1:
+        return 0 if T < 0 else n
+    p, q = T.numerator, T.denominator
+    M = math.isqrt(n)
+    a, qq = 2 * p * q, q * q
+    return _floor_sum(M - 1, qq, a, a + p * p) + M + min(n - M * M, (a * M + p * p) // qq)
 
 
 def _reciprocal_frac_blocks(n: int) -> Blocks:
@@ -535,50 +530,55 @@ def _reciprocal_frac_blocks(n: int) -> Blocks:
     tau <= 2**-53 and the division by Q is exact for Q = 1, so the bound
     still holds.)"""
     s = math.isqrt(n)
+
+    def bounds(q: np.ndarray, lo: np.ndarray, stop: np.ndarray) -> None:
+        np.floor_divide(n, np.add(q, 1, out=lo), out=lo)
+        np.add(np.maximum(lo, s, out=lo), 1, out=lo)
+        np.add(np.floor_divide(n, q, out=stop), 1, out=stop)
+
     return Blocks(
         head=s,
         size=n // (s + 1),
-        bounds=lambda q: (np.maximum(n // (q + 1), s) + 1, n // q),
-        guess=lambda q, tau: np.ceil(n / (q.astype(np.float64) + tau)).astype(np.int64),
+        bounds=bounds,
+        guess=lambda q, tau, out: np.ceil(np.divide(n, np.add(q, tau, out=out), out=out), out=out),
         at=functools.partial(_reciprocal_frac_at, n),
-        rising=False,
     )
 
 
-def _uniform_blocks(n: int) -> Blocks:
-    """One block, 1..n: fl(i/n) rises with i, so the points <= t are a
-    prefix.  Its end is floor(n*t') + 1 for the t' up to which values round
-    to at most t, and n*(t' - t) <= n*ulp(t)/2 <= t/2; fl(n*tau) is within
-    t/2 of n*t, so floor(fl(n*tau)) + 1 is within one of the end."""
-    return Blocks(
-        head=0,
-        size=1,
-        bounds=lambda j: (j, j * n),
-        guess=lambda j, tau: np.full_like(j, math.floor(tau * n) + 1),
-        at=functools.partial(_uniform_at, n),
-        rising=True,
-    )
+def _uniform_count(n: int, t) -> int:
+    """#{1 <= i <= n : fl(i/n) <= float(t)}.  fl(i/n) rises with i, so the
+    count is floor(n*t') for the t' up to which values round to at most
+    t, and n*(t' - t) <= n*ulp(t)/2 <= t/2; fl(n*tau), for tau = float(t)
+    clipped to [0, 1], is within t/2 of n*t, so its floor is within one of
+    the count, and one compare steps it there."""
+    tf = float(t)
+    c = math.floor(min(max(tf, 0.0), 1.0) * n)
+    while c < n and (c + 1) / n <= tf:
+        c += 1
+    while c > 0 and c / n > tf:
+        c -= 1
+    return c
 
 
 # sweep name -> problem; streams call the kernels through module globals, so
 # rebinding a kernel on this module takes effect
 PROBLEMS = {
-    # uniform weights on {i/n : 1 <= i <= n}
+    # uniform weights on {i/n : 1 <= i <= n}, counted on these float points
     "canonical-uniform": Problem(
         lambda n, a, b, out=None: _uniform_chunk(n, a, b, out=out),
         uniform_cdf,
-        blocks=_uniform_blocks,
+        closed_count=_uniform_count,
     ),
-    # uniform weights on the fractional parts of sqrt(k), k <= n: the rounded
-    # sqrt(k) less the exact isqrt(k) is within half the float spacing at
-    # sqrt(k), and {sqrt k} <= T exactly when k <= (isqrt(k) + T)**2
+    # uniform weights on the fractional parts of sqrt(k), k <= n, counted by
+    # a floor sum; on the stream, the rounded sqrt(k) less the exact isqrt(k)
+    # is within half the float spacing at sqrt(k), and {sqrt k} <= T exactly
+    # when k <= (isqrt(k) + T)**2
     "example1": Problem(
         lambda n, a, b, out=None: _sqrt_frac_chunk(a, b, out=out),
         uniform_cdf,
         band=lambda stop: np.spacing(math.sqrt(stop)),
         settle=lambda n, k, T: k <= (math.isqrt(k) + T) ** 2,
-        decide=_sqrt_frac_decide,
-        blocks=_sqrt_frac_blocks,
+        closed_count=_sqrt_frac_count,
     ),
     # uniform weights on sin(2*pi*{sqrt k}), k <= n; counted on these float
     # points, so streamed
@@ -605,10 +605,6 @@ PROBLEMS = {
 def sqrt_frac_cdf(n: int, t: Union[float, Fraction]) -> float:
     """Exact proportion of k <= n with {sqrt k} <= t, for float or rational t."""
     n = _check_n(n)
-    if float(t) < 0.0:
-        return 0.0
-    if float(t) >= 1.0:
-        return 1.0
     return int(PROBLEMS["example1"].count(n, (t,))[0]) / n
 
 

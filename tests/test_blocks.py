@@ -1,9 +1,10 @@
-"""The block routes behind ``Problem.count``.
+"""The fast count routes behind ``Problem.count``.
 
-canonical-uniform, example1 and example3 count by blocks of indices along
-which their points are monotone; the stream route, the same problem with
+canonical-uniform and example1 count in closed form, example1 by a floor
+sum; example3 counts by blocks of indices along which its points fall.  The
+stream route, the same problem with ``closed_count=None`` and
 ``blocks=None``, is the oracle, as are pure-Python-int counts beyond its
-reach.
+reach; the floor sum is checked against a plain loop.
 """
 
 import dataclasses
@@ -20,13 +21,14 @@ from asymptolim import dirichlet_weak
 from asymptolim.accum import CHUNK
 from asymptolim.cli import main
 from asymptolim.convergence import DEFAULT_GRID
-from asymptolim.problems import PROBLEMS
+from asymptolim.problems import PROBLEMS, _floor_sum
 
-BLOCKED = ("canonical-uniform", "example1", "example3")
+# the problems whose production route is not the stream
+ROUTED = ("canonical-uniform", "example1", "example3")
 
 
 def streamed(name):
-    return dataclasses.replace(PROBLEMS[name], blocks=None)
+    return dataclasses.replace(PROBLEMS[name], closed_count=None, blocks=None)
 
 
 def assert_routes_agree(name, n, ts):
@@ -55,12 +57,12 @@ EDGES = (0.0, -0.0, -0.5, -math.inf, 1.0, 1.5, math.inf, 5e-324, -5e-324, 2.0**-
 
 class TestAgreesWithTheStream:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 10, 99, 100, 101, 1024])
-    @pytest.mark.parametrize("name", BLOCKED)
+    @pytest.mark.parametrize("name", ROUTED)
     def test_small_n(self, name, n):
         assert_routes_agree(name, n, EDGES + tuple(ties(name, n, range(1, n + 1, max(1, n // 40)))))
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
-    @pytest.mark.parametrize("name", BLOCKED)
+    @pytest.mark.parametrize("name", ROUTED)
     def test_chunk_edges(self, name, n):
         rng = np.random.default_rng(n)
         ts = EDGES + tuple(ties(name, n, rng.integers(1, n + 1, 8))) + tuple(rng.random(4))
@@ -82,7 +84,7 @@ class TestAgreesWithTheStream:
     def test_random_sizes_up_to_1e7(self):
         rng = np.random.default_rng(2027)
         for n in rng.integers(CHUNK, 10**7, 6).tolist():
-            for name in BLOCKED:
+            for name in ROUTED:
                 ts = (0.3, Fraction(2, 7), float(rng.random())) + tuple(ties(name, n, rng.integers(1, n + 1, 2)))
                 assert_routes_agree(name, n, ts)
 
@@ -93,7 +95,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 @st.composite
 def problem_counts(draw):
-    name = draw(st.sampled_from(BLOCKED))
+    name = draw(st.sampled_from(ROUTED))
     n = draw(st.integers(1, 200_000))
     threshold = st.one_of(
         st.floats(allow_nan=False),
@@ -110,6 +112,38 @@ class TestProperty:
     @given(problem_counts())
     def test_block_count_is_the_stream_count(self, case):
         assert_routes_agree(*case)
+
+
+def plain_floor_sum(N, m, a, b):
+    return sum((a * i + b) // m for i in range(N))
+
+
+# m = 2**2148 is q*q for q = 2**1074, the denominator of Fraction(5e-324)
+FLOOR_SUM_CASES = [
+    (0, 1, 0, 0), (0, 7, 5, 9), (1, 1, 0, 0), (5, 3, 0, 7), (10, 3, 0, 2), (13, 4, 9, 30),
+    (100, 97, 200, 1000), (50, 2**2148, 2**1075, 2**1075 + 1), (50, 2**2148, 3 << 2140, 2**2149 + 5),
+    (200, 10**9 + 7, 10**9 + 6, 10**9 + 6),
+]
+
+
+@st.composite
+def floor_sums(draw):
+    m = draw(st.one_of(st.integers(1, 40), st.integers(1, 2**64), st.integers(1, 2**2148),
+                       st.just(2**2148)))
+    a = draw(st.one_of(st.just(0), st.integers(0, 3 * m), st.integers(0, 2**80)))
+    b = draw(st.one_of(st.just(0), st.integers(0, m - 1), st.integers(m, 5 * m)))
+    return draw(st.integers(0, 300)), m, a, b
+
+
+class TestFloorSum:
+    @pytest.mark.parametrize("case", FLOOR_SUM_CASES)
+    def test_cases(self, case):
+        assert _floor_sum(*case) == plain_floor_sum(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(floor_sums())
+    def test_is_the_plain_sum(self, case):
+        assert _floor_sum(*case) == plain_floor_sum(*case)
 
 
 def python_sqrt_count(n, t):
@@ -142,9 +176,9 @@ class TestBeyondTheStream:
         assert sqrt_count == python_sqrt_count(self.N, t)
         assert frac_count == python_frac_count(self.N, t)
 
-    @pytest.mark.parametrize("name", BLOCKED)
+    @pytest.mark.parametrize("name", ROUTED)
     def test_threads_change_nothing(self, name):
-        # n > CHUNK**2 + 2*CHUNK: example1 and example3 run several block chunks
+        # n > CHUNK**2 + 2*CHUNK: example3 runs several block chunks
         n = 2**36 + 12345
         ts = DEFAULT_GRID + (0.0, 1.0, Fraction(1, 3))
         one = PROBLEMS[name].count(n, ts, threads=1)
@@ -153,7 +187,8 @@ class TestBeyondTheStream:
 
     @pytest.mark.parametrize("name", ["example1", "example3"])
     def test_memory_does_not_grow_with_n(self, name):
-        # the block chunks hold O(CHUNK) values at any n
+        # the block chunks hold O(CHUNK) values at any n, the floor sum
+        # O(log n) Python ints
         problem = PROBLEMS[name]
         peaks = []
         for n in (2**38, 2**44):
@@ -185,9 +220,18 @@ def wall_bound(seconds):
 class TestSweepCost:
     @pytest.mark.parametrize("name", ["example1", "example3"])
     def test_sweep_at_1e12(self, name, capsys):
-        # O(sqrt n) per grid value; streaming 1e12 points would take hours
+        # O(log n) per grid value for example1, O(sqrt n) for example3;
+        # streaming 1e12 points would take hours
         with wall_bound(60):
             code = main(["sweep", name, "--n", "1000000,1000000000000"])
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        assert '"n_list"' in out.out
+
+    def test_example1_sweep_at_2_52(self, capsys):
+        # O(log n) per grid value: the floor sum
+        with wall_bound(5):
+            code = main(["sweep", "example1", "--n", "1000,4503599627370496"])
         out = capsys.readouterr()
         assert code == 0, out.err
         assert '"n_list"' in out.out

@@ -2,8 +2,10 @@
 
 Every run must exit 0, 2 or 3, print no traceback, and return within
 ``BOUND_S`` seconds (``signal.alarm``, in-process).  The index n is drawn up
-to 1e12 only where the work is O(1) or O(sqrt n); elsewhere it stays at or
-below 1e6, apart from values that must be rejected at once.
+to 2**52, the largest n accepted, where the work is O(log n) (the closed-form
+counts of canonical-uniform and example1), up to 1e12 where it is O(1) or
+O(sqrt n), and elsewhere at or below 1e6, apart from values that must be
+rejected at once.
 """
 
 import contextlib
@@ -21,11 +23,13 @@ from asymptolim.problems import PROBLEMS  # noqa: E402
 
 BOUND_S = 10
 
-# routes whose work grows at most like sqrt(n): block counts and the
-# hyperbola identity; harmonic is O(1) above 2**20
+# routes whose work grows at most like log(n): the closed-form counts; and
+# like sqrt(n): block counts and the hyperbola identity (harmonic is O(1)
+# above 2**20)
+LOG_SWEEP = ("canonical-uniform", "example1")
 SQRT_SOLVE = ("example3", "dirichlet")
-SQRT_SWEEP = ("canonical-uniform", "example1", "example3")
-BIG, SMALL = 10**12, 10**6
+SQRT_SWEEP = ("example3",)
+HUGE, BIG, SMALL = 2**52, 10**12, 10**6
 
 REJECTED_N = (0, -1, 2**52 + 1, 10**18)
 
@@ -90,7 +94,7 @@ def solve_argv(draw):
 @st.composite
 def sweep_argv(draw):
     problem = draw(st.sampled_from(tuple(PROBLEMS)))
-    top = BIG if problem in SQRT_SWEEP else SMALL
+    top = HUGE if problem in LOG_SWEEP else BIG if problem in SQRT_SWEEP else SMALL
     n_list = draw(mostly(st.lists(st.integers(1, top), min_size=1, max_size=3, unique=True)
                          .map(sorted), st.lists(index(top), min_size=1, max_size=3)))
     support = PROBLEMS[problem].limit().support

@@ -3,8 +3,9 @@
 The square-root kernel takes floor(fl(sqrt k)) as isqrt(k), and the {n/i}
 kernel takes n mod i from float64 quotients; both are checked here where
 their proofs are tight, and against the integer kernels they replaced, which
-are kept here as the oracles.  The bulk rule that decides example1's band
-points is checked against the exact per-point settle rule.
+are kept here as the oracles.  example1's floor-sum count is checked
+against the exact per-point settle rule of its stream route, and against the
+stream itself.
 """
 
 import dataclasses
@@ -15,12 +16,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from asymptolim.accum import workspace
 from asymptolim.problems import (
     PROBLEMS,
     _reciprocal_frac_at,
     _remainder_chunk,
-    _sqrt_frac_at,
-    _sqrt_frac_decide,
+    _sqrt_frac,
+    _sqrt_frac_count,
     reciprocal_frac_map,
 )
 from test_workspace import same_bits
@@ -59,8 +61,11 @@ class TestSqrtFloor:
         m = rng.integers(1, 2**26, 4000)
         k = np.concatenate([m * m, m * m - 1, m * m + 1, rng.integers(1, 2**52 + 1, 4000), [2**52]])
         k = k[(k >= 1) & (k <= 2**52)]
-        out = np.empty(k.size)
-        assert same_bits(_sqrt_frac_at(k, out), corrected_sqrt_frac(k))
+        with workspace(k.size) as ws:
+            kf = ws.f[0][: k.size]
+            np.copyto(kf, k)
+            got = _sqrt_frac(kf, np.empty(k.size), ws)
+        assert same_bits(got, corrected_sqrt_frac(k))
 
 
 def divisors(n):
@@ -133,7 +138,7 @@ class TestReciprocalMapDomain:
 
 
 # ---------------------------------------------------------------------------
-# example1's band points, decided in bulk
+# example1's floor-sum count against the per-point settle rule
 # ---------------------------------------------------------------------------
 
 def settled(k, t):
@@ -143,9 +148,16 @@ def settled(k, t):
     return np.array([settle(0, int(v), T) for v in k])
 
 
+def counted(k, t):
+    """Whether {sqrt k} <= t, for each k, as the floor-sum count reads it:
+    the count up to k less the count up to k - 1."""
+    return np.array([_sqrt_frac_count(int(v), t) - (_sqrt_frac_count(int(v) - 1, t) if v > 1 else 0)
+                     for v in k])
+
+
 def near_integer_thresholds(rng, count):
     """Thresholds near T = sqrt(m*m + j) - m, so that 2mT + T*T is within
-    rounding of the integer j, the cases the bulk rule must leave open: the
+    rounding of the integer j, the cases a float rule could not decide: the
     float nearest T, and rationals 1e-45 above and below T."""
     out = []
     for m, j in zip(rng.integers(1, 2**26, count).tolist(), rng.integers(0, 2, count).tolist()):
@@ -165,40 +177,50 @@ THRESHOLDS = [
 
 
 class TestBulkDecide:
+    """The floor sum decides every point of example1 at once; each of its
+    answers must be the settled one."""
+
     @pytest.mark.parametrize("t", THRESHOLDS, ids=repr)
     def test_certain_answers_are_the_settled_ones(self, t):
         rng = np.random.default_rng(5)
         m = rng.integers(1, 2**26, 1000)
-        k = np.concatenate([m * m, m * m + 1, m * m + 2 * m, rng.integers(1, 2**52 + 1, 1000)])
+        k = np.concatenate([m * m, m * m + 1, m * m + 2 * m, rng.integers(1, 2**52 + 1, 1000), [1, 2, 2**52]])
         k = k[k <= 2**52]
-        le, sure = _sqrt_frac_decide(k, t, float(t))
-        exact = settled(k[sure], t)
-        assert le[sure].tolist() == exact.tolist()
-        # only a threshold near an integer offset leaves a point open
-        assert sure.mean() > 0.99
+        assert counted(k, t).tolist() == settled(k, t).tolist()
+        problem = PROBLEMS["example1"]
+        streamed = dataclasses.replace(problem, closed_count=None)
+        assert problem.count(10**5 + 3, (t,)).tolist() == streamed.count(10**5 + 3, (t,)).tolist()
 
     def test_offsets_within_rounding_of_an_integer(self):
         rng = np.random.default_rng(6)
-        open_points = 0
         for m, j, ts in near_integer_thresholds(rng, 300):
             k = np.array([m * m + j - 1, m * m + j, m * m + j + 1], dtype=np.int64)
             k = k[(k >= m * m) & (k <= m * m + 2 * m) & (k >= 1)]
             for T in ts:
-                le, sure = _sqrt_frac_decide(k, T, float(T))
-                assert le[sure].tolist() == settled(k[sure], T).tolist()
-                open_points += int(np.count_nonzero(~sure))
-        assert open_points > 100
+                assert counted(k, T).tolist() == settled(k, T).tolist()
+            # the point m*m + j lies between the two rationals
+            assert counted([m * m + j], ts[2]).tolist() == [1]
+            assert counted([m * m + j], ts[3]).tolist() == [0]
 
-    @pytest.mark.parametrize("n", [10**6 + 3, 10**9 + 7])
+    @pytest.mark.parametrize("n", [10**6 + 3, 10**9 + 7, 2**52 - 1, 2**52])
     def test_counts_are_the_settled_counts(self, n):
-        # the same problem without the bulk rule settles every band point
+        # the stream settles every band point; beyond its reach, Python ints
+        # sum the blocks, or count the last points one by one
         ts = (0.0, -0.0, 5e-324, 1e-300, 0.3, Fraction(1, 3), 0.9999999999)
         problem = PROBLEMS["example1"]
-        per_point = dataclasses.replace(problem, decide=None)
-        assert problem.count(n, ts).tolist() == per_point.count(n, ts).tolist()
-        streamed = dataclasses.replace(problem, blocks=None)
+        got = problem.count(n, ts).tolist()
         if n < 10**7:
-            assert streamed.count(n, ts).tolist() == per_point.count(n, ts).tolist()
+            streamed = dataclasses.replace(problem, closed_count=None)
+            assert got == streamed.count(n, ts).tolist()
+        elif n < 2**40:
+            from test_blocks import python_sqrt_count  # a module that needs hypothesis
+
+            assert got == [python_sqrt_count(n, t) for t in ts]
+        else:
+            # the last 3000 points, which reach the square 2**52 at n = 2**52
+            k = np.arange(n - 2999, n + 1)
+            before = problem.count(n - 3000, ts).tolist()
+            assert [g - b for g, b in zip(got, before)] == [int(settled(k, t).sum()) for t in ts]
 
     @pytest.mark.parametrize(
         "n, ts", [(10**12, (1e-300,)), (10**12, (0.0, 5e-324, 0.3)), (2**46, (0.1, 0.9))]
@@ -212,7 +234,7 @@ class TestBulkDecide:
             return problem.settle(n, k, T)
 
         counts = dataclasses.replace(problem, settle=settle).count(n, ts)
-        assert len(calls) < 1000
+        assert calls == []  # the floor sum settles nothing
         for t, c in zip(ts, counts.tolist()):
             if t == 1e-300 or t == 0.0 or t == 5e-324:
                 assert c == math.isqrt(n)  # the perfect squares
