@@ -6,8 +6,7 @@ criterion, and checks that variations converge to the variation of the
 limit.  The probe counts through the problem's ``count`` (see
 ``problems.Problem``), which settles exactly, by the problem's ``band`` and
 ``settle`` rule, every point that rounding could have moved across a grid
-value.  A problem with a block layout is counted in O(sqrt n) per grid value,
-any other by streaming its n points.
+value.  A problem is counted by its count rule, or by streaming its n points.
 """
 
 from __future__ import annotations
@@ -118,6 +117,13 @@ def _target_value(target) -> Callable[[float], float]:
     raise TypeError("target must be a SmoothCdf or a callable")
 
 
+def _finite(value: Callable[[float], float], t: float) -> float:
+    v = float(value(t))
+    if not math.isfinite(v):
+        raise ValueError(f"target must be finite, got {v!r} at t={t!r}")
+    return v
+
+
 def cdf_sequence_probe(
     problem,
     target,
@@ -138,9 +144,11 @@ def cdf_sequence_probe(
     errors.  Non-decaying errors are flagged, not failed.
 
     The CDF values are the exact counts over n, rounded once; a
-    ``Problem`` counts in closed form, or in chunks of blocks or of indices,
-    in O(CHUNK) memory, and its chunking does not depend on ``threads``, so
-    neither do the values.
+    ``Problem`` counts by a count rule, or by the stream, in O(CHUNK)
+    memory, and its chunking does not depend on ``threads``, so neither do
+    the values.  A target value that is not finite, at a grid value or
+    ``JUMP_STEP`` either side of it, raises ValueError: a NaN would pass the
+    jump guard and drop out of the sup error unseen.
     """
     value = _target_value(target)
     pts = tuple(float(t) for t in (DEFAULT_GRID if grid is None else grid))
@@ -149,11 +157,11 @@ def cdf_sequence_probe(
     ns = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
-    targets = tuple(float(value(t)) for t in pts)
+    targets = tuple(_finite(value, t) for t in pts)
     excluded = tuple(
         j
         for j, t in enumerate(pts)
-        if float(value(t + JUMP_STEP)) - float(value(t - JUMP_STEP)) > JUMP_TOL
+        if _finite(value, t + JUMP_STEP) - _finite(value, t - JUMP_STEP) > JUMP_TOL
     )
     included = [j for j in range(len(pts)) if j not in excluded]
     if not included:
@@ -195,10 +203,13 @@ def charfn_compare(
     m: AtomicMeasure, target_charfn: Callable, t_list: Sequence
 ) -> float:
     """Max modulus gap between the empirical and target characteristic
-    functions over the given frequencies."""
+    functions over the given frequencies.  A gap that is not finite (a NaN
+    target value, or an infinite frequency) raises ValueError."""
     worst = 0.0
     for t in t_list:
         gap = abs(empirical_charfn(m, t) - complex(target_charfn(t)))
+        if not math.isfinite(gap):
+            raise ValueError(f"charfn gap must be finite, got {gap!r} at t={t!r}")
         worst = max(worst, gap)
     return worst
 

@@ -6,12 +6,12 @@ exact partial sums reduced by one correctly rounded sum, so results are
 bit-identical for every thread count.  Fractional parts of rationals are
 derived from exact float64 remainders and rounded once.  Every count of points
 <= t (the CDF solvers, the interval proportion, the sweep) is
-``Problem.count``, by one of three routes.  canonical-uniform and example1
-have a closed-form count: a few float compares, and a floor sum in
-O(log q) Python-int steps for a threshold T = p/q.  example3's points are
-monotone along O(sqrt n) blocks of indices, so ``count`` decides only the
-points next to each block's boundary with t, in O(sqrt n) per threshold.
-example2 streams: it compares the rounded points with t, chunk by chunk.
+``Problem.count``: a count rule, or the stream.  canonical-uniform's rule is
+a few float compares, example1's a floor sum in O(log q) Python-int steps
+for a threshold T = p/q.  example3's points fall along O(sqrt n) blocks of
+indices, so its rule decides only the points next to each block's boundary
+with t, in O(sqrt n) per threshold.  example2 streams: it compares the
+rounded points with t, chunk by chunk.
 Wherever float points stand for exact ones, every point that rounding could
 have moved across t is decided in exact integer arithmetic, so no point is
 misclassified.  The divisor sum takes the hyperbola identity, O(sqrt n).
@@ -24,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -300,55 +300,6 @@ def reciprocal_frac_boundary(t: float) -> Boundary:
 # Problem table
 # ---------------------------------------------------------------------------
 
-class Blocks(NamedTuple):
-    """A problem's indices 1..n at one n, cut into a head 1..``head``, which
-    is streamed, and blocks numbered 1..``size``, along each of which the
-    points fall, so those <= t fill a suffix of the block.
-
-    ``bounds(j, lo, stop)`` writes the first index of the blocks with the
-    int64 numbers ``j`` into ``lo``, and the index past their last into
-    ``stop``; ``at(i, out)`` writes the rounded points with the int64 indices
-    ``i`` into ``out``.  ``guess(j, tau, out)`` writes into the float64
-    ``out``, for a threshold t clipped to tau in [0, 1], an integer that
-    proposes the first index of the suffix in each block; the proposal is
-    within one index of the exact one and is then settled by the points next
-    to it.
-    """
-
-    head: int
-    size: int
-    bounds: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-    guess: Callable[[np.ndarray, float, np.ndarray], np.ndarray]
-    at: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _first(flips: Callable, lo: np.ndarray, stop: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Step each guess c to the first index of its block [lo, stop) at which
-    ``flips`` holds, or to stop; ``flips(i)`` is false, then true, along each
-    block, and no block is empty.  A guess within one index of its answer
-    takes one step at most.  The first test each way takes every block, at
-    the index to test clipped into it, in a workspace; later tests take the
-    blocks that stepped."""
-    with workspace(c.size) as ws:
-        i, inside = ws.f[0][: c.size].view(np.int64), ws.mask[: c.size]
-        # back while the index before it flips
-        le = flips(np.maximum(np.subtract(c, 1, out=i), lo, out=i))
-        sel = np.flatnonzero(np.logical_and(le, np.greater(c, lo, out=inside), out=inside))
-        while sel.size:
-            c[sel] -= 1
-            sel = sel[c[sel] > lo[sel]]
-            sel = sel[flips(c[sel] - 1)]
-        # on while it does not flip
-        le = flips(np.minimum(np.subtract(stop, 1, out=i), c, out=i))
-        np.logical_not(le, out=le)
-        sel = np.flatnonzero(np.logical_and(le, np.less(c, stop, out=inside), out=inside))
-        while sel.size:
-            c[sel] += 1
-            sel = sel[c[sel] < stop[sel]]
-            sel = sel[np.logical_not(flips(c[sel]))]
-    return c
-
-
 @dataclass(frozen=True)
 class Problem:
     """A point set with uniform weights and the limit law of its points.
@@ -363,50 +314,39 @@ class Problem:
     decides x_i <= T exactly for a Fraction T.  Without a rule the float
     points are the points.
 
-    ``count`` takes the first count route a problem names.  A problem with
-    a closed form names it: ``closed_count(n, t)`` is the count at one
-    threshold, an int.  A problem whose points are monotone on O(sqrt n)
-    blocks of indices names them: ``blocks(n)`` returns its ``Blocks`` at
-    n, and ``count`` counts each block from the settled boundary of its
-    points <= t, in O(sqrt n) per threshold.  Otherwise all n points are
-    streamed.  Every route gives the streamed counts;
-    ``dataclasses.replace(problem, closed_count=None, blocks=None)`` streams.
+    ``count`` takes a count rule, or the stream.  A problem that counts
+    faster than its stream names its rule: ``count_rule(problem, n, ts,
+    threads)`` returns the int64 counts at the thresholds ``ts``, none of
+    them NaN, and gives the streamed counts.  Otherwise all n points are
+    streamed; ``dataclasses.replace(problem, count_rule=None)`` streams.
     """
 
     points: Callable[[int, int, int], np.ndarray]
     limit: Callable[[], SmoothCdf]
     band: Optional[Callable[[int], float]] = None
     settle: Optional[Callable[[int, int, Fraction], bool]] = None
-    blocks: Optional[Callable[[int], Blocks]] = None
-    closed_count: Optional[Callable[[int, object], int]] = None
+    count_rule: Optional[Callable[[Problem, int, tuple, int], np.ndarray]] = None
 
     def count(self, n: int, ts: Sequence, threads: int = 1) -> np.ndarray:
-        """#{i in 1..n : x_i <= t} for each threshold t in ``ts``, as int64.
-
-        A closed form is called once per threshold.  Otherwise streamed
-        points are computed one chunk at a time into the thread's workspace
-        and compared with each threshold in turn; with blocks, only the head
-        is streamed, and each block is counted from its boundary index,
-        found by the points next to the guessed one.  Every point is decided
-        as ``_at_most`` does: with a settle rule, a point farther than the
-        band from float(t) lies on the same side of t as x_i and is decided
-        by the compare; a point inside the band is settled against
-        T = Fraction(t) (of float(t) unless t is rational), built only when
-        such a point occurs.  A NaN threshold or a non-finite streamed point
-        raises ValueError.
-        """
+        """#{i in 1..n : x_i <= t} for each threshold t in ``ts``, as int64,
+        by the problem's count rule, or else by ``_stream`` over 1..n.  A NaN
+        threshold raises ValueError before either runs."""
         n = _check_n(n)
         ts = tuple(ts)
-        tfs = tuple(float(t) for t in ts)
-        if any(math.isnan(tf) for tf in tfs):
+        if any(math.isnan(float(t)) for t in ts):
             raise ValueError("t must be a number, got nan")
-        if self.closed_count:
-            return np.array([self.closed_count(n, t) for t in ts], dtype=np.int64)
-        counts = np.zeros(len(ts), dtype=np.int64)
-        blocks = self.blocks(n) if self.blocks else None
-        head = n if blocks is None else blocks.head
+        if self.count_rule:
+            return self.count_rule(self, n, ts, threads)
+        return self._stream(n, ts, 1, n + 1, threads)
 
-        def stream(a: int, b: int) -> np.ndarray:
+    def _stream(self, n: int, ts: tuple, lo: int, hi: int, threads: int) -> np.ndarray:
+        """#{i in [lo, hi) : x_i <= t} for each t in ``ts``, as int64, for
+        lo < hi: the points are computed one chunk at a time into the
+        thread's workspace and decided by ``_at_most``, each threshold in
+        turn.  A non-finite point raises ValueError."""
+        tfs = tuple(float(t) for t in ts)
+
+        def chunk(a: int, b: int) -> np.ndarray:
             m = b - a
             tally = np.empty(len(ts), dtype=np.int64)
             with workspace() as ws:
@@ -421,40 +361,16 @@ class Problem:
                     tally[j] = np.count_nonzero(le)
             return tally
 
-        def block(a: int, b: int) -> np.ndarray:
-            m = b - a
-            tally = np.empty(len(ts), dtype=np.int64)
-            w = self.band(n + 1) if self.settle else 0.0
-            # block numbers, bounds, guesses and boundaries, and the points
-            # tested, in the thread's workspaces
-            with workspace(m) as ws, workspace(m) as wb:
-                num, lo, stop = (f[:m].view(np.int64) for f in wb.f)
-                blocks.bounds(_indices(a, b, num), lo, stop)
-                c, x = ws.f[0][:m].view(np.int64), ws.f[1]
-                for j, (t, tf) in enumerate(zip(ts, tfs)):
-
-                    def flips(i: np.ndarray) -> np.ndarray:
-                        # whether the point is <= t, that is in the suffix
-                        k = i.size
-                        scratch = ws.f[2].view(np.bool_)[:k]
-                        return self._at_most(n, blocks.at(i, x[:k]), i, t, tf, w, ws.mask[:k], scratch)
-
-                    np.copyto(c, blocks.guess(num, min(max(tf, 0.0), 1.0), x[:m]), casting="unsafe")
-                    _first(flips, lo, stop, np.clip(c, lo, stop, out=c))
-                    tally[j] = np.subtract(stop, c, out=c).sum()
-            return tally
-
-        counts += map_reduce_int(stream, 1, head + 1, threads=threads)
-        if blocks is not None:
-            counts += map_reduce_int(block, 1, blocks.size + 1, threads=threads)
-        return counts
+        return map_reduce_int(chunk, lo, hi, threads=threads)
 
     def _at_most(self, n, x, index, t, tf, w, out, scratch) -> np.ndarray:
         """Whether x_i <= t for the rounded point x[j] of each index index[j],
         or index + j for an int ``index``: into the bool array ``out``, or
-        with a settle rule into ``scratch``, which is returned.  A point
-        below tf - w is <= t, one above tf + w is not, and one in between
-        is settled."""
+        with a settle rule into ``scratch``, which is returned.  Without a
+        settle rule this is the compare x <= tf.  With one, a point below
+        tf - w is <= t and one above tf + w is not, for the band w around
+        tf; a point in between is settled against T = Fraction(t) (of tf
+        unless t is rational), built only when such a point occurs."""
         np.less_equal(x, tf + w, out=out)
         if not self.settle:
             return out
@@ -466,6 +382,11 @@ class Problem:
             for j, k in zip(band.tolist(), ks.tolist()):
                 below[j] = self.settle(n, k, T)
         return below
+
+
+def _per_threshold(count: Callable[[int, object], int]) -> Callable:
+    """The count rule that calls ``count(n, t)`` once per threshold."""
+    return lambda problem, n, ts, threads: np.array([count(n, t) for t in ts], dtype=np.int64)
 
 
 def _floor_sum(N: int, m: int, a: int, b: int) -> int:
@@ -519,30 +440,81 @@ def _sqrt_frac_count(n: int, t) -> int:
     return _floor_sum(M - 1, qq, a, a + p * p) + M + min(n - M * M, (a * M + p * p) // qq)
 
 
-def _reciprocal_frac_blocks(n: int) -> Blocks:
-    """Indices up to s = isqrt(n) are streamed.  Above s the quotient Q = n//i
-    takes at most s values: on block Q, i in (n//(Q+1), n//Q], {n/i} = n/i - Q
-    falls, and is <= T exactly for i >= y = n/(Q+T).  The guess
-    ceil(fl(n / fl(Q + tau))) takes two roundings of relative error at most
-    2**-53 each, and for a rational T the rounding of tau = fl(T), which
-    moves Q + T by at most T * 2**-53; for n <= 2**52, y <= 2**52/(Q+T), so
-    the guess is within one index of ceil(y).  (Where Q + tau rounds to Q,
-    tau <= 2**-53 and the division by Q is exact for Q = 1, so the bound
-    still holds.)"""
+def _first(flips: Callable, lo: np.ndarray, stop: np.ndarray, c: np.ndarray) -> None:
+    """Step each guess c, in place, to the first index of its block
+    [lo, stop) at which ``flips`` holds, or to stop; ``flips(i)`` is false,
+    then true, along each block, no block is empty, and lo <= c <= stop.  A
+    guess within one index of its answer takes one step at most.  The first
+    test each way takes every block, at the index to test clipped into it,
+    in a workspace; later tests take the blocks that stepped."""
+    with workspace(c.size) as ws:
+        i, inside = ws.f[0][: c.size].view(np.int64), ws.mask[: c.size]
+        # back while the index before it flips
+        le = flips(np.maximum(np.subtract(c, 1, out=i), lo, out=i))
+        sel = np.flatnonzero(np.logical_and(le, np.greater(c, lo, out=inside), out=inside))
+        while sel.size:
+            c[sel] -= 1
+            sel = sel[c[sel] > lo[sel]]
+            sel = sel[flips(c[sel] - 1)]
+        # on while it does not flip
+        le = flips(np.minimum(np.subtract(stop, 1, out=i), c, out=i))
+        np.logical_not(le, out=le)
+        sel = np.flatnonzero(np.logical_and(le, np.less(c, stop, out=inside), out=inside))
+        while sel.size:
+            c[sel] += 1
+            sel = sel[c[sel] < stop[sel]]
+            sel = sel[np.logical_not(flips(c[sel]))]
+
+
+def _reciprocal_frac_count(problem: Problem, n: int, ts: tuple, threads: int) -> np.ndarray:
+    """example3's count rule: #{1 <= i <= n : {n/i} <= t} for each t in
+    ``ts``, as int64, in O(sqrt n) per threshold.
+
+    Indices up to s = isqrt(n) are streamed.  Above s the quotient Q = n//i
+    takes at most s values: on block Q, i in (max(n//(Q+1), s), n//Q],
+    {n/i} = n/i - Q falls, and is <= T exactly for i >= y = n/(Q+T), so the
+    points <= t fill a suffix of the block.  The guess
+    ceil(fl(n / fl(Q + tau))), for tau = float(t) clipped to [0, 1], takes
+    two roundings of relative error at most 2**-53 each, and for a rational
+    T the rounding of tau = fl(T), which moves Q + T by at most T * 2**-53;
+    for n <= 2**52, y <= 2**52/(Q+T), so the guess is within one index of
+    ceil(y).  (Where Q + tau rounds to Q, tau <= 2**-53 and the division by
+    Q is exact for Q = 1, so the bound still holds.)  ``_first`` then
+    settles each boundary on the points next to the guess, decided as the
+    stream decides them: each {n/i} is correctly rounded, so the band is 0.
+    """
     s = math.isqrt(n)
 
-    def bounds(q: np.ndarray, lo: np.ndarray, stop: np.ndarray) -> None:
-        np.floor_divide(n, np.add(q, 1, out=lo), out=lo)
-        np.add(np.maximum(lo, s, out=lo), 1, out=lo)
-        np.add(np.floor_divide(n, q, out=stop), 1, out=stop)
+    def chunk(a: int, b: int) -> np.ndarray:
+        m = b - a
+        tally = np.empty(len(ts), dtype=np.int64)
+        # block numbers and bounds, and guesses and the points tested, in
+        # the thread's workspaces
+        with workspace(m) as ws, workspace(m) as wb:
+            q, lo, stop = (f[:m].view(np.int64) for f in wb.f)
+            _indices(a, b, q)
+            np.floor_divide(n, np.add(q, 1, out=lo), out=lo)
+            np.add(np.maximum(lo, s, out=lo), 1, out=lo)
+            np.add(np.floor_divide(n, q, out=stop), 1, out=stop)
+            c, x = ws.f[0][:m].view(np.int64), ws.f[1]
+            for j, t in enumerate(ts):
+                tf = float(t)
 
-    return Blocks(
-        head=s,
-        size=n // (s + 1),
-        bounds=bounds,
-        guess=lambda q, tau, out: np.ceil(np.divide(n, np.add(q, tau, out=out), out=out), out=out),
-        at=functools.partial(_reciprocal_frac_at, n),
-    )
+                def flips(i: np.ndarray) -> np.ndarray:
+                    # whether the point is <= t, that is in the suffix
+                    k = i.size
+                    y = _reciprocal_frac_at(n, i, x[:k])
+                    return problem._at_most(n, y, i, t, tf, 0.0, ws.mask[:k], ws.f[2].view(np.bool_)[:k])
+
+                guess = np.add(q, min(max(tf, 0.0), 1.0), out=x[:m])
+                np.ceil(np.divide(n, guess, out=guess), out=guess)
+                np.copyto(c, guess, casting="unsafe")
+                _first(flips, lo, stop, np.clip(c, lo, stop, out=c))
+                tally[j] = np.subtract(stop, c, out=c).sum()
+        return tally
+
+    blocks = map_reduce_int(chunk, 1, n // (s + 1) + 1, threads=threads)
+    return problem._stream(n, ts, 1, s + 1, threads) + blocks
 
 
 def _uniform_count(n: int, t) -> int:
@@ -567,7 +539,7 @@ PROBLEMS = {
     "canonical-uniform": Problem(
         lambda n, a, b, out=None: _uniform_chunk(n, a, b, out=out),
         uniform_cdf,
-        closed_count=_uniform_count,
+        count_rule=_per_threshold(_uniform_count),
     ),
     # uniform weights on the fractional parts of sqrt(k), k <= n, counted by
     # a floor sum; on the stream, the rounded sqrt(k) less the exact isqrt(k)
@@ -578,7 +550,7 @@ PROBLEMS = {
         uniform_cdf,
         band=lambda stop: np.spacing(math.sqrt(stop)),
         settle=lambda n, k, T: k <= (math.isqrt(k) + T) ** 2,
-        closed_count=_sqrt_frac_count,
+        count_rule=_per_threshold(_sqrt_frac_count),
     ),
     # uniform weights on sin(2*pi*{sqrt k}), k <= n; counted on these float
     # points, so streamed
@@ -593,7 +565,7 @@ PROBLEMS = {
         frac_limit_smooth_cdf,
         band=lambda stop: 0.0,
         settle=lambda n, i, T: n % i <= T * i,
-        blocks=_reciprocal_frac_blocks,
+        count_rule=_reciprocal_frac_count,
     ),
 }
 

@@ -1,10 +1,10 @@
-"""The fast count routes behind ``Problem.count``.
+"""The count rules behind ``Problem.count``, the route other than the stream.
 
 canonical-uniform and example1 count in closed form, example1 by a floor
 sum; example3 counts by blocks of indices along which its points fall.  The
-stream route, the same problem with ``closed_count=None`` and
-``blocks=None``, is the oracle, as are pure-Python-int counts beyond its
-reach; the floor sum is checked against a plain loop.
+stream, the same problem with ``count_rule=None``, is the oracle of every
+rule in ``PROBLEMS``, as are pure-Python-int counts beyond its reach; the
+floor sum is checked against a plain loop.
 """
 
 import dataclasses
@@ -23,12 +23,12 @@ from asymptolim.cli import main
 from asymptolim.convergence import DEFAULT_GRID
 from asymptolim.problems import PROBLEMS, _floor_sum
 
-# the problems whose production route is not the stream
-ROUTED = ("canonical-uniform", "example1", "example3")
+# the problems whose production route is a count rule, not the stream
+ROUTED = tuple(name for name, problem in PROBLEMS.items() if problem.count_rule)
 
 
 def streamed(name):
-    return dataclasses.replace(PROBLEMS[name], closed_count=None, blocks=None)
+    return dataclasses.replace(PROBLEMS[name], count_rule=None)
 
 
 def assert_routes_agree(name, n, ts):

@@ -225,6 +225,22 @@ class TestStreamedProbe:
             with pytest.raises(ValueError, match="nan"):
                 cdf_sequence_probe(PROBLEMS[name], uniform_cdf(), grid=(0.5, math.nan))
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            lambda t: t if t < 0.5 else math.nan,
+            lambda t: t if t < 0.75 else math.inf,
+            # finite at the grid values, NaN just past 0.75: the jump guard
+            lambda t: t if t <= 0.75 else math.nan,
+        ],
+        ids=["nan", "inf", "nan_beside"],
+    )
+    def test_non_finite_target_rejected(self, target):
+        # max() keeps its first argument against a NaN, so a NaN target
+        # value would leave the sup error small and the verdict converged
+        with pytest.raises(ValueError, match="target must be finite"):
+            cdf_sequence_probe(PROBLEMS["example1"], target, grid=[0.25, 0.75], n_list=[10, 1000])
+
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             cdf_sequence_probe(PROBLEMS["canonical-uniform"], uniform_cdf(), n_list=(0, 10))
@@ -234,6 +250,16 @@ class TestCharfn:
     def test_point_mass_at_origin(self):
         m = from_points([0.0])
         assert charfn_compare(m, lambda t: 1.0 + 0.0j, [1.0, 2.0, 5.0]) == 0.0
+
+    @pytest.mark.parametrize(
+        "target, t_list",
+        [(lambda t: math.nan, [1.0]), (lambda t: 1.0, [2.0, math.inf]), (lambda t: 1.0, [-math.inf])],
+        ids=["nan_target", "inf_frequency", "minus_inf_frequency"],
+    )
+    def test_non_finite_gap_rejected(self, target, t_list):
+        m = from_points([0.0, 0.5])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="gap must be finite"):
+            charfn_compare(m, target, t_list)
 
     def test_self_comparison_vanishes(self):
         rng = np.random.default_rng(97)

@@ -188,7 +188,7 @@ class TestBulkDecide:
         k = k[k <= 2**52]
         assert counted(k, t).tolist() == settled(k, t).tolist()
         problem = PROBLEMS["example1"]
-        streamed = dataclasses.replace(problem, closed_count=None)
+        streamed = dataclasses.replace(problem, count_rule=None)
         assert problem.count(10**5 + 3, (t,)).tolist() == streamed.count(10**5 + 3, (t,)).tolist()
 
     def test_offsets_within_rounding_of_an_integer(self):
@@ -210,7 +210,7 @@ class TestBulkDecide:
         problem = PROBLEMS["example1"]
         got = problem.count(n, ts).tolist()
         if n < 10**7:
-            streamed = dataclasses.replace(problem, closed_count=None)
+            streamed = dataclasses.replace(problem, count_rule=None)
             assert got == streamed.count(n, ts).tolist()
         elif n < 2**40:
             from test_blocks import python_sqrt_count  # a module that needs hypothesis

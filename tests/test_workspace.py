@@ -332,7 +332,7 @@ class TestAllocation:
         # workspace, so no ufunc allocates casting buffers (8192 values,
         # 64 KiB each); the default grid holds 0.5, where {n/i} points are
         # settled in one chunk of each n
-        problem = dataclasses.replace(PROBLEMS[name], closed_count=None, blocks=None)
+        problem = dataclasses.replace(PROBLEMS[name], count_rule=None)
         run = lambda: cdf_sequence_probe(problem, problem.limit(), n_list=(self.N // 2, self.N))
         run()
         tracemalloc.start()
