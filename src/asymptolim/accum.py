@@ -183,14 +183,15 @@ def map_reduce_fsum(
 
 
 def map_reduce_int(
-    kernel: Callable[[int, int], int], lo: int, hi: int, threads: int = 1
+    kernel: Callable[[int, int], int], lo: int, hi: int, threads: int = 1, chunk: int = CHUNK
 ) -> int:
-    """Exact integer sum of ``kernel(start, stop)`` over fixed chunks.
+    """Exact integer sum of ``kernel(start, stop)`` over fixed chunks of
+    ``chunk`` indices.
 
     A kernel may also return an int64 array (a tally); the arrays are then
     summed elementwise.
     """
-    return sum(_map_ordered(kernel, chunk_ranges(lo, hi), threads))
+    return sum(_map_ordered(kernel, chunk_ranges(lo, hi, chunk), threads))
 
 
 def _map_ordered(

@@ -336,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("problem", choices=tuple(PROBLEMS))
     p_sweep.add_argument("--n", required=True, dest="n_list", metavar="N",
                          help="comma-separated increasing indices")
-    p_sweep.add_argument("--grid", default=None, help="t1,t2,... or start:stop:step")
+    p_sweep.add_argument("--grid", default=None,
+                         help="t1,t2,... or start:stop:step; a list that starts with a "
+                              "negative value needs the = form, --grid=-0.9,0.5")
     add_common(p_sweep)
 
     p_int = sub.add_parser("integrate", help="Stieltjes integral of f against a named CDF")

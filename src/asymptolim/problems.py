@@ -10,8 +10,10 @@ derived from exact float64 remainders and rounded once.  Every count of points
 a few float compares, example1's a floor sum in O(log q) Python-int steps
 for a threshold T = p/q.  example3's points fall along O(sqrt n) blocks of
 indices, so its rule decides only the points next to each block's boundary
-with t, in O(sqrt n) per threshold.  example2 streams: it compares the
-rounded points with t, chunk by chunk.
+with t, in O(sqrt n) per threshold.  example2's points rise along O(sqrt n)
+rows of k, so its rule counts each row's points inside the level set of t,
+evaluating only those that rounding could put on either side of t, also
+in O(sqrt n) per threshold.  The stream, chunk by chunk, is the oracle.
 Wherever float points stand for exact ones, every point that rounding could
 have moved across t is decided in exact integer arithmetic, so no point is
 misclassified.  The divisor sum takes the hyperbola identity, O(sqrt n).
@@ -32,6 +34,7 @@ from .accum import (
     CHUNK,
     Workspace,
     apply_to_array,
+    chunk_ranges,
     exact_partials,
     map_reduce_fsum,
     map_reduce_int,
@@ -243,13 +246,23 @@ def _uniform_chunk(n: int, start: int, stop: int, out: Optional[np.ndarray] = No
     return np.divide(out, n, out=out)
 
 
+def _sin_2pi_sqrt_frac(k: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """sin(2*pi*{sqrt k}) for the float64 integers 1 <= k <= 2**52, into
+    ``out``, with the workspace ``ws`` as for ``_sqrt_frac``: example2's
+    points, for its stream and for the points its count rule evaluates."""
+    x = _sqrt_frac(k, out, ws)
+    np.multiply(x, 2.0 * math.pi, out=x)
+    return np.sin(x, out=x)
+
+
 def _sin_2pi_sqrt_frac_chunk(
     start: int, stop: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """sin(2*pi*{sqrt k}) for k in [start, stop), into ``out`` or a fresh array."""
-    x = _sqrt_frac_chunk(start, stop, out=out)
-    np.multiply(x, 2.0 * math.pi, out=x)
-    return np.sin(x, out=x)
+    m = stop - start
+    with workspace(m) as ws:
+        k = _indices(start, stop, ws.f[0][:m])
+        return _sin_2pi_sqrt_frac(k, np.empty(m) if out is None else out, ws)
 
 
 def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -> float:
@@ -317,8 +330,10 @@ class Problem:
     ``count`` takes a count rule, or the stream.  A problem that counts
     faster than its stream names its rule: ``count_rule(problem, n, ts,
     threads)`` returns the int64 counts at the thresholds ``ts``, none of
-    them NaN, and gives the streamed counts.  Otherwise all n points are
-    streamed; ``dataclasses.replace(problem, count_rule=None)`` streams.
+    them NaN, and gives the streamed counts.  Every problem in ``PROBLEMS``
+    names one; without one all n points are streamed, and
+    ``dataclasses.replace(problem, count_rule=None)``, the oracle of a
+    rule, streams.
     """
 
     points: Callable[[int, int, int], np.ndarray]
@@ -517,6 +532,139 @@ def _reciprocal_frac_count(problem: Problem, n: int, ts: tuple, threads: int) ->
     return problem._stream(n, ts, 1, s + 1, threads) + blocks
 
 
+# The stated bounds of example2's count rule, each checked against mpmath by
+# a test: np.sin is within _SIN_ERROR of sin at the stream's arguments in
+# [0, 2*pi), and np.arcsin(L) / fl(2*pi) within a quarter of _ALPHA_SLACK of
+# asin(L) / (2*pi) for -1 <= L <= 1.
+_SIN_ERROR = 2.0**-40
+_ALPHA_SLACK = 2.0**-40
+
+
+def _row_edge(twom, c, top: int, bound, out: np.ndarray, down: bool) -> np.ndarray:
+    """For rows m <= ``top`` (``twom`` = 2m) and ends c, into ``out``: with
+    ``down``, floor(g(c) + 1 - slack) within [0, bound], below which every
+    j has u_j <= c; else ceil(g(c) + slack), at most ``bound``, from which
+    on every j has u_j >= c.  g(c) = c (2m + c) is computed in floats and
+    the slack is 2**-49 (top + 1) (see ``_sin_count``)."""
+    slack = 2.0**-49 * (top + 1)
+    g = np.multiply(np.add(twom, c, out=out), c, out=out)
+    if down:
+        np.floor(np.add(g, 1.0 - slack, out=g), out=g)
+        return np.maximum(np.minimum(g, bound, out=g), 0.0, out=g)
+    return np.minimum(np.ceil(np.add(g, slack, out=g), out=g), bound, out=g)
+
+
+def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int = 1) -> np.ndarray:
+    """example2's count rule: #{k <= n : s_k <= float(t)} for the stream's
+    points s_k = np.sin(fl(fl(sqrt k) - m) * fl(2*pi)), m = isqrt(k), for
+    each t in ``ts``, as int64; over the k >= first_row**2 alone when
+    ``first_row``, at most isqrt(n), is given.  It counts by rows and evaluates only the points
+    that rounding could put on either side of t.
+
+    Row m holds k = m*m + j for 0 <= j <= J = min(2m, n - m*m).  The exact
+    point u_j = sqrt(m*m + j) - m rises with j, and for c >= 0, u_j <= c
+    exactly when j <= g(c) = 2mc + c*c.
+
+    The error bound.  fl(sqrt k) is within (m + 1) 2**-53 of sqrt k and its
+    floor is m (``_sqrt_frac``), so x = fl(sqrt k) - m, in [0, 1), is u_j
+    within as much.  fl(2*pi) and the product each add a relative error of
+    at most 2**-53, so fl(x * fl(2*pi)) is within 2*pi (m + 4) 2**-53 of
+    2*pi*u_j, and for m >= 1 that is at most (m + 2) 2**-49 - 2**-50.  sin is
+    1-Lipschitz and np.sin is within _SIN_ERROR of sin, so s_k is within
+    E_m = 2**-49 (m + 2) + _SIN_ERROR of sin(2*pi*u_j), with 2**-50 to
+    spare, which covers the rounding of t - E_m and t + E_m.
+
+    The level sets.  For -1 <= L <= 1 and a = asin(L) / (2*pi), in
+    [-1/4, 1/4], {u in [0, 1) : sin(2*pi*u) <= L} is
+    A(L) = ([0, a] u [1/2 - a, 1 + a]) n [0, 1).  A point with u_j in
+    A(t - E_m) has s_k <= t and is counted unevaluated; one outside
+    A(t + E_m) has s_k > t and is left out.  A level outside [-1, 1] is
+    clipped into it, which keeps A(t + E_m) a superset; the one point of
+    A(-1) goes with the slack below.  Only the j in between are evaluated,
+    by the stream's kernel, and compared with float(t).
+
+    The rounding.  The ends of A(t - E_m) move in by _ALPHA_SLACK and those
+    of A(t + E_m) out by as much, which covers the error of np.arcsin and
+    of the float sums that form the ends c.  Then g(c) = c (2m + c) is
+    computed with two roundings, within |g| 2**-52 (1 + 2**-52) of the
+    exact value; for |c| < 1.3, that and the rounding of g + 1 - slack or
+    g + slack stay below the slack 2**-49 (m + 1), so every j below
+    floor(g + 1 - slack) has u_j <= c and every j from ceil(g + slack) on
+    has u_j >= c (``_row_edge``).  The slack scales with g, which reaches
+    2**28 at n = 2**52.  A chunk of rows takes E_m and the slack of its
+    last row, the largest.
+
+    So along a row j falls, in order, into [0, e1] (in), the gap W1,
+    [s2, e2] (out), W2, [s3, e3] (in), W3 and [s4, J] (out): the j of
+    [0, a], (b, 1/2 - b), [1/2 - a, 1 + a] and (1 + b, 1), for the a of
+    t - E_m and the b of t + E_m, with their ends moved and rounded
+    inwards; an interval is empty where its ends cross.  Each gap starts
+    after the last end before it, so the gaps do not overlap where an
+    interval is empty, near u = 1/4 and 3/4.  Typically no row has a gap
+    point; a tie such as t = 0 has one in each row.
+
+    Rows go ``CHUNK // len(ts)`` at a time through ``map_reduce_int``, each
+    chunk as (threshold x row) arrays in the thread's workspaces, and the
+    gap points one offset from the gap's start at a time, for all the
+    chunk's gaps at once, so memory is O(CHUNK) at any n.
+    """
+    tf = np.array([float(t) for t in ts])
+    T = tf.size
+    if not T:
+        return np.zeros(0, dtype=np.int64)
+
+    def chunk(a: int, b: int) -> np.ndarray:
+        R = b - a
+        tally = np.zeros(T)
+        # E_m of the last row, m = b - 1
+        E = 2.0**-49 * (b + 1) + _SIN_ERROR
+        lo, hi = (np.arcsin(np.clip(tf[:, None] + d, -1.0, 1.0)) / (2.0 * math.pi) for d in (-E, E))
+        s = _ALPHA_SLACK
+        with workspace(R) as wr, workspace(R * T) as wc:
+            m = _indices(a, b, wr.f[0][:R])
+            msq = np.multiply(m, m, out=wr.f[2][:R])
+            J1 = np.subtract(float(n), msq, out=wr.f[1][:R])
+            twom = np.multiply(m, 2.0, out=m)
+            np.add(np.minimum(J1, twom, out=J1), 1.0, out=J1)
+            A, B, C = (f[: R * T].reshape(T, R) for f in wc.f)
+            gap = wc.mask[: R * T].reshape(T, R)
+
+            def evaluate(first: np.ndarray, stop: np.ndarray) -> None:
+                # the gap points first <= j < stop, one offset j - first at
+                # a time: k = m*m + j for each cell with j < stop left
+                left = np.subtract(stop, first, out=C)
+                k = np.add(first, msq, out=first)
+                while np.greater(left, 0.0, out=gap).any():
+                    count = np.count_nonzero(gap)
+                    with workspace(count) as wk, workspace(R * T) as wy:
+                        x = np.compress(gap.ravel(), k.ravel(), out=wk.f[0][:count])
+                        y = wy.f[0][: R * T].reshape(T, R)
+                        np.place(y, gap, _sin_2pi_sqrt_frac(x, wk.f[2][:count], wk))
+                        le = np.less_equal(y, tf[:, None], out=wy.mask[: R * T].reshape(T, R))
+                        np.add(tally, np.logical_and(le, gap, out=le).sum(axis=1), out=tally)
+                    k += 1.0
+                    left -= 1.0
+
+            def end(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+                return _row_edge(twom, c, b - 1, J1, out, True)
+
+            def start(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+                return _row_edge(twom, c, b - 1, J1, out, False)
+
+            # along each row: in, W1, out, W2, in, W3, out
+            tally += end(lo - s, A).sum(axis=1)  # in: j < A
+            evaluate(A, start(hi + s, B))  # W1 = [A, B); out from B
+            np.maximum(end(0.5 - hi - s, A), B, out=A)  # out ends before A
+            evaluate(A, start(0.5 - lo + s, B))  # W2 = [A, B); in from B
+            end(1.0 + lo - s, A)  # in: B <= j < A
+            tally += np.maximum(np.subtract(A, B, out=C), 0.0, out=C).sum(axis=1)
+            evaluate(np.maximum(A, B, out=A), start(1.0 + hi + s, B))  # W3; out from B
+        return tally.astype(np.int64)
+
+    width = max(1, CHUNK // T)
+    return map_reduce_int(chunk, first_row, math.isqrt(n) + 1, threads=threads, chunk=width)
+
+
 def _uniform_count(n: int, t) -> int:
     """#{1 <= i <= n : fl(i/n) <= float(t)}.  fl(i/n) rises with i, so the
     count is floor(n*t') for the t' up to which values round to at most
@@ -553,9 +701,11 @@ PROBLEMS = {
         count_rule=_per_threshold(_sqrt_frac_count),
     ),
     # uniform weights on sin(2*pi*{sqrt k}), k <= n; counted on these float
-    # points, so streamed
+    # points by rows, evaluating only those that rounding could move across t
     "example2": Problem(
-        lambda n, a, b, out=None: _sin_2pi_sqrt_frac_chunk(a, b, out=out), arcsin_cdf
+        lambda n, a, b, out=None: _sin_2pi_sqrt_frac_chunk(a, b, out=out),
+        arcsin_cdf,
+        count_rule=_sin_count,
     ),
     # uniform weights on {n/i} = (n mod i)/i, i <= n: each point is correctly
     # rounded and rounding is monotone, so only a point equal to float(T) can

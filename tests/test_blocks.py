@@ -1,10 +1,12 @@
 """The count rules behind ``Problem.count``, the route other than the stream.
 
 canonical-uniform and example1 count in closed form, example1 by a floor
-sum; example3 counts by blocks of indices along which its points fall.  The
-stream, the same problem with ``count_rule=None``, is the oracle of every
-rule in ``PROBLEMS``, as are pure-Python-int counts beyond its reach; the
-floor sum is checked against a plain loop.
+sum; example3 counts by blocks of indices along which its points fall, and
+example2 by rows of k = m*m + j, evaluating only the points that rounding
+could move across t.  The stream, the same problem with ``count_rule=None``,
+is the oracle of every rule in ``PROBLEMS``, with 1 and 2 threads, as are
+pure-Python-int counts beyond its reach; the floor sum is checked against a
+plain loop.  What example2's rule assumes is checked in test_sin_count.py.
 """
 
 import dataclasses
@@ -32,10 +34,11 @@ def streamed(name):
 
 
 def assert_routes_agree(name, n, ts):
-    got = PROBLEMS[name].count(n, ts)
     want = streamed(name).count(n, ts)
-    assert got.dtype == np.int64
-    assert got.tolist() == want.tolist(), (name, n, ts)
+    for threads in (1, 2):
+        got = PROBLEMS[name].count(n, ts, threads)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist(), (name, n, ts, threads)
 
 
 def ties(name, n, indices):
@@ -80,6 +83,14 @@ class TestAgreesWithTheStream:
     def test_known_counterexamples(self, name, n, t):
         # float compares alone misplace one point in each
         assert_routes_agree(name, n, (t, Fraction(t), math.nextafter(t, 0.0)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5, 10**6, 10**8])
+    def test_example2_matrix(self, n):
+        rng = np.random.default_rng(n)
+        tie = ties("example2", n, rng.integers(1, n + 1, 4))
+        near = [math.nextafter(t, d) for t in tie for d in (-math.inf, math.inf)]
+        edges = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, 1 - 2**-53, 1 - 1e-12, -(1 - 1e-12))
+        assert_routes_agree("example2", n, edges + tuple(tie + near))
 
     def test_random_sizes_up_to_1e7(self):
         rng = np.random.default_rng(2027)
@@ -185,10 +196,10 @@ class TestBeyondTheStream:
         assert PROBLEMS[name].count(n, ts, threads=2).tolist() == one.tolist()
         assert all(np.diff(one[: len(DEFAULT_GRID)]) >= 0)
 
-    @pytest.mark.parametrize("name", ["example1", "example3"])
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_memory_does_not_grow_with_n(self, name):
-        # the block chunks hold O(CHUNK) values at any n, the floor sum
-        # O(log n) Python ints
+        # the block and row chunks hold O(CHUNK) values at any n, the floor
+        # sum O(log n) Python ints
         problem = PROBLEMS[name]
         peaks = []
         for n in (2**38, 2**44):
@@ -218,10 +229,10 @@ def wall_bound(seconds):
 
 
 class TestSweepCost:
-    @pytest.mark.parametrize("name", ["example1", "example3"])
+    @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
     def test_sweep_at_1e12(self, name, capsys):
-        # O(log n) per grid value for example1, O(sqrt n) for example3;
-        # streaming 1e12 points would take hours
+        # O(log n) per grid value for example1, O(sqrt n) for example2 and
+        # example3; streaming 1e12 points would take hours
         with wall_bound(60):
             code = main(["sweep", name, "--n", "1000000,1000000000000"])
         out = capsys.readouterr()

@@ -175,6 +175,12 @@ class TestSweepCommand:
         )
         assert all(rep["result"]["monotone_decay"])
 
+    def test_negative_grid_in_the_equals_form(self, capsys):
+        # "--grid -0.9,0.5" reads -0.9,0.5 as an option (exit 2); "=" keeps it a value
+        rep = report_of(["sweep", "example2", "--n", "1000", "--grid=-0.9,0.5"], capsys)
+        assert rep["result"]["grid"] == [-0.9, 0.5]
+        assert rep["config"]["grid"] == [-0.9, 0.5]
+
     def test_empty_grid_exits_2(self, capsys):
         code, _, _ = run_cli(
             ["sweep", "canonical-uniform", "--n", "10", "--grid", ""], capsys

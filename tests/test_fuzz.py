@@ -4,8 +4,9 @@ Every run must exit 0, 2 or 3, print no traceback, and return within
 ``BOUND_S`` seconds (``signal.alarm``, in-process).  The index n is drawn up
 to 2**52, the largest n accepted, where the work is O(log n) (the closed-form
 counts of canonical-uniform and example1), up to 1e12 where it is O(1) or
-O(sqrt n), and elsewhere at or below 1e6, apart from values that must be
-rejected at once.
+O(sqrt n) (solve example2 and example3, dirichlet, sweep example3), and
+elsewhere at or below 1e6, apart from values that must be rejected at once.
+Sweeps of example2 stay at 1e6: their grid lists have no length cap.
 """
 
 import contextlib
@@ -24,10 +25,10 @@ from asymptolim.problems import PROBLEMS  # noqa: E402
 BOUND_S = 10
 
 # routes whose work grows at most like log(n): the closed-form counts; and
-# like sqrt(n): block counts and the hyperbola identity (harmonic is O(1)
-# above 2**20)
+# like sqrt(n): row and block counts and the hyperbola identity (harmonic is
+# O(1) above 2**20)
 LOG_SWEEP = ("canonical-uniform", "example1")
-SQRT_SOLVE = ("example3", "dirichlet")
+SQRT_SOLVE = ("example2", "example3", "dirichlet")
 SQRT_SWEEP = ("example3",)
 HUGE, BIG, SMALL = 2**52, 10**12, 10**6
 
