@@ -16,7 +16,9 @@ evaluating only those that rounding could put on either side of t, also
 in O(sqrt n) per threshold.  The stream, chunk by chunk, is the oracle.
 Wherever float points stand for exact ones, every point that rounding could
 have moved across t is decided in exact integer arithmetic, so no point is
-misclassified.  The divisor sum takes the hyperbola identity, O(sqrt n).
+misclassified.  The divisor sum takes the hyperbola identity, O(sqrt n), and
+through it example4's identity mean is H_n - D(n)/n, correctly rounded,
+with no stream at all.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -42,7 +45,13 @@ from .accum import (
 )
 from .convergence import Boundary
 from .measure import HyperBox
-from .special import EULER_GAMMA, frac_limit_cdf, frac_limit_density
+from .special import (
+    BERNOULLI_2J,
+    EULER_GAMMA,
+    EULER_GAMMA_50,
+    frac_limit_cdf,
+    frac_limit_density,
+)
 from .stieltjes import SmoothCdf, integrate_smooth
 
 __all__ = [
@@ -771,6 +780,73 @@ def frac_n_over_i_cdf(
     return _result(count / n, closed, n, "proportion of {n/i} <= t vs limit CDF")
 
 
+def _divisor_sum(n: int, threads: int = 1) -> int:
+    """D(n) = sum of floor(n/i) over i <= n, exactly, in O(sqrt n), by the
+    hyperbola identity D(n) = 2 sum_{i<=s} floor(n/i) - s*s, s = isqrt(n)."""
+    s = math.isqrt(n)
+
+    def kernel(a: int, b: int) -> int:
+        with workspace(b - a) as ws:
+            i = _indices(a, b, ws.f[0][: b - a].view(np.int64))
+            return int(np.floor_divide(n, i, out=i).sum())
+
+    return 2 * map_reduce_int(kernel, 1, s + 1, threads=threads) - s * s
+
+
+# Largest n whose harmonic number is summed exactly (about 1 ms); above it
+# the Euler-Maclaurin remainder, at most |B18| / (18 n**18), is below 2e-54.
+_HARMONIC_EXACT_MAX = 1 << 10
+
+# Significant digits of ln n in the first evaluation of H_n, and the most the
+# rounding test raises them to: a few digits past 50, the error left would be
+# that of gamma's 50-digit literal, which more digits of ln n cannot reduce.
+_MEAN_DIGITS = 30
+_MEAN_MAX_DIGITS = 50
+
+
+def _harmonic(n: int, digits: int) -> tuple[Fraction, Fraction]:
+    """H_n = 1 + 1/2 + ... + 1/n as a rational, and a bound on its error.
+
+    Up to _HARMONIC_EXACT_MAX the sum is exact, over lcm(1..n), and the bound
+    is 0.  Above it, H_n = psi(n) + 1/n + gamma is the Euler-Maclaurin
+    expansion ln n + gamma + 1/(2n) - sum_{j=1..8} B_2j / (2j n**2j), whose
+    remainder is at most the first omitted term, |B18| / (18 n**18), since
+    psi's expansion at a real positive argument encloses it (DLMF 5.11(ii)).
+    ln n is decimal's correctly rounded logarithm to ``digits`` significant
+    digits, off by at most half a unit in its last digit; gamma is the
+    50-digit literal, off by at most 5e-51.  The rest is exact, and the bound
+    is the sum of the three.
+    """
+    if n <= _HARMONIC_EXACT_MAX:
+        lcm = math.lcm(*range(1, n + 1))
+        return Fraction(sum(lcm // i for i in range(1, n + 1)), lcm), Fraction(0)
+    log = Decimal(n).ln(Context(prec=digits))
+    value = Fraction(log) + Fraction(EULER_GAMMA_50) + Fraction(1, 2 * n)
+    for j, (p, q) in enumerate(BERNOULLI_2J[:-1], start=1):
+        value -= Fraction(p, 2 * j * q * n ** (2 * j))
+    p, q = BERNOULLI_2J[-1]
+    remainder = Fraction(abs(p), 18 * q * n**18)
+    half_ulp = Fraction(10) ** (log.adjusted() + 1 - digits) / 2
+    return value, remainder + half_ulp + Fraction(1, 2 * 10**50)
+
+
+def _identity_mean(n: int, divisor_sum: int, digits: int = _MEAN_DIGITS) -> float:
+    """H_n - D(n)/n, for D(n) = ``divisor_sum``, rounded once to a float;
+    ``digits`` starts the rounding test (see frac_n_over_i_mean)."""
+    while True:
+        harmonic, bound = _harmonic(n, digits)
+        mean = harmonic - Fraction(divisor_sum, n)
+        # Fraction -> float divides Python ints, which rounds correctly
+        lo, hi = float(mean - bound), float(mean + bound)
+        if lo == hi:
+            return lo
+        if digits >= _MEAN_MAX_DIGITS:
+            raise ArithmeticError(
+                f"the mean at n={n} is within {float(bound):.1e} of a rounding boundary"
+            )
+        digits = min(2 * digits, _MEAN_MAX_DIGITS)
+
+
 def frac_n_over_i_mean(
     n: int,
     f: Optional[Callable] = None,
@@ -779,39 +855,53 @@ def frac_n_over_i_mean(
 ) -> SolveResult:
     """Mean of f({n/i}) for i <= n; f omitted means the identity.
 
-    Each {n/i} is the exact remainder (n mod i)/i converted once to float.
-    For the identity the closed form short-circuits to 1 - gamma; otherwise
-    it is the quadrature of f against the limit CDF's density.
+    With f, the points stream: each {n/i} is the exact remainder
+    (n mod i)/i converted once to float, and the closed form is the
+    quadrature of f against the limit CDF's density.
+
+    Without f, the closed form short-circuits to 1 - gamma and nothing
+    streams.  Since (n mod i)/i = n/i - floor(n/i), the points sum to
+    n H_n - D(n), where D(n) is the divisor sum, exact in O(sqrt n); so the
+    mean is H_n - D(n)/n, and it is returned correctly rounded.  The stream,
+    which rounds each point and then their sum, is within 1 ulp of it.
+
+    H_n is exact up to n = 1024.  Above it, H_n is the Euler-Maclaurin
+    expansion through B16, whose remainder is at most the first omitted
+    term |B18| / (18 n**18), with ln n to 30 significant digits and gamma
+    from its 50-digit literal.  The rounding follows Ziv: when the two ends
+    of the error interval round to different floats, ln n is recomputed at
+    50 digits, the most the literal supports; a mean still undecided then
+    (within about 1e-48 of a rounding boundary; none is known) raises
+    ArithmeticError rather than risk a wrong last bit.
+
+    The test is decided once the error is below the mean's distance to the
+    nearest midpoint between floats, and for n >= 4 that distance is not 0.
+    Midpoints are dyadic rationals, and the mean is not one: by Bertrand's
+    postulate there is a prime p with n/2 < p < n.  p is the only multiple
+    of p up to n, so every point (n mod i)/i with i != p has no factor p in
+    its denominator, while (n mod p)/p = (n - p)/p with 0 < n - p < p has
+    p-adic valuation -1.  So has their sum, and as p does not divide n, so
+    has the mean: its reduced denominator has the odd factor p.  For n <= 3
+    H_n is exact.
     """
     n = _check_n(n)
-    identity = f is None
-    fn = (lambda v: v) if identity else f
+    meta = "mean of f({n/i}) vs limit-CDF integral"
+    if f is None:
+        return _result(_identity_mean(n, _divisor_sum(n, threads)), 1.0 - EULER_GAMMA, n, meta)
     problem = PROBLEMS["example3"]
-    empirical = _mean_sum(fn, problem.points, n, n, threads) / n
-    if identity:
-        closed = 1.0 - EULER_GAMMA
-    else:
-        closed = integrate_smooth(fn, problem.limit(), tol=tol).value
-    return _result(empirical, closed, n, "mean of f({n/i}) vs limit-CDF integral")
+    empirical = _mean_sum(f, problem.points, n, n, threads) / n
+    closed = integrate_smooth(f, problem.limit(), tol=tol).value
+    return _result(empirical, closed, n, meta)
 
 
 def dirichlet_weak(n: int, threads: int = 1) -> SolveResult:
     """Normalized divisor-type sum: (1/n) sum of floor(n/i) minus ln n.
 
-    The floor sum is exact integer arithmetic, by the hyperbola identity
-    sum_{i<=n} floor(n/i) = 2 sum_{i<=s} floor(n/i) - s*s with s = isqrt(n),
-    in O(sqrt n); the limit is 2*gamma - 1.
+    The floor sum is exact integer arithmetic (see _divisor_sum), in
+    O(sqrt n); the limit is 2*gamma - 1.
     """
     n = _check_n(n)
-    s = math.isqrt(n)
-
-    def kernel(a: int, b: int) -> int:
-        with workspace(b - a) as ws:
-            i = _indices(a, b, ws.f[0][: b - a].view(np.int64))
-            return int(np.floor_divide(n, i, out=i).sum())
-
-    total = 2 * map_reduce_int(kernel, 1, s + 1, threads=threads) - s * s
-    empirical = total / n - math.log(n)
+    empirical = _divisor_sum(n, threads) / n - math.log(n)
     closed = 2.0 * EULER_GAMMA - 1.0
     return _result(empirical, closed, n, "(1/n) sum floor(n/i) - ln n vs 2*gamma - 1")
 

@@ -4,7 +4,8 @@ and the limit CDF of the fractional parts of n/i.
 Digamma and trigamma use upward recurrence to a threshold plus the asymptotic
 expansion with Bernoulli-number terms through B14; the Hurwitz zeta uses
 Euler-Maclaurin from a start that grows with s.  The Euler-Mascheroni
-constant is a hard-coded literal.
+constant is a 50-digit literal, and the Bernoulli numbers are exact rationals;
+the floats are derived from them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .accum import exact_partials, map_reduce_fsum
 
 __all__ = [
     "EULER_GAMMA",
+    "EULER_GAMMA_50",
+    "BERNOULLI_2J",
     "digamma",
     "trigamma",
     "hurwitz_zeta",
@@ -29,7 +32,23 @@ __all__ = [
     "SeriesValue",
 ]
 
-EULER_GAMMA = 0.5772156649015329
+# The Euler-Mascheroni constant to 50 significant digits, correctly rounded
+# (the digits after them are 35988...); EULER_GAMMA is its float.
+EULER_GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
+EULER_GAMMA = float(EULER_GAMMA_50)
+
+# B_{2j} for j = 1..9 as exact (numerator, denominator) pairs.
+BERNOULLI_2J = (
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+)
 
 # Argument above which the digamma expansion is accurate to ~1e-13.
 _ASY_THRESHOLD = 6.0
@@ -38,35 +57,20 @@ _ASY_THRESHOLD = 6.0
 # its first omitted term, B16/x**17, is 7e-17 at x = 10 (4e-13 at x = 6).
 _TRI_THRESHOLD = 10.0
 
+# The floats below divide Python ints, which rounds once, so each is the
+# correctly rounded rational.
 # B_{2n}/(2n) for n = 1..7 (through B14), as used by the digamma expansion.
-_PSI_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+_PSI_TAIL = tuple(p / (2 * j * q) for j, (p, q) in enumerate(BERNOULLI_2J[:7], start=1))
 
 # B_{2j} for j = 1..8: trigamma's expansion takes B2..B14, the zeta sums all.
-_B2J = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
+_B2J = tuple(p / q for p, q in BERNOULLI_2J[:8])
 
 # Shift the Euler-Maclaurin start so the expansion argument is at least this.
 _ZETA_START = 12.0
 
 # log(|B18| / 18!): the first omitted Euler-Maclaurin term of the zeta sums is
 # |B18|/18! (s)_17 a**(-s-17), against a leading term a**(1-s)/(s-1).
-_LOG_B18 = math.log(43867.0 / 798.0) - math.lgamma(19.0)
+_LOG_B18 = math.log(BERNOULLI_2J[8][0] / BERNOULLI_2J[8][1]) - math.lgamma(19.0)
 
 # The head of the zeta sum stops once the terms left are below this fraction
 # of it.

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -657,8 +658,13 @@ class TestFunctionRegistry:
             resolve_function("tan")
 
     def test_example4_with_named_f(self, capsys):
+        # a named f streams; without one, the mean is exact, rounded once
         rep = report_of(["solve", "example4", "--n", "1000", "--f", "id"], capsys)
         short = report_of(["solve", "example4", "--n", "1000"], capsys)
+        exact = float(sum(Fraction(1000 % i, i) for i in range(1, 1001)) / 1000)
+        assert short["result"]["empirical"].hex() == exact.hex()
+        assert abs(rep["result"]["empirical"] - exact) <= math.ulp(exact)
+        # at n = 1000 the stream's rounded points also sum to that float
         assert rep["result"]["empirical"] == short["result"]["empirical"]
         assert rep["result"]["closed_form"] == pytest.approx(
             short["result"]["closed_form"], abs=1e-8

@@ -253,15 +253,27 @@ class TestFracNOverIMean:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [1000001, 5000011])
     def test_mean_is_the_correctly_rounded_whole_sum(self, n, threads):
-        # a sum of rounded chunk sums is 1 ulp off the whole fsum at these n
+        # the stream: a sum of rounded chunk sums is 1 ulp off the whole fsum
+        # of the rounded points at these n
         i = np.arange(1, n + 1, dtype=np.int64)
         whole = math.fsum(((n % i) / i).tolist())
-        assert frac_n_over_i_mean(n, threads=threads).empirical == whole / n
+        assert frac_n_over_i_mean(n, lambda t: t, threads=threads).empirical == whole / n
+        # the identity mean is the exact mean rounded once, within 1 ulp of it
+        mean = frac_n_over_i_mean(n, threads=threads).empirical
+        assert abs(mean - whole / n) <= math.ulp(mean)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(200):
+            exact = mpmath.harmonic(n) - mpmath.mpf(int((n // i).sum())) / n
+        assert mean.hex() == float(exact).hex()
 
     def test_quadrature_route_matches_short_circuit(self):
         direct = frac_n_over_i_mean(200)
         routed = frac_n_over_i_mean(200, lambda t: t)
         assert abs(direct.closed_form - routed.closed_form) <= 1e-8
+        exact = sum(Fraction(200 % i, i) for i in range(1, 201)) / 200
+        assert direct.empirical.hex() == float(exact).hex()
+        assert abs(direct.empirical - routed.empirical) <= math.ulp(direct.empirical)
+        # at n = 200 the stream's rounded points also sum to that float
         assert direct.empirical == routed.empirical
 
     def test_pushforward_route_equivalence(self):

@@ -47,6 +47,34 @@ def frac_limit_series_oracle(t, terms=200_000):
     return head + math.log((u + t) / u)
 
 
+class TestConstants:
+    """The float constants derive from one exact table and one literal, and
+    keep the bits of the float literals they replaced."""
+
+    def test_bernoulli_floats_keep_their_bits(self):
+        # the float literals of the tables before they were derived
+        psi_tail = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+                    1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
+        b2j = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+               -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0)
+        assert [x.hex() for x in special._PSI_TAIL] == [x.hex() for x in psi_tail]
+        assert [x.hex() for x in special._B2J] == [x.hex() for x in b2j]
+        assert special._LOG_B18 == math.log(43867.0 / 798.0) - math.lgamma(19.0)
+
+    def test_bernoulli_table_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for j, pair in enumerate(special.BERNOULLI_2J, start=1):
+            assert pair == mpmath.bernfrac(2 * j)
+
+    def test_gamma_literal(self):
+        assert float(special.EULER_GAMMA_50) == EULER_GAMMA
+        assert EULER_GAMMA.hex() == (0.5772156649015329).hex()
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            gap = abs(mpmath.mpf(special.EULER_GAMMA_50) - mpmath.euler)
+            assert gap <= mpmath.mpf("5e-51")
+
+
 class TestDigamma:
     def test_at_one(self):
         assert abs(digamma(1.0) + EULER_GAMMA) <= 1e-12
