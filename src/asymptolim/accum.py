@@ -242,13 +242,22 @@ def anchored_cumsum(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def is_vector(x) -> bool:
+    """Whether ``x`` is a 1-D float64 array: the argument on which a callback
+    that takes arrays is first called by ``apply_to_array``."""
+    return isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
+
+
 def apply_to_array(f: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate a callback on a 1-D array, vectorized when supported.
 
-    Falls back to an element loop for callbacks that reject arrays (e.g.
-    ``math.sin``, anything branching on its argument or calling a float
-    method) or that return another shape; there a vector-valued callback
-    gives one row per element.
+    ``f`` is first called once on the whole array.  If it rejects arrays
+    (e.g. ``math.sin``, anything branching on its argument or calling a float
+    method) or returns another shape, it is called once per element, on the
+    Python floats of ``x.tolist()``; there a vector-valued callback gives one
+    row per element.  The named limit CDFs take arrays (``is_vector``) and
+    give each element the bits of their scalar call, so a grid costs them
+    one call; the per-element route is the oracle of that.
     """
     try:
         y = np.asarray(f(x), dtype=float)
@@ -256,4 +265,4 @@ def apply_to_array(f: Callable, x: np.ndarray) -> np.ndarray:
             return y
     except (TypeError, ValueError, AttributeError):
         pass
-    return np.asarray([f(float(v)) for v in x], dtype=float)
+    return np.asarray(list(map(f, x.tolist())), dtype=float)

@@ -164,10 +164,22 @@ def _point_matrix(points) -> np.ndarray:
 
 
 def _fold_sorted(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    m = pts.shape[0]
-    order = np.lexsort(pts.T[::-1])
-    pts = np.ascontiguousarray(pts[order])
-    w = np.ascontiguousarray(w[order])
+    """Sort the points, lexicographically, and fold equal ones.
+
+    A 1-D sort need not be stable: equal points are bit-identical (the
+    points are finite and -0.0 is folded to +0.0), and a group's weight is
+    c equal weights times c or an fsum, neither of which depends on the
+    order within the group.  Where all weights have the same bits, no
+    weight moves, so the points are sorted alone.
+    """
+    m, k = pts.shape
+    bits = w.view(np.int64)
+    if k == 1 and (bits == bits[0]).all():
+        pts = np.sort(pts, axis=0)
+    else:
+        order = np.argsort(pts[:, 0]) if k == 1 else np.lexsort(pts.T[::-1])
+        pts = np.ascontiguousarray(pts[order])
+        w = np.ascontiguousarray(w[order])
     if m > 1:
         is_new = np.empty(m, dtype=bool)
         is_new[0] = True

@@ -29,6 +29,7 @@ import numbers
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -39,6 +40,7 @@ from .accum import (
     apply_to_array,
     chunk_ranges,
     exact_partials,
+    is_vector,
     map_reduce_fsum,
     map_reduce_int,
     workspace,
@@ -110,6 +112,11 @@ class DivergentResult:
 # ---------------------------------------------------------------------------
 # Named limit CDFs
 # ---------------------------------------------------------------------------
+# Each value callback takes a float, or a 1-D float64 array (``is_vector``),
+# which costs one call: element by element it gives the bits of the scalar
+# call, with the IEEE + - * / in numpy and each libm function (pow, asin)
+# called through ``math`` once per element, since numpy's versions differ
+# from libm in the last bit at some points.
 
 def uniform_cdf() -> SmoothCdf:
     """CDF of the uniform law on [0, 1]."""
@@ -130,6 +137,11 @@ def root_cdf(q: int) -> SmoothCdf:
         raise ValueError("q must be a positive integer")
 
     def value(x):
+        if is_vector(x):
+            out = np.where(x >= 1.0, 1.0, 0.0)
+            inside = ~((x <= 0.0) | (x >= 1.0))
+            out[inside] = list(map(math.pow, x[inside].tolist(), repeat(1.0 / q)))
+            return out
         x = float(x)
         if x <= 0.0:
             return 0.0
@@ -143,10 +155,15 @@ def root_cdf(q: int) -> SmoothCdf:
 def arcsin_cdf() -> SmoothCdf:
     """CDF of sin(U) for U uniform on a full period: arcsin(t)/pi + 1/2,
     with quantile sin(pi (u - 1/2))."""
+
+    def value(t):
+        if is_vector(t):
+            t = np.minimum(np.maximum(t, -1.0), 1.0)
+            return np.array(list(map(math.asin, t.tolist()))) / math.pi + 0.5
+        return math.asin(min(max(float(t), -1.0), 1.0)) / math.pi + 0.5
+
     return SmoothCdf(
-        lambda t: math.asin(min(max(float(t), -1.0), 1.0)) / math.pi + 0.5,
-        HyperBox(-1.0, 1.0),
-        quantile=lambda u: math.sin(math.pi * (u - 0.5)),
+        value, HyperBox(-1.0, 1.0), quantile=lambda u: math.sin(math.pi * (u - 0.5))
     )
 
 
@@ -612,15 +629,25 @@ def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int
     interval is empty, near u = 1/4 and 3/4.  Typically no row has a gap
     point; a tie such as t = 0 has one in each row.
 
-    Rows go ``CHUNK // len(ts)`` at a time through ``map_reduce_int``, each
-    chunk as (threshold x row) arrays in the thread's workspaces, and the
-    gap points one offset from the gap's start at a time, for all the
-    chunk's gaps at once, so memory is O(CHUNK) at any n.
+    The levels outside [-1, 1).  np.sin of a finite float lies in [-1, 1]
+    (a test checks it at the stream's arguments), so every s_k is at most
+    a t >= 1 and above a t < -1: these thresholds count all the points and
+    none, with no row visited.  t = -1 goes by rows, as an s_k can equal
+    -1.0.
+
+    Rows go ``CHUNK // T`` at a time, for the T thresholds in [-1, 1),
+    through ``map_reduce_int``, each chunk as (threshold x row) arrays in
+    the thread's workspaces, and the gap points one offset from the gap's
+    start at a time, for all the chunk's gaps at once, so memory is
+    O(CHUNK) at any n.
     """
     tf = np.array([float(t) for t in ts])
+    counts = np.where(tf >= 1.0, n - first_row * first_row + 1, 0).astype(np.int64)
+    rows = (tf >= -1.0) & (tf < 1.0)
+    tf = tf[rows]
     T = tf.size
     if not T:
-        return np.zeros(0, dtype=np.int64)
+        return counts
 
     def chunk(a: int, b: int) -> np.ndarray:
         R = b - a
@@ -671,7 +698,8 @@ def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int
         return tally.astype(np.int64)
 
     width = max(1, CHUNK // T)
-    return map_reduce_int(chunk, first_row, math.isqrt(n) + 1, threads=threads, chunk=width)
+    counts[rows] = map_reduce_int(chunk, first_row, math.isqrt(n) + 1, threads=threads, chunk=width)
+    return counts
 
 
 def _uniform_count(n: int, t) -> int:

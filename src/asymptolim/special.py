@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import exact_partials, map_reduce_fsum
+from .accum import exact_partials, is_vector, map_reduce_fsum
 
 __all__ = [
     "EULER_GAMMA",
@@ -98,6 +98,26 @@ def digamma(x: float) -> float:
     for c in reversed(_PSI_TAIL):
         tail = (tail + c) * w
     return acc + math.log(x) - 0.5 / x - tail
+
+
+def _digamma_array(x: np.ndarray) -> np.ndarray:
+    """``digamma`` of each element of a float64 array ``x``, which it
+    overwrites: the scalar's IEEE steps in numpy, each element recurring
+    until it reaches the threshold, and ``math.log`` once per element, since
+    numpy's log differs from it in the last bit at some points."""
+    if not (x > 0.0).all():
+        raise ValueError("digamma requires x > 0")
+    acc = np.zeros_like(x)
+    low = x < _ASY_THRESHOLD
+    while low.any():
+        np.subtract(acc, 1.0 / x, out=acc, where=low)
+        np.add(x, 1.0, out=x, where=low)
+        np.less(x, _ASY_THRESHOLD, out=low)
+    w = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_PSI_TAIL):
+        tail = (tail + c) * w
+    return acc + np.array(list(map(math.log, x.tolist()))) - 0.5 / x - tail
 
 
 def trigamma(x: float) -> float:
@@ -189,12 +209,19 @@ def harmonic(n: int) -> float:
     return math.fsum((math.log(n), EULER_GAMMA, 1 / (2 * n), -1 / (12 * n * n)))
 
 
-def frac_limit_cdf(t: float) -> float:
+def frac_limit_cdf(t):
     """Limit CDF of the fractional parts of n/i.
 
     0 for t <= 0, 1 for t >= 1, and digamma(t) + 1/t + gamma in between,
-    computed as digamma(t+1) + gamma to avoid cancellation near 0.
+    computed as digamma(t+1) + gamma to avoid cancellation near 0.  A 1-D
+    float64 array gives an array: each element the bits of the scalar call,
+    or its ValueError at a NaN.
     """
+    if is_vector(t):
+        out = np.where(t >= 1.0, 1.0, 0.0)
+        inside = ~((t <= 0.0) | (t >= 1.0))
+        out[inside] = _digamma_array(t[inside] + 1.0) + EULER_GAMMA
+        return out
     t = float(t)
     if t <= 0.0:
         return 0.0

@@ -1,0 +1,100 @@
+"""Write tests/data/golden_argv.json: the CLI's exit code, stdout and stderr
+for a fixed list of argv, with the report timestamp masked.
+
+``test_golden_argv.py`` replays every argv in the file and compares the
+bytes.  The reports hold values of numpy's sin and cos and of libm's
+functions, whose last bits depend on the CPU and the library versions, so
+the file also holds a digest of those functions at fixed points, and the
+bytes are compared only where the digest matches.  Regenerate the file only
+for a change that alters a report on purpose, and say so where the change is
+recorded:
+
+    PYTHONPATH=src python tests/make_golden_argv.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import re
+import sys
+from itertools import repeat
+from pathlib import Path
+
+import numpy as np
+
+PATH = Path(__file__).resolve().parent / "data" / "golden_argv.json"
+
+TIMESTAMP = re.compile(r'(timestamp"?[:,] ?"?)[0-9T:.+-]+')
+
+PHIS = ("uniform", "sqrt", "root:3", "frac-limit", "arcsin")
+FS = ("sin", "cos", "id", "poly:0.5,-1.25,2")
+
+# support of each named CDF; the extra oracle windows sit inside it and
+# reach past it
+SUPPORT = {"uniform": (0.0, 1.0), "sqrt": (0.0, 1.0), "root:3": (0.0, 1.0),
+           "frac-limit": (0.0, 1.0), "arcsin": (-1.0, 1.0)}
+
+# edge values of the special functions: signed zeros, the least subnormal,
+# tiny, 1 - 2**-53 and 1, the recurrence threshold 6, outside the domain,
+# and infinities (the CLI rejects NaN before any call)
+CDF_TS = ("0", "-0.0", "5e-324", "1e-300", "1e-17", "0.25", "0.5", "0.75",
+          "0.9999999999999999", "0.99999999999999989", "1", "1.5", "-1", "inf", "-inf")
+DIGAMMA_XS = ("5e-324", "1e-300", "1e-8", "0.5", "1", "1.0000000000000002", "1.5", "2",
+              "5.999999999999999", "6", "7.25", "1e6", "1e300", "inf", "0", "-1")
+
+
+def argvs() -> list[list[str]]:
+    out = []
+    for method in ("density", "parts", "oracle"):
+        for phi in PHIS:
+            for f in FS:
+                out.append(["integrate", f"--f={f}", f"--phi={phi}", f"--method={method}"])
+    for phi in PHIS:
+        lo, hi = SUPPORT[phi]
+        width = hi - lo
+        windows = ((lo + 0.125 * width, hi - 0.3 * width, "14"),
+                   (lo - 0.5 * width, hi + 0.25 * width, "10"))
+        for a, b, levels in windows:
+            out.append(["integrate", "--f=sin", f"--phi={phi}", "--method=oracle",
+                        f"--lower={a!r}", f"--upper={b!r}", f"--levels={levels}"])
+    out += [["special", "frac-limit-cdf", f"--t={t}"] for t in CDF_TS]
+    out += [["special", "digamma", f"--x={x}"] for x in DIGAMMA_XS]
+    return out
+
+
+def platform_digest() -> str:
+    """sha256 of the elementary functions the argv reach, at fixed points:
+    numpy's sin and cos (the callbacks), and math's sin, asin, pow and log
+    (the quantiles and limit CDFs)."""
+    x = np.linspace(-4.0, 4.0, 20_001)
+    u = np.linspace(0.0, 1.0, 20_001)[1:]
+    values = [np.sin(x), np.cos(x), list(map(math.sin, x.tolist())),
+              list(map(math.asin, (x / 4.0).tolist())),
+              list(map(math.pow, u.tolist(), repeat(1.0 / 3.0))),
+              list(map(math.pow, u.tolist(), repeat(0.5))),
+              list(map(math.log, (u + 6.0).tolist()))]
+    digest = hashlib.sha256()
+    for v in values:
+        digest.update(np.asarray(v, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def run(argv: list[str]) -> dict:
+    from asymptolim.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": TIMESTAMP.sub(r"\1T", out.getvalue()),
+            "stderr": err.getvalue()}
+
+
+if __name__ == "__main__":
+    PATH.parent.mkdir(exist_ok=True)
+    cases = [run(argv) for argv in argvs()]
+    PATH.write_text(json.dumps({"digest": platform_digest(), "cases": cases}, indent=1) + "\n")
+    print(f"{len(cases)} argv written to {PATH}", file=sys.stderr)

@@ -430,6 +430,38 @@ class TestFoldMatchesFsumLoop:
 
         check()
 
+    def test_drawn_large_1d_multisets(self):
+        # thousands of atoms on few distinct points: the 1-D fold sorts by
+        # numpy's unstable (SIMD where the CPU has it) argsort, the oracle
+        # by lexsort, so duplicates arrive in other orders
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.integers(1000, 5000), st.integers(1, 12), st.integers(0, 2**32 - 1),
+                          st.sampled_from(("random", "equal", "mixed", "zeros", "subnormal")))
+        def check(m, distinct, seed, mode):
+            rng = np.random.default_rng(seed)
+            pool = np.concatenate([np.array(_POINT_POOL), rng.normal(size=distinct)])
+            pts = rng.choice(pool[rng.permutation(pool.size)[:distinct]], size=m)[:, None]
+            if mode == "random":
+                w = rng.random(m)
+            elif mode == "equal":
+                w = np.full(m, rng.random())
+            elif mode == "mixed":
+                # equal weights on some points' atoms, unequal on the others
+                keys = (pts[:, 0] + 0.0).tolist()
+                shared = {key: rng.random() for key in set(keys) if rng.random() < 0.5}
+                w = np.array([shared.get(key, rng.random()) for key in keys])
+            elif mode == "zeros":
+                w = rng.choice([0.0, -0.0], size=m)
+            else:
+                w = rng.choice(_SUBNORMALS, size=m)
+            for got, want in zip(_fold_sorted(pts + 0.0, w), fold_oracle(pts + 0.0, w)):
+                assert_same_bits(got, want)
+
+        check()
+
     def test_negative_zero_weights_sum_to_positive_zero(self):
         pts, w = _fold_sorted(np.zeros((3, 1)), np.array([-0.0, -0.0, -0.0]))
         assert_same_bits(w, np.array([0.0]))

@@ -84,6 +84,21 @@ class TestStatedBounds:
                       for a, v in zip(alpha, levels))
         assert err <= _ALPHA_SLACK / 4
 
+    def test_sin_lies_in_minus_one_one(self):
+        # the rule counts t >= 1 and t < -1 without a point: the points
+        # nearest +-1 are those at the arguments next to pi/2 and 3*pi/2
+        rng = np.random.default_rng(13)
+        m = rng.integers(1, TOP, 10**5)
+        ks = np.concatenate([m * m + rng.integers(0, 2 * m + 1), window_edge_points(rng, 5000)])
+        # the floats within 20 ulps of each (one binade, so exact)
+        near = [c + np.arange(-20, 21) * np.spacing(c) for c in (math.pi / 2, 3 * math.pi / 2)]
+        anywhere = np.ldexp(rng.uniform(-1.0, 1.0, 10**5), rng.integers(-1074, 1024, 10**5))
+        y = np.concatenate([stream_arguments(ks), *near, anywhere,
+                            [np.finfo(float).max, -np.finfo(float).max]])
+        s = np.sin(y)
+        assert ((s >= -1.0) & (s <= 1.0)).all()
+        assert s.max() == 1.0 and s.min() == -1.0
+
 
 def g_exact(m, c):
     c = Fraction(c)
@@ -152,8 +167,8 @@ def last_row_thresholds(n, M, rng, edges):
     return tuple(edges) + tuple(ties + up + down)
 
 
-# thresholds near +-1 take O(sqrt(E_m) m) gap points in a row, the others
-# about none
+# thresholds within E_m below 1, and near -1, take O(sqrt(E_m) m) gap points
+# in a row, the others about none; t >= 1 and t < -1 take no row
 EDGES = (0.0, -0.0, 5e-324, 0.3)
 EDGES_NEAR_1 = (1.0, -1.0, math.inf, 1 - 2**-53, -(1 - 1e-12))
 
@@ -177,3 +192,32 @@ class TestLastRows:
         ts = last_row_thresholds(n, M, np.random.default_rng(52), EDGES + EDGES_NEAR_1)
         want = STREAMED._stream(n, ts, M * M, n + 1, 1)
         assert _sin_count(PROBLEM, n, ts, threads, first_row=M).tolist() == want.tolist()
+
+
+class TestLevelsOutsideTheRange:
+    """t >= 1 counts every point and t < -1 none, without a row; t = -1
+    goes by rows, since a point can equal -1.0."""
+
+    OUTSIDE = (1.0, math.nextafter(1.0, 2.0), 1.5, math.inf, -math.inf, -2.0,
+               math.nextafter(-1.0, -2.0))
+
+    @pytest.mark.parametrize("n", list(range(1, 40)) + [99, 100, 101, 4097, 123457])
+    def test_counts_equal_the_stream(self, n):
+        ts = self.OUTSIDE + (-1.0, math.nextafter(-1.0, 0.0), 0.0, 1 - 2**-53)
+        assert PROBLEM.count(n, ts).tolist() == STREAMED.count(n, ts).tolist()
+        M = math.isqrt(n)
+        got = _sin_count(PROBLEM, n, ts, 1, first_row=M)
+        assert got.tolist() == STREAMED._stream(n, ts, M * M, n + 1, 1).tolist()
+
+    def test_no_row_is_visited(self, monkeypatch):
+        from asymptolim import problems
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was visited")
+
+        monkeypatch.setattr(problems, "map_reduce_int", no_rows)
+        n = 10**12
+        got = PROBLEM.count(n, self.OUTSIDE)
+        assert got.tolist() == [n if t >= 1.0 else 0 for t in self.OUTSIDE]
+        with pytest.raises(AssertionError):
+            PROBLEM.count(n, (-1.0,))

@@ -563,8 +563,8 @@ def variation_per_depth(phi, window, tol=1e-9, max_depth=22):
 
 
 class ScalarPhi:
-    """A math-based phi that rejects arrays, as the root:q, arcsin and
-    frac-limit CDFs do, and counts its scalar calls."""
+    """A phi that rejects arrays, so that it is called once per point, and
+    counts its scalar calls."""
 
     def __init__(self, fn):
         self.fn = fn
