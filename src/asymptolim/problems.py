@@ -27,7 +27,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
@@ -48,11 +47,11 @@ from .accum import (
 from .convergence import Boundary
 from .measure import HyperBox
 from .special import (
-    BERNOULLI_2J,
     EULER_GAMMA,
-    EULER_GAMMA_50,
     frac_limit_cdf,
     frac_limit_density,
+    harmonic_exact,
+    round_once,
 )
 from .stieltjes import SmoothCdf, integrate_smooth
 
@@ -821,60 +820,6 @@ def _divisor_sum(n: int, threads: int = 1) -> int:
     return 2 * map_reduce_int(kernel, 1, s + 1, threads=threads) - s * s
 
 
-# Largest n whose harmonic number is summed exactly (about 1 ms); above it
-# the Euler-Maclaurin remainder, at most |B18| / (18 n**18), is below 2e-54.
-_HARMONIC_EXACT_MAX = 1 << 10
-
-# Significant digits of ln n in the first evaluation of H_n, and the most the
-# rounding test raises them to: a few digits past 50, the error left would be
-# that of gamma's 50-digit literal, which more digits of ln n cannot reduce.
-_MEAN_DIGITS = 30
-_MEAN_MAX_DIGITS = 50
-
-
-def _harmonic(n: int, digits: int) -> tuple[Fraction, Fraction]:
-    """H_n = 1 + 1/2 + ... + 1/n as a rational, and a bound on its error.
-
-    Up to _HARMONIC_EXACT_MAX the sum is exact, over lcm(1..n), and the bound
-    is 0.  Above it, H_n = psi(n) + 1/n + gamma is the Euler-Maclaurin
-    expansion ln n + gamma + 1/(2n) - sum_{j=1..8} B_2j / (2j n**2j), whose
-    remainder is at most the first omitted term, |B18| / (18 n**18), since
-    psi's expansion at a real positive argument encloses it (DLMF 5.11(ii)).
-    ln n is decimal's correctly rounded logarithm to ``digits`` significant
-    digits, off by at most half a unit in its last digit; gamma is the
-    50-digit literal, off by at most 5e-51.  The rest is exact, and the bound
-    is the sum of the three.
-    """
-    if n <= _HARMONIC_EXACT_MAX:
-        lcm = math.lcm(*range(1, n + 1))
-        return Fraction(sum(lcm // i for i in range(1, n + 1)), lcm), Fraction(0)
-    log = Decimal(n).ln(Context(prec=digits))
-    value = Fraction(log) + Fraction(EULER_GAMMA_50) + Fraction(1, 2 * n)
-    for j, (p, q) in enumerate(BERNOULLI_2J[:-1], start=1):
-        value -= Fraction(p, 2 * j * q * n ** (2 * j))
-    p, q = BERNOULLI_2J[-1]
-    remainder = Fraction(abs(p), 18 * q * n**18)
-    half_ulp = Fraction(10) ** (log.adjusted() + 1 - digits) / 2
-    return value, remainder + half_ulp + Fraction(1, 2 * 10**50)
-
-
-def _identity_mean(n: int, divisor_sum: int, digits: int = _MEAN_DIGITS) -> float:
-    """H_n - D(n)/n, for D(n) = ``divisor_sum``, rounded once to a float;
-    ``digits`` starts the rounding test (see frac_n_over_i_mean)."""
-    while True:
-        harmonic, bound = _harmonic(n, digits)
-        mean = harmonic - Fraction(divisor_sum, n)
-        # Fraction -> float divides Python ints, which rounds correctly
-        lo, hi = float(mean - bound), float(mean + bound)
-        if lo == hi:
-            return lo
-        if digits >= _MEAN_MAX_DIGITS:
-            raise ArithmeticError(
-                f"the mean at n={n} is within {float(bound):.1e} of a rounding boundary"
-            )
-        digits = min(2 * digits, _MEAN_MAX_DIGITS)
-
-
 def frac_n_over_i_mean(
     n: int,
     f: Optional[Callable] = None,
@@ -893,29 +838,25 @@ def frac_n_over_i_mean(
     mean is H_n - D(n)/n, and it is returned correctly rounded.  The stream,
     which rounds each point and then their sum, is within 1 ulp of it.
 
-    H_n is exact up to n = 1024.  Above it, H_n is the Euler-Maclaurin
-    expansion through B16, whose remainder is at most the first omitted
-    term |B18| / (18 n**18), with ln n to 30 significant digits and gamma
-    from its 50-digit literal.  The rounding follows Ziv: when the two ends
-    of the error interval round to different floats, ln n is recomputed at
-    50 digits, the most the literal supports; a mean still undecided then
-    (within about 1e-48 of a rounding boundary; none is known) raises
-    ArithmeticError rather than risk a wrong last bit.
-
-    The test is decided once the error is below the mean's distance to the
-    nearest midpoint between floats, and for n >= 4 that distance is not 0.
-    Midpoints are dyadic rationals, and the mean is not one: by Bertrand's
-    postulate there is a prime p with n/2 < p < n.  p is the only multiple
-    of p up to n, so every point (n mod i)/i with i != p has no factor p in
-    its denominator, while (n mod p)/p = (n - p)/p with 0 < n - p < p has
-    p-adic valuation -1.  So has their sum, and as p does not divide n, so
-    has the mean: its reduced denominator has the odd factor p.  For n <= 3
-    H_n is exact.
+    H_n is special.harmonic_exact, and special.round_once rounds the mean
+    as it rounds H_n; a mean undecided at 50 digits of ln n (within about
+    1e-48 of a rounding boundary; none is known) raises ArithmeticError.
+    Enough digits always decide it, as the mean is never a midpoint between
+    floats: for n >= 4 take Bertrand's prime p with n/2 < p < n.  The point
+    (n mod p)/p = (n - p)/p has p-adic valuation -1 and no other point has
+    a factor p in its denominator; as p does not divide n, the mean's
+    reduced denominator keeps the odd factor p.  For n <= 3 H_n is exact.
     """
     n = _check_n(n)
     meta = "mean of f({n/i}) vs limit-CDF integral"
     if f is None:
-        return _result(_identity_mean(n, _divisor_sum(n, threads)), 1.0 - EULER_GAMMA, n, meta)
+        divisor_mean = Fraction(_divisor_sum(n, threads), n)
+
+        def mean(digits: int) -> tuple[Fraction, Fraction]:
+            harmonic, bound = harmonic_exact(n, digits)
+            return harmonic - divisor_mean, bound
+
+        return _result(round_once(mean, f"the mean at n={n}"), 1.0 - EULER_GAMMA, n, meta)
     problem = PROBLEMS["example3"]
     empirical = _mean_sum(f, problem.points, n, n, threads) / n
     closed = integrate_smooth(f, problem.limit(), tol=tol).value

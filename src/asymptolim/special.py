@@ -5,18 +5,21 @@ Digamma and trigamma use upward recurrence to a threshold plus the asymptotic
 expansion with Bernoulli-number terms through B14; the Hurwitz zeta uses
 Euler-Maclaurin from a start that grows with s.  The Euler-Mascheroni
 constant is a 50-digit literal, and the Bernoulli numbers are exact rationals;
-the floats are derived from them.
+the floats are derived from them.  H_n, exact or enclosed, is rounded once
+by ``round_once``, which also rounds example4's identity mean.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from decimal import Context, Decimal
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .accum import exact_partials, is_vector, map_reduce_fsum
+from .accum import is_vector
 
 __all__ = [
     "EULER_GAMMA",
@@ -26,6 +29,8 @@ __all__ = [
     "trigamma",
     "hurwitz_zeta",
     "harmonic",
+    "harmonic_exact",
+    "round_once",
     "frac_limit_cdf",
     "frac_limit_density",
     "frac_limit_cdf_series",
@@ -37,7 +42,7 @@ __all__ = [
 EULER_GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
 EULER_GAMMA = float(EULER_GAMMA_50)
 
-# B_{2j} for j = 1..9 as exact (numerator, denominator) pairs.
+# B_{2j} for j = 1..12 as exact (numerator, denominator) pairs.
 BERNOULLI_2J = (
     (1, 6),
     (-1, 30),
@@ -48,6 +53,9 @@ BERNOULLI_2J = (
     (7, 6),
     (-3617, 510),
     (43867, 798),
+    (-174611, 330),
+    (854513, 138),
+    (-236364091, 2730),
 )
 
 # Argument above which the digamma expansion is accurate to ~1e-13.
@@ -76,9 +84,14 @@ _LOG_B18 = math.log(BERNOULLI_2J[8][0] / BERNOULLI_2J[8][1]) - math.lgamma(19.0)
 # of it.
 _ZETA_NEGLIGIBLE = 2.0**-60
 
-# Largest n whose harmonic number is summed term by term (about 10 ms); above
-# it the expansion's first omitted term, 1/(120 n**4), is below 1e-25.
-_HARMONIC_SUM_MAX = 1 << 20
+# Largest n whose H_n is summed exactly: there the sum takes as long as the
+# expansion, about 0.12 ms.
+_HARMONIC_EXACT_MAX = 1 << 8
+
+# Digits of ln n in round_once's first try, and its cap: past 50 the error
+# left is that of gamma's 50-digit literal.
+_FIRST_DIGITS = 30
+_MAX_DIGITS = 50
 
 
 def digamma(x: float) -> float:
@@ -190,23 +203,66 @@ def hurwitz_zeta(s: float, x: float) -> float:
     return value + correction
 
 
-def harmonic(n: int) -> float:
-    """n-th harmonic number 1 + 1/2 + ... + 1/n.
+def harmonic_exact(n: int, digits: int) -> tuple[Fraction, Fraction]:
+    """H_n = 1 + 1/2 + ... + 1/n as a rational, and a bound on its error.
 
-    Up to 2**20 this is the correctly rounded sum of the rounded terms 1.0/i.
-    Above it, in O(1), the Euler-Maclaurin expansion
-    ln n + gamma + 1/(2n) - 1/(12 n**2), summed by fsum; it is within 2 ulp
-    of the term-by-term sum.
+    Up to n = 256 the sum is exact, over lcm(1..n), and the bound is 0.
+    Above it, H_n = psi(n) + 1/n + gamma is the Euler-Maclaurin expansion
+    ln n + gamma + 1/(2n) - sum_j B_2j / (2j n**2j), whose terms stop at the
+    first below 10**-(digits + 20), or at B24 (below 1e-54 for n > 256): the
+    remainder is at most that first omitted term, since psi's expansion at
+    a real positive argument encloses it (DLMF 5.11(ii)).  So a huge n
+    builds no large power of n.  ln n is decimal's, correctly rounded to
+    ``digits`` significant digits; gamma is the 50-digit literal, off by at
+    most 5e-51.  The rest is exact, and the bound is the sum of the three.
+    """
+    if n <= _HARMONIC_EXACT_MAX:
+        lcm = math.lcm(*range(1, n + 1))
+        return Fraction(sum(lcm // i for i in range(1, n + 1)), lcm), Fraction(0)
+    log = Decimal(n).ln(Context(prec=digits))
+    value = Fraction(log) + Fraction(EULER_GAMMA_50) + Fraction(1, 2 * n)
+    target = Fraction(1, 10 ** (digits + 20))
+    for j, (p, q) in enumerate(BERNOULLI_2J, start=1):
+        term = Fraction(p, 2 * j * q * n ** (2 * j))
+        if abs(term) < target or j == len(BERNOULLI_2J):
+            break
+        value -= term
+    half_ulp = Fraction(10) ** (log.adjusted() + 1 - digits) / 2
+    return value, abs(term) + half_ulp + Fraction(1, 2 * 10**50)
+
+
+def round_once(exact: Callable[[int], tuple[Fraction, Fraction]], what: str) -> float:
+    """The float nearest a value that ``exact(digits)`` gives, with an
+    error bound, from ``digits`` significant digits of ln n.  Following Ziv,
+    the digits go from 30 up to 50 while the two ends of the error interval
+    round to different floats; a value still undecided then raises
+    ArithmeticError, naming it by ``what``, rather than risk a wrong bit.
+    """
+    digits = _FIRST_DIGITS
+    while True:
+        value, bound = exact(digits)
+        # Fraction -> float divides Python ints, which rounds correctly
+        lo, hi = float(value - bound), float(value + bound)
+        if lo == hi:
+            return lo
+        if digits >= _MAX_DIGITS:
+            raise ArithmeticError(f"{what} is within {float(bound):.1e} of a rounding boundary")
+        digits = min(2 * digits, _MAX_DIGITS)
+
+
+def harmonic(n: int) -> float:
+    """n-th harmonic number 1 + 1/2 + ... + 1/n, correctly rounded.
+
+    ``harmonic_exact`` encloses H_n, and ``round_once`` rounds it.  Enough
+    digits always decide the rounding, as H_n is never a midpoint between
+    floats: H_1 and H_2 are floats, and for n >= 3 Bertrand's postulate
+    gives an odd prime p with n/2 < p <= n, the only multiple of p up to n,
+    so H_n's reduced denominator keeps the factor p and is not a power of 2.
     """
     n = int(n)
     if n < 1:
         raise ValueError("harmonic requires n >= 1")
-    if n <= _HARMONIC_SUM_MAX:
-        return map_reduce_fsum(
-            lambda a, b: exact_partials(1.0 / np.arange(a, b, dtype=np.float64)), 1, n + 1
-        )
-    # int / int rounds once and takes any n
-    return math.fsum((math.log(n), EULER_GAMMA, 1 / (2 * n), -1 / (12 * n * n)))
+    return round_once(functools.partial(harmonic_exact, n), "H_n")
 
 
 def frac_limit_cdf(t):

@@ -46,6 +46,16 @@ CDF_TS = ("0", "-0.0", "5e-324", "1e-300", "1e-17", "0.25", "0.5", "0.75",
 DIGAMMA_XS = ("5e-324", "1e-300", "1e-8", "0.5", "1", "1.0000000000000002", "1.5", "2",
               "5.999999999999999", "6", "7.25", "1e6", "1e300", "inf", "0", "-1")
 
+# H_n outside the domain, at the first values, on either side of the exact
+# sum's cutoff 256 and of the old ones 1024 and 2**20, and far out
+HARMONIC_NS = (0, 1, 2, 3, 4, 255, 256, 257, 1024, 1025, 2000, 2**20 - 1, 2**20, 2**20 + 1,
+               10**12, 10**18, 10**400)
+
+# example4's identity mean, H_n - D(n)/n: the same cutoffs, the stream's
+# chunk edges 2**17 +- 1, primes and the largest n
+IDENTITY_NS = (1, 2, 7, 256, 257, 1024, 1025, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**9 + 7,
+               2**52 - 1)
+
 
 def argvs() -> list[list[str]]:
     out = []
@@ -63,6 +73,8 @@ def argvs() -> list[list[str]]:
                         f"--lower={a!r}", f"--upper={b!r}", f"--levels={levels}"])
     out += [["special", "frac-limit-cdf", f"--t={t}"] for t in CDF_TS]
     out += [["special", "digamma", f"--x={x}"] for x in DIGAMMA_XS]
+    out += [["special", "harmonic", f"--n={n}"] for n in HARMONIC_NS]
+    out += [["solve", "example4", f"--n={n}"] for n in IDENTITY_NS]
     return out
 
 

@@ -12,10 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asymptolim import frac_n_over_i_mean
+from asymptolim import frac_n_over_i_mean, special
 from asymptolim.accum import CHUNK
-from asymptolim.problems import _divisor_sum, _harmonic, _identity_mean
-from asymptolim.special import BERNOULLI_2J
+from asymptolim.problems import _divisor_sum
+from asymptolim.special import BERNOULLI_2J, harmonic_exact
 
 
 def _split(n, a, b):
@@ -98,11 +98,11 @@ def test_euler_maclaurin_remainder_within_the_first_omitted_term(terms):
             assert 0 <= remainder / omitted <= 1, (n, terms)
 
 
-@pytest.mark.parametrize("n", [1025, 12345, 10**7 + 3, 2**40])
+@pytest.mark.parametrize("n", [257, 1025, 12345, 10**7 + 3, 2**40])
 @pytest.mark.parametrize("digits", [4, 30, 50])
 def test_harmonic_within_its_bound(n, digits):
     mpmath = pytest.importorskip("mpmath")
-    value, bound = _harmonic(n, digits)
+    value, bound = harmonic_exact(n, digits)
     with mpmath.workprec(300):
         gap = abs(mpmath.harmonic(n) - mpmath.mpf(value.numerator) / value.denominator)
         assert gap <= mpmath.mpf(bound.numerator) / bound.denominator
@@ -110,22 +110,23 @@ def test_harmonic_within_its_bound(n, digits):
 
 
 @pytest.mark.parametrize("n", [1025, 12345678, 10**7 + 3])
-def test_low_precision_retries_to_the_same_bits(n):
+def test_low_precision_retries_to_the_same_bits(n, monkeypatch):
     d = _divisor_sum(n)
     # at 4 digits the error interval holds more than one float, so the
     # rounding test must fail and raise the precision
-    harmonic, bound = _harmonic(n, 4)
+    harmonic, bound = harmonic_exact(n, 4)
     mean = harmonic - Fraction(d, n)
     assert float(mean - bound) != float(mean + bound)
-    assert _identity_mean(n, d, digits=4).hex() == frac_n_over_i_mean(n).empirical.hex()
+    expected = frac_n_over_i_mean(n).empirical.hex()
+    monkeypatch.setattr(special, "_FIRST_DIGITS", 4)
+    assert frac_n_over_i_mean(n).empirical.hex() == expected
 
 
 def test_undecided_rounding_stops_at_the_cap(monkeypatch):
-    from asymptolim import problems
-
-    monkeypatch.setattr(problems, "_MEAN_MAX_DIGITS", 8)
-    with pytest.raises(ArithmeticError, match="rounding boundary"):
-        _identity_mean(12345, _divisor_sum(12345), digits=4)
+    monkeypatch.setattr(special, "_FIRST_DIGITS", 4)
+    monkeypatch.setattr(special, "_MAX_DIGITS", 8)
+    with pytest.raises(ArithmeticError, match="the mean at n=12345 is within .* of a rounding boundary"):
+        frac_n_over_i_mean(12345)
 
 
 def test_bits_independent_of_threads():

@@ -18,7 +18,7 @@ from asymptolim import (
 from asymptolim.accum import CHUNK
 from asymptolim.problems import frac_limit_smooth_cdf
 from asymptolim import special
-from asymptolim.special import _HARMONIC_SUM_MAX, MAX_SERIES_TERMS
+from asymptolim.special import MAX_SERIES_TERMS
 from asymptolim.stieltjes import adaptive_quadrature
 
 
@@ -188,21 +188,53 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic(0)
 
-    @pytest.mark.parametrize("n", [1, 7, 4096, CHUNK + 3, _HARMONIC_SUM_MAX])
-    def test_term_by_term_up_to_the_threshold(self, n):
-        assert harmonic(n) == math.fsum(1.0 / i for i in range(1, n + 1))
-
-    @pytest.mark.parametrize("n", [_HARMONIC_SUM_MAX + 1, _HARMONIC_SUM_MAX + 12345, 3 << 20])
-    def test_expansion_within_2_ulp_above_the_threshold(self, n):
+    # the sum of the rounded terms 1.0/i, the old route up to 2**20, stays as
+    # the oracle
+    @pytest.mark.parametrize(
+        "n", [1, 7, 4096, CHUNK + 3, 1 << 20, (1 << 20) + 1, (1 << 20) + 12345, 3 << 20]
+    )
+    def test_term_by_term_sum_within_1_ulp(self, n):
         terms = math.fsum((1.0 / np.arange(1, n + 1, dtype=np.float64)).tolist())
-        assert abs(harmonic(n) - terms) <= 2 * math.ulp(terms)
+        assert abs(harmonic(n) - terms) <= math.ulp(terms)
 
-    @pytest.mark.parametrize("n", [10**12, 10**18, 2**70, 10**400], ids=["1e12", "1e18", "2**70", "1e400"])
-    def test_large_n_against_mpmath(self, n):
+    @staticmethod
+    def rounded(n):
+        """H_n correctly rounded: mpmath's value at 200 bits, rounded once
+        more to a float."""
         mp = pytest.importorskip("mpmath").mp
         with mp.workprec(200):
-            exact = mp.harmonic(n)
-            assert abs(harmonic(n) - exact) <= 2 * math.ulp(float(exact))
+            return float(mp.harmonic(n))
+
+    def test_correctly_rounded_to_2000(self):
+        for n in range(1, 2001):
+            assert harmonic(n).hex() == self.rounded(n).hex(), n
+
+    def test_correctly_rounded_at_random_n_to_1e18(self):
+        rng = np.random.default_rng(21)
+        for n in rng.integers(1, 10**18, size=200, endpoint=True).tolist():
+            assert harmonic(n).hex() == self.rounded(n).hex(), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [(1 << 20) - 1, (1 << 20) + 1, 10**12, 10**18, 2**70, 10**400, 10**4000, 2**60000],
+        ids=["2**20-1", "2**20+1", "1e12", "1e18", "2**70", "1e400", "1e4000", "2**60000"],
+    )
+    def test_large_n_correctly_rounded(self, n):
+        assert harmonic(n).hex() == self.rounded(n).hex()
+
+    def test_huge_n_answers_at_once(self):
+        # no power n**(2j) is built past the first Bernoulli term
+        start = time.perf_counter()
+        harmonic(2**60000)
+        assert time.perf_counter() - start < 0.2
+
+    def test_undecided_rounding_stops_at_the_cap(self, monkeypatch):
+        # 8 digits of ln n leave the interval wide; the error names no n, as
+        # str(2**60000) exceeds Python's int-to-str digit limit
+        monkeypatch.setattr(special, "_FIRST_DIGITS", 4)
+        monkeypatch.setattr(special, "_MAX_DIGITS", 8)
+        with pytest.raises(ArithmeticError, match="H_n is within .* of a rounding boundary"):
+            harmonic(2**60000)
 
 
 class TestFracLimitCdf:
