@@ -56,6 +56,17 @@ HARMONIC_NS = (0, 1, 2, 3, 4, 255, 256, 257, 1024, 1025, 2000, 2**20 - 1, 2**20,
 IDENTITY_NS = (1, 2, 7, 256, 257, 1024, 1025, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**9 + 7,
                2**52 - 1)
 
+# example1's means of the named f: wholly streamed (n < 32**2, the first row
+# summed by Euler-Maclaurin), on either side of that row and of the stream's
+# chunk edge 2**17, a prime past a million and the benchmark's n
+MEAN_FS = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")
+MEAN_NS = (1, 2, 3, 7, 32**2 - 1, 32**2 + 1, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**7)
+
+# example3's sweep: 720720 has many points at 1/2 and 1/4, 999983 is prime;
+# the grid holds 1/3 as a float
+SWEEP3_NS = "1000,720720,999983,10000000"
+SWEEP3_GRID = "0.01,0.2,0.25,0.3333333333333333,0.5,0.99"
+
 
 def argvs() -> list[list[str]]:
     out = []
@@ -75,6 +86,9 @@ def argvs() -> list[list[str]]:
     out += [["special", "digamma", f"--x={x}"] for x in DIGAMMA_XS]
     out += [["special", "harmonic", f"--n={n}"] for n in HARMONIC_NS]
     out += [["solve", "example4", f"--n={n}"] for n in IDENTITY_NS]
+    out += [["solve", "example1", f"--f={f}", f"--n={n}"] for f in MEAN_FS for n in MEAN_NS]
+    out += [["sweep", "example3", f"--n={SWEEP3_NS}", f"--grid={SWEEP3_GRID}", f"--threads={t}"]
+            for t in (1, 2)]
     return out
 
 
