@@ -37,8 +37,11 @@ from .convergence import DEFAULT_GRID, cdf_sequence_probe
 from .problems import (
     _MAX_INDEX,
     PROBLEMS,
+    Analytic,
     PolySpec,
     _horner,
+    _poly_part,
+    _trig_part,
     arcsin_cdf,
     dirichlet_weak,
     frac_limit_smooth_cdf,
@@ -140,8 +143,16 @@ def _coerce(hint, value):
 
 @dataclass(frozen=True)
 class NamedFunction:
+    """A named callback and its derivative; calling it calls ``fn``.  Where
+    example1's mean of f has a route by rows, ``analytic`` holds what it
+    needs (``problems.Analytic``); without it the mean streams."""
+
     fn: Callable
     derivative: Callable
+    analytic: Optional[Analytic] = None
+
+    def __call__(self, t):
+        return self.fn(t)
 
 
 def _const(value: float) -> Callable:
@@ -166,12 +177,12 @@ def _polynomial(c: np.ndarray) -> Callable:
     return p
 
 
-# name -> (callback, derivative)
+# name -> (callback, derivative, analytic part)
 _FUNCTIONS = {
-    "sin": (np.sin, np.cos),
-    "cos": (np.cos, lambda t: -np.sin(t)),
-    "id": (lambda t: t, _const(1.0)),
-    "const1": (_const(1.0), _const(0.0)),
+    "sin": (np.sin, np.cos, lambda: _trig_part(0)),
+    "cos": (np.cos, lambda t: -np.sin(t), lambda: _trig_part(1)),
+    "id": (lambda t: t, _const(1.0), lambda: _poly_part((0.0, 1.0))),
+    "const1": (_const(1.0), _const(0.0), lambda: _poly_part((1.0,))),
 }
 
 
@@ -182,7 +193,8 @@ def resolve_function(name: str) -> NamedFunction:
     ``poly:c0,c1,...`` (ascending coefficients).
     """
     if name in _FUNCTIONS:
-        return NamedFunction(*_FUNCTIONS[name])
+        fn, derivative, part = _FUNCTIONS[name]
+        return NamedFunction(fn, derivative, part())
     if name.startswith("poly:"):
         try:
             coeffs = [float(c) for c in name[len("poly:") :].split(",")]
@@ -194,7 +206,7 @@ def resolve_function(name: str) -> NamedFunction:
         dc = c[1:] * np.arange(1, len(c))
         p = _polynomial(c)
         dp = _polynomial(dc) if dc.size else _const(0.0)
-        return NamedFunction(p, dp)
+        return NamedFunction(p, dp, _poly_part(coeffs))
     raise CliError(f"unknown function {name!r}")
 
 
@@ -250,7 +262,7 @@ def _poly_spec(c: RunConfig) -> PolySpec:
 # problem -> solver call with the CLI defaults
 SOLVE = {
     "example1": lambda c: sequence_average(
-        c.n, resolve_function(c.f or "sin").fn, threads=c.threads, tol=c.tolerance
+        c.n, resolve_function(c.f or "sin"), threads=c.threads, tol=c.tolerance
     ),
     "example2": lambda c: interval_proportion_sin(
         c.n, _default(c.lo, -0.5), _default(c.hi, 0.5), threads=c.threads

@@ -18,7 +18,11 @@ Wherever float points stand for exact ones, every point that rounding could
 have moved across t is decided in exact integer arithmetic, so no point is
 misclassified.  The divisor sum takes the hyperbola identity, O(sqrt n), and
 through it example4's identity mean is H_n - D(n)/n, correctly rounded,
-with no stream at all.
+with no stream at all.  example1's mean of an f with an analytic part
+(antiderivatives F of f and G of u f, and bounds on the derivatives) sums
+each of the O(sqrt n) rows k = m*m + j by Euler-Maclaurin, from F, G and a
+few derivatives at the row's ends, within a bound proved in
+``sequence_average``; a plain callable streams.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .accum import (
 from .convergence import Boundary
 from .measure import HyperBox
 from .special import (
+    BERNOULLI_2J,
     EULER_GAMMA,
     frac_limit_cdf,
     frac_limit_density,
@@ -303,6 +308,183 @@ def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -
     return map_reduce_fsum(kernel, 1, count + 1, threads=threads)
 
 
+# ---------------------------------------------------------------------------
+# example1's means by rows (Euler-Maclaurin)
+# ---------------------------------------------------------------------------
+
+# Rows m below _FIRST_EM_ROW stream; the others are summed by Euler-Maclaurin
+# with _EM_TERMS Bernoulli terms (see sequence_average).
+_FIRST_EM_ROW = 32
+_EM_TERMS = 3
+
+# np.sin and np.cos on [0, 1] are within this relative error of sin and cos
+# (a test checks it against mpmath; they are within 2**-53 there).
+_TRIG_ERROR = 2.0**-51
+
+_U = 2.0**-53
+
+
+@dataclass(frozen=True)
+class Analytic:
+    """What example1's rows need of f on [0, 1] besides its values.
+
+    ``rows(U)`` takes a float64 array of U in [0, 1] and returns
+    ``(F(U) - F(0), G(U) - G(0), d)``, where F' = f, G'(u) = u f(u) and
+    ``d(i)`` is f^(i)(U) for 0 <= i < 2 * _EM_TERMS.  ``bounds[k]`` bounds
+    |f^(k)| on [0, 1] for k <= 2 * _EM_TERMS + 2.  ``errors`` holds the
+    absolute errors (e_f, e_d, e_F, e_G) of the callback, of ``d``, and of
+    the two differences, on [0, 1].
+    """
+
+    rows: Callable[[np.ndarray], tuple]
+    bounds: tuple
+    errors: tuple
+
+
+def _trig_part(phase: int) -> Analytic:
+    """The analytic part of np.sin (phase 0) or np.cos (phase 1).
+
+    With s = sin U, c = cos U and 1 - cos U = 2 sin(U/2)**2, which has no
+    cancellation: for sin, F(U) - F(0) = 1 - cos U and G(U) - G(0) =
+    s - U c; for cos, s and U s - (1 - cos U).  np.sin and np.cos are within
+    a relative e = _TRIG_ERROR, so the squared sine is within 2e + 2u of
+    1 - cos U < 1 (u = 2**-53), and either G term, below 0.4, within
+    2e + 3u."""
+
+    def rows(U: np.ndarray) -> tuple:
+        s, c = np.sin(U), np.cos(U)
+        h = np.sin(0.5 * U)
+        h = 2.0 * (h * h)
+        cycle = (s, c, -s, -c)
+        if phase:
+            dF, dG = s, U * s - h
+        else:
+            dF, dG = h, s - U * c
+        return dF, dG, lambda i: cycle[(i + phase) % 4]
+
+    e = _TRIG_ERROR
+    return Analytic(rows, (1.0,) * (2 * _EM_TERMS + 3), (e, e, 2 * e + 2 * _U, 2 * e + 3 * _U))
+
+
+def _poly_part(c: Sequence[float]) -> Optional[Analytic]:
+    """The analytic part of the polynomial with the ascending coefficients
+    ``c``, evaluated by Horner's rule, or None where a bound A_k is not
+    below 2**900 (a coefficient is not finite, or so large that the rows'
+    partials could overflow); those polynomials stream.
+
+    |f^(k)| <= A_k = sum_{i>=k} |c_i| i!/(i-k)! on [0, 1].  Horner's rule of
+    degree q is within gamma(2q) sum |a_i| of the value at |x| <= 1, for
+    gamma(j) = j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1); a rounded coefficient c_i / (i + 1) or c_i i!/(i-k)!
+    adds one rounding."""
+    q = len(c) - 1
+    A = tuple(sum(abs(c[i]) * math.perm(i, k) for i in range(k, q + 1))
+              for k in range(2 * _EM_TERMS + 3))
+    if not max(A) < 2.0**900:
+        return None
+
+    def gamma(j: int) -> float:
+        return j * _U / (1.0 - j * _U)
+
+    def coeffs(k: int) -> np.ndarray:
+        # f^(k), descending
+        return np.array([c[i] * math.perm(i, k) for i in range(q, k - 1, -1)])
+
+    def rows(U: np.ndarray) -> tuple:
+        F = np.array([c[i] / (i + 1) for i in range(q, -1, -1)] + [0.0])
+        G = np.array([c[i] / (i + 2) for i in range(q, -1, -1)] + [0.0, 0.0])
+        return (_horner(F, U, np.empty(U.shape)), _horner(G, U, np.empty(U.shape)),
+                lambda i: _horner(coeffs(i), U, np.empty(U.shape)))
+
+    errors = (gamma(2 * q) * A[0], gamma(2 * q + 2) * max(A),
+              gamma(2 * q + 3) * math.fsum(abs(c[i]) / (i + 1) for i in range(q + 1)),
+              gamma(2 * q + 5) * math.fsum(abs(c[i]) / (i + 2) for i in range(q + 1)))
+    return Analytic(rows, A, errors)
+
+
+@functools.cache
+def _chain(p: int) -> dict:
+    """{i: a_i} with h^(p)(x) = sum_i a_i f^(i)(u) w**-(2p - i) for
+    h(x) = f(u), w = m + u = sqrt(m*m + x): d/dx = (1/(2w)) d/du takes
+    f^(i) w**-j to f^(i+1) w**-(j+1)/2 - j f^(i) w**-(j+2)/2.  The a_i are
+    integers over 2**p, exact in floats."""
+    if p == 1:
+        return {1: 0.5}
+    out: dict = {}
+    for i, a in _chain(p - 1).items():
+        out[i + 1] = out.get(i + 1, 0.0) + a / 2
+        out[i] = out.get(i, 0.0) - a * (2 * p - 2 - i) / 2
+    return out
+
+
+def _bernoulli_sum(d: Callable, w) -> np.ndarray:
+    """sum_{k <= _EM_TERMS} B_2k/(2k)! h^(2k-1) at the point where
+    f^(i)(u) = d(i) and w = m + u."""
+    t = 1.0 / w
+    powers = [1.0, t]
+    for _ in range(4 * _EM_TERMS - 3):
+        powers.append(powers[-1] * t)
+    total = 0.0
+    for k, (num, den) in enumerate(BERNOULLI_2J[:_EM_TERMS], start=1):
+        p = 2 * k - 1
+        h = sum(a * d(i) * powers[2 * p - i] for i, a in _chain(p).items())
+        total = total + num / (den * math.factorial(2 * k)) * h
+    return total
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = hi + lo exactly, each with at most 26 significant bits (Veltkamp's
+    split, for |x| < 2**995)."""
+    big = x * 134217729.0
+    hi = big - (big - x)
+    return hi, x - hi
+
+
+def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Partials whose exact sum is within the bound of ``sequence_average``
+    of the sum of f(sqrt(m*m + j) - m) over 0 <= j <= N, for the float
+    arrays m >= _FIRST_EM_ROW and 0 <= N <= 2m."""
+    a = m * m + N
+    s = np.sqrt(a)
+    U = s - m
+    # U + V = sqrt(a) - m: V = (a - s*s) / (2s), with s*s exact in two parts
+    hi, lo = _split(s)
+    p = s * s
+    V = ((a - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)) / (2.0 * s)
+    dF, dG, d = part.rows(U)
+    f, f1 = d(0), d(1)
+    w = m + U
+    _, _, d0 = part.rows(np.zeros(1))
+    small = V * (2.0 * w * f + 0.5 * f1 + V * (w * f1 + f))
+    small += _bernoulli_sum(d, w) - _bernoulli_sum(d0, m)
+    hi, lo = _split(dF)
+    twom = 2.0 * m
+    return np.concatenate(
+        (twom * hi, twom * lo, 2.0 * dG, 0.5 * f, np.full(m.shape, 0.5 * d0(0)[0]), small)
+    )
+
+
+def _row_sum(f: Callable, part: Analytic, n: int, threads: int) -> float:
+    """sum of f({sqrt k}) over k <= n, rounded once, by rows (see
+    ``sequence_average``): the rows below _FIRST_EM_ROW stream through
+    ``_sqrt_frac``, the others by ``_em_rows``, in fixed chunks of rows."""
+
+    def kernel(a: int, b: int) -> list:
+        partials = []
+        lo, hi = a * a, min(min(b, _FIRST_EM_ROW) ** 2, n + 1)
+        if lo < hi:
+            with workspace(hi - lo) as ws:
+                k = _indices(lo, hi, ws.f[0][: hi - lo])
+                partials += exact_partials(apply_to_array(f, _sqrt_frac(k, ws.f[2][: hi - lo], ws)))
+        a = max(a, _FIRST_EM_ROW)
+        if a < b:
+            m = _indices(a, b, np.empty(b - a))
+            partials += exact_partials(_em_rows(part, m, np.minimum(2.0 * m, n - m * m)))
+        return partials
+
+    return map_reduce_fsum(kernel, 1, math.isqrt(n) + 1, threads=threads)
+
+
 def reciprocal_frac_map(n: int) -> Callable:
     """The map x -> {1/x} on the atoms {i/n}, in exact arithmetic.
 
@@ -482,28 +664,31 @@ def _sqrt_frac_count(n: int, t) -> int:
 
 def _first(flips: Callable, lo: np.ndarray, stop: np.ndarray, c: np.ndarray) -> None:
     """Step each guess c, in place, to the first index of its block
-    [lo, stop) at which ``flips`` holds, or to stop; ``flips(i)`` is false,
-    then true, along each block, no block is empty, and lo <= c <= stop.  A
-    guess within one index of its answer takes one step at most.  The first
-    test each way takes every block, at the index to test clipped into it,
-    in a workspace; later tests take the blocks that stepped."""
+    [lo, stop) at which ``flips`` holds, or to stop; ``flips(i, cells)``
+    tells for the blocks ``cells`` (a slice of all, or their positions)
+    whether each holds at its index i, and is false, then true, along each
+    block; no block is empty, and lo <= c <= stop.  A guess within one index
+    of its answer takes one step at most.  The first test each way takes
+    every block, at the index to test clipped into it, in a workspace; later
+    tests take the blocks that stepped."""
+    every = slice(None)
     with workspace(c.size) as ws:
         i, inside = ws.f[0][: c.size].view(np.int64), ws.mask[: c.size]
         # back while the index before it flips
-        le = flips(np.maximum(np.subtract(c, 1, out=i), lo, out=i))
+        le = flips(np.maximum(np.subtract(c, 1, out=i), lo, out=i), every)
         sel = np.flatnonzero(np.logical_and(le, np.greater(c, lo, out=inside), out=inside))
         while sel.size:
             c[sel] -= 1
             sel = sel[c[sel] > lo[sel]]
-            sel = sel[flips(c[sel] - 1)]
+            sel = sel[flips(c[sel] - 1, sel)]
         # on while it does not flip
-        le = flips(np.minimum(np.subtract(stop, 1, out=i), c, out=i))
+        le = flips(np.minimum(np.subtract(stop, 1, out=i), c, out=i), every)
         np.logical_not(le, out=le)
         sel = np.flatnonzero(np.logical_and(le, np.less(c, stop, out=inside), out=inside))
         while sel.size:
             c[sel] += 1
             sel = sel[c[sel] < stop[sel]]
-            sel = sel[np.logical_not(flips(c[sel]))]
+            sel = sel[np.logical_not(flips(c[sel], sel))]
 
 
 def _reciprocal_frac_count(problem: Problem, n: int, ts: tuple, threads: int) -> np.ndarray:
@@ -521,39 +706,62 @@ def _reciprocal_frac_count(problem: Problem, n: int, ts: tuple, threads: int) ->
     ceil(y).  (Where Q + tau rounds to Q, tau <= 2**-53 and the division by
     Q is exact for Q = 1, so the bound still holds.)  ``_first`` then
     settles each boundary on the points next to the guess, decided as the
-    stream decides them: each {n/i} is correctly rounded, so the band is 0.
+    stream decides them: each {n/i} is correctly rounded, so it is compared
+    with float(t), and one equal to it is settled against T = Fraction(t)
+    (of float(t) unless t is rational).
+
+    The T thresholds go together: blocks go ``CHUNK // T`` at a time through
+    ``map_reduce_int``, and each chunk guesses and steps its (threshold x
+    block) cells in one ``_first``, in the thread's workspaces, so memory is
+    O(CHUNK) at any n.
     """
     s = math.isqrt(n)
+    T = len(ts)
+    tf = np.array([float(t) for t in ts])
+    tau = np.clip(tf, 0.0, 1.0)[:, None]
 
     def chunk(a: int, b: int) -> np.ndarray:
-        m = b - a
-        tally = np.empty(len(ts), dtype=np.int64)
-        # block numbers and bounds, and guesses and the points tested, in
-        # the thread's workspaces
-        with workspace(m) as ws, workspace(m) as wb:
-            q, lo, stop = (f[:m].view(np.int64) for f in wb.f)
+        R = b - a
+        size = R * T
+        exact: dict = {}
+        # block numbers and bounds; the cells' bounds and guesses; the
+        # cells' thresholds and the points tested
+        with workspace(R) as wb, workspace(size) as wc, workspace(size) as wx:
+            q, lo, stop = (f[:R].view(np.int64) for f in wb.f)
             _indices(a, b, q)
             np.floor_divide(n, np.add(q, 1, out=lo), out=lo)
             np.add(np.maximum(lo, s, out=lo), 1, out=lo)
             np.add(np.floor_divide(n, q, out=stop), 1, out=stop)
-            c, x = ws.f[0][:m].view(np.int64), ws.f[1]
-            for j, t in enumerate(ts):
-                tf = float(t)
+            cell_lo, cell_stop, c = (f[:size].view(np.int64).reshape(T, R) for f in wc.f)
+            cell_lo[:] = lo
+            cell_stop[:] = stop
+            x, tcell, guess = (f[:size].reshape(T, R) for f in wx.f)
+            tcell[:] = tf[:, None]
+            np.add(q, tau, out=guess)
+            np.ceil(np.divide(n, guess, out=guess), out=guess)
+            np.copyto(c, guess, casting="unsafe")
+            np.clip(c, cell_lo, cell_stop, out=c)
+            x, tcell = x.ravel(), tcell.ravel()
 
-                def flips(i: np.ndarray) -> np.ndarray:
-                    # whether the point is <= t, that is in the suffix
-                    k = i.size
-                    y = _reciprocal_frac_at(n, i, x[:k])
-                    return problem._at_most(n, y, i, t, tf, 0.0, ws.mask[:k], ws.f[2].view(np.bool_)[:k])
+            def flips(i: np.ndarray, cells) -> np.ndarray:
+                # whether each point is <= its cell's t, that is in the suffix
+                k = i.size
+                y = _reciprocal_frac_at(n, i, x[:k])
+                tc = tcell[cells]
+                le = np.less_equal(y, tc, out=wx.mask[:k])
+                for j in np.flatnonzero(y == tc).tolist():
+                    row = (j if isinstance(cells, slice) else int(cells[j])) // R
+                    if row not in exact:
+                        t = ts[row]
+                        exact[row] = Fraction(t if isinstance(t, numbers.Rational) else tf[row])
+                    le[j] = problem.settle(n, int(i[j]), exact[row])
+                return le
 
-                guess = np.add(q, min(max(tf, 0.0), 1.0), out=x[:m])
-                np.ceil(np.divide(n, guess, out=guess), out=guess)
-                np.copyto(c, guess, casting="unsafe")
-                _first(flips, lo, stop, np.clip(c, lo, stop, out=c))
-                tally[j] = np.subtract(stop, c, out=c).sum()
-        return tally
+            _first(flips, cell_lo.ravel(), cell_stop.ravel(), c.ravel())
+            return np.subtract(cell_stop, c, out=c).sum(axis=1)
 
-    blocks = map_reduce_int(chunk, 1, n // (s + 1) + 1, threads=threads)
+    width = max(1, CHUNK // max(T, 1))
+    blocks = map_reduce_int(chunk, 1, n // (s + 1) + 1, threads=threads, chunk=width)
     return problem._stream(n, ts, 1, s + 1, threads) + blocks
 
 
@@ -769,10 +977,68 @@ def sqrt_frac_cdf(n: int, t: Union[float, Fraction]) -> float:
 def sequence_average(
     n: int, f: Callable, threads: int = 1, tol: float = 1e-10
 ) -> SolveResult:
-    """Mean of f({sqrt k}) for k <= n, against the uniform-law integral."""
+    """Mean of f({sqrt k}) for k <= n, against the uniform-law integral.
+
+    A plain callable streams: the sum of f over the rounded points, rounded
+    once, over n.  A callable with an ``analytic`` part (``Analytic``: the
+    CLI's sin, cos, id, const1 and poly:...) is summed by rows, in
+    O(sqrt n), and the rows' sum is rounded once, then divided by n.
+
+    The rows.  Row m holds k = m*m + j for 0 <= j <= N, with N = 2m, or
+    n - M*M in the last row M = isqrt(n); its points are u_j =
+    sqrt(m*m + j) - m.  Rows below m0 = _FIRST_EM_ROW go through the
+    stream's kernel.  Each other row is summed by Euler-Maclaurin (DLMF
+    2.10.1) for h(x) = f(sqrt(m*m + x) - m), with K = _EM_TERMS:
+
+        sum_{j=0}^{N} h(j) = I + (f(0) + f(U))/2
+            + sum_{k=1}^{K} B_2k/(2k)! (h^(2k-1)(N) - h^(2k-1)(0)) + R,
+
+    where U = sqrt(m*m + N) - m <= 1 and, with x = (m + u)**2 - m*m,
+    I = 2m (F(U) - F(0)) + 2 (G(U) - G(0)).  h^(p) is a sum of
+    a_i f^(i)(u) w**-(2p-i), w = m + u (``_chain``), and
+    |R| <= 2|B_2K+2|/(2K+2)! times the integral of |h^(2K+2)| over [0, N].
+
+    The rows in floats (``_em_rows``).  m*m + N < 2**53 is exact, so
+    s = fl(sqrt(m*m + N)) and U0 = s - m are, the difference by Sterbenz's
+    lemma; V = (m*m + N - s*s)/(2s), with s*s in two exact parts (Dekker),
+    puts U0 + V within 3u*u(m + 1) of U, for u = 2**-53.  The partials of a
+    row are 2m (F(U0) - F(0)) as two exact products (Veltkamp's halves of
+    26 bits), 2 (G(U0) - G(0)), f(0)/2, f(U0)/2, and a small one: the Taylor
+    step of I + f(U)/2 from U0 by V, to second order, and the Bernoulli
+    terms at U0.  All partials, those of the streamed rows too, go in fixed
+    chunks of rows through ``map_reduce_fsum``, so no thread count changes a
+    bit.
+
+    The bound.  Take e_f, e_d, e_F, e_G and A_k of the analytic part,
+    A = max A_k, and m <= M <= 2**26, so that u (m + 1)**2 < 1/2.
+    - A streamed point fl(sqrt k) - m is within u m0 of u_k, so each of the
+      min(n, m0*m0 - 1) streamed values is within e_f + u m0 A_1 of f(u_k).
+    - A row's first four partials are within 2m e_F + 2 e_G + e_d of theirs
+      at U0.  The small partial is off by at most e_d (its f(U0), times
+      2(m + 1)|V| <= 1/2) plus 16 u A: its roundings and the third-order
+      Taylor term, the error of V, and the Bernoulli terms (below A/(12m)
+      each, with their shift from U to U0) stay far below that.
+    - Summed over m >= m0, R is at most rho = 4|B_2K+2|/(2K+2)! times
+      sum_i |a_i| A_i (m0 - 1)**-(4K+2-i) / (4K+2-i), for the a_i of
+      h^(2K+2): the integral of w**-q over x in [0, N] is at most
+      2 m**(1-q), as dx = 2w du and U <= 1.
+    - Rounding the sum, then dividing by n, add 2**-52 (1 + 2**-52)|mean|.
+    So the mean is within 2**-52 (1 + 2**-52)|mean| + (E_s + E_r)/n of the
+    exact mean of f(u_k), with E_s = min(n, m0*m0 - 1)(e_f + u m0 A_1) and
+    E_r = rho + sum_{m=m0}^{M} (2m e_F + 2 e_G + 2 e_d + 16 u A): at large n
+    about 22 ulp of the mean for sin, 12 for cos and 7 for id, most of it
+    the stated error of np.sin and np.cos.  It is not rounded through
+    ``round_once``: the partials' errors fix the bound's width, and no
+    number of digits would narrow an enclosure that straddles a rounding
+    boundary.
+    """
     n = _check_n(n)
     problem = PROBLEMS["example1"]
-    empirical = _mean_sum(f, problem.points, n, n, threads) / n
+    part = getattr(f, "analytic", None)
+    if part is None:
+        empirical = _mean_sum(f, problem.points, n, n, threads) / n
+    else:
+        empirical = _row_sum(f, part, n, threads) / n
     closed = integrate_smooth(f, problem.limit(), tol=tol).value
     return _result(empirical, closed, n, "mean of f({sqrt k}) vs uniform integral")
 

@@ -214,6 +214,25 @@ class TestBeyondTheStream:
         assert peaks[1] < 8 * 8 * CHUNK
 
 
+class TestExample3Batched:
+    """example3's rule steps all (threshold x block) cells together, in
+    chunks of CHUNK // T blocks."""
+
+    TS = (0.0, -0.0, 1.0, 1.5, -1e-9, 5e-324, Fraction(1, 3), 1 / 3, 0.25, 0.5, 0.01, 0.99)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, CHUNK + 1, 720720, 999983])
+    def test_edges_and_ties(self, n):
+        # 720720 has many points equal to 1/2 and 1/4
+        assert_routes_agree("example3", n, self.TS)
+
+    @pytest.mark.parametrize("n", [720720, 999983])
+    def test_chunks_split_the_blocks(self, n):
+        # 300 thresholds: 436 blocks a chunk, against 848 and 999 blocks
+        ts = tuple(np.linspace(-0.01, 1.01, 300 - len(self.TS)).tolist()) + self.TS
+        assert CHUNK // len(ts) < n // (math.isqrt(n) + 1)
+        assert_routes_agree("example3", n, ts)
+
+
 @contextmanager
 def wall_bound(seconds):
     def expire(signum, frame):
