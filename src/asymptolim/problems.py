@@ -1026,8 +1026,8 @@ def sequence_average(
     So the mean is within 2**-52 (1 + 2**-52)|mean| + (E_s + E_r)/n of the
     exact mean of f(u_k), with E_s = min(n, m0*m0 - 1)(e_f + u m0 A_1) and
     E_r = rho + sum_{m=m0}^{M} (2m e_F + 2 e_G + 2 e_d + 16 u A): at large n
-    about 22 ulp of the mean for sin, 12 for cos and 7 for id, most of it
-    the stated error of np.sin and np.cos.  It is not rounded through
+    about 22 ulp of the mean for sin, 12 for cos (most of it the stated
+    error of np.sin and np.cos) and 7 for id.  It is not rounded through
     ``round_once``: the partials' errors fix the bound's width, and no
     number of digits would narrow an enclosure that straddles a rounding
     boundary.

@@ -92,6 +92,16 @@ class TestAgreesWithTheStream:
         edges = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, 1 - 2**-53, 1 - 1e-12, -(1 - 1e-12))
         assert_routes_agree("example2", n, edges + tuple(tie + near))
 
+    @pytest.mark.parametrize("n", [720720, 999983])
+    def test_example3_cells_split_across_chunks(self, n):
+        # example3's rule steps (threshold x block) cells in chunks of
+        # CHUNK // 300 = 436 blocks here, against 848 and 999 blocks; 720720
+        # has many points equal to 1/2 and 1/4
+        ts = EDGES + (-1e-9, 1 / 3, 0.25, 0.01, 0.2, 0.99)
+        ts += tuple(np.linspace(-0.01, 1.01, 300 - len(ts)).tolist())
+        assert CHUNK // len(ts) < n // (math.isqrt(n) + 1)
+        assert_routes_agree("example3", n, ts)
+
     def test_random_sizes_up_to_1e7(self):
         rng = np.random.default_rng(2027)
         for n in rng.integers(CHUNK, 10**7, 6).tolist():
@@ -212,25 +222,6 @@ class TestBeyondTheStream:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + CHUNK
         assert peaks[1] < 8 * 8 * CHUNK
-
-
-class TestExample3Batched:
-    """example3's rule steps all (threshold x block) cells together, in
-    chunks of CHUNK // T blocks."""
-
-    TS = (0.0, -0.0, 1.0, 1.5, -1e-9, 5e-324, Fraction(1, 3), 1 / 3, 0.25, 0.5, 0.01, 0.99)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, CHUNK + 1, 720720, 999983])
-    def test_edges_and_ties(self, n):
-        # 720720 has many points equal to 1/2 and 1/4
-        assert_routes_agree("example3", n, self.TS)
-
-    @pytest.mark.parametrize("n", [720720, 999983])
-    def test_chunks_split_the_blocks(self, n):
-        # 300 thresholds: 436 blocks a chunk, against 848 and 999 blocks
-        ts = tuple(np.linspace(-0.01, 1.01, 300 - len(self.TS)).tolist()) + self.TS
-        assert CHUNK // len(ts) < n // (math.isqrt(n) + 1)
-        assert_routes_agree("example3", n, ts)
 
 
 @contextmanager
