@@ -145,11 +145,16 @@ def _coerce(hint, value):
 class NamedFunction:
     """A named callback and its derivative; calling it calls ``fn``.  Where
     example1's mean of f has a route by rows, ``analytic`` holds what it
-    needs (``problems.Analytic``); without it the mean streams."""
+    needs (``problems.Analytic``), built by ``make_analytic`` on first use,
+    as no other command needs it; where it is None the mean streams."""
 
     fn: Callable
     derivative: Callable
-    analytic: Optional[Analytic] = None
+    make_analytic: Callable[[], Optional[Analytic]] = lambda: None
+
+    @functools.cached_property
+    def analytic(self) -> Optional[Analytic]:
+        return self.make_analytic()
 
     def __call__(self, t):
         return self.fn(t)
@@ -177,7 +182,7 @@ def _polynomial(c: np.ndarray) -> Callable:
     return p
 
 
-# name -> (callback, derivative, analytic part)
+# name -> (callback, derivative, maker of the analytic part)
 _FUNCTIONS = {
     "sin": (np.sin, np.cos, lambda: _trig_part(0)),
     "cos": (np.cos, lambda t: -np.sin(t), lambda: _trig_part(1)),
@@ -193,8 +198,7 @@ def resolve_function(name: str) -> NamedFunction:
     ``poly:c0,c1,...`` (ascending coefficients).
     """
     if name in _FUNCTIONS:
-        fn, derivative, part = _FUNCTIONS[name]
-        return NamedFunction(fn, derivative, part())
+        return NamedFunction(*_FUNCTIONS[name])
     if name.startswith("poly:"):
         try:
             coeffs = [float(c) for c in name[len("poly:") :].split(",")]
@@ -206,7 +210,7 @@ def resolve_function(name: str) -> NamedFunction:
         dc = c[1:] * np.arange(1, len(c))
         p = _polynomial(c)
         dp = _polynomial(dc) if dc.size else _const(0.0)
-        return NamedFunction(p, dp, _poly_part(coeffs))
+        return NamedFunction(p, dp, functools.partial(_poly_part, coeffs))
     raise CliError(f"unknown function {name!r}")
 
 

@@ -725,7 +725,7 @@ def _reciprocal_frac_count(problem: Problem, n: int, ts: tuple, threads: int) ->
         size = R * T
         exact: dict = {}
         # block numbers and bounds; the cells' bounds and guesses; the
-        # cells' thresholds and the points tested
+        # guesses as floats and the points tested, and the cells' thresholds
         with workspace(R) as wb, workspace(size) as wc, workspace(size) as wx:
             q, lo, stop = (f[:R].view(np.int64) for f in wb.f)
             _indices(a, b, q)
@@ -735,9 +735,9 @@ def _reciprocal_frac_count(problem: Problem, n: int, ts: tuple, threads: int) ->
             cell_lo, cell_stop, c = (f[:size].view(np.int64).reshape(T, R) for f in wc.f)
             cell_lo[:] = lo
             cell_stop[:] = stop
-            x, tcell, guess = (f[:size].reshape(T, R) for f in wx.f)
+            x, tcell = (f[:size].reshape(T, R) for f in wx.f[:2])
             tcell[:] = tf[:, None]
-            np.add(q, tau, out=guess)
+            guess = np.add(q, tau, out=x)
             np.ceil(np.divide(n, guess, out=guess), out=guess)
             np.copyto(c, guess, casting="unsafe")
             np.clip(c, cell_lo, cell_stop, out=c)
