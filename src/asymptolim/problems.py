@@ -1010,14 +1010,16 @@ def sequence_average(
     bit.
 
     The bound.  Take e_f, e_d, e_F, e_G and A_k of the analytic part,
-    A = max A_k, and m <= M <= 2**26, so that u (m + 1)**2 < 1/2.
+    A = max A_k, and m <= M <= 2**26, so that |V| <= u (m + 1) and
+    2u (m + 1)**2 < 1.01.
     - A streamed point fl(sqrt k) - m is within u m0 of u_k, so each of the
       min(n, m0*m0 - 1) streamed values is within e_f + u m0 A_1 of f(u_k).
     - A row's first four partials are within 2m e_F + 2 e_G + e_d of theirs
-      at U0.  The small partial is off by at most e_d (its f(U0), times
-      2(m + 1)|V| <= 1/2) plus 16 u A: its roundings and the third-order
-      Taylor term, the error of V, and the Bernoulli terms (below A/(12m)
-      each, with their shift from U to U0) stay far below that.
+      at U0.  The small partial is off by at most 2 e_d (its f(U0) and
+      f'(U0), times at most 2(m + 1)|V| and |V|) plus 16 u A: its nine
+      roundings on a value below 1.01 A, the error of V (6u*u(m + 1)**2 A),
+      the Taylor terms left out, and the Bernoulli terms (below A/(12m)
+      each, with their shift from U to U0) stay below that.
     - Summed over m >= m0, R is at most rho = 4|B_2K+2|/(2K+2)! times
       sum_i |a_i| A_i (m0 - 1)**-(4K+2-i) / (4K+2-i), for the a_i of
       h^(2K+2): the integral of w**-q over x in [0, N] is at most
@@ -1025,7 +1027,7 @@ def sequence_average(
     - Rounding the sum, then dividing by n, add 2**-52 (1 + 2**-52)|mean|.
     So the mean is within 2**-52 (1 + 2**-52)|mean| + (E_s + E_r)/n of the
     exact mean of f(u_k), with E_s = min(n, m0*m0 - 1)(e_f + u m0 A_1) and
-    E_r = rho + sum_{m=m0}^{M} (2m e_F + 2 e_G + 2 e_d + 16 u A): at large n
+    E_r = rho + sum_{m=m0}^{M} (2m e_F + 2 e_G + 3 e_d + 16 u A): at large n
     about 22 ulp of the mean for sin, 12 for cos (most of it the stated
     error of np.sin and np.cos) and 7 for id.  It is not rounded through
     ``round_once``: the partials' errors fix the bound's width, and no

@@ -2,7 +2,7 @@
 
 The exact mean of f({sqrt k}) comes from mpmath: the first rows point by
 point, the others by Euler-Maclaurin to more terms than the solver takes,
-and past a few hundred rows by Euler-Maclaurin once more over the row index,
+and past a hundred rows by Euler-Maclaurin once more over the row index,
 whose row sums are analytic in m.  The solver must lie within the bound
 that ``sequence_average`` proves, and within 2 ulp of the stream, which is
 the oracle of the route and still serves every plain callable.
@@ -55,7 +55,7 @@ def stated_bound(name, n, mean):
             for i, a in _chain(p).items())
         rows = M - M0 + 1
         bound += rho + (M * (M + 1) - M0 * (M0 - 1)) * e_F
-        bound += rows * (2 * e_G + 2 * e_d + 16 * U * max(A))
+        bound += rows * (2 * e_G + 3 * e_d + 16 * U * max(A))
     return 2.0**-52 * (1 + 2.0**-52) * abs(mean) + bound / n
 
 
