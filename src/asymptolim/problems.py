@@ -312,8 +312,9 @@ def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -
 # example1's means by rows (Euler-Maclaurin)
 # ---------------------------------------------------------------------------
 
-# Rows m below _FIRST_EM_ROW stream; the others are summed by Euler-Maclaurin
-# with _EM_TERMS Bernoulli terms (see sequence_average).
+# Rows from _FIRST_EM_ROW on, or later for an f with large high derivatives
+# (_first_em_row), are summed by Euler-Maclaurin with _EM_TERMS Bernoulli
+# terms; the rows below stream (see sequence_average).
 _FIRST_EM_ROW = 32
 _EM_TERMS = 3
 
@@ -417,6 +418,33 @@ def _chain(p: int) -> dict:
     return out
 
 
+def _remainder_bound(bounds: tuple, m0: int) -> float:
+    """rho(m0): a bound on the Euler-Maclaurin remainders of all rows
+    m >= m0 together, for |f^(k)| <= bounds[k] (see ``sequence_average``)."""
+    p = 2 * _EM_TERMS + 2
+    num, den = BERNOULLI_2J[_EM_TERMS]
+    return 4 * abs(num) / (den * math.factorial(p)) * sum(
+        abs(a) * bounds[i] * (m0 - 1.0) ** -(2 * p - 2 - i) / (2 * p - 2 - i)
+        for i, a in _chain(p).items())
+
+
+def _first_em_row(bounds: tuple) -> int:
+    """The least m0 >= _FIRST_EM_ROW with rho(m0) <= u bounds[0], below one
+    rounding of |f|'s bound: _FIRST_EM_ROW for sin, cos and polynomials of
+    low degree, later for f with large high derivatives.  rho falls with
+    m0, so a doubling and a bisection find it."""
+    def small(m0: int) -> bool:
+        return _remainder_bound(bounds, m0) <= _U * bounds[0]
+
+    lo = hi = _FIRST_EM_ROW
+    while not small(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if small(mid) else (mid + 1, hi)
+    return hi
+
+
 def _bernoulli_sum(d: Callable, w) -> np.ndarray:
     """sum_{k <= _EM_TERMS} B_2k/(2k)! h^(2k-1) at the point where
     f^(i)(u) = d(i) and w = m + u."""
@@ -466,17 +494,18 @@ def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray) -> np.ndarray:
 
 def _row_sum(f: Callable, part: Analytic, n: int, threads: int) -> float:
     """sum of f({sqrt k}) over k <= n, rounded once, by rows (see
-    ``sequence_average``): the rows below _FIRST_EM_ROW stream through
+    ``sequence_average``): the rows below ``_first_em_row`` stream through
     ``_sqrt_frac``, the others by ``_em_rows``, in fixed chunks of rows."""
+    first = _first_em_row(part.bounds)
 
     def kernel(a: int, b: int) -> list:
         partials = []
-        lo, hi = a * a, min(min(b, _FIRST_EM_ROW) ** 2, n + 1)
+        lo, hi = a * a, min(min(b, first) ** 2, n + 1)
         if lo < hi:
             with workspace(hi - lo) as ws:
                 k = _indices(lo, hi, ws.f[0][: hi - lo])
                 partials += exact_partials(apply_to_array(f, _sqrt_frac(k, ws.f[2][: hi - lo], ws)))
-        a = max(a, _FIRST_EM_ROW)
+        a = max(a, first)
         if a < b:
             m = _indices(a, b, np.empty(b - a))
             partials += exact_partials(_em_rows(part, m, np.minimum(2.0 * m, n - m * m)))
@@ -986,9 +1015,12 @@ def sequence_average(
 
     The rows.  Row m holds k = m*m + j for 0 <= j <= N, with N = 2m, or
     n - M*M in the last row M = isqrt(n); its points are u_j =
-    sqrt(m*m + j) - m.  Rows below m0 = _FIRST_EM_ROW go through the
-    stream's kernel.  Each other row is summed by Euler-Maclaurin (DLMF
-    2.10.1) for h(x) = f(sqrt(m*m + x) - m), with K = _EM_TERMS:
+    sqrt(m*m + j) - m.  Rows below m0 go through the stream's kernel, where
+    m0 (``_first_em_row``) is the least row from _FIRST_EM_ROW = 32 on at
+    which the remainder bound rho below is at most u A_0: 32 for sin, cos,
+    id, const1 and polynomials of low degree, later for f with large high
+    derivatives.  Each other row is summed by Euler-Maclaurin (DLMF 2.10.1)
+    for h(x) = f(sqrt(m*m + x) - m), with K = _EM_TERMS:
 
         sum_{j=0}^{N} h(j) = I + (f(0) + f(U))/2
             + sum_{k=1}^{K} B_2k/(2k)! (h^(2k-1)(N) - h^(2k-1)(0)) + R,
@@ -1022,8 +1054,9 @@ def sequence_average(
       each, with their shift from U to U0) stay below that.
     - Summed over m >= m0, R is at most rho = 4|B_2K+2|/(2K+2)! times
       sum_i |a_i| A_i (m0 - 1)**-(4K+2-i) / (4K+2-i), for the a_i of
-      h^(2K+2): the integral of w**-q over x in [0, N] is at most
-      2 m**(1-q), as dx = 2w du and U <= 1.
+      h^(2K+2) (``_remainder_bound``): the integral of w**-q over x in
+      [0, N] is at most 2 m**(1-q), as dx = 2w du and U <= 1.  m0 makes
+      rho at most u A_0.
     - Rounding the sum, then dividing by n, add 2**-52 (1 + 2**-52)|mean|.
     So the mean is within 2**-52 (1 + 2**-52)|mean| + (E_s + E_r)/n of the
     exact mean of f(u_k), with E_s = min(n, m0*m0 - 1)(e_f + u m0 A_1) and
