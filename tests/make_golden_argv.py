@@ -56,8 +56,8 @@ HARMONIC_NS = (0, 1, 2, 3, 4, 255, 256, 257, 1024, 1025, 2000, 2**20 - 1, 2**20,
 IDENTITY_NS = (1, 2, 7, 256, 257, 1024, 1025, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**9 + 7,
                2**52 - 1)
 
-# example1's means of the named f: wholly streamed (n < 32**2, the first row
-# summed by Euler-Maclaurin), on either side of that row and of the stream's
+# example1's means of the named f: every row streamed (n < 32**2) and row 32
+# summed by Euler-Maclaurin (n = 32**2 + 1), either side of the stream's
 # chunk edge 2**17, a prime past a million and the benchmark's n
 MEAN_FS = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")
 MEAN_NS = (1, 2, 3, 7, 32**2 - 1, 32**2 + 1, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**7)
