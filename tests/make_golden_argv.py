@@ -62,6 +62,12 @@ IDENTITY_NS = (1, 2, 7, 256, 257, 1024, 1025, 2**17 - 1, 2**17 + 1, 10**6 + 3, 1
 MEAN_FS = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")
 MEAN_NS = (1, 2, 3, 7, 32**2 - 1, 32**2 + 1, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**7)
 
+# example4's means of the named f: the same n, and either side of the first
+# n at which a quotient block is summed by Euler-Maclaurin: 32 for const1,
+# 212 for id, 286 for the polynomial and 346 for sin and cos
+BLOCK_NS = (1, 2, 3, 7, 31, 32, 211, 212, 285, 286, 345, 346, 1000, 2**17 - 1, 2**17 + 1,
+            10**6 + 3, 10**7)
+
 # example3's sweep: 720720 has many points at 1/2 and 1/4, 999983 is prime;
 # the grid holds 1/3 as a float
 SWEEP3_NS = "1000,720720,999983,10000000"
@@ -87,6 +93,7 @@ def argvs() -> list[list[str]]:
     out += [["special", "harmonic", f"--n={n}"] for n in HARMONIC_NS]
     out += [["solve", "example4", f"--n={n}"] for n in IDENTITY_NS]
     out += [["solve", "example1", f"--f={f}", f"--n={n}"] for f in MEAN_FS for n in MEAN_NS]
+    out += [["solve", "example4", f"--f={f}", f"--n={n}"] for f in MEAN_FS for n in BLOCK_NS]
     out += [["sweep", "example3", f"--n={SWEEP3_NS}", f"--grid={SWEEP3_GRID}", f"--threads={t}"]
             for t in (1, 2)]
     return out
