@@ -123,6 +123,13 @@ def exact_partials(x: np.ndarray) -> list:
     """
     if x.dtype != np.float64 or x.ndim != 1 or x.size < _EXTRACT_MIN:
         return x.tolist()
+    return _extract(x)
+
+
+def _extract(x: np.ndarray) -> list:
+    """``exact_partials`` of a 1-D float64 array of any length."""
+    if not x.size:
+        return []
     top = max(float(x.max()), -float(x.min()))
     if top == 0.0:
         # the IEEE sum of zeros is -0.0 only when every term is
@@ -169,17 +176,29 @@ def chunk_ranges(lo: int, hi: int, chunk: int = CHUNK) -> Iterator[tuple[int, in
 
 
 def map_reduce_fsum(
-    kernel: Callable[[int, int], Iterable[float]], lo: int, hi: int, threads: int = 1
+    kernel: Callable[[int, int], Iterable[float]],
+    lo: int,
+    hi: int,
+    threads: int = 1,
+    divisor: int = 1,
 ) -> float:
-    """Correctly rounded sum over the fixed chunks of ``[lo, hi)``.
+    """Correctly rounded sum over the fixed chunks of ``[lo, hi)``, or with
+    a ``divisor`` the correctly rounded quotient of that sum by it.
 
     ``kernel(start, stop)`` returns its chunk's partials: numbers whose exact
     sum is the chunk's sum, such as ``exact_partials`` of the chunk's values.
     It must not depend on shared mutable state.  All partials are summed by
     one ``math.fsum``, so the result is the correctly rounded sum of the whole
-    range, bit-identical for every chunking and thread count.
+    range, bit-identical for every chunking and thread count.  A divisor
+    other than 1 takes the exact sum of all partials, extracted again to a
+    few, in ``exact_units`` (the partials must be finite), and one int
+    division rounds the quotient.
     """
-    return math.fsum(chain.from_iterable(_map_ordered(kernel, chunk_ranges(lo, hi), threads)))
+    partials = chain.from_iterable(_map_ordered(kernel, chunk_ranges(lo, hi), threads))
+    if divisor == 1:
+        return math.fsum(partials)
+    units = sum(map(exact_units, _extract(np.fromiter(partials, dtype=float))))
+    return units / (divisor * _UNIT)
 
 
 def map_reduce_int(

@@ -144,9 +144,10 @@ def _coerce(hint, value):
 @dataclass(frozen=True)
 class NamedFunction:
     """A named callback and its derivative; calling it calls ``fn``.  Where
-    example1's mean of f has a route by rows, ``analytic`` holds what it
-    needs (``problems.Analytic``), built by ``make_analytic`` on first use,
-    as no other command needs it; where it is None the mean streams."""
+    example1's mean of f has a route by rows and example4's one by quotient
+    blocks, ``analytic`` holds what they need (``problems.Analytic``), built
+    by ``make_analytic`` on first use, as no other command needs it; where
+    it is None both means stream."""
 
     fn: Callable
     derivative: Callable
@@ -273,7 +274,7 @@ SOLVE = {
     ),
     "example3": lambda c: frac_n_over_i_cdf(c.n, _default(c.t, 0.5), threads=c.threads),
     "example4": lambda c: frac_n_over_i_mean(
-        c.n, resolve_function(c.f).fn if c.f else None, threads=c.threads, tol=c.tolerance
+        c.n, resolve_function(c.f) if c.f else None, threads=c.threads, tol=c.tolerance
     ),
     "dirichlet": lambda c: dirichlet_weak(c.n, threads=c.threads),
     "poly": lambda c: polynomial_family(_poly_spec(c), c.n, threads=c.threads, tol=c.tolerance),

@@ -22,11 +22,14 @@ with no stream at all.  example1's mean of an f with an analytic part
 (antiderivatives F of f and G of u f, and bounds on the derivatives) sums
 each of the O(sqrt n) rows k = m*m + j by Euler-Maclaurin, from F, G and a
 few derivatives at the row's ends, within a bound proved in
-``sequence_average``; a plain callable streams.
+``sequence_average``; example4's mean of such an f sums each quotient
+block by Euler-Maclaurin, its integral by a Gauss-Legendre rule, within a
+bound proved in ``frac_n_over_i_mean``; a plain callable streams.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import numbers
@@ -295,17 +298,19 @@ def _sin_2pi_sqrt_frac_chunk(
         return _sin_2pi_sqrt_frac(k, np.empty(m) if out is None else out, ws)
 
 
+def _point_partials(f: Callable, points: Callable, n: int, a: int, b: int) -> list:
+    """The exact partials of f over the points(n, a, b, out=...) of a stream,
+    a chunk of at most ``CHUNK``, written into the thread's workspace."""
+    with workspace() as ws:
+        return exact_partials(apply_to_array(f, points(n, a, b, out=ws.f[0][: b - a])))
+
+
 def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -> float:
     """Correctly rounded sum of f over the points(n, 1, count + 1) of a
-    stream, one fixed-width chunk points(n, a, b, out=...) at a time, written
-    into the thread's workspace; each chunk passes on its exact partials,
-    which are rounded once, all together."""
-
-    def kernel(a: int, b: int) -> list:
-        with workspace() as ws:
-            return exact_partials(apply_to_array(f, points(n, a, b, out=ws.f[0][: b - a])))
-
-    return map_reduce_fsum(kernel, 1, count + 1, threads=threads)
+    stream, one fixed-width chunk at a time; each chunk passes on its exact
+    partials, which are rounded once, all together."""
+    return map_reduce_fsum(lambda a, b: _point_partials(f, points, n, a, b), 1, count + 1,
+                           threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +332,8 @@ _U = 2.0**-53
 
 @dataclass(frozen=True)
 class Analytic:
-    """What example1's rows need of f on [0, 1] besides its values.
+    """What example1's rows and example4's quotient blocks need of f on
+    [0, 1] besides its values (the blocks take only ``d``).
 
     ``rows(U)`` takes a float64 array of U in [0, 1] and returns
     ``(F(U) - F(0), G(U) - G(0), d)``, where F' = f, G'(u) = u f(u) and
@@ -512,6 +518,155 @@ def _row_sum(f: Callable, part: Analytic, n: int, threads: int) -> float:
         return partials
 
     return map_reduce_fsum(kernel, 1, math.isqrt(n) + 1, threads=threads)
+
+
+# ---------------------------------------------------------------------------
+# example4's means by quotient blocks (Euler-Maclaurin)
+# ---------------------------------------------------------------------------
+
+# Each block's integral takes the Gauss-Legendre rule of this many nodes (see
+# frac_n_over_i_mean for its error)
+_GAUSS_NODES = 16
+
+# Blocks of fewer points than about this stream: their nodes and ends would
+# cost more than their points
+_BLOCK_POINTS = 32
+
+
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the _GAUSS_NODES-point Gauss-Legendre rule on
+    [-1, 1], each correctly rounded (a test checks them against mpmath):
+    numpy's ``leggauss``, whose weights are off by up to 63 ulp, polished by
+    Newton's method on the Legendre recurrence in 40-digit decimals."""
+    N = _GAUSS_NODES
+
+    def legendre(x: decimal.Decimal) -> tuple:
+        # P_N(x) and P_N'(x)
+        p0, p1 = decimal.Decimal(1), x
+        for k in range(1, N):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, N * (x * p1 - p0) / (x * x - 1)
+
+    nodes, weights = [], []
+    with decimal.localcontext() as context:
+        context.prec = 40
+        for x in map(decimal.Decimal, np.polynomial.legendre.leggauss(N)[0].tolist()):
+            for _ in range(3):
+                p, dp = legendre(x)
+                x -= p / dp
+            dp = legendre(x)[1]
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
+
+
+@functools.cache
+def _lah(p: int) -> dict:
+    """{i: L(p, i)}, the unsigned Lah numbers, as ints: for h(x) = f(n/x - Q)
+    and w = n/x = v + Q, h^(p)(x) = (-1/n)**p sum_i L(p, i) f^(i)(v) w**(p+i),
+    as d/dx = -(w*w/n) d/dw takes f^(i) w**j to
+    -(f^(i+1) w**(j+2) + j f^(i) w**(j+1))/n."""
+    if p == 1:
+        return {1: 1}
+    out: dict = {}
+    for i, a in _lah(p - 1).items():
+        out[i + 1] = out.get(i + 1, 0) + a
+        out[i] = out.get(i, 0) + (p - 1 + i) * a
+    return out
+
+
+def _block_remainder_bound(bounds: tuple, n: int, last: int) -> float:
+    """rho(Q0): a bound on the Euler-Maclaurin remainders of the blocks
+    Q <= Q0 = ``last`` together, for |f^(k)| <= bounds[k] (see
+    ``frac_n_over_i_mean``)."""
+    p = 2 * _EM_TERMS + 2
+    num, den = BERNOULLI_2J[_EM_TERMS]
+    return 2 * abs(num) / (den * math.factorial(p)) * sum(
+        a * bounds[i] * float(n) ** (1 - p) * (last + 1.0) ** (p + i - 1) / (p + i - 1)
+        for i, a in _lah(p).items())
+
+
+def _last_block(bounds: tuple, n: int) -> int:
+    """Q0: the largest Q <= isqrt(n // _BLOCK_POINTS) with rho(Q) <=
+    u bounds[0], below one rounding of |f|'s bound, or 0.  rho rises with Q,
+    so a bisection finds it."""
+    lo, hi = 0, math.isqrt(n // _BLOCK_POINTS)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _block_remainder_bound(bounds, n, mid) <= _U * bounds[0]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _times(n: int, partials: list) -> list:
+    """Floats whose exact sum is n times the exact sum of ``partials``, for
+    1 <= n <= 2**52: n's two halves of 26 bits times each partial's Veltkamp
+    halves, products of at most 52 bits."""
+    hi, lo = _split(np.array(partials))
+    top, bottom = float(n >> 26 << 26), float(n & (2**26 - 1))
+    return np.concatenate((top * hi, top * lo, bottom * hi, bottom * lo)).tolist()
+
+
+def _block_ends(part: Analytic, n: int, v: np.ndarray, w: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """f(v)/2 + sign * sum_{k <= _EM_TERMS} B_2k/(2k)! h^(2k-1) at the block
+    ends with the points v and w = v + Q, for h(x) = f(n/x - Q) (``_lah``)."""
+    _, _, d = part.rows(v)
+    powers = [np.ones(w.shape), w]
+    for _ in range(4 * _EM_TERMS - 3):
+        powers.append(powers[-1] * w)
+    total = 0.0
+    for k, (num, den) in enumerate(BERNOULLI_2J[:_EM_TERMS], start=1):
+        p = 2 * k - 1
+        h = sum(a * d(i) * powers[p + i] for i, a in _lah(p).items())
+        total = total + num / (den * math.factorial(2 * k)) * (-1.0 / n) ** p * h
+    return 0.5 * d(0) + sign * total
+
+
+def _em_blocks(f: Callable, part: Analytic, n: int, first: int, stop: int) -> list:
+    """Partials whose exact sum is within the bound of ``frac_n_over_i_mean``
+    of the sum of f({n/i}) over the blocks first <= Q < stop, the i with
+    n//(Q+1) < i <= n//Q, for 1 <= first < stop <= isqrt(n); a batch of
+    CHUNK // _GAUSS_NODES blocks at a time."""
+    x, wx = (a[:, None] for a in _gauss_rule())
+    partials = []
+    for lo in range(first, stop, CHUNK // _GAUSS_NODES):
+        hi = min(lo + CHUNK // _GAUSS_NODES, stop)
+        q = _indices(lo, hi, np.empty(hi - lo, dtype=np.int64))
+        # the points at the ends b = n//Q and a = n//(Q+1) + 1
+        v = _reciprocal_frac_at(n, np.concatenate((n // q, n // (q + 1) + 1)), np.empty(2 * q.size))
+        vb, va = v[: q.size], v[q.size :]
+        half, mid = 0.5 * (va - vb), 0.5 * (va + vb)
+        q = q.astype(float)
+        nodes = mid + half * x
+        y = nodes + q
+        g = apply_to_array(f, nodes.ravel()).reshape(nodes.shape) / (y * y)
+        ends = _block_ends(part, n, v, np.concatenate((vb + q, va + q)),
+                           np.repeat((1.0, -1.0), q.size))
+        partials += _times(n, exact_partials(((half * wx) * g).ravel())) + exact_partials(ends)
+    return partials
+
+
+def _block_mean(f: Callable, part: Analytic, n: int, threads: int) -> float:
+    """The mean of f({n/i}) over i <= n, rounded once, by quotient blocks (see
+    ``frac_n_over_i_mean``): one range of fixed chunks holds the head's
+    indices i <= n // (Q0 + 1), streamed through ``_reciprocal_frac_chunk``,
+    then the blocks Q = 1..Q0, summed by ``_em_blocks``."""
+    last = _last_block(part.bounds, n)
+    head = n // (last + 1)
+    points = PROBLEMS["example3"].points
+
+    def kernel(a: int, b: int) -> list:
+        partials = []
+        if a <= head:
+            partials += _point_partials(f, points, n, a, min(b, head + 1))
+        if b > head + 1:
+            partials += _em_blocks(f, part, n, max(a, head + 1) - head, b - head)
+        return partials
+
+    return map_reduce_fsum(kernel, 1, head + last + 1, threads=threads, divisor=n)
 
 
 def reciprocal_frac_map(n: int) -> Callable:
@@ -801,6 +956,12 @@ def _reciprocal_frac_count(problem: Problem, n: int, ts: tuple, threads: int) ->
 _SIN_ERROR = 2.0**-40
 _ALPHA_SLACK = 2.0**-40
 
+# np.sin is within _SIN_FLOOR_ERROR of sin at the arguments within 2**-19 of
+# 3*pi/2 (a test checks it against mpmath), so a point equal to -1.0 has its
+# u within _FLOOR_WINDOW plus the point's error of 3/4 (see _sin_count)
+_SIN_FLOOR_ERROR = 2.0**-50
+_FLOOR_WINDOW = 2.0**-24.5 / (2.0 * math.pi) * (1.0 + 2.0**-20)
+
 
 def _row_edge(twom, c, top: int, bound, out: np.ndarray, down: bool) -> np.ndarray:
     """For rows m <= ``top`` (``twom`` = 2m) and ends c, into ``out``: with
@@ -871,6 +1032,18 @@ def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int
     none, with no row visited.  t = -1 goes by rows, as an s_k can equal
     -1.0.
 
+    The level -1.  Only the points equal to -1.0 count there.  np.sin is
+    within _SIN_FLOOR_ERROR = 2**-50 of sin at the arguments x within 2**-19
+    of 3*pi/2, and at the others in [0, 2*pi) 1 + sin x is at least
+    2 sin(2**-20)**2 > _SIN_ERROR; so np.sin(x) = -1.0 only where
+    1 + sin x = 2 sin((x - 3*pi/2)/2)**2 <= 2**-50, within 2**-24.5
+    (1 + 2**-50) of 3*pi/2.  The argument is within 2*pi (m + 4) 2**-53 of
+    2*pi*u_j, so a point equal to -1.0 has |u_j - 3/4| below
+    C_m = _FLOOR_WINDOW + (m + 4) 2**-53, and C_m - 1/4 stands for the b of
+    t + E_m, much nearer -1/4: the gaps W2 and W3 then hold only the j with
+    u_j within C_m (and the slack) of 3/4, those within about 1.4e-8 m of
+    g(3/4), in place of about 2m sqrt(2 E_m)/pi.
+
     Rows go ``CHUNK // T`` at a time, for the T thresholds in [-1, 1),
     through ``map_reduce_int``, each chunk as (threshold x row) arrays in
     the thread's workspaces, and the gap points one offset from the gap's
@@ -881,6 +1054,7 @@ def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int
     counts = np.where(tf >= 1.0, n - first_row * first_row + 1, 0).astype(np.int64)
     rows = (tf >= -1.0) & (tf < 1.0)
     tf = tf[rows]
+    floor = tf == -1.0
     T = tf.size
     if not T:
         return counts
@@ -891,6 +1065,8 @@ def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int
         # E_m of the last row, m = b - 1
         E = 2.0**-49 * (b + 1) + _SIN_ERROR
         lo, hi = (np.arcsin(np.clip(tf[:, None] + d, -1.0, 1.0)) / (2.0 * math.pi) for d in (-E, E))
+        # at t = -1 a point equal to -1.0 lies within C_m of u = 3/4
+        hi[floor] = np.minimum(hi[floor], _FLOOR_WINDOW + 2.0**-53 * (b + 3) - 0.25)
         s = _ALPHA_SLACK
         with workspace(R) as wr, workspace(R * T) as wc:
             m = _indices(a, b, wr.f[0][:R])
@@ -1129,9 +1305,82 @@ def frac_n_over_i_mean(
 ) -> SolveResult:
     """Mean of f({n/i}) for i <= n; f omitted means the identity.
 
-    With f, the points stream: each {n/i} is the exact remainder
-    (n mod i)/i converted once to float, and the closed form is the
-    quadrature of f against the limit CDF's density.
+    With f, the closed form is the quadrature of f against the limit CDF's
+    density.  A plain callable streams: each {n/i} is the exact remainder
+    (n mod i)/i converted once to float, and the sum of f over them is
+    rounded once, then divided by n.  A callable with an ``analytic`` part
+    (``Analytic``: the CLI's sin, cos, id, const1 and poly:...) is summed by
+    quotient blocks, streaming about n**(8/15) points, and the exact sum of
+    the partials is divided by n and rounded once.
+
+    The blocks.  Block Q holds the i with n//i = Q, from a = n//(Q+1) + 1
+    to b = n//Q; there {n/i} = v = n/i - Q, so f({n/i}) = h(i) for
+    h(x) = f(n/x - Q), with w = n/x = v + Q.  The i <= H = n//(Q0 + 1)
+    stream through the stream's kernel; each block Q <= Q0 is summed by
+    Euler-Maclaurin (DLMF 2.10.1) with K = _EM_TERMS:
+
+        sum_{i=a}^{b} h(i) = n int_{v_b}^{v_a} f(v) (v + Q)**-2 dv
+            + (f(v_a) + f(v_b))/2
+            + sum_{k=1}^{K} B_2k/(2k)! (h^(2k-1)(b) - h^(2k-1)(a)) + R_Q,
+
+    where v_a and v_b are the points at a and b, h^(p) is
+    (-1/n)**p sum_i L(p, i) f^(i)(v) w**(p+i) (``_lah``), and |R_Q| is at
+    most 2|B_2K+2|/(2K+2)! times the integral of |h^(2K+2)| over [a, b].
+    Q0 (``_last_block``) is the largest Q <= isqrt(n // _BLOCK_POINTS) at
+    which rho(Q) below is at most u A_0, for u = 2**-53, or 0: at n = 1e7,
+    459 for sin and cos (21,739 points stream) and 559, the cap, for id,
+    const1 and polynomials of low degree.  So every block holds about 32
+    points or more, and (Q + 1)**2 <= n.
+
+    The blocks in floats (``_em_blocks``).  The points at the ends are the
+    exact remainders rounded once (``_reciprocal_frac_at``).  The integral is
+    the Gauss-Legendre rule of N = _GAUSS_NODES nodes, correctly rounded
+    (``_gauss_rule``), on J = [mid - half, mid + half], the rounded halves
+    of the sum and the difference of the ends; its terms
+    half w_j f(v_j)/(v_j + Q)**2 are summed exactly and multiplied by n
+    exactly (``_times``).  Each end adds f/2 and its Bernoulli terms
+    (``_block_ends``).  All partials, the head's too, go in fixed chunks
+    through ``map_reduce_fsum``, so no thread count changes a bit.
+
+    The bound.  Take e_f, e_d and A_k of the analytic part, A = max A_k, and
+    M, a bound on |f| over the complex disc |z - 1/2| <= 17/16: cosh(17/16)
+    for sin and cos, sum |c_i| (25/16)**i for a polynomial.
+    - A streamed point is within u/2 of {n/i} < 1, so each of the H
+      streamed values is within e_f + u A_1/2 of f({n/i}).
+    - Summed over Q <= Q0, R_Q is at most rho(Q0) =
+      2|B_2K+2|/(2K+2)! sum_i L(p, i) A_i n**(1-p) (Q0 + 1)**(p+i-1)/(p+i-1)
+      for p = 2K + 2 (``_block_remainder_bound``): as dx = -(n/w**2) dw, the
+      integral of w**(p+i) |dx| over block Q is at most n times that of
+      w**(p+i-2) over [Q, Q + 1], and these add up to one over [1, Q0 + 1].
+    - The rule.  The ends are within u/2 of v_a and v_b, and mid >= half
+      and mid + half < 1, so J lies in [0, 1), with its ends within 5u/4 of
+      v_b and v_a: the integral moves by at most (5/2) u n A_0/Q**2.  On J
+      the exact rule is within half (64/15) M_Q / ((r*r - 1) r**(2N)) of
+      the integral, for r = 4 (Trefethen, Approximation Theory and
+      Approximation Practice, Theorem 19.3): that Bernstein ellipse maps
+      into the disc above, where |f(z)/(z + Q)**2| <= M_Q =
+      M/(Q - 9/16)**2.  The computed nodes are within u of the exact ones,
+      and g = f/(v + Q)**2 takes three roundings after f, so each computed
+      term is within half w_j (1.001 e_f + 4.01 u A_0 + u A_1)/Q**2 of its
+      exact one before its two products, which add 1.51 u |g|; the weights
+      add up to 2, and 2 half <= 1.  So n times the computed rule is within
+      n (1.01 e_f + 8.1 u A_0 + 1.01 u A_1)/Q**2 +
+      (32/225) n M 16**-N/(Q - 9/16)**2 of n times the integral.
+    - Each end's partial is within e_d + 5 u A of its exact value: f/2 is
+      within (e_d + u A_1/2)/2; the Bernoulli terms are at most
+      0.12 A (Q + 1)**2/n <= 0.12 A, as the |B_2k|/(2k)! L(2k - 1, i) add
+      up to less than 0.12, and their derivatives' errors (e_d + u A/2) and
+      about 26 roundings (powers of w up to w**10) stay below
+      0.13 e_d + 4 u A.
+    - Rounding the exact sum over n adds 2**-53 (1 + 2**-52) |mean|.
+    So the mean is within 2**-53 (1 + 2**-52) |mean| + E/n of the exact
+    mean of f({n/i}), with E = H (e_f + u A_1/2) + rho(Q0) +
+    sum_{Q=1}^{Q0} (n (1.01 e_f + 8.1 u A_0 + 1.01 u A_1)/Q**2 +
+    (32/225) n M 16**-N/(Q - 9/16)**2 + 2 e_d + 10 u A): at large n about
+    44 ulp of the mean for sin, 23 for cos, 37 for id and 168 for
+    poly:0.5,-1.25,2 (whose A_0 is 7.6 times its mean), most of it
+    worst-case roundings of the rule's terms; measured against mpmath the
+    error is below 1.5 ulp.
 
     Without f, the closed form short-circuits to 1 - gamma and nothing
     streams.  Since (n mod i)/i = n/i - floor(n/i), the points sum to
@@ -1159,7 +1408,11 @@ def frac_n_over_i_mean(
 
         return _result(round_once(mean, f"the mean at n={n}"), 1.0 - EULER_GAMMA, n, meta)
     problem = PROBLEMS["example3"]
-    empirical = _mean_sum(f, problem.points, n, n, threads) / n
+    part = getattr(f, "analytic", None)
+    if part is None:
+        empirical = _mean_sum(f, problem.points, n, n, threads) / n
+    else:
+        empirical = _block_mean(f, part, n, threads)
     closed = integrate_smooth(f, problem.limit(), tol=tol).value
     return _result(empirical, closed, n, meta)
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ class TestReductions:
         assert map_reduce_fsum(lambda a, b: exact_partials(x[a:b]), 0, x.size) == whole
         rounded = math.fsum(math.fsum(x[a:b].tolist()) for a, b in chunk_ranges(0, x.size))
         assert rounded != whole
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_divisor_rounds_the_exact_quotient_once(self, threads):
+        # partials of every size and sign, short lists and long arrays
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(3 * CHUNK + 5) * np.exp(rng.uniform(-30, 30, 3 * CHUNK + 5))
+
+        def kernel(a, b):
+            return exact_partials(x[a:b]) + x[a : a + 9].tolist()
+
+        exact = sum(map(Fraction, itertools.chain.from_iterable(
+            kernel(a, b) for a, b in chunk_ranges(0, x.size))))
+        for n in (1, 3, 10**7 + 19, 2**52 - 1):
+            got = map_reduce_fsum(kernel, 0, x.size, threads=threads, divisor=n)
+            assert got == float(exact / n), n
+        assert map_reduce_fsum(kernel, 0, x.size, threads=threads, divisor=1) == float(exact)
 
 
 def _outcome(fn, values):

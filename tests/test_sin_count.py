@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from asymptolim.accum import CHUNK, Workspace
+from asymptolim import problems
 from asymptolim.problems import (
     _ALPHA_SLACK,
     _SIN_ERROR,
+    _SIN_FLOOR_ERROR,
     PROBLEMS,
     _row_edge,
     _sin_2pi_sqrt_frac,
@@ -71,6 +73,28 @@ class TestStatedBounds:
             err = max(abs(mpmath.mpf(float(g)) - mpmath.sin(mpmath.mpf(float(v))))
                       for g, v in zip(got, y))
         assert err <= _SIN_ERROR
+
+    def test_sin_is_within_its_floor_bound_next_to_three_halves_pi(self):
+        # the arguments within 2**-19 of 3*pi/2, where np.sin can give -1.0:
+        # uniform, the floats next to 3*pi/2 and to where sin rounds to -1.0
+        # (2**-26.5 off), and the stream's arguments there in rows near
+        # 2**24 and 2**26
+        rng = np.random.default_rng(14)
+        c = 3 * math.pi / 2
+        edge = 2.0**-26.5
+        x = [c + rng.uniform(-(2.0**-19), 2.0**-19, 20000)]
+        x += [a + np.arange(-200, 201) * np.spacing(a) for a in (c, c - edge, c + edge)]
+        m = np.concatenate([rng.integers(2**24, 2**24 + 10**4, 2000),
+                            rng.integers(TOP - 10**4, TOP, 2000)])
+        j = np.floor(1.5 * m + 0.5625).astype(np.int64)
+        x.append(stream_arguments(np.concatenate([m * m + j + d for d in (-2, -1, 0, 1, 2)])))
+        x = np.concatenate(x)
+        assert (abs(x - c) <= 2.0**-19).all()
+        got = np.sin(x)
+        with mpmath.workdps(40):
+            err = max(abs(mpmath.mpf(float(g)) - mpmath.sin(mpmath.mpf(float(v))))
+                      for g, v in zip(got, x))
+        assert err <= _SIN_FLOOR_ERROR
 
     def test_arcsin_is_within_a_quarter_of_the_slack(self):
         rng = np.random.default_rng(12)
@@ -208,6 +232,46 @@ class TestLevelsOutsideTheRange:
         M = math.isqrt(n)
         got = _sin_count(PROBLEM, n, ts, 1, first_row=M)
         assert got.tolist() == STREAMED._stream(n, ts, M * M, n + 1, 1).tolist()
+
+    def test_minus_one_counts_the_points_equal_to_it(self):
+        # the first row with a point equal to -1.0 is 2**24 + 1, at j below;
+        # the stream from that row on to just past it
+        M, j = 2**24 + 1, 25165826
+        ts = (-1.0, math.nextafter(-1.0, 0.0), -1.0 + 2.0**-40)
+        n = M * M + j + 1000
+        want = STREAMED._stream(n, ts, M * M, n + 1, 1)
+        assert want[0] == 1
+        assert _sin_count(PROBLEM, n, ts, 1, first_row=M).tolist() == want.tolist()
+        for stop, count in ((M * M + j - 1, 0), (M * M + j, 1)):
+            assert _sin_count(PROBLEM, stop, (-1.0,), 1, first_row=M)[0] == count
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_minus_one_agrees_with_the_wide_gaps_near_2_52(self, threads, monkeypatch):
+        # the gaps of t + E_m, tested against the stream above, hold every
+        # point equal to -1.0; the window must find the same ones: one in
+        # each row here
+        M = TOP - 64
+        n = TOP * TOP - 1
+        ts = (-1.0, math.nextafter(-1.0, 0.0), 0.0)
+        got = _sin_count(PROBLEM, n, ts, threads, first_row=M)
+        monkeypatch.setattr(problems, "_FLOOR_WINDOW", 1.0)
+        wide = _sin_count(PROBLEM, n, ts, threads, first_row=M)
+        assert got.tolist() == wide.tolist() and got[0] == 64
+
+    def test_minus_one_evaluates_few_points(self, monkeypatch):
+        evaluated = []
+        kernel = problems._sin_2pi_sqrt_frac
+
+        def counted(k, out, ws):
+            evaluated.append(k.size)
+            return kernel(k, out, ws)
+
+        monkeypatch.setattr(problems, "_sin_2pi_sqrt_frac", counted)
+        assert PROBLEM.count(10**12, (-1.0,))[0] == 0
+        # none: row m's window holds the j within about 1.4e-8 m of
+        # g(3/4) = 1.5m + 0.5625, at least 1/16 from an integer, below
+        # m = 4.6e6; the gaps of t + E_m held 15,915,215
+        assert sum(evaluated) == 0
 
     def test_no_row_is_visited(self, monkeypatch):
         from asymptolim import problems
