@@ -409,61 +409,79 @@ def _poly_part(c: Sequence[float]) -> Optional[Analytic]:
     return Analytic(rows, A, errors)
 
 
+# Euler-Maclaurin terms of h(x) = f(u) for the rows' map and the blocks'.
+# On each, d/dx = s w**(alpha + 1) d/du with w = u + c for a constant c:
+# rows take w = m + u = sqrt(m*m + x), s = 1/2, alpha = -2; blocks take
+# w = n/x = v + Q, s = -1/n, alpha = 1.
+
 @functools.cache
-def _chain(p: int) -> dict:
-    """{i: a_i} with h^(p)(x) = sum_i a_i f^(i)(u) w**-(2p - i) for
-    h(x) = f(u), w = m + u = sqrt(m*m + x): d/dx = (1/(2w)) d/du takes
-    f^(i) w**-j to f^(i+1) w**-(j+1)/2 - j f^(i) w**-(j+2)/2.  The a_i are
-    integers over 2**p, exact in floats."""
+def _em_table(alpha: int, p: int) -> dict:
+    """{i: a_i}, integers held exactly in floats, from i = p down to 1, with
+    h^(p)(x) = s**p sum_i a_i f^(i)(u) w**(alpha p + i): d/dx takes
+    f^(i) w**j to s (f^(i+1) w**(j + alpha + 1) + j f^(i) w**(j + alpha)),
+    so each a_i of table p - 1 adds a_i to entry i + 1 of table p and
+    (alpha (p - 1) + i) a_i to entry i.  alpha = 1 gives the unsigned Lah
+    numbers L(p, i)."""
     if p == 1:
-        return {1: 0.5}
+        return {1: 1.0}
     out: dict = {}
-    for i, a in _chain(p - 1).items():
-        out[i + 1] = out.get(i + 1, 0.0) + a / 2
-        out[i] = out.get(i, 0.0) - a * (2 * p - 2 - i) / 2
+    for i, a in _em_table(alpha, p - 1).items():
+        out[i + 1] = out.get(i + 1, 0.0) + a
+        out[i] = out.get(i, 0.0) + (alpha * (p - 1) + i) * a
     return out
 
 
-def _remainder_bound(bounds: tuple, m0: int) -> float:
-    """rho(m0): a bound on the Euler-Maclaurin remainders of all rows
-    m >= m0 together, for |f^(k)| <= bounds[k] (see ``sequence_average``)."""
-    p = 2 * _EM_TERMS + 2
-    num, den = BERNOULLI_2J[_EM_TERMS]
-    return 4 * abs(num) / (den * math.factorial(p)) * sum(
-        abs(a) * bounds[i] * (m0 - 1.0) ** -(2 * p - 2 - i) / (2 * p - 2 - i)
-        for i, a in _chain(p).items())
-
-
-def _first_em_row(bounds: tuple) -> int:
-    """The least m0 >= _FIRST_EM_ROW with rho(m0) <= u bounds[0], below one
-    rounding of |f|'s bound: _FIRST_EM_ROW for sin, cos and polynomials of
-    low degree, later for f with large high derivatives.  rho falls with
-    m0, so a doubling and a bisection find it."""
-    def small(m0: int) -> bool:
-        return _remainder_bound(bounds, m0) <= _U * bounds[0]
-
-    lo = hi = _FIRST_EM_ROW
-    while not small(hi):
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if small(mid) else (mid + 1, hi)
-    return hi
-
-
-def _bernoulli_sum(d: Callable, w) -> np.ndarray:
-    """sum_{k <= _EM_TERMS} B_2k/(2k)! h^(2k-1) at the point where
-    f^(i)(u) = d(i) and w = m + u."""
-    t = 1.0 / w
+def _em_ends(d: Callable, w, alpha: int, s: float):
+    """sum_{k <= _EM_TERMS} B_2k/(2k)! h^(2k-1) at the points where
+    f^(i)(u) = d(i), for the map (alpha, s) of ``_em_table``; the powers
+    of w (of 1/w for alpha < 0) come by repeated products."""
+    t = 1.0 / w if alpha < 0 else w
     powers = [1.0, t]
     for _ in range(4 * _EM_TERMS - 3):
         powers.append(powers[-1] * t)
     total = 0.0
     for k, (num, den) in enumerate(BERNOULLI_2J[:_EM_TERMS], start=1):
         p = 2 * k - 1
-        h = sum(a * d(i) * powers[2 * p - i] for i, a in _chain(p).items())
-        total = total + num / (den * math.factorial(2 * k)) * h
+        h = sum(a * d(i) * powers[abs(alpha * p + i)] for i, a in _em_table(alpha, p).items())
+        total = total + num / (den * math.factorial(2 * k)) * s**p * h
     return total
+
+
+def _em_remainder(bounds: tuple, alpha: int, s: float, X: float) -> float:
+    """A bound on the Euler-Maclaurin remainders R of runs of x together,
+    for |f^(k)| <= bounds[k] = A_k, where the runs' w fill disjoint parts
+    of [X, inf) for alpha < 0 (rows m >= m0: X = m0 - 1) or of (0, X] for
+    alpha > 0 (blocks Q <= Q0: X = Q0 + 1).
+
+    With p = 2K + 2, K = _EM_TERMS, |R| is at most 2|B_p|/p! times the
+    integral of |h^(p)| over a run (DLMF 2.10.1).  As
+    |dx| = dw / (|s| w**(alpha + 1)), that integral is at most
+    |s|**(p-1) sum_i |a_i| A_i times the integral of w**(e-1) dw over the
+    run's w, e = alpha (p - 1) + i; over all runs it is at most
+    X**e / |e|."""
+    p = 2 * _EM_TERMS + 2
+    num, den = BERNOULLI_2J[_EM_TERMS]
+    scale = abs(s) ** (p - 1)
+    total = 0.0
+    for i, a in _em_table(alpha, p).items():
+        e = alpha * (p - 1) + i
+        total += abs(a) * bounds[i] * scale * X**e / abs(e)
+    return 2 * abs(num) / (den * math.factorial(p)) * total
+
+
+def _first_em_row(bounds: tuple) -> int:
+    """The least m0 >= _FIRST_EM_ROW with rho(m0) = ``_em_remainder`` at
+    X = m0 - 1 at most u bounds[0], one rounding of |f|'s bound:
+    _FIRST_EM_ROW for sin, cos and polynomials of low degree, later for f
+    with large high derivatives.  rho falls with m0, so a doubling and a
+    bisection find it."""
+    def small(m0: int) -> bool:
+        return _em_remainder(bounds, -2, 0.5, m0 - 1.0) <= _U * bounds[0]
+
+    hi = _FIRST_EM_ROW
+    while not small(hi):
+        hi *= 2
+    return _bisect(small, max(hi // 2 + 1, _FIRST_EM_ROW), hi - 1)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -490,7 +508,7 @@ def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray) -> np.ndarray:
     w = m + U
     _, _, d0 = part.rows(np.zeros(1))
     small = V * (2.0 * w * f + 0.5 * f1 + V * (w * f1 + f))
-    small += _bernoulli_sum(d, w) - _bernoulli_sum(d0, m)
+    small += _em_ends(d, w, -2, 0.5) - _em_ends(d0, m, -2, 0.5)
     hi, lo = _split(dF)
     twom = 2.0 * m
     return np.concatenate(
@@ -561,44 +579,12 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.array(nodes), np.array(weights)
 
 
-@functools.cache
-def _lah(p: int) -> dict:
-    """{i: L(p, i)}, the unsigned Lah numbers, as ints: for h(x) = f(n/x - Q)
-    and w = n/x = v + Q, h^(p)(x) = (-1/n)**p sum_i L(p, i) f^(i)(v) w**(p+i),
-    as d/dx = -(w*w/n) d/dw takes f^(i) w**j to
-    -(f^(i+1) w**(j+2) + j f^(i) w**(j+1))/n."""
-    if p == 1:
-        return {1: 1}
-    out: dict = {}
-    for i, a in _lah(p - 1).items():
-        out[i + 1] = out.get(i + 1, 0) + a
-        out[i] = out.get(i, 0) + (p - 1 + i) * a
-    return out
-
-
-def _block_remainder_bound(bounds: tuple, n: int, last: int) -> float:
-    """rho(Q0): a bound on the Euler-Maclaurin remainders of the blocks
-    Q <= Q0 = ``last`` together, for |f^(k)| <= bounds[k] (see
-    ``frac_n_over_i_mean``)."""
-    p = 2 * _EM_TERMS + 2
-    num, den = BERNOULLI_2J[_EM_TERMS]
-    return 2 * abs(num) / (den * math.factorial(p)) * sum(
-        a * bounds[i] * float(n) ** (1 - p) * (last + 1.0) ** (p + i - 1) / (p + i - 1)
-        for i, a in _lah(p).items())
-
-
 def _last_block(bounds: tuple, n: int) -> int:
-    """Q0: the largest Q <= isqrt(n // _BLOCK_POINTS) with rho(Q) <=
-    u bounds[0], below one rounding of |f|'s bound, or 0.  rho rises with Q,
-    so a bisection finds it."""
-    lo, hi = 0, math.isqrt(n // _BLOCK_POINTS)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _block_remainder_bound(bounds, n, mid) <= _U * bounds[0]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Q0: the largest Q <= isqrt(n // _BLOCK_POINTS) with rho(Q) =
+    ``_em_remainder`` at X = Q + 1 at most u bounds[0], one rounding of
+    |f|'s bound, or 0.  rho rises with Q, so a bisection finds it."""
+    return _bisect(lambda Q: _em_remainder(bounds, 1, -1.0 / n, Q + 1.0) > _U * bounds[0],
+                   1, math.isqrt(n // _BLOCK_POINTS)) - 1
 
 
 def _times(n: int, partials: list) -> list:
@@ -608,21 +594,6 @@ def _times(n: int, partials: list) -> list:
     hi, lo = _split(np.array(partials))
     top, bottom = float(n >> 26 << 26), float(n & (2**26 - 1))
     return np.concatenate((top * hi, top * lo, bottom * hi, bottom * lo)).tolist()
-
-
-def _block_ends(part: Analytic, n: int, v: np.ndarray, w: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """f(v)/2 + sign * sum_{k <= _EM_TERMS} B_2k/(2k)! h^(2k-1) at the block
-    ends with the points v and w = v + Q, for h(x) = f(n/x - Q) (``_lah``)."""
-    _, _, d = part.rows(v)
-    powers = [np.ones(w.shape), w]
-    for _ in range(4 * _EM_TERMS - 3):
-        powers.append(powers[-1] * w)
-    total = 0.0
-    for k, (num, den) in enumerate(BERNOULLI_2J[:_EM_TERMS], start=1):
-        p = 2 * k - 1
-        h = sum(a * d(i) * powers[p + i] for i, a in _lah(p).items())
-        total = total + num / (den * math.factorial(2 * k)) * (-1.0 / n) ** p * h
-    return 0.5 * d(0) + sign * total
 
 
 def _em_blocks(f: Callable, part: Analytic, n: int, first: int, stop: int) -> list:
@@ -643,8 +614,9 @@ def _em_blocks(f: Callable, part: Analytic, n: int, first: int, stop: int) -> li
         nodes = mid + half * x
         y = nodes + q
         g = apply_to_array(f, nodes.ravel()).reshape(nodes.shape) / (y * y)
-        ends = _block_ends(part, n, v, np.concatenate((vb + q, va + q)),
-                           np.repeat((1.0, -1.0), q.size))
+        _, _, d = part.rows(v)
+        ends = 0.5 * d(0) + np.repeat((1.0, -1.0), q.size) * _em_ends(
+            d, np.concatenate((vb + q, va + q)), 1, -1.0 / n)
         partials += _times(n, exact_partials(((half * wx) * g).ravel())) + exact_partials(ends)
     return partials
 
@@ -1193,17 +1165,19 @@ def sequence_average(
     n - M*M in the last row M = isqrt(n); its points are u_j =
     sqrt(m*m + j) - m.  Rows below m0 go through the stream's kernel, where
     m0 (``_first_em_row``) is the least row from _FIRST_EM_ROW = 32 on at
-    which the remainder bound rho below is at most u A_0: 32 for sin, cos,
-    id, const1 and polynomials of low degree, later for f with large high
-    derivatives.  Each other row is summed by Euler-Maclaurin (DLMF 2.10.1)
-    for h(x) = f(sqrt(m*m + x) - m), with K = _EM_TERMS:
+    which the remainder bound rho below (``_em_remainder``) is at most
+    u A_0: 32 for sin, cos, id, const1 and polynomials of low degree, later
+    for f with large high derivatives.  Each other row is summed by
+    Euler-Maclaurin (DLMF 2.10.1) for h(x) = f(sqrt(m*m + x) - m), with
+    K = _EM_TERMS:
 
         sum_{j=0}^{N} h(j) = I + (f(0) + f(U))/2
             + sum_{k=1}^{K} B_2k/(2k)! (h^(2k-1)(N) - h^(2k-1)(0)) + R,
 
     where U = sqrt(m*m + N) - m <= 1 and, with x = (m + u)**2 - m*m,
-    I = 2m (F(U) - F(0)) + 2 (G(U) - G(0)).  h^(p) is a sum of
-    a_i f^(i)(u) w**-(2p-i), w = m + u (``_chain``), and
+    I = 2m (F(U) - F(0)) + 2 (G(U) - G(0)).  h^(p) is 2**-p times a sum
+    of a_i f^(i)(u) w**(i-2p), w = m + u, for the integers a_i of
+    ``_em_table`` with alpha = -2 (d/dx = (1/(2w)) d/du), and
     |R| <= 2|B_2K+2|/(2K+2)! times the integral of |h^(2K+2)| over [0, N].
 
     The rows in floats (``_em_rows``).  m*m + N < 2**53 is exact, so
@@ -1213,9 +1187,9 @@ def sequence_average(
     row are 2m (F(U0) - F(0)) as two exact products (Veltkamp's halves of
     26 bits), 2 (G(U0) - G(0)), f(0)/2, f(U0)/2, and a small one: the Taylor
     step of I + f(U)/2 from U0 by V, to second order, and the Bernoulli
-    terms at U0.  All partials, those of the streamed rows too, go in fixed
-    chunks of rows through ``map_reduce_fsum``, so no thread count changes a
-    bit.
+    terms at U0 (``_em_ends``).  All partials, those of the streamed rows
+    too, go in fixed chunks of rows through ``map_reduce_fsum``, so no
+    thread count changes a bit.
 
     The bound.  Take e_f, e_d, e_F, e_G and A_k of the analytic part,
     A = max A_k, and m <= M <= 2**26, so that |V| <= u (m + 1) and
@@ -1228,11 +1202,10 @@ def sequence_average(
       roundings on a value below 1.01 A, the error of V (6u*u(m + 1)**2 A),
       the Taylor terms left out, and the Bernoulli terms (below A/(12m)
       each, with their shift from U to U0) stay below that.
-    - Summed over m >= m0, R is at most rho = 4|B_2K+2|/(2K+2)! times
-      sum_i |a_i| A_i (m0 - 1)**-(4K+2-i) / (4K+2-i), for the a_i of
-      h^(2K+2) (``_remainder_bound``): the integral of w**-q over x in
-      [0, N] is at most 2 m**(1-q), as dx = 2w du and U <= 1.  m0 makes
-      rho at most u A_0.
+    - Summed over m >= m0, R is at most rho = 2|B_p|/p! 2**(1-p) times
+      sum_i |a_i| A_i (m0 - 1)**(i+2-2p) / (2p-2-i), for p = 2K + 2 and
+      the a_i of h^(p) (``_em_remainder`` with X = m0 - 1): the rows' w
+      lie in [m0, inf).  m0 makes rho at most u A_0.
     - Rounding the sum, then dividing by n, add 2**-52 (1 + 2**-52)|mean|.
     So the mean is within 2**-52 (1 + 2**-52)|mean| + (E_s + E_r)/n of the
     exact mean of f(u_k), with E_s = min(n, m0*m0 - 1)(e_f + u m0 A_1) and
@@ -1324,10 +1297,12 @@ def frac_n_over_i_mean(
             + sum_{k=1}^{K} B_2k/(2k)! (h^(2k-1)(b) - h^(2k-1)(a)) + R_Q,
 
     where v_a and v_b are the points at a and b, h^(p) is
-    (-1/n)**p sum_i L(p, i) f^(i)(v) w**(p+i) (``_lah``), and |R_Q| is at
-    most 2|B_2K+2|/(2K+2)! times the integral of |h^(2K+2)| over [a, b].
-    Q0 (``_last_block``) is the largest Q <= isqrt(n // _BLOCK_POINTS) at
-    which rho(Q) below is at most u A_0, for u = 2**-53, or 0: at n = 1e7,
+    (-1/n)**p sum_i L(p, i) f^(i)(v) w**(p+i), for the unsigned Lah numbers
+    L(p, i) of ``_em_table`` with alpha = 1 (d/dx = -(w*w/n) d/dv), and
+    |R_Q| is at most 2|B_2K+2|/(2K+2)! times the integral of |h^(2K+2)|
+    over [a, b].  Q0 (``_last_block``) is the largest
+    Q <= isqrt(n // _BLOCK_POINTS) at which rho(Q) below
+    (``_em_remainder``) is at most u A_0, for u = 2**-53, or 0: at n = 1e7,
     459 for sin and cos (21,739 points stream) and 559, the cap, for id,
     const1 and polynomials of low degree.  So every block holds about 32
     points or more, and (Q + 1)**2 <= n.
@@ -1339,7 +1314,7 @@ def frac_n_over_i_mean(
     of the sum and the difference of the ends; its terms
     half w_j f(v_j)/(v_j + Q)**2 are summed exactly and multiplied by n
     exactly (``_times``).  Each end adds f/2 and its Bernoulli terms
-    (``_block_ends``).  All partials, the head's too, go in fixed chunks
+    (``_em_ends``).  All partials, the head's too, go in fixed chunks
     through ``map_reduce_fsum``, so no thread count changes a bit.
 
     The bound.  Take e_f, e_d and A_k of the analytic part, A = max A_k, and
@@ -1349,9 +1324,8 @@ def frac_n_over_i_mean(
       streamed values is within e_f + u A_1/2 of f({n/i}).
     - Summed over Q <= Q0, R_Q is at most rho(Q0) =
       2|B_2K+2|/(2K+2)! sum_i L(p, i) A_i n**(1-p) (Q0 + 1)**(p+i-1)/(p+i-1)
-      for p = 2K + 2 (``_block_remainder_bound``): as dx = -(n/w**2) dw, the
-      integral of w**(p+i) |dx| over block Q is at most n times that of
-      w**(p+i-2) over [Q, Q + 1], and these add up to one over [1, Q0 + 1].
+      for p = 2K + 2 (``_em_remainder`` with X = Q0 + 1): the blocks' w
+      lie in [1, Q0 + 1].
     - The rule.  The ends are within u/2 of v_a and v_b, and mid >= half
       and mid + half < 1, so J lies in [0, 1), with its ends within 5u/4 of
       v_b and v_a: the integral moves by at most (5/2) u n A_0/Q**2.  On J

@@ -19,8 +19,8 @@ import pytest
 from asymptolim import frac_n_over_i_mean, problems
 from asymptolim.accum import CHUNK
 from asymptolim.cli import resolve_function
-from asymptolim.problems import (_BLOCK_POINTS, _EM_TERMS, _GAUSS_NODES, _block_remainder_bound,
-                                 _em_blocks, _gauss_rule, _lah, _last_block)
+from asymptolim.problems import (_BLOCK_POINTS, _EM_TERMS, _GAUSS_NODES, _em_blocks,
+                                 _em_remainder, _em_table, _gauss_rule, _last_block)
 from asymptolim.special import BERNOULLI_2J
 
 NAMES = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")
@@ -49,6 +49,11 @@ def coefficients(name):
 # the bound stated in frac_n_over_i_mean's docstring
 # ---------------------------------------------------------------------------
 
+def rho(A, n, last):
+    """The blocks' remainder bound up to block ``last``."""
+    return _em_remainder(A, 1, -1.0 / n, last + 1.0)
+
+
 def disc_bound(name):
     """M: |f| over the complex disc |z - 1/2| <= 17/16."""
     if name in ("sin", "cos"):
@@ -75,7 +80,7 @@ def stated_bound(name, n, mean):
     bound = n // (last + 1) * (e_f + U * A[1] / 2)
     if last:
         blocks = block_terms(name, n, np.arange(1.0, last + 1.0))
-        bound += _block_remainder_bound(A, n, last) + math.fsum(blocks.tolist())
+        bound += rho(A, n, last) + math.fsum(blocks.tolist())
     return 2.0**-53 * (1 + 2.0**-52) * abs(mean) + bound / n
 
 
@@ -119,7 +124,7 @@ class Oracle:
             c = mp.mpf(num) / (den * math.factorial(2 * k)) * (mp.mpf(-1) / n) ** p
             for v, d, sign in ends:
                 total += sign * c * mp.fsum(a * d[i] * (v + Q) ** (p + i)
-                                            for i, a in _lah(p).items())
+                                            for i, a in _em_table(1, p).items())
         return total
 
     def mean(self, n):
@@ -146,11 +151,7 @@ def test_the_oracle_sums_points_one_by_one(mpmath):
             assert abs(oracle.mean(n) - direct) < 1e-20
 
 
-def test_lah_gives_the_derivatives_of_h(mpmath):
-    for p in range(1, 2 * _EM_TERMS + 3):
-        # the unsigned Lah numbers in closed form
-        assert _lah(p) == {i: math.comb(p - 1, i - 1) * math.factorial(p) // math.factorial(i)
-                           for i in range(1, p + 1)}
+def test_table_gives_the_derivatives_of_h(mpmath):
     for name in ("cos", "poly:0.5,-1.25,2"):
         d = mp_derivatives(mpmath, name)
         for n, Q, x in ((1000, 3, 260.5), (12345, 7, 1600), (10**6 + 3, 40, 24700.25)):
@@ -159,7 +160,7 @@ def test_lah_gives_the_derivatives_of_h(mpmath):
             w = mpmath.mpf(n) / x
             for p in range(1, 2 * _EM_TERMS + 3):
                 formula = (mpmath.mpf(-1) / n) ** p * mpmath.fsum(
-                    a * d(i, w - Q) * w ** (p + i) for i, a in _lah(p).items())
+                    a * d(i, w - Q) * w ** (p + i) for i, a in _em_table(1, p).items())
                 exact = mpmath.diff(h, x, p)
                 assert abs(formula - exact) <= 1e-20 * max(1, abs(exact)), (name, n, p)
 
@@ -196,7 +197,7 @@ def test_blocks_within_their_stated_part_at_large_n(mpmath, name, n):
     part = named(name).analytic
     last = _last_block(part.bounds, n)
     oracle = Oracle(mpmath, name)
-    remainder = _block_remainder_bound(part.bounds, n, last)
+    remainder = rho(part.bounds, n, last)
     for Q in (1, 2, 3, last - 1, last):
         exact_partials = sum(map(Fraction, _em_blocks(named(name), part, n, Q, Q + 1)))
         got = mpmath.mpf(exact_partials.numerator) / exact_partials.denominator
@@ -205,15 +206,19 @@ def test_blocks_within_their_stated_part_at_large_n(mpmath, name, n):
 
 
 def test_last_block_holds_the_remainder_below_one_rounding():
-    for name in NAMES:
+    # the polynomials of degree 8 and 11, whose high derivatives are large,
+    # stop below the cap, and at n = 1000 those of degree 11 sum no block
+    polys = ["poly:" + ",".join(repr((-1) ** i * (i + 1) * c) for i in range(q + 1))
+             for c in (3.1, 40.0) for q in (4, 8, 11)]
+    for name in NAMES + tuple(polys):
         A = named(name).analytic.bounds
         for n in (1000, 12345, 10**7, 10**12, 2**52 - 1):
             last = _last_block(A, n)
             cap = math.isqrt(n // _BLOCK_POINTS)
-            assert 1 <= last <= cap and (last + 1) ** 2 <= n
-            assert _block_remainder_bound(A, n, last) <= U * A[0]
+            assert (name in polys or 1 <= last) and last <= cap and (last + 1) ** 2 <= n
+            assert last == 0 or rho(A, n, last) <= U * A[0]
             if last < cap:
-                assert _block_remainder_bound(A, n, last + 1) > U * A[0]
+                assert rho(A, n, last + 1) > U * A[0]
     # at 1e7 sin and cos stream 21,739 points, id the 17,857 below the cap
     assert _last_block(named("sin").analytic.bounds, 10**7) == 459
     assert _last_block(named("id").analytic.bounds, 10**7) == math.isqrt(10**7 // _BLOCK_POINTS)

@@ -9,6 +9,7 @@ the oracle of the route and still serves every plain callable.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ import pytest
 from asymptolim import problems, sequence_average
 from asymptolim.accum import CHUNK
 from asymptolim.cli import resolve_function
-from asymptolim.problems import (_EM_TERMS, _FIRST_EM_ROW, _TRIG_ERROR, _chain, _first_em_row,
-                                 _poly_part, _remainder_bound)
+from asymptolim.problems import (_EM_TERMS, _FIRST_EM_ROW, _TRIG_ERROR, _em_remainder, _em_table,
+                                 _first_em_row, _poly_part)
 from asymptolim.special import BERNOULLI_2J
 
 NAMES = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")
@@ -42,6 +43,11 @@ def ulps(a, b):
 # the bound stated in sequence_average's docstring
 # ---------------------------------------------------------------------------
 
+def rho(A, m0):
+    """The rows' remainder bound from row m0 on."""
+    return _em_remainder(A, -2, 0.5, m0 - 1.0)
+
+
 def stated_bound(name, n, mean):
     part = named(name).analytic
     e_f, e_d, e_F, e_G = part.errors
@@ -50,7 +56,7 @@ def stated_bound(name, n, mean):
     M = math.isqrt(n)
     bound = min(n, m0 * m0 - 1) * (e_f + U * m0 * A[1])
     if M >= m0:
-        bound += _remainder_bound(A, m0) + (M * (M + 1) - m0 * (m0 - 1)) * e_F
+        bound += rho(A, m0) + (M * (M + 1) - m0 * (m0 - 1)) * e_F
         bound += (M - m0 + 1) * (2 * e_G + 3 * e_d + 16 * U * max(A))
     return 2.0**-52 * (1 + 2.0**-52) * abs(mean) + bound / n
 
@@ -89,7 +95,8 @@ class Oracle:
 
     def h(self, p, u, w):
         # the p-th derivative of h(x) = f(sqrt(m*m + x) - m), w = m + u
-        return self.mp.fsum(a * self.d(i, u) * w ** -(2 * p - i) for i, a in _chain(p).items())
+        return self.mp.mpf(0.5) ** p * self.mp.fsum(
+            a * self.d(i, u) * w ** (i - 2 * p) for i, a in _em_table(-2, p).items())
 
     def row(self, m, N):
         """sum_{j=0}^{N} f(sqrt(m*m + j) - m), analytic in a real m."""
@@ -150,7 +157,20 @@ def test_the_oracle_sums_points_one_by_one(mpmath):
             assert abs(oracle.mean(n) - direct) < 1e-19
 
 
-def test_chain_gives_the_derivatives_of_h(mpmath):
+def test_em_table_gives_both_closed_forms():
+    # alpha = 1: the unsigned Lah numbers; alpha = -2: the rows' integers,
+    # each table from i = p down to 1, the order in which the terms are summed
+    f = math.factorial
+    for p in range(1, 2 * _EM_TERMS + 3):
+        assert list(_em_table(1, p)) == list(_em_table(-2, p)) == list(range(p, 0, -1))
+        assert _em_table(1, p) == {i: math.comb(p - 1, i - 1) * f(p) // f(i)
+                                   for i in range(1, p + 1)}
+        assert _em_table(-2, p) == {
+            i: Fraction((-1) ** (p - i) * f(2 * p - i - 1), f(i - 1) * f(p - i) * 2 ** (p - i))
+            for i in range(1, p + 1)}
+
+
+def test_table_gives_the_derivatives_of_h(mpmath):
     for name in ("cos", "poly:0.5,-1.25,2"):
         oracle = Oracle(mpmath, name)
         for m, x in ((3, 0), (5, 2.5), (40, 80)):
@@ -181,16 +201,30 @@ def test_within_the_stated_bound_of_the_exact_mean(mpmath, name, n):
     assert abs(got - exact) <= stated_bound(name, n, got)
 
 
-def test_first_row_holds_the_remainder_below_one_rounding(mpmath):
-    # the named f start at row 32; a polynomial with large high derivatives
-    # starts later (141), which keeps its mean near the exact one: from row
-    # 32 it was 3.0 ulp off at n = 25000, and 6.6 ulp at n = 5000
+def alternating(c, q):
+    """poly:c,-2c,3c,... of degree q, whose high derivatives are large."""
+    return "poly:" + ",".join(repr((-1) ** i * (i + 1) * c) for i in range(q + 1))
+
+
+def test_first_row_brackets_the_remainder():
+    # the named f start at row 32; the polynomials of degree 8 and more
+    # start later, after two or three doublings from 32
     for name in NAMES:
         assert _first_em_row(named(name).analytic.bounds) == M0
-    name = "poly:" + ",".join(repr((-1) ** i * (i + 1) * 0.37) for i in range(11))
-    A = named(name).analytic.bounds
-    m0 = _first_em_row(A)
-    assert m0 > M0 and _remainder_bound(A, m0) <= U * A[0] < _remainder_bound(A, m0 - 1)
+    polys = {(0.37, 10): 141, **{(c, q): m0 for c in (3.1, 40.0)
+                                 for q, m0 in ((4, M0), (8, 79), (11, 175))}}
+    for (c, q), first in polys.items():
+        A = named(alternating(c, q)).analytic.bounds
+        m0 = _first_em_row(A)
+        assert m0 == first and rho(A, m0) <= U * A[0], (c, q)
+        assert m0 == M0 or U * A[0] < rho(A, m0 - 1), (c, q)
+
+
+def test_first_row_holds_the_remainder_below_one_rounding(mpmath):
+    # a polynomial with large high derivatives starts later (141), which
+    # keeps its mean near the exact one: from row 32 it was 3.0 ulp off at
+    # n = 25000, and 6.6 ulp at n = 5000
+    name = alternating(0.37, 10)
     oracle = Oracle(mpmath, name)
     for n in (25000, 40000, 10**6 + 3):
         got = sequence_average(n, named(name)).empirical
