@@ -481,6 +481,7 @@ def _first_em_row(bounds: tuple) -> int:
     hi = _FIRST_EM_ROW
     while not small(hi):
         hi *= 2
+    # small(hi) holds: _bisect returns hi when no row below it is small
     return _bisect(small, max(hi // 2 + 1, _FIRST_EM_ROW), hi - 1)
 
 
