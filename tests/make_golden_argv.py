@@ -68,6 +68,17 @@ MEAN_NS = (1, 2, 3, 7, 32**2 - 1, 32**2 + 1, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10
 BLOCK_NS = (1, 2, 3, 7, 31, 32, 211, 212, 285, 286, 345, 346, 1000, 2**17 - 1, 2**17 + 1,
             10**6 + 3, 10**7)
 
+# the polynomial family: the benchmark's shape, x**2, a P nearly linear over
+# its N(n) = 999,999 indices (none at n < 1e6, so the CLI rejects it), a P
+# below 0 over i < 2000, and a cubic whose local maximum, 148,148 at i = 33,
+# passes n before it falls to 0 at i = 100; each at q = r (the default r),
+# q > r (r = 1) and q < r (r = 4)
+POLY_PS = ("1.3,0.7,0.2", "1,0,0", "1e-10,1000000,0", "1,-2000,1", "1,-200,10000,0")
+POLY_NS = (1000, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**9 + 7, 10**12)
+POLY_RS = ((None, ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2"), POLY_NS),
+           (1, ("sin", "poly:0.5,-1.25,2"), (1000, 10**6 + 3, 10**12)),
+           (4, ("sin", "poly:0.5,-1.25,2"), (1000, 10**6 + 3, 10**12)))
+
 # example3's sweep: 720720 has many points at 1/2 and 1/4, 999983 is prime;
 # the grid holds 1/3 as a float
 SWEEP3_NS = "1000,720720,999983,10000000"
@@ -94,6 +105,10 @@ def argvs() -> list[list[str]]:
     out += [["solve", "example4", f"--n={n}"] for n in IDENTITY_NS]
     out += [["solve", "example1", f"--f={f}", f"--n={n}"] for f in MEAN_FS for n in MEAN_NS]
     out += [["solve", "example4", f"--f={f}", f"--n={n}"] for f in MEAN_FS for n in BLOCK_NS]
+    for r, fs, ns in POLY_RS:
+        flags = [] if r is None else [f"--poly-r={r}"]
+        out += [["solve", "poly", f"--poly-p={P}", *flags, f"--f={f}", f"--n={n}"]
+                for P in POLY_PS for f in fs for n in ns]
     out += [["sweep", "example3", f"--n={SWEEP3_NS}", f"--grid={SWEEP3_GRID}", f"--threads={t}"]
             for t in (1, 2)]
     return out
