@@ -260,7 +260,7 @@ def _poly_spec(c: RunConfig) -> PolySpec:
         coeffs,
         _default(c.poly_r, len(coeffs) - 1),
         _default(c.poly_b, 1.0),
-        resolve_function(c.f or "id").fn,
+        resolve_function(c.f or "id"),
     )
 
 
