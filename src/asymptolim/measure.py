@@ -194,17 +194,18 @@ def _fold_sorted(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
             # and an overflowing product go through fsum
             folded = np.where(counts == 1, first, counts * first + 0.0)
             equal = np.minimum.reduceat(w, starts) == np.maximum.reduceat(w, starts)
-            unequal = (counts > 1) & ~(equal & np.isfinite(folded))
-            # weights near overflow, or not finite, go through fsum, which
-            # raises or returns for them what it does
-            top = np.maximum.reduceat(np.abs(w), starts)
-            wild = unequal & ~(top < 2.0**960)
-            sel = np.flatnonzero(unequal & ~wild)
+            sel = np.flatnonzero((counts > 1) & ~(equal & np.isfinite(folded)))
             if sel.size:
-                folded[sel] = _segment_fsum(w, starts[sel], counts[sel], top[sel])
-            for j in np.flatnonzero(wild):
-                s = starts[j]
-                folded[j] = math.fsum(w[s : s + counts[j]].tolist())
+                top = np.maximum.reduceat(np.abs(w), starts)[sel]
+                # weights near overflow, or not finite, go through fsum, which
+                # raises or returns for them what it does
+                wild = ~(top < 2.0**960)
+                tame = sel[~wild]
+                if tame.size:
+                    folded[tame] = _segment_fsum(w, starts[tame], counts[tame], top[~wild])
+                for j in sel[wild]:
+                    s = starts[j]
+                    folded[j] = math.fsum(w[s : s + counts[j]].tolist())
             pts = np.ascontiguousarray(pts[starts])
             w = folded
     return pts, w

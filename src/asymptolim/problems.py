@@ -1628,9 +1628,8 @@ def _run_remainder(A: tuple, G: np.ndarray, half: float) -> float:
 
 
 def _em_runs(p: list, limit: int, part: Analytic, count: int) -> list:
-    """The runs (a, b, G, E) of 1..count that ``polynomial_family`` sums by
-    Euler-Maclaurin, in order: G holds the ``_panels`` of the run's rule
-    and E the run's remainder bound plus its rule's."""
+    """The runs (a, b, G) of 1..count that ``polynomial_family`` sums by
+    Euler-Maclaurin, in order, with the ``_panels`` G of each run's rule."""
     A = part.bounds
     tol = _U * A[0]
     out = []
@@ -1647,16 +1646,16 @@ def _em_runs(p: list, limit: int, part: Analytic, count: int) -> list:
             continue
         J = 1
         G = _panels(p, limit, a, b, J)
-        remainder = _run_remainder(A, G[0], 0.5 * (b - a))
-        if not remainder <= tol:
+        if not _run_remainder(A, G[0], 0.5 * (b - a)) <= tol:
             continue
-        rule = _rule_bound(part, G[0].tolist(), 0.5 * (b - a))
-        while not rule <= tol and J < _MAX_PANELS:
+        while True:
+            rule = math.fsum(_rule_bound(part, row, (b - a) / (2 * J)) for row in G.tolist())
+            if rule <= tol or J == _MAX_PANELS:
+                break
             J *= 2
             G = _panels(p, limit, a, b, J)
-            rule = math.fsum(_rule_bound(part, row, (b - a) / (2 * J)) for row in G.tolist())
         if rule <= tol:
-            out.append((a, b, G, remainder + rule))
+            out.append((a, b, G))
     return out
 
 
@@ -1704,7 +1703,7 @@ def _poly_sum(spec: PolySpec, n: int, count: int, threads: int) -> float:
 
     def kernel(lo: int, hi: int) -> list:
         partials = []
-        for a, b, G, _ in runs:
+        for a, b, G in runs:
             if b < lo or a >= hi:
                 continue
             if lo < a:

@@ -482,6 +482,14 @@ class TestFoldMatchesFsumLoop:
             want = np.array([math.fsum(w[a : a + c].tolist()) for a, c in zip(starts, counts)])
             assert_same_bits(got, want)
 
+    def test_weights_near_overflow_fold_as_fsum_does(self):
+        pts = np.array([[0.0], [0.0], [1.0], [1.0], [1.0]])
+        w = np.array([1e300, 2e300, 0.25, 0.5, 2.0**-60])
+        for got, want in zip(_fold_sorted(pts, w), fold_oracle(pts, w)):
+            assert_same_bits(got, want)
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            _fold_sorted(pts[:2], np.array([1e308, 1.7e308]))
+
     def test_negative_zero_weights_sum_to_positive_zero(self):
         pts, w = _fold_sorted(np.zeros((3, 1)), np.array([-0.0, -0.0, -0.0]))
         assert_same_bits(w, np.array([0.0]))

@@ -145,7 +145,7 @@ def stated(P, name, n):
     part = resolve_function(name).analytic
     p, limit = _exact_poly(spec(P, None), n)
     total = stream = points = 0.0
-    for a, b, G, _ in runs(P, name, n):
+    for a, b, G in runs(P, name, n):
         total += run_bound(part, p, limit, a, b, G)
         # |P| rises on i >= 0, so its largest value is at b
         stream += (b - a + 1) * stream_bound(part, p, limit, [b])
@@ -245,7 +245,7 @@ def test_within_the_stated_bound_of_the_exact_sum(name, P, n):
         route, _ = sums(P, name, n)
         bound, _, points = stated(P, name, n)
         em = set()
-        for a, b, _, _ in runs(P, name, n):
+        for a, b, _ in runs(P, name, n):
             em.update(range(a, b + 1))
         bound += stream_bound(part, p, limit, [i for i in range(1, count + 1) if i not in em])
         assert points > 0
@@ -320,7 +320,7 @@ def test_a_named_f_streams_only_what_lies_outside_its_runs(monkeypatch):
         if n == 2**17 - 1:
             assert above
     # a run of _BLOCK_POINTS + 1 points and more goes by Euler-Maclaurin
-    assert all(b - a >= _BLOCK_POINTS for a, b, _, _ in runs(CUBIC, "id", 10**6 + 3))
+    assert all(b - a >= _BLOCK_POINTS for a, b, _ in runs(CUBIC, "id", 10**6 + 3))
 
 
 def test_a_plain_callable_streams_as_before():
