@@ -168,10 +168,9 @@ def _fold_sorted(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     A 1-D sort need not be stable: equal points are bit-identical (the
     points are finite and -0.0 is folded to +0.0), and a group's weight is
-    c equal weights times c or their sum rounded once, as math.fsum rounds
-    it (``_segment_fsum``), neither of which depends on the order within
-    the group.  Where all weights have the same bits, no weight moves, so
-    the points are sorted alone.
+    c equal weights times c or an fsum, neither of which depends on the
+    order within the group.  Where all weights have the same bits, no
+    weight moves, so the points are sorted alone.
     """
     m, k = pts.shape
     bits = w.view(np.int64)
@@ -194,93 +193,12 @@ def _fold_sorted(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
             # and an overflowing product go through fsum
             folded = np.where(counts == 1, first, counts * first + 0.0)
             equal = np.minimum.reduceat(w, starts) == np.maximum.reduceat(w, starts)
-            sel = np.flatnonzero((counts > 1) & ~(equal & np.isfinite(folded)))
-            if sel.size:
-                top = np.maximum.reduceat(np.abs(w), starts)[sel]
-                # weights near overflow, or not finite, go through fsum, which
-                # raises or returns for them what it does
-                wild = ~(top < 2.0**960)
-                tame = sel[~wild]
-                if tame.size:
-                    folded[tame] = _segment_fsum(w, starts[tame], counts[tame], top[~wild])
-                for j in sel[wild]:
-                    s = starts[j]
-                    folded[j] = math.fsum(w[s : s + counts[j]].tolist())
+            for j in np.flatnonzero((counts > 1) & ~(equal & np.isfinite(folded))):
+                s = starts[j]
+                folded[j] = math.fsum(w[s : s + counts[j]].tolist())
             pts = np.ascontiguousarray(pts[starts])
             w = folded
     return pts, w
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s = fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _segment_fsum(w: np.ndarray, starts: np.ndarray, counts: np.ndarray,
-                  top: np.ndarray) -> np.ndarray:
-    """math.fsum of each segment w[starts[j] : starts[j] + counts[j]], all at
-    once, for finite w below 2**960, with top[j] the segment's largest |w|.
-
-    Error-free extraction per segment (as ``accum.exact_partials``): with
-    2**M >= count + 2 and 2**e above the segment's largest remainder,
-    sigma = 2**(e + M) splits each remainder r exactly into
-    q = (sigma + r) - sigma, a multiple of 2**(e + M - 53), and r - q, at
-    most 2**(e + M - 53); a segment's q add up below sigma, so
-    ``np.bincount`` sums them exactly in any order.  Each pass takes e down
-    by 52 - M, and one whose sigma underflows to 0 takes q = r, so the
-    passes end with no remainder.  The pass sums of a segment add up to its
-    exact sum; Shewchuk's Grow-Expansion (each by TwoSum) makes them a
-    nonoverlapping expansion, zeros aside, as math.fsum keeps its partials,
-    and its last step rounds them as fsum does: the components from the top
-    until an addition leaves an error, which, where the next nonzero
-    component below has its sign, moves a half-way sum to the float
-    beyond."""
-    size = starts.size
-    seg = np.repeat(np.arange(size), counts)
-    offsets = np.cumsum(counts) - counts
-    r = w[np.arange(seg.size) - np.repeat(offsets - starts, counts)]
-    M = int(counts.max() + 1).bit_length()
-    e = np.frexp(top)[1] + M
-    sums = []
-    while r.size:
-        sigma = np.ldexp(1.0, e)[seg]
-        q = (r + sigma) - sigma
-        sums.append(np.bincount(seg, weights=q, minlength=size))
-        r = r - q
-        keep = r != 0.0
-        r, seg = r[keep], seg[keep]
-        e += M - 52
-    expansion: list = []
-    for tau in sums:
-        for i, c in enumerate(expansion):
-            tau, expansion[i] = _two_sum(tau, c)
-        expansion.append(tau)
-    # fsum's last step, per segment: ``stop`` is the component at which an
-    # addition left the error ``lo``, and ``sign`` the sign of the nearest
-    # nonzero component below each component
-    hi = expansion[-1]
-    lo = np.zeros(size)
-    stop = np.full(size, -1)
-    for i in range(len(expansion) - 2, -1, -1):
-        y = expansion[i]
-        total = hi + y
-        error = y - (total - hi)
-        open_ = stop < 0
-        hi = np.where(open_, total, hi)
-        hit = open_ & (error != 0.0)
-        lo = np.where(hit, error, lo)
-        stop = np.where(hit, i, stop)
-    sign = np.zeros((len(expansion), size))
-    for i in range(1, len(expansion)):
-        c = expansion[i - 1]
-        sign[i] = np.where(c != 0.0, np.sign(c), sign[i - 1])
-    below = sign[np.maximum(stop, 0), np.arange(size)]
-    half = (stop >= 0) & (below != 0.0) & (np.sign(lo) == below)
-    y = lo * 2.0
-    x = hi + y
-    return np.where(half & (x - hi == y), x, hi) + 0.0
 
 
 def measure_box(m: AtomicMeasure, box: HyperBox) -> float:

@@ -12,7 +12,7 @@ from asymptolim import (
     measure_box,
     pushforward,
 )
-from asymptolim.measure import _fold_sorted, _segment_fsum
+from asymptolim.measure import _fold_sorted
 from asymptolim.problems import reciprocal_frac_map
 
 
@@ -461,34 +461,6 @@ class TestFoldMatchesFsumLoop:
                 assert_same_bits(got, want)
 
         check()
-
-    def test_segment_sums_round_as_fsum(self):
-        # segments of signed values over a wide range of exponents, and of
-        # values a power of two apart, so that many exact sums fall on or
-        # next to a half-way point between floats
-        rng = np.random.default_rng(11)
-        for trial in range(300):
-            counts = rng.integers(1, 12, size=rng.integers(1, 60))
-            m = int(counts.sum())
-            if trial % 3 == 0:
-                w = rng.normal(size=m) * 2.0 ** rng.integers(-1070, 930, size=m)
-            elif trial % 3 == 1:
-                w = rng.choice([1.0, -1.0], size=m) * 2.0 ** rng.integers(-60, 2, size=m)
-                w[rng.random(m) < 0.3] *= 1.0 + 2.0**-52
-            else:
-                w = rng.choice(_SUBNORMALS + (1.0, 2.0**-53, -2.0**-106, 3.0), size=m)
-            starts = np.cumsum(counts) - counts
-            got = _segment_fsum(w, starts, counts, np.maximum.reduceat(np.abs(w), starts))
-            want = np.array([math.fsum(w[a : a + c].tolist()) for a, c in zip(starts, counts)])
-            assert_same_bits(got, want)
-
-    def test_weights_near_overflow_fold_as_fsum_does(self):
-        pts = np.array([[0.0], [0.0], [1.0], [1.0], [1.0]])
-        w = np.array([1e300, 2e300, 0.25, 0.5, 2.0**-60])
-        for got, want in zip(_fold_sorted(pts, w), fold_oracle(pts, w)):
-            assert_same_bits(got, want)
-        with np.errstate(over="ignore"), pytest.raises(OverflowError):
-            _fold_sorted(pts[:2], np.array([1e308, 1.7e308]))
 
     def test_negative_zero_weights_sum_to_positive_zero(self):
         pts, w = _fold_sorted(np.zeros((3, 1)), np.array([-0.0, -0.0, -0.0]))
