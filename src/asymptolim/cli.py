@@ -144,10 +144,11 @@ def _coerce(hint, value):
 @dataclass(frozen=True)
 class NamedFunction:
     """A named callback and its derivative; calling it calls ``fn``.  Where
-    example1's mean of f has a route by rows and example4's one by quotient
-    blocks, ``analytic`` holds what they need (``problems.Analytic``), built
-    by ``make_analytic`` on first use, as no other command needs it; where
-    it is None both means stream."""
+    example1's mean of f has a route by rows, example4's one by quotient
+    blocks and the polynomial family's one by P's monotone runs,
+    ``analytic`` holds what they need (``problems.Analytic``), built by
+    ``make_analytic`` on first use, as no other command needs it; where it
+    is None all three stream."""
 
     fn: Callable
     derivative: Callable

@@ -1547,11 +1547,7 @@ def _poly_count(spec: PolySpec, n: int) -> int:
     raise ValueError("no index i >= 1 satisfies P(i) <= n")
 
 
-# A run's rule takes up to this many Gauss-Legendre panels; a run whose
-# rule's bound stays above one rounding streams
-_MAX_PANELS = 64
-
-# The Bernstein ellipses tried for a panel's bound: rho = 2, 4, ..., 2**10
+# The Bernstein ellipses tried for a run's rule bound: rho = 2, 4, ..., 2**10
 _ELLIPSES = tuple(2.0**k for k in range(1, 11))
 
 
@@ -1580,9 +1576,9 @@ def _compose(a: Sequence, g: np.ndarray) -> np.ndarray:
     return total
 
 
-def _rule_bound(part: Analytic, G: list, half: float) -> float:
+def _rule_bound(part: Analytic, G: np.ndarray, half: float) -> float:
     """A bound on the error of the Gauss-Legendre rule of _GAUSS_NODES nodes
-    on the integral of f(g(x)) over a panel of half-width ``half``, for
+    on the integral of f(g(x)) over a run of half-width ``half``, for
     g(mid + half t) = sum_k G[k] t**k: the least over ``_ELLIPSES`` of
     half (64/15) M / ((rho**2 - 1) rho**(2N)) (Trefethen, Approximation
     Theory and Approximation Practice, Theorem 19.3), with M = disc(r):
@@ -1599,17 +1595,14 @@ def _rule_bound(part: Analytic, G: list, half: float) -> float:
     return best
 
 
-def _panels(p: list, limit: int, a: int, b: int, J: int) -> np.ndarray:
-    """One row per panel of J equal panels on [a, b]: the coefficients,
-    ascending, of g(mid + half t) = P(mid + half t)/n, each rounded once.
-    With D = 2J, D mid and D half are integers, and P(y/D) D**q has the
-    integer coefficients p_j D**j (descending), so ``_taylor`` shifts them
-    exactly."""
-    D = 2 * J
+def _shift(p: list, limit: int, a: int, b: int) -> np.ndarray:
+    """The coefficients, ascending, of g(mid + half t) = P(mid + half t)/n
+    on [a, b], each rounded once.  2 mid and 2 half are integers, and
+    P(y/2) 2**q has the integer coefficients p_j 2**j (descending), so
+    ``_taylor`` shifts them exactly."""
     q = len(p) - 1
-    pD = [c * D**j for j, c in enumerate(p)]
-    return np.array([[v / (D**q * limit) for v in _taylor(pD, D * a + (2 * j + 1) * (b - a), b - a)]
-                     for j in range(J)])
+    p2 = [c * 2**j for j, c in enumerate(p)]
+    return np.array([v / (2**q * limit) for v in _taylor(p2, a + b, b - a)])
 
 
 def _run_remainder(A: tuple, G: np.ndarray, half: float) -> float:
@@ -1629,7 +1622,7 @@ def _run_remainder(A: tuple, G: np.ndarray, half: float) -> float:
 
 def _em_runs(p: list, limit: int, part: Analytic, count: int) -> list:
     """The runs (a, b, G) of 1..count that ``polynomial_family`` sums by
-    Euler-Maclaurin, in order, with the ``_panels`` G of each run's rule."""
+    Euler-Maclaurin, in order, with the ``_shift`` G of each."""
     A = part.bounds
     tol = _U * A[0]
     out = []
@@ -1644,17 +1637,9 @@ def _em_runs(p: list, limit: int, part: Analytic, count: int) -> list:
             a, b = _bisect(lambda i: P(i) <= limit, a, b), _bisect(lambda i: P(i) < 0, a, b) - 1
         if b - a < _BLOCK_POINTS:
             continue
-        J = 1
-        G = _panels(p, limit, a, b, J)
-        if not _run_remainder(A, G[0], 0.5 * (b - a)) <= tol:
-            continue
-        while True:
-            rule = math.fsum(_rule_bound(part, row, (b - a) / (2 * J)) for row in G.tolist())
-            if rule <= tol or J == _MAX_PANELS:
-                break
-            J *= 2
-            G = _panels(p, limit, a, b, J)
-        if rule <= tol:
+        G = _shift(p, limit, a, b)
+        half = 0.5 * (b - a)
+        if _run_remainder(A, G, half) <= tol and _rule_bound(part, G, half) <= tol:
             out.append((a, b, G))
     return out
 
@@ -1663,16 +1648,14 @@ def _em_run(f: Callable, part: Analytic, p: list, limit: int, a: int, b: int,
             G: np.ndarray) -> list:
     """Partials whose exact sum is within the bound of ``polynomial_family``
     of the sum of f(P(i)/n) over a <= i <= b, a run of ``_em_runs`` with its
-    panels' coefficients G."""
+    ``_shift`` coefficients G."""
     K = _EM_TERMS
     x, w = _gauss_rule()
-    J = G.shape[0]
-    y = np.zeros((J, x.size))
-    for k in range(G.shape[1] - 1, -1, -1):
-        y = y * x + G[:, k, None]
+    y = np.zeros(x.size)
+    for c in G[::-1]:
+        y = y * x + c
     np.clip(y, 0.0, 1.0, out=y)
-    half = (b - a) / (2 * J)
-    partials = exact_partials(((half * w) * apply_to_array(f, y.ravel()).reshape(y.shape)).ravel())
+    partials = exact_partials((0.5 * (b - a) * w) * apply_to_array(f, y))
     # the ends: g's Taylor coefficients, exact shifts of P over n, rounded once
     ends = [[c / limit for c in _taylor(p, end)[: 2 * K]] for end in (a, b)]
     _, _, d = part.rows(np.array([c[0] for c in ends]))
@@ -1745,7 +1728,7 @@ def polynomial_family(
     times the integral of |h^(p)| over [a, b], p = 2K + 2.  The i outside
     the runs (where P < 0 or P > n, as below a P's dip or past a cubic's
     local maximum above n), and the runs of fewer than _BLOCK_POINTS + 1
-    points or whose bounds rho and T below exceed u A_0 (u = 2**-53; small
+    points or whose bounds E_R and T below exceed u A_0 (u = 2**-53; small
     N(n)), stream through ``_poly_chunk`` as above.  Every partial goes
     through one ``map_reduce_fsum`` in the stream's fixed chunks, so no
     thread count changes a bit.
@@ -1759,18 +1742,17 @@ def polynomial_family(
     |P^(k)(x)|/(k! n) <= Ghat_k = half**-k sum_{j>=k} C(j, k) |G_j|, so,
     coefficient by coefficient, h's series at x is majorized by
     sum_i A_i Ghat(t)**i / i!, and |h^(p)| <= p! [t**p] of that; so
-    |R| <= rho = 2|B_p| (b - a) [t**p] sum_i A_i Ghat(t)**i / i!
-    (``_run_remainder``).  The integral: J = 1, 2, 4, ... (up to
-    _MAX_PANELS) equal panels, each by the Gauss-Legendre rule of
+    |R| <= E_R = 2|B_p| (b - a) [t**p] sum_i A_i Ghat(t)**i / i!
+    (``_run_remainder``).  The integral: the Gauss-Legendre rule of
     N = _GAUSS_NODES nodes, correctly rounded (``_gauss_rule``), on the
-    coefficients of g(mid + half t) of each panel (``_panels``), exact
-    shifts rounded once.  On a panel the exact rule is within
-    half (64/15) M / ((rho**2 - 1) rho**(2N)) of the integral, where M =
-    disc(sum_k |G_k| R**k), R = (rho + 1/rho)/2, bounds f o g on the
-    Bernstein ellipse rho (Trefethen, Approximation Theory and
-    Approximation Practice, Theorem 19.3); T is the panels' sum of its
-    least value over rho = 2, 4, ..., 2**10 (``_rule_bound``), and J is
-    the least with T <= u A_0.
+    coefficients G of g(mid + half t) (``_shift``), exact shifts rounded
+    once.  The exact rule is within half (64/15) M / ((rho**2 - 1)
+    rho**(2N)) of the integral, where M = disc(sum_k |G_k| R**k),
+    R = (rho + 1/rho)/2, bounds f o g on the Bernstein ellipse rho
+    (Trefethen, Approximation Theory and Approximation Practice,
+    Theorem 19.3); T is its least value over rho = 2, 4, ..., 2**10
+    (``_rule_bound``).  For the benchmark's P and every P of the golden
+    argv, each run with E_R <= u A_0 has T <= u A_0 as well.
 
     The bound.  Take e_f, e_d and A_k of the analytic part, A = max A_k,
     gamma(j) = j u / (1 - j u), and |P| the polynomial of P's coefficients'
@@ -1780,28 +1762,27 @@ def polynomial_family(
       Algorithms, 5.1, and the division), so its value is within
       e_f + A_1 (gamma(2q)|P|(i)/n + u) of h(i).  A point outside [0, 1]
       is the stream's own, bit for bit.
-    - The rule on a panel with coefficients G.  The computed coefficients
+    - The rule with coefficients G.  The computed coefficients
       are within u/2 of G_k relative, the nodes within u/2 of t_j, and
       Horner's rule in t adds gamma(2q), so each computed g, clipped into
       [0, 1] (which only brings it nearer), is within
       eps = (gamma(2q) + u) sum_k |G_k| + (u/2) sum_k k |G_k| of g at the
       exact node, and its f within e_f + A_1 eps of h there.  The weight
       half w_j (two roundings) and the product (one) add 1.52 u A_0 half
-      w_j, and the weights sum to 2: the panel's terms, summed exactly,
-      are within 2 half (1.01 (e_f + A_1 eps) + 1.52 u A_0) of the exact
-      rule.  The panels' 2 half add up to b - a.
+      w_j, and the weights sum to 2: the run's terms, summed exactly,
+      are within (b - a) (1.01 (e_f + A_1 eps) + 1.52 u A_0) of the exact
+      rule.
     - Each end's h/2: g there, rounded once, is within u/2, so
       d(0)/2 is within (e_d + A_1 u/2)/2.
     - Each end's Bernoulli terms are within (e_d + 60 u A) H, for
       H = sum_k |B_2k|/(2k) [t**(2k-1)] sum_i Ghat(t)**i / i!: their
       derivatives are within e_d + A u of f^(i), and the rounded series
       products and sums add a relative 55 u of the same majorant.
-    So a run adds E_run = rho + T + (b - a) 1.52 u A_0 +
-    sum_panels 2 half 1.01 (e_f + A_1 eps) + e_d + A_1 u/2 +
-    2 (e_d + 60 u A) H, and the sum, rounded once, is within
+    So a run adds E_run = E_R + T + (b - a) (1.52 u A_0 +
+    1.01 (e_f + A_1 eps)) + e_d + A_1 u/2 + 2 (e_d + 60 u A) H, and the sum, rounded once, is within
     u |sum| + E_s + sum E_run of the exact sum of f(P(i)/n), with E_s the
     streamed points' errors.  For the benchmark's P = 1.3x**2 + 0.7x + 0.2
-    at n = 1e12 (N(n) = 877,057), one run and one panel take every index,
+    at n = 1e12 (N(n) = 877,057), one run takes every index,
     and the bound is about 19 ulp of the sum for sin, 10 for cos, 16 for id
     and 85 for poly:0.5,-1.25,2, most of it the stated error of np.sin and
     worst-case roundings, as the stream's own bound is; measured, the route

@@ -6,7 +6,7 @@ the sums must lie within the bound that ``polynomial_family`` proves plus
 the stream's own, and within a few ulp.  mpmath sums the exact points one by
 one at a few (f, P, n).  The bound is computed here apart from the solver's
 code: the remainder's majorant and the rule's Bernstein bound from the
-panels' coefficients.
+run's shifted coefficients.
 """
 
 import math
@@ -19,7 +19,7 @@ from asymptolim import problems
 from asymptolim.accum import CHUNK
 from asymptolim.cli import resolve_function
 from asymptolim.problems import (_BLOCK_POINTS, _EM_TERMS, _GAUSS_NODES, PolySpec, _derivative,
-                                 _em_runs, _exact_poly, _monotone_runs, _panels, _poly_count,
+                                 _em_runs, _exact_poly, _monotone_runs, _poly_count, _shift,
                                  _poly_eval, _poly_sum, polynomial_family)
 from asymptolim.special import BERNOULLI_2J
 
@@ -80,7 +80,7 @@ def series_power_sum(coeffs, weights, degree):
 
 
 def majorant(G, half):
-    """Ghat_k = half**-k sum_{j>=k} C(j, k) |G_j| for the run's one panel."""
+    """Ghat_k = half**-k sum_{j>=k} C(j, k) |G_j| for the run."""
     q = len(G) - 1
     return [0.0] + [sum(math.comb(j, k) * abs(G[j]) for j in range(k, q + 1)) / half**k
                     for k in range(1, 2 * _EM_TERMS + 3)]
@@ -89,7 +89,7 @@ def majorant(G, half):
 def remainder(A, p, limit, a, b):
     K = _EM_TERMS
     p_ = 2 * K + 2
-    Ghat = majorant(_panels(p, limit, a, b, 1)[0].tolist(), (b - a) / 2)
+    Ghat = majorant(_shift(p, limit, a, b).tolist(), (b - a) / 2)
     top = series_power_sum(Ghat, [A[i] / math.factorial(i) for i in range(p_ + 1)], p_)[p_]
     num, den = BERNOULLI_2J[K]
     return 2 * abs(num) / den * (b - a) * top
@@ -110,19 +110,15 @@ def rule_truncation(part, G, half):
 
 def run_bound(part, p, limit, a, b, G):
     """E_run of polynomial_family's docstring for the run [a, b] and its
-    panels' coefficients G."""
+    shifted coefficients G."""
     e_f, e_d = part.errors[:2]
     A = part.bounds
     q = len(p) - 1
-    J = G.shape[0]
-    half = (b - a) / (2 * J)
-    rule = 0.0
-    for row in G.tolist():
-        eps = (gamma(2 * q) + U) * sum(map(abs, row)) + U / 2 * sum(
-            k * abs(c) for k, c in enumerate(row))
-        rule += 2 * half * 1.01 * (e_f + A[1] * eps) + rule_truncation(part, row, half)
+    G = G.tolist()
+    eps = (gamma(2 * q) + U) * sum(map(abs, G)) + U / 2 * sum(k * abs(c) for k, c in enumerate(G))
+    rule = (b - a) * 1.01 * (e_f + A[1] * eps) + rule_truncation(part, G, (b - a) / 2)
     K = _EM_TERMS
-    Ghat = majorant(_panels(p, limit, a, b, 1)[0].tolist(), (b - a) / 2)
+    Ghat = majorant(_shift(p, limit, a, b).tolist(), (b - a) / 2)
     series = series_power_sum(Ghat, [0.0] + [1 / math.factorial(i) for i in range(1, 2 * K)],
                               2 * K - 1)
     H = sum(abs(num) / (den * 2 * k) * series[2 * k - 1]
