@@ -84,6 +84,32 @@ POLY_RS = ((None, ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2"), POLY_NS),
 SWEEP3_NS = "1000,720720,999983,10000000"
 SWEEP3_GRID = "0.01,0.2,0.25,0.3333333333333333,0.5,0.99"
 
+# sweeps of every problem: the benchmark's shape (7 half-decade n up to 1e6,
+# with 15 drawn grid values), the default grid (its 0.25, 0.5 and 0.75 are
+# ties for example3 at 720720), and n that share a last row, m*m and
+# m*m + 2m, with n = 1, 2, 3
+SWEEP_PROBLEMS = ("canonical-uniform", "example1", "example2", "example3")
+SWEEP_BENCH_NS = "1027,3089,9731,30555,97342,308761,986516"
+SWEEP_DEFAULT_NS = "1000,720720,1000003,1048576"
+SWEEP_ROW_NS = "1,2,3,4,8,1024,1088,1000000,1002000"
+
+
+def sweep_grid(problem: str) -> str:
+    """15 sorted grid values drawn inside the problem's grid domain."""
+    lo, hi = (-1.0, 1.0) if problem == "example2" else (0.0, 1.0)
+    u = np.sort(np.random.default_rng(1).random(15))
+    return ",".join(repr(float(v)) for v in lo + (hi - lo) * (0.01 + 0.98 * u))
+
+
+def sweep_argvs() -> list[list[str]]:
+    out = []
+    for problem in SWEEP_PROBLEMS:
+        for flags in ([f"--n={SWEEP_BENCH_NS}", f"--grid={sweep_grid(problem)}"],
+                      [f"--n={SWEEP_DEFAULT_NS}"], [f"--n={SWEEP_ROW_NS}"]):
+            out += [["sweep", problem, *flags, f"--format={fmt}", f"--threads={t}"]
+                    for fmt in ("json", "csv") for t in (1, 2)]
+    return out
+
 
 def argvs() -> list[list[str]]:
     out = []
@@ -111,7 +137,7 @@ def argvs() -> list[list[str]]:
                 for P in POLY_PS for f in fs for n in ns]
     out += [["sweep", "example3", f"--n={SWEEP3_NS}", f"--grid={SWEEP3_GRID}", f"--threads={t}"]
             for t in (1, 2)]
-    return out
+    return out + sweep_argvs()
 
 
 def platform_digest() -> str:
