@@ -3,7 +3,7 @@
 Probes the point sets of a problem against a limit CDF on a grid, compares
 characteristic functions, applies the countable-boundary continuity-set
 criterion, and checks that variations converge to the variation of the
-limit.  The probe counts through the problem's ``count`` (see
+limit.  The probe counts through the problem's ``counts`` (see
 ``problems.Problem``), which settles exactly, by the problem's ``band`` and
 ``settle`` rule, every point that rounding could have moved across a grid
 value.  A problem is counted by its count rule, or by streaming its n points.
@@ -134,9 +134,10 @@ def cdf_sequence_probe(
     """Evaluate the CDFs of a problem's point sets against the target CDF on
     a grid.
 
-    ``problem.count(n, grid, threads)`` returns, for each grid value t, how
-    many of the n points of the n-th set are <= t, as ``problems.Problem``
-    does; the n-th measure puts weight 1/n on each of its points.
+    ``problem.counts(n_list, grid, threads)`` returns, for each n and grid
+    value t, how many of the n points of the n-th set are <= t, as
+    ``problems.Problem`` does, in one call for the whole sweep; the n-th
+    measure puts weight 1/n on each of its points.
 
     Grid points are expected to be continuity points of the target; as a
     guard, any point where target(x + JUMP_STEP) - target(x - JUMP_STEP)
@@ -154,7 +155,7 @@ def cdf_sequence_probe(
     pts = tuple(float(t) for t in (DEFAULT_GRID if grid is None else grid))
     if not pts:
         raise ValueError("grid must be nonempty")
-    ns = tuple(int(n) for n in n_list)
+    ns = tuple(n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
     targets = tuple(_finite(value, t) for t in pts)
@@ -167,10 +168,12 @@ def cdf_sequence_probe(
     if not included:
         raise ValueError("every grid point sits on a target jump")
 
+    counts = problem.counts(ns, pts, threads)
+    ns = tuple(int(n) for n in ns)
     rows = []
     sups = []
-    for n in ns:
-        row = tuple(float(v) for v in problem.count(n, pts, threads) / n)
+    for n, count in zip(ns, counts):
+        row = tuple(float(v) for v in count / n)
         rows.append(row)
         sups.append(max(abs(row[j] - targets[j]) for j in included))
     decay = tuple(bool(b <= a) for a, b in zip(sups, sups[1:]))

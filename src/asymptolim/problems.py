@@ -6,14 +6,17 @@ exact partial sums reduced by one correctly rounded sum, so results are
 bit-identical for every thread count.  Fractional parts of rationals are
 derived from exact float64 remainders and rounded once.  Every count of points
 <= t (the CDF solvers, the interval proportion, the sweep) is
-``Problem.count``: a count rule, or the stream.  canonical-uniform's rule is
-a few float compares, example1's a floor sum in O(log q) Python-int steps
-for a threshold T = p/q.  example3's points fall along O(sqrt n) blocks of
-indices, so its rule decides only the points next to each block's boundary
-with t, in O(sqrt n) per threshold.  example2's points rise along O(sqrt n)
-rows of k, so its rule counts each row's points inside the level set of t,
-evaluating only those that rounding could put on either side of t, also
-in O(sqrt n) per threshold.  The stream, chunk by chunk, is the oracle.
+``Problem.counts``, one call for the whole n-list of a sweep: a count rule,
+or the stream.  canonical-uniform's rule is a few float compares,
+example1's a floor sum in O(log q) Python-int steps for a threshold T = p/q.
+example3's points fall along O(sqrt n) blocks of indices, so its rule takes
+each block's boundary with t in closed form, from a float guess or, where
+an integer lies within the guess's error, in Python ints, in O(sqrt n) per
+threshold.  example2's points rise along O(sqrt n) rows of k, so its rule
+counts each row's points inside the level set of t, evaluating only those
+that rounding could put on either side of t, also in O(sqrt n) per
+threshold, and walks the rows once for every n of the list.  The stream,
+chunk by chunk, is the oracle.
 Wherever float points stand for exact ones, every point that rounding could
 have moved across t is decided in exact integer arithmetic, so no point is
 misclassified.  The divisor sum takes the hyperbola identity, O(sqrt n), and
@@ -131,8 +134,9 @@ def uniform_cdf() -> SmoothCdf:
     """CDF of the uniform law on [0, 1]."""
 
     def value(t):
-        t = np.asarray(t, dtype=float)
-        out = np.clip(t, 0.0, 1.0)
+        if isinstance(t, numbers.Real):
+            return min(max(float(t), 0.0), 1.0)
+        out = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
     return SmoothCdf(value, HyperBox(0.0, 1.0), quantile=lambda u: u)
@@ -698,12 +702,13 @@ class Problem:
     decides x_i <= T exactly for a Fraction T.  Without a rule the float
     points are the points.
 
-    ``count`` takes a count rule, or the stream.  A problem that counts
-    faster than its stream names its rule: ``count_rule(problem, n, ts,
-    threads)`` returns the int64 counts at the thresholds ``ts``, none of
-    them NaN, and gives the streamed counts.  Every problem in ``PROBLEMS``
-    names one; without one all n points are streamed, and
-    ``dataclasses.replace(problem, count_rule=None)``, the oracle of a
+    ``counts`` takes a count rule, or the stream.  A problem that counts
+    faster than its stream names its rule: ``count_rule(problem, ns, ts,
+    threads)`` returns the int64 counts at the indices ``ns`` and the
+    thresholds ``ts``, none of them NaN, as an array of shape
+    ``(len(ns), len(ts))``, and gives the streamed counts.  Every problem in
+    ``PROBLEMS`` names one; without one the n points of each n are streamed,
+    and ``dataclasses.replace(problem, count_rule=None)``, the oracle of a
     rule, streams.
     """
 
@@ -711,68 +716,71 @@ class Problem:
     limit: Callable[[], SmoothCdf]
     band: Optional[Callable[[int], float]] = None
     settle: Optional[Callable[[int, int, Fraction], bool]] = None
-    count_rule: Optional[Callable[[Problem, int, tuple, int], np.ndarray]] = None
+    count_rule: Optional[Callable[[Problem, tuple, tuple, int], np.ndarray]] = None
 
-    def count(self, n: int, ts: Sequence, threads: int = 1) -> np.ndarray:
-        """#{i in 1..n : x_i <= t} for each threshold t in ``ts``, as int64,
-        by the problem's count rule, or else by ``_stream`` over 1..n.  A NaN
-        threshold raises ValueError before either runs."""
-        n = _check_n(n)
+    def counts(self, ns: Sequence, ts: Sequence, threads: int = 1) -> np.ndarray:
+        """#{i in 1..n : x_i <= t} for each index n in ``ns`` (a row) and
+        threshold t in ``ts`` (a column), as int64, by one call of the
+        problem's count rule, or else by ``_stream`` over 1..n for each n.
+        An n that is not an index (``_check_n``) or a NaN threshold raises
+        ValueError before either runs."""
+        ns = tuple(_check_n(n) for n in ns)
         ts = tuple(ts)
         if any(math.isnan(float(t)) for t in ts):
             raise ValueError("t must be a number, got nan")
+        if not ns:
+            return np.zeros((0, len(ts)), dtype=np.int64)
         if self.count_rule:
-            return self.count_rule(self, n, ts, threads)
-        return self._stream(n, ts, 1, n + 1, threads)
+            return self.count_rule(self, ns, ts, threads)
+        return np.array([self._stream(n, ts, 1, n + 1, threads) for n in ns], dtype=np.int64)
+
+    def count(self, n: int, ts: Sequence, threads: int = 1) -> np.ndarray:
+        """The counts of ``counts`` at the one index n."""
+        return self.counts((n,), ts, threads)[0]
 
     def _stream(self, n: int, ts: tuple, lo: int, hi: int, threads: int) -> np.ndarray:
         """#{i in [lo, hi) : x_i <= t} for each t in ``ts``, as int64, for
-        lo < hi: the points are computed one chunk at a time into the
-        thread's workspace and decided by ``_at_most``, each threshold in
-        turn.  A non-finite point raises ValueError."""
-        tfs = tuple(float(t) for t in ts)
+        lo < hi.  The points are computed one chunk at a time into the
+        thread's workspace and compared with each threshold in turn: without
+        a settle rule, x <= float(t).  With one, a point below tf - w is <= t
+        and one above tf + w is not, for the band w = ``band(stop)`` around
+        tf = float(t); a point in between is settled against T = Fraction(t)
+        (of tf unless t is rational), built only when such a point occurs.
+        A non-finite point raises ValueError."""
+        tfs = [float(t) for t in ts]
+        exact: dict = {}
 
         def chunk(a: int, b: int) -> np.ndarray:
             m = b - a
-            tally = np.empty(len(ts), dtype=np.int64)
+            tally = np.empty(len(tfs), dtype=np.int64)
             with workspace() as ws:
                 x = self.points(n, a, b, out=ws.f[0][:m])
-                mask = ws.mask[:m]
-                if not np.isfinite(x, out=mask).all():
+                le, below = ws.mask[:m], ws.f[1].view(np.bool_)[:m]
+                if not np.isfinite(x, out=le).all():
                     raise ValueError("points must be finite")
-                scratch = ws.f[1].view(np.bool_)[:m]
                 w = self.band(b) if self.settle else 0.0
-                for j, (t, tf) in enumerate(zip(ts, tfs)):
-                    le = self._at_most(n, x, a, t, tf, w, mask, scratch)
-                    tally[j] = np.count_nonzero(le)
+                for j, tf in enumerate(tfs):
+                    tally[j] = np.count_nonzero(np.less_equal(x, tf + w, out=le))
+                    if self.settle and np.count_nonzero(np.less(x, tf - w, out=below)) < tally[j]:
+                        if j not in exact:
+                            exact[j] = _exact(ts[j])
+                        band = np.flatnonzero(np.not_equal(le, below, out=le)).tolist()
+                        tally[j] -= sum(not self.settle(n, a + i, exact[j]) for i in band)
             return tally
 
         return map_reduce_int(chunk, lo, hi, threads=threads)
 
-    def _at_most(self, n, x, index, t, tf, w, out, scratch) -> np.ndarray:
-        """Whether x_i <= t for the rounded point x[j] of each index index[j],
-        or index + j for an int ``index``: into the bool array ``out``, or
-        with a settle rule into ``scratch``, which is returned.  Without a
-        settle rule this is the compare x <= tf.  With one, a point below
-        tf - w is <= t and one above tf + w is not, for the band w around
-        tf; a point in between is settled against T = Fraction(t) (of tf
-        unless t is rational), built only when such a point occurs."""
-        np.less_equal(x, tf + w, out=out)
-        if not self.settle:
-            return out
-        below = np.less(x, tf - w, out=scratch)
-        band = np.flatnonzero(np.not_equal(out, below, out=out))
-        if band.size:
-            ks = band + index if isinstance(index, int) else index[band]
-            T = Fraction(t if isinstance(t, numbers.Rational) else tf)
-            for j, k in zip(band.tolist(), ks.tolist()):
-                below[j] = self.settle(n, k, T)
-        return below
+
+def _exact(t) -> Fraction:
+    """The threshold T that a settle rule decides against: Fraction(t), of
+    float(t) unless t is rational."""
+    return Fraction(t if isinstance(t, numbers.Rational) else float(t))
 
 
 def _per_threshold(count: Callable[[int, object], int]) -> Callable:
-    """The count rule that calls ``count(n, t)`` once per threshold."""
-    return lambda problem, n, ts, threads: np.array([count(n, t) for t in ts], dtype=np.int64)
+    """The count rule that calls ``count(n, t)`` once per index and threshold."""
+    return lambda problem, ns, ts, threads: np.array(
+        [[count(n, t) for t in ts] for n in ns], dtype=np.int64).reshape(len(ns), len(ts))
 
 
 def _floor_sum(N: int, m: int, a: int, b: int) -> int:
@@ -826,107 +834,87 @@ def _sqrt_frac_count(n: int, t) -> int:
     return _floor_sum(M - 1, qq, a, a + p * p) + M + min(n - M * M, (a * M + p * p) // qq)
 
 
-def _first(flips: Callable, lo: np.ndarray, stop: np.ndarray, c: np.ndarray) -> None:
-    """Step each guess c, in place, to the first index of its block
-    [lo, stop) at which ``flips`` holds, or to stop; ``flips(i, cells)``
-    tells for the blocks ``cells`` (a slice of all, or their positions)
-    whether each holds at its index i, and is false, then true, along each
-    block; no block is empty, and lo <= c <= stop.  A guess within one index
-    of its answer takes one step at most.  The first test each way takes
-    every block, at the index to test clipped into it, in a workspace; later
-    tests take the blocks that stepped."""
-    every = slice(None)
-    with workspace(c.size) as ws:
-        i, inside = ws.f[0][: c.size].view(np.int64), ws.mask[: c.size]
-        # back while the index before it flips
-        le = flips(np.maximum(np.subtract(c, 1, out=i), lo, out=i), every)
-        sel = np.flatnonzero(np.logical_and(le, np.greater(c, lo, out=inside), out=inside))
-        while sel.size:
-            c[sel] -= 1
-            sel = sel[c[sel] > lo[sel]]
-            sel = sel[flips(c[sel] - 1, sel)]
-        # on while it does not flip
-        le = flips(np.minimum(np.subtract(stop, 1, out=i), c, out=i), every)
-        np.logical_not(le, out=le)
-        sel = np.flatnonzero(np.logical_and(le, np.less(c, stop, out=inside), out=inside))
-        while sel.size:
-            c[sel] += 1
-            sel = sel[c[sel] < stop[sel]]
-            sel = sel[np.logical_not(flips(c[sel], sel))]
+# A block's boundary ceil(y) is taken from the float guess y where no integer
+# lies within y * _BOUNDARY_MARGIN of it (see _reciprocal_frac_count)
+_BOUNDARY_MARGIN = 2.0**-50
 
 
-def _reciprocal_frac_count(problem: Problem, n: int, ts: tuple, threads: int) -> np.ndarray:
-    """example3's count rule: #{1 <= i <= n : {n/i} <= t} for each t in
-    ``ts``, as int64, in O(sqrt n) per threshold.
+def _reciprocal_frac_count(problem: Problem, ns: tuple, ts: tuple, threads: int) -> np.ndarray:
+    """example3's count rule: #{1 <= i <= n : {n/i} <= T} for each n in
+    ``ns`` and t in ``ts``, as int64, for T = Fraction(t) (of float(t) unless
+    t is rational), in O(sqrt n) per threshold.  The stream decides the same
+    exact points: each {n/i} is correctly rounded and rounding is monotone,
+    so a point below float(t) is below T, one above it is above T, and one
+    equal to it is settled against T.
 
-    Indices up to s = isqrt(n) are streamed.  Above s the quotient Q = n//i
-    takes at most s values: on block Q, i in (max(n//(Q+1), s), n//Q],
-    {n/i} = n/i - Q falls, and is <= T exactly for i >= y = n/(Q+T), so the
-    points <= t fill a suffix of the block.  The guess
-    ceil(fl(n / fl(Q + tau))), for tau = float(t) clipped to [0, 1], takes
-    two roundings of relative error at most 2**-53 each, and for a rational
-    T the rounding of tau = fl(T), which moves Q + T by at most T * 2**-53;
-    for n <= 2**52, y <= 2**52/(Q+T), so the guess is within one index of
-    ceil(y).  (Where Q + tau rounds to Q, tau <= 2**-53 and the division by
-    Q is exact for Q = 1, so the bound still holds.)  ``_first`` then
-    settles each boundary on the points next to the guess, decided as the
-    stream decides them: each {n/i} is correctly rounded, so it is compared
-    with float(t), and one equal to it is settled against T = Fraction(t)
-    (of float(t) unless t is rational).
+    Every point is in [0, 1), so T < 0 counts none and T >= 1 all n.  For
+    0 <= T < 1, indices up to s = isqrt(n) are streamed.  Above s the
+    quotient Q = n//i takes the values 1..n//(s+1): block Q holds the i in
+    (n//(Q+1), n//Q], and these blocks cover s < i <= n, as n//(Q+1) >= s
+    for every such Q.  (With n = (s+1)q + r, 0 <= r <= s and Q <= q, that
+    needs s <= q + r: q >= s - 1 as n >= s*s, and q = s - 1 forces r >= 1.)
+    On block Q, {n/i} = n/i - Q falls, and is <= T exactly for
+    i >= n/(Q+T), so the block holds n//Q + 1 - ceil(n/(Q+T)) points <= T;
+    n/(Q+1) < n/(Q+T) <= n/Q puts ceil(n/(Q+T)) in the block or just past it.
 
-    The T thresholds go together: blocks go ``CHUNK // T`` at a time through
-    ``map_reduce_int``, and each chunk guesses and steps its (threshold x
-    block) cells in one ``_first``, in the thread's workspaces, so memory is
-    O(CHUNK) at any n.
+    The boundary.  With tau = fl(T), the guess is y = fl(n / fl(Q + tau)).
+    tau is within T 2**-53 of T (within 2**-1075 where it is subnormal), so
+    Q + tau is within (Q + T) 2**-53 of Q + T, and each of the two roundings
+    adds a relative error of at most 2**-53: y is within about 3 y 2**-53 <
+    y 2**-51 of x = n/(Q+T).  The float ends y - y * 2**-50 and
+    y + y * 2**-50 (``_BOUNDARY_MARGIN``; y * 2**-50 is exact) move by at
+    most half an ulp of y, y 2**-53, when rounded, so they still enclose
+    both x and y.  Where no integer lies between them, that is where
+    floor(y + y * 2**-50) < y - y * 2**-50, no integer lies between x and y
+    either, and ceil(x) = ceil(y) = floor(y + y * 2**-50) + 1: no point is
+    evaluated.  Elsewhere, at a tie such as t = 1/2 at n = 720720 or a y
+    within y 2**-50 of an integer, the boundary is ceil(n d / (Q d + p)) for
+    T = p/d, in Python ints.
+
+    The T thresholds in [0, 1) go together: blocks go ``CHUNK // T`` at a
+    time through ``map_reduce_int``, each chunk as (threshold x block)
+    arrays in the thread's workspaces, so memory is O(CHUNK) at any n.
     """
-    s = math.isqrt(n)
-    T = len(ts)
-    tf = np.array([float(t) for t in ts])
-    tau = np.clip(tf, 0.0, 1.0)[:, None]
+    counts = np.zeros((len(ns), len(ts)), dtype=np.int64)
+    # each t as a float, or as a Fraction where it is rational
+    exact = [Fraction(t) if isinstance(t, numbers.Rational) else float(t) for t in ts]
+    counts[:, [T >= 1 for T in exact]] = np.array(ns, dtype=np.int64)[:, None]
+    cols = [j for j, T in enumerate(exact) if 0 <= T < 1]
+    if not cols:
+        return counts
+    inside = tuple(ts[j] for j in cols)
+    tau = np.array([float(exact[j]) for j in cols])[:, None]
+    ratios = [exact[j].as_integer_ratio() for j in cols]
+    width = max(1, CHUNK // len(cols))
 
-    def chunk(a: int, b: int) -> np.ndarray:
-        R = b - a
-        size = R * T
-        exact: dict = {}
-        # block numbers and bounds; the cells' bounds and guesses; the
-        # guesses as floats and the points tested, and the cells' thresholds
-        with workspace(R) as wb, workspace(size) as wc, workspace(size) as wx:
-            q, lo, stop = (f[:R].view(np.int64) for f in wb.f)
-            _indices(a, b, q)
-            np.floor_divide(n, np.add(q, 1, out=lo), out=lo)
-            np.add(np.maximum(lo, s, out=lo), 1, out=lo)
-            np.add(np.floor_divide(n, q, out=stop), 1, out=stop)
-            cell_lo, cell_stop, c = (f[:size].view(np.int64).reshape(T, R) for f in wc.f)
-            cell_lo[:] = lo
-            cell_stop[:] = stop
-            x, tcell = (f[:size].reshape(T, R) for f in wx.f[:2])
-            tcell[:] = tf[:, None]
-            guess = np.add(q, tau, out=x)
-            np.ceil(np.divide(n, guess, out=guess), out=guess)
-            np.copyto(c, guess, casting="unsafe")
-            np.clip(c, cell_lo, cell_stop, out=c)
-            x, tcell = x.ravel(), tcell.ravel()
+    for row, n in enumerate(ns):
+        s = math.isqrt(n)
 
-            def flips(i: np.ndarray, cells) -> np.ndarray:
-                # whether each point is <= its cell's t, that is in the suffix
-                k = i.size
-                y = _reciprocal_frac_at(n, i, x[:k])
-                tc = tcell[cells]
-                le = np.less_equal(y, tc, out=wx.mask[:k])
-                for j in np.flatnonzero(y == tc).tolist():
-                    row = (j if isinstance(cells, slice) else int(cells[j])) // R
-                    if row not in exact:
-                        t = ts[row]
-                        exact[row] = Fraction(t if isinstance(t, numbers.Rational) else tf[row])
-                    le[j] = problem.settle(n, int(i[j]), exact[row])
-                return le
+        def chunk(a: int, b: int) -> np.ndarray:
+            R = b - a
+            size = R * len(cols)
+            # block numbers, as ints and floats; the guesses y, y * margin
+            # and floor(y + y * margin), then the boundaries less one
+            with workspace(R) as wb, workspace(size) as wc:
+                q = _indices(a, b, wb.f[0][:R].view(np.int64))
+                tops = int(np.floor_divide(n, q, out=wb.f[1][:R].view(np.int64)).sum())
+                y, d, top = (f[:size].reshape(-1, R) for f in wc.f)
+                np.add(_indices(a, b, wb.f[2][:R]), tau, out=y)
+                np.divide(n, y, out=y)
+                np.multiply(y, _BOUNDARY_MARGIN, out=d)
+                np.floor(np.add(y, d, out=top), out=top)
+                near = np.greater_equal(top, np.subtract(y, d, out=d), out=wc.mask[:size].reshape(-1, R))
+                c = d.view(np.int64)
+                np.copyto(c, top, casting="unsafe")
+                if near.any():
+                    for j, r in zip(*np.nonzero(near)):
+                        p, den = ratios[j]
+                        c[j, r] = -(-n * den // ((a + int(r)) * den + p)) - 1
+                return tops - c.sum(axis=1)
 
-            _first(flips, cell_lo.ravel(), cell_stop.ravel(), c.ravel())
-            return np.subtract(cell_stop, c, out=c).sum(axis=1)
-
-    width = max(1, CHUNK // max(T, 1))
-    blocks = map_reduce_int(chunk, 1, n // (s + 1) + 1, threads=threads, chunk=width)
-    return problem._stream(n, ts, 1, s + 1, threads) + blocks
+        blocks = map_reduce_int(chunk, 1, n // (s + 1) + 1, threads=threads, chunk=width)
+        counts[row, cols] = problem._stream(n, inside, 1, s + 1, threads) + blocks
+    return counts
 
 
 # The stated bounds of example2's count rule, each checked against mpmath by
@@ -957,12 +945,13 @@ def _row_edge(twom, c, top: int, bound, out: np.ndarray, down: bool) -> np.ndarr
     return np.minimum(np.ceil(np.add(g, slack, out=g), out=g), bound, out=g)
 
 
-def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int = 1) -> np.ndarray:
+def _sin_count(problem: Problem, ns: tuple, ts: tuple, threads: int, first_row: int = 1) -> np.ndarray:
     """example2's count rule: #{k <= n : s_k <= float(t)} for the stream's
     points s_k = np.sin(fl(fl(sqrt k) - m) * fl(2*pi)), m = isqrt(k), for
-    each t in ``ts``, as int64; over the k >= first_row**2 alone when
-    ``first_row``, at most isqrt(n), is given.  It counts by rows and evaluates only the points
-    that rounding could put on either side of t.
+    each n in ``ns`` and t in ``ts``, as int64; over the k >= first_row**2
+    alone when ``first_row``, at most isqrt(n) for every n, is given.  It
+    counts by rows and evaluates only the points that rounding could put on
+    either side of t.
 
     Row m holds k = m*m + j for 0 <= j <= J = min(2m, n - m*m).  The exact
     point u_j = sqrt(m*m + j) - m rises with j, and for c >= 0, u_j <= c
@@ -1024,38 +1013,56 @@ def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int
     u_j within C_m (and the slack) of 3/4, those within about 1.4e-8 m of
     g(3/4), in place of about 2m sqrt(2 E_m)/pi.
 
-    Rows go ``CHUNK // T`` at a time, for the T thresholds in [-1, 1),
-    through ``map_reduce_int``, each chunk as (threshold x row) arrays in
-    the thread's workspaces, and the gap points one offset from the gap's
-    start at a time, for all the chunk's gaps at once, so memory is
-    O(CHUNK) at any n.
+    One pass for the whole n-list.  Row m is the same whole row, j from 0
+    to 2m, for every n with M = isqrt(n) > m, so the rows first_row..max M
+    are walked once and each row's count is kept per threshold; n takes the
+    sum of the rows below its M, a prefix sum, and its last row M cut at
+    J = n - M*M, counted as one more row of the same chunk.  The rows go
+    ``CHUNK // T - len(ns)`` at a time, for the T thresholds in [-1, 1),
+    through ``map_reduce_int``, each chunk, with the last rows in it, as
+    (threshold x row) arrays in the thread's workspaces, and the gap points
+    one offset from the gap's start at a time, for all the chunk's gaps at
+    once, so memory is O(CHUNK) at any n.
     """
     tf = np.array([float(t) for t in ts])
-    counts = np.where(tf >= 1.0, n - first_row * first_row + 1, 0).astype(np.int64)
+    nn = np.array(ns, dtype=np.int64)
+    top = np.array([math.isqrt(n) for n in ns], dtype=np.int64)
+    counts = np.zeros((nn.size, tf.size), dtype=np.int64)
+    counts[:, tf >= 1.0] = (nn - first_row * first_row + 1)[:, None]
     rows = (tf >= -1.0) & (tf < 1.0)
     tf = tf[rows]
     floor = tf == -1.0
     T = tf.size
     if not T:
         return counts
+    # each n's last row, and the j that it holds past j = 0, as float64
+    last, partial = top.astype(np.float64), (nn - top * top).astype(np.float64)
 
     def chunk(a: int, b: int) -> np.ndarray:
         R = b - a
-        tally = np.zeros(T)
+        # the rows a..b-1, whole, then the last rows in [a, b), cut at J
+        cut = np.flatnonzero((top >= a) & (top < b))
+        W = R + cut.size
         # E_m of the last row, m = b - 1
         E = 2.0**-49 * (b + 1) + _SIN_ERROR
         lo, hi = (np.arcsin(np.clip(tf[:, None] + d, -1.0, 1.0)) / (2.0 * math.pi) for d in (-E, E))
         # at t = -1 a point equal to -1.0 lies within C_m of u = 3/4
         hi[floor] = np.minimum(hi[floor], _FLOOR_WINDOW + 2.0**-53 * (b + 3) - 0.25)
         s = _ALPHA_SLACK
-        with workspace(R) as wr, workspace(R * T) as wc:
-            m = _indices(a, b, wr.f[0][:R])
-            msq = np.multiply(m, m, out=wr.f[2][:R])
-            J1 = np.subtract(float(n), msq, out=wr.f[1][:R])
+        with workspace(W) as wr, workspace(W * T) as wc, workspace(W * T) as wt:
+            m = wr.f[0][:W]
+            _indices(a, b, m[:R])
+            m[R:] = last[cut]
+            msq = np.multiply(m, m, out=wr.f[2][:W])
             twom = np.multiply(m, 2.0, out=m)
-            np.add(np.minimum(J1, twom, out=J1), 1.0, out=J1)
-            A, B, C = (f[: R * T].reshape(T, R) for f in wc.f)
-            gap = wc.mask[: R * T].reshape(T, R)
+            # J + 1 points in each row: 2m + 1 in a whole one
+            J1 = wr.f[1][:W]
+            np.add(twom[:R], 1.0, out=J1[:R])
+            np.add(partial[cut], 1.0, out=J1[R:])
+            A, B, C = (f[: W * T].reshape(T, W) for f in wc.f)
+            gap = wc.mask[: W * T].reshape(T, W)
+            tally = wt.f[0][: W * T].reshape(T, W)
+            tally.fill(0.0)
 
             def evaluate(first: np.ndarray, stop: np.ndarray) -> None:
                 # the gap points first <= j < stop, one offset j - first at
@@ -1064,12 +1071,12 @@ def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int
                 k = np.add(first, msq, out=first)
                 while np.greater(left, 0.0, out=gap).any():
                     count = np.count_nonzero(gap)
-                    with workspace(count) as wk, workspace(R * T) as wy:
+                    with workspace(count) as wk, workspace(W * T) as wy:
                         x = np.compress(gap.ravel(), k.ravel(), out=wk.f[0][:count])
-                        y = wy.f[0][: R * T].reshape(T, R)
+                        y = wy.f[0][: W * T].reshape(T, W)
                         np.place(y, gap, _sin_2pi_sqrt_frac(x, wk.f[2][:count], wk))
-                        le = np.less_equal(y, tf[:, None], out=wy.mask[: R * T].reshape(T, R))
-                        np.add(tally, np.logical_and(le, gap, out=le).sum(axis=1), out=tally)
+                        le = np.less_equal(y, tf[:, None], out=wy.mask[: W * T].reshape(T, W))
+                        np.add(tally, np.logical_and(le, gap, out=le), out=tally)
                     k += 1.0
                     left -= 1.0
 
@@ -1080,17 +1087,24 @@ def _sin_count(problem: Problem, n: int, ts: tuple, threads: int, first_row: int
                 return _row_edge(twom, c, b - 1, J1, out, False)
 
             # along each row: in, W1, out, W2, in, W3, out
-            tally += end(lo - s, A).sum(axis=1)  # in: j < A
+            tally += end(lo - s, A)  # in: j < A
             evaluate(A, start(hi + s, B))  # W1 = [A, B); out from B
             np.maximum(end(0.5 - hi - s, A), B, out=A)  # out ends before A
             evaluate(A, start(0.5 - lo + s, B))  # W2 = [A, B); in from B
             end(1.0 + lo - s, A)  # in: B <= j < A
-            tally += np.maximum(np.subtract(A, B, out=C), 0.0, out=C).sum(axis=1)
+            tally += np.maximum(np.subtract(A, B, out=C), 0.0, out=C)
             evaluate(np.maximum(A, B, out=A), start(1.0 + hi + s, B))  # W3; out from B
-        return tally.astype(np.int64)
+            # each n takes the whole rows below its last row, and that row cut
+            whole = wt.f[1][: T * (R + 1)].reshape(T, R + 1)
+            whole[:, 0] = 0.0
+            np.cumsum(tally[:, :R], axis=1, out=whole[:, 1:])
+            out = whole[:, np.clip(top - a, 0, R)].T
+            out[cut] += tally[:, R:].T
+        return out.astype(np.int64)
 
-    width = max(1, CHUNK // T)
-    counts[rows] = map_reduce_int(chunk, first_row, math.isqrt(n) + 1, threads=threads, chunk=width)
+    # a chunk's rows and the last rows in it fill at most CHUNK cells
+    width = max(1, CHUNK // T - nn.size)
+    counts[:, rows] = map_reduce_int(chunk, first_row, int(top.max()) + 1, threads=threads, chunk=width)
     return counts
 
 
@@ -1814,7 +1828,16 @@ _MAX_INDEX = 2**52
 
 
 def _check_n(n, limit: float = _MAX_INDEX) -> int:
-    n = int(n)
+    """n as an int, for an integral n (an int, or an integral float such as
+    1e6) from 1 to ``limit``; ValueError for anything else, a fractional or
+    non-finite n too."""
+    try:
+        k = int(n)
+    except (OverflowError, ValueError):
+        raise ValueError(f"n must be a finite integer, got {n!r}") from None
+    if k != n:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    n = k
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > limit:

@@ -4,6 +4,7 @@ variation estimator call them once per level; the per-element route,
 forced by a callback that takes floats only, is the oracle of both."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,3 +134,19 @@ def test_phi_is_called_once_per_level(name):
     variation(phi, window)
     assert len(phi.sizes) >= 3
     assert phi.sizes == [5] + [2 ** (depth - 1) for depth in range(3, len(phi.sizes) + 2)]
+
+
+def test_uniform_scalar_clamp_keeps_the_bits_of_the_array_clamp():
+    # a scalar is clamped by min and max, an array still by np.clip; both
+    # give the bits np.clip gives the scalar as a 0-d array
+    value = resolve_cdf("uniform").value
+    scalars = EDGES + (math.nan, -math.nan, 2.0**-1074 * 3, -(2.0**-1030), 2.0**-1022,
+                       math.nextafter(0.0, -1.0), -0.5, math.nextafter(1.0, 2.0), 1.5,
+                       np.float64(-0.0), np.float64(math.nan), 7, -3, Fraction(1, 3))
+    for t in scalars:
+        got = value(t)
+        assert type(got) is float
+        assert bits(got) == bits(float(np.clip(np.asarray(t, dtype=float), 0.0, 1.0))), t
+    x = np.array([float(t) for t in scalars])
+    assert bits(value(x)) == bits(np.clip(x, 0.0, 1.0))
+    assert bits(value(x)) == bits([value(t) for t in x.tolist()])

@@ -23,13 +23,15 @@ from asymptolim import (
 )
 from asymptolim.accum import CHUNK
 from asymptolim.problems import (
+    PROBLEMS,
     _poly_count,
     _poly_eval,
     _sqrt_frac_chunk,
     reciprocal_frac_boundary,
     reciprocal_frac_map,
+    uniform_cdf,
 )
-from asymptolim.convergence import continuity_set_check
+from asymptolim.convergence import cdf_sequence_probe, continuity_set_check
 
 
 class TestSqrtFracCdf:
@@ -499,3 +501,29 @@ class TestIndexDomain:
         spec = PolySpec((1.0, 0.0, 0.0, 0.0), 3, 1.0, lambda x: x)
         with pytest.raises(AssertionError, match="chunk loop reached"):
             polynomial_family(spec, 2**53)
+
+
+class TestNonIntegralIndices:
+    """A fractional or non-finite n raises ValueError: int(n) counted n = 2.9
+    as 2 and overflowed at an infinite n.  An integral float such as 1e6 is
+    an index."""
+
+    BAD = (2.9, 2.5, 1.5, 0.5, 1e6 + 0.5, math.inf, -math.inf, math.nan, Fraction(5, 2))
+
+    @pytest.mark.parametrize("n", BAD, ids=repr)
+    def test_rejected_by_count_a_solver_and_the_probe(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            PROBLEMS["example3"].count(n, (0.5,))
+        with pytest.raises(ValueError, match="integer"):
+            sequence_average(n, math.sin)
+        with pytest.raises(ValueError, match="integer"):
+            cdf_sequence_probe(PROBLEMS["example1"], uniform_cdf(), n_list=[n])
+
+    def test_integral_values_are_indices(self):
+        problem = PROBLEMS["example3"]
+        want = problem.count(10**6, (0.5,)).tolist()
+        for n in (1e6, np.float64(1e6), np.int64(10**6), Fraction(10**6)):
+            assert problem.count(n, (0.5,)).tolist() == want
+        assert sequence_average(1e3, math.sin) == sequence_average(1000, math.sin)
+        report = cdf_sequence_probe(PROBLEMS["example1"], uniform_cdf(), n_list=[10.0, 1e3])
+        assert report.n_list == (10, 1000) and all(type(n) is int for n in report.n_list)

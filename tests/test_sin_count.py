@@ -215,7 +215,7 @@ class TestLastRows:
         n = M * M + CHUNK + 3
         ts = last_row_thresholds(n, M, np.random.default_rng(52), EDGES + EDGES_NEAR_1)
         want = STREAMED._stream(n, ts, M * M, n + 1, 1)
-        assert _sin_count(PROBLEM, n, ts, threads, first_row=M).tolist() == want.tolist()
+        assert _sin_count(PROBLEM, (n,), ts, threads, first_row=M)[0].tolist() == want.tolist()
 
 
 class TestLevelsOutsideTheRange:
@@ -230,7 +230,7 @@ class TestLevelsOutsideTheRange:
         ts = self.OUTSIDE + (-1.0, math.nextafter(-1.0, 0.0), 0.0, 1 - 2**-53)
         assert PROBLEM.count(n, ts).tolist() == STREAMED.count(n, ts).tolist()
         M = math.isqrt(n)
-        got = _sin_count(PROBLEM, n, ts, 1, first_row=M)
+        got = _sin_count(PROBLEM, (n,), ts, 1, first_row=M)[0]
         assert got.tolist() == STREAMED._stream(n, ts, M * M, n + 1, 1).tolist()
 
     def test_minus_one_counts_the_points_equal_to_it(self):
@@ -241,9 +241,9 @@ class TestLevelsOutsideTheRange:
         n = M * M + j + 1000
         want = STREAMED._stream(n, ts, M * M, n + 1, 1)
         assert want[0] == 1
-        assert _sin_count(PROBLEM, n, ts, 1, first_row=M).tolist() == want.tolist()
+        assert _sin_count(PROBLEM, (n,), ts, 1, first_row=M)[0].tolist() == want.tolist()
         for stop, count in ((M * M + j - 1, 0), (M * M + j, 1)):
-            assert _sin_count(PROBLEM, stop, (-1.0,), 1, first_row=M)[0] == count
+            assert _sin_count(PROBLEM, (stop,), (-1.0,), 1, first_row=M)[0][0] == count
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_minus_one_agrees_with_the_wide_gaps_near_2_52(self, threads, monkeypatch):
@@ -253,9 +253,9 @@ class TestLevelsOutsideTheRange:
         M = TOP - 64
         n = TOP * TOP - 1
         ts = (-1.0, math.nextafter(-1.0, 0.0), 0.0)
-        got = _sin_count(PROBLEM, n, ts, threads, first_row=M)
+        got = _sin_count(PROBLEM, (n,), ts, threads, first_row=M)[0]
         monkeypatch.setattr(problems, "_FLOOR_WINDOW", 1.0)
-        wide = _sin_count(PROBLEM, n, ts, threads, first_row=M)
+        wide = _sin_count(PROBLEM, (n,), ts, threads, first_row=M)[0]
         assert got.tolist() == wide.tolist() and got[0] == 64
 
     def test_minus_one_evaluates_few_points(self, monkeypatch):
