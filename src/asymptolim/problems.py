@@ -748,7 +748,6 @@ class Problem:
         (of tf unless t is rational), built only when such a point occurs.
         A non-finite point raises ValueError."""
         tfs = [float(t) for t in ts]
-        exact: dict = {}
 
         def chunk(a: int, b: int) -> np.ndarray:
             m = b - a
@@ -762,19 +761,12 @@ class Problem:
                 for j, tf in enumerate(tfs):
                     tally[j] = np.count_nonzero(np.less_equal(x, tf + w, out=le))
                     if self.settle and np.count_nonzero(np.less(x, tf - w, out=below)) < tally[j]:
-                        if j not in exact:
-                            exact[j] = _exact(ts[j])
+                        T = Fraction(ts[j] if isinstance(ts[j], numbers.Rational) else tf)
                         band = np.flatnonzero(np.not_equal(le, below, out=le)).tolist()
-                        tally[j] -= sum(not self.settle(n, a + i, exact[j]) for i in band)
+                        tally[j] -= sum(not self.settle(n, a + i, T) for i in band)
             return tally
 
         return map_reduce_int(chunk, lo, hi, threads=threads)
-
-
-def _exact(t) -> Fraction:
-    """The threshold T that a settle rule decides against: Fraction(t), of
-    float(t) unless t is rational."""
-    return Fraction(t if isinstance(t, numbers.Rational) else float(t))
 
 
 def _per_threshold(count: Callable[[int, object], int]) -> Callable:
@@ -1018,7 +1010,7 @@ def _sin_count(problem: Problem, ns: tuple, ts: tuple, threads: int, first_row: 
     are walked once and each row's count is kept per threshold; n takes the
     sum of the rows below its M, a prefix sum, and its last row M cut at
     J = n - M*M, counted as one more row of the same chunk.  The rows go
-    ``CHUNK // T - len(ns)`` at a time, for the T thresholds in [-1, 1),
+    ``CHUNK // T - len(ns) - 1`` at a time, for the T thresholds in [-1, 1),
     through ``map_reduce_int``, each chunk, with the last rows in it, as
     (threshold x row) arrays in the thread's workspaces, and the gap points
     one offset from the gap's start at a time, for all the chunk's gaps at
@@ -1049,7 +1041,7 @@ def _sin_count(problem: Problem, ns: tuple, ts: tuple, threads: int, first_row: 
         # at t = -1 a point equal to -1.0 lies within C_m of u = 3/4
         hi[floor] = np.minimum(hi[floor], _FLOOR_WINDOW + 2.0**-53 * (b + 3) - 0.25)
         s = _ALPHA_SLACK
-        with workspace(W) as wr, workspace(W * T) as wc, workspace(W * T) as wt:
+        with workspace(W) as wr, workspace(W * T) as wc, workspace((W + 1) * T) as wt:
             m = wr.f[0][:W]
             _indices(a, b, m[:R])
             m[R:] = last[cut]
@@ -1102,8 +1094,9 @@ def _sin_count(problem: Problem, ns: tuple, ts: tuple, threads: int, first_row: 
             out[cut] += tally[:, R:].T
         return out.astype(np.int64)
 
-    # a chunk's rows and the last rows in it fill at most CHUNK cells
-    width = max(1, CHUNK // T - nn.size)
+    # a chunk's rows, the last rows in it and one more column (the prefix
+    # sums' leading zero) fill at most CHUNK cells
+    width = max(1, CHUNK // T - nn.size - 1)
     counts[:, rows] = map_reduce_int(chunk, first_row, int(top.max()) + 1, threads=threads, chunk=width)
     return counts
 
