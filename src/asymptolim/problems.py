@@ -1010,51 +1010,48 @@ def _sin_count(problem: Problem, ns: tuple, ts: tuple, threads: int, first_row: 
     are walked once and each row's count is kept per threshold; n takes the
     sum of the rows below its M, a prefix sum, and its last row M cut at
     J = n - M*M, counted as one more row of the same chunk.  The rows go
-    ``CHUNK // T - len(ns) - 1`` at a time, for the T thresholds in [-1, 1),
+    ``CHUNK // T - len(ns)`` at a time, for the T thresholds in [-1, 1),
     through ``map_reduce_int``, each chunk, with the last rows in it, as
     (threshold x row) arrays in the thread's workspaces, and the gap points
     one offset from the gap's start at a time, for all the chunk's gaps at
     once, so memory is O(CHUNK) at any n.
     """
     tf = np.array([float(t) for t in ts])
-    nn = np.array(ns, dtype=np.int64)
-    top = np.array([math.isqrt(n) for n in ns], dtype=np.int64)
-    counts = np.zeros((nn.size, tf.size), dtype=np.int64)
-    counts[:, tf >= 1.0] = (nn - first_row * first_row + 1)[:, None]
+    counts = np.zeros((len(ns), tf.size), dtype=np.int64)
+    counts[:, tf >= 1.0] = np.array([[n - first_row * first_row + 1] for n in ns])
     rows = (tf >= -1.0) & (tf < 1.0)
     tf = tf[rows]
     floor = tf == -1.0
     T = tf.size
     if not T:
         return counts
-    # each n's last row, and the j that it holds past j = 0, as float64
-    last, partial = top.astype(np.float64), (nn - top * top).astype(np.float64)
+    # each n's last row M
+    top = [math.isqrt(n) for n in ns]
 
     def chunk(a: int, b: int) -> np.ndarray:
         R = b - a
         # the rows a..b-1, whole, then the last rows in [a, b), cut at J
-        cut = np.flatnonzero((top >= a) & (top < b))
-        W = R + cut.size
+        cut = [i for i, M in enumerate(top) if a <= M < b]
+        W = R + len(cut)
         # E_m of the last row, m = b - 1
         E = 2.0**-49 * (b + 1) + _SIN_ERROR
         lo, hi = (np.arcsin(np.clip(tf[:, None] + d, -1.0, 1.0)) / (2.0 * math.pi) for d in (-E, E))
         # at t = -1 a point equal to -1.0 lies within C_m of u = 3/4
         hi[floor] = np.minimum(hi[floor], _FLOOR_WINDOW + 2.0**-53 * (b + 3) - 0.25)
         s = _ALPHA_SLACK
-        with workspace(W) as wr, workspace(W * T) as wc, workspace((W + 1) * T) as wt:
+        with workspace(W) as wr, workspace(W * T) as wc, workspace(W * T) as wt:
             m = wr.f[0][:W]
             _indices(a, b, m[:R])
-            m[R:] = last[cut]
+            m[R:] = [top[i] for i in cut]
             msq = np.multiply(m, m, out=wr.f[2][:W])
             twom = np.multiply(m, 2.0, out=m)
             # J + 1 points in each row: 2m + 1 in a whole one
             J1 = wr.f[1][:W]
             np.add(twom[:R], 1.0, out=J1[:R])
-            np.add(partial[cut], 1.0, out=J1[R:])
+            J1[R:] = [ns[i] - top[i] * top[i] + 1 for i in cut]
             A, B, C = (f[: W * T].reshape(T, W) for f in wc.f)
             gap = wc.mask[: W * T].reshape(T, W)
             tally = wt.f[0][: W * T].reshape(T, W)
-            tally.fill(0.0)
 
             def evaluate(first: np.ndarray, stop: np.ndarray) -> None:
                 # the gap points first <= j < stop, one offset j - first at
@@ -1068,7 +1065,7 @@ def _sin_count(problem: Problem, ns: tuple, ts: tuple, threads: int, first_row: 
                         y = wy.f[0][: W * T].reshape(T, W)
                         np.place(y, gap, _sin_2pi_sqrt_frac(x, wk.f[2][:count], wk))
                         le = np.less_equal(y, tf[:, None], out=wy.mask[: W * T].reshape(T, W))
-                        np.add(tally, np.logical_and(le, gap, out=le), out=tally)
+                        np.add(tally, 1.0, out=tally, where=np.logical_and(le, gap, out=le))
                     k += 1.0
                     left -= 1.0
 
@@ -1079,25 +1076,31 @@ def _sin_count(problem: Problem, ns: tuple, ts: tuple, threads: int, first_row: 
                 return _row_edge(twom, c, b - 1, J1, out, False)
 
             # along each row: in, W1, out, W2, in, W3, out
-            tally += end(lo - s, A)  # in: j < A
+            np.copyto(tally, end(lo - s, A))  # in: j < A
             evaluate(A, start(hi + s, B))  # W1 = [A, B); out from B
             np.maximum(end(0.5 - hi - s, A), B, out=A)  # out ends before A
             evaluate(A, start(0.5 - lo + s, B))  # W2 = [A, B); in from B
             end(1.0 + lo - s, A)  # in: B <= j < A
             tally += np.maximum(np.subtract(A, B, out=C), 0.0, out=C)
             evaluate(np.maximum(A, B, out=A), start(1.0 + hi + s, B))  # W3; out from B
-            # each n takes the whole rows below its last row, and that row cut
-            whole = wt.f[1][: T * (R + 1)].reshape(T, R + 1)
-            whole[:, 0] = 0.0
-            np.cumsum(tally[:, :R], axis=1, out=whole[:, 1:])
-            out = whole[:, np.clip(top - a, 0, R)].T
-            out[cut] += tally[:, R:].T
+            # each n takes the k whole rows of the chunk below its last row,
+            # summed between the distinct k > 0, and that last row cut
+            ks = [min(max(M - a, 0), R) for M in top]
+            ends = sorted(set(ks) - {0})
+            out = np.zeros((len(ks), T))
+            if ends:
+                whole = np.add.reduceat(tally[:, : ends[-1]], [0] + ends[:-1], axis=1).cumsum(axis=1)
+                at = {k: j for j, k in enumerate(ends)}
+                for i, k in enumerate(ks):
+                    if k:
+                        out[i] = whole[:, at[k]]
+            for i, last_row in zip(cut, tally[:, R:].T):
+                out[i] += last_row
         return out.astype(np.int64)
 
-    # a chunk's rows, the last rows in it and one more column (the prefix
-    # sums' leading zero) fill at most CHUNK cells
-    width = max(1, CHUNK // T - nn.size - 1)
-    counts[:, rows] = map_reduce_int(chunk, first_row, int(top.max()) + 1, threads=threads, chunk=width)
+    # a chunk's rows and the last rows in it fill at most CHUNK cells
+    width = max(1, CHUNK // T - len(ns))
+    counts[:, rows] = map_reduce_int(chunk, first_row, max(top) + 1, threads=threads, chunk=width)
     return counts
 
 
