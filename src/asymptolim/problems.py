@@ -740,33 +740,51 @@ class Problem:
 
     def _stream(self, n: int, ts: tuple, lo: int, hi: int, threads: int) -> np.ndarray:
         """#{i in [lo, hi) : x_i <= t} for each t in ``ts``, as int64, for
-        lo < hi.  The points are computed one chunk at a time into the
-        thread's workspace and compared with each threshold in turn: without
-        a settle rule, x <= float(t).  With one, a point below tf - w is <= t
+        lo < hi.  The points are computed ``CHUNK // T`` at a time, for the
+        T thresholds, into the thread's workspace and decided against every
+        threshold at once, in one (threshold x point) compare: without a
+        settle rule, x <= float(t).  With one, a point below tf - w is <= t
         and one above tf + w is not, for the band w = ``band(stop)`` around
         tf = float(t); a point in between is settled against T = Fraction(t)
         (of tf unless t is rational), built only when such a point occurs.
         A non-finite point raises ValueError."""
-        tfs = [float(t) for t in ts]
+        T = len(ts)
+        if not T:
+            return np.zeros(0, dtype=np.int64)
+        tf = np.array([float(t) for t in ts])[:, None]
 
         def chunk(a: int, b: int) -> np.ndarray:
             m = b - a
-            tally = np.empty(len(tfs), dtype=np.int64)
             with workspace() as ws:
                 x = self.points(n, a, b, out=ws.f[0][:m])
-                le, below = ws.mask[:m], ws.f[1].view(np.bool_)[:m]
-                if not np.isfinite(x, out=le).all():
+                if not np.isfinite(x, out=ws.mask[:m]).all():
                     raise ValueError("points must be finite")
                 w = self.band(b) if self.settle else 0.0
-                for j, tf in enumerate(tfs):
-                    tally[j] = np.count_nonzero(np.less_equal(x, tf + w, out=le))
-                    if self.settle and np.count_nonzero(np.less(x, tf - w, out=below)) < tally[j]:
-                        T = Fraction(ts[j] if isinstance(ts[j], numbers.Rational) else tf)
-                        band = np.flatnonzero(np.not_equal(le, below, out=le)).tolist()
-                        tally[j] -= sum(not self.settle(n, a + i, T) for i in band)
+                # the points and the band's ends as arrays of one shape:
+                # numpy buffers a compare that broadcasts at these sizes
+                X, E = (f[: T * m].reshape(T, m) for f in ws.f[1:])
+                np.copyto(X, x)
+                np.copyto(E, tf + w)
+                le = np.less_equal(X, E, out=ws.mask[: T * m].reshape(T, m))
+                tally = np.fromiter(map(np.count_nonzero, le), np.int64, T)
+                if not self.settle:
+                    return tally
+                if w:
+                    np.copyto(E, tf - w)
+                below = np.less(X, E, out=le)
+                if np.count_nonzero(below) == tally.sum():
+                    return tally
+                below = np.fromiter(map(np.count_nonzero, below), np.int64, T)
+                # the band's points, one threshold at a time, in X's array
+                inside, out = (f[:m] for f in np.split(ws.f[1].view(np.bool_)[: 2 * m], 2))
+                for j in np.flatnonzero(below < tally).tolist():
+                    t, tj = ts[j], float(tf[j, 0])
+                    np.logical_and(np.less_equal(x, tj + w, out=inside), np.greater_equal(x, tj - w, out=out), out=inside)
+                    T_j = Fraction(t if isinstance(t, numbers.Rational) else tj)
+                    tally[j] -= sum(not self.settle(n, a + i, T_j) for i in np.flatnonzero(inside).tolist())
             return tally
 
-        return map_reduce_int(chunk, lo, hi, threads=threads)
+        return map_reduce_int(chunk, lo, hi, threads=threads, chunk=max(1, CHUNK // T))
 
 
 def _per_threshold(count: Callable[[int, object], int]) -> Callable:
