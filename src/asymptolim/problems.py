@@ -775,13 +775,14 @@ class Problem:
                 if np.count_nonzero(below) == tally.sum():
                     return tally
                 below = np.fromiter(map(np.count_nonzero, below), np.int64, T)
-                # the band's points, one threshold at a time, in X's array
-                inside, out = (f[:m] for f in np.split(ws.f[1].view(np.bool_)[: 2 * m], 2))
+                # the band's points, one threshold at a time, in X's memory
+                inside, above = ws.f[1].view(np.bool_)[:m], ws.f[1].view(np.bool_)[m : 2 * m]
                 for j in np.flatnonzero(below < tally).tolist():
-                    t, tj = ts[j], float(tf[j, 0])
-                    np.logical_and(np.less_equal(x, tj + w, out=inside), np.greater_equal(x, tj - w, out=out), out=inside)
-                    T_j = Fraction(t if isinstance(t, numbers.Rational) else tj)
-                    tally[j] -= sum(not self.settle(n, a + i, T_j) for i in np.flatnonzero(inside).tolist())
+                    tj = float(tf[j, 0])
+                    np.less_equal(x, tj + w, out=inside)
+                    band = np.logical_and(inside, np.greater_equal(x, tj - w, out=above), out=inside)
+                    T_j = Fraction(ts[j] if isinstance(ts[j], numbers.Rational) else tj)
+                    tally[j] -= sum(not self.settle(n, a + i, T_j) for i in np.flatnonzero(band).tolist())
             return tally
 
         return map_reduce_int(chunk, lo, hi, threads=threads, chunk=max(1, CHUNK // T))

@@ -33,12 +33,13 @@ def streamed(name, ns, ts):
 
 
 def ties(name, ns, rng):
-    """Thresholds equal to points of the sweep's n: the float points, and
-    for example3 the exact ones too, as Fractions."""
+    """Thresholds equal to points of the sweep's n and the floats next to
+    them, and for example3 the exact points too, as Fractions."""
     out = []
     for n in ns:
         i = int(rng.integers(1, n + 1))
-        out.append(float(PROBLEMS[name].points(n, i, i + 1)[0]))
+        x = float(PROBLEMS[name].points(n, i, i + 1)[0])
+        out += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
         if name == "example3":
             out.append(Fraction(n % i, i))
     return out
