@@ -904,8 +904,9 @@ def _reciprocal_frac_count(problem: Problem, ns: tuple, ts: tuple, threads: int)
         def chunk(a: int, b: int) -> np.ndarray:
             R = b - a
             size = R * len(cols)
-            # block numbers, as ints and floats; the guesses y, y * margin
-            # and floor(y + y * margin), then the boundaries less one
+            # block numbers, as ints and floats, and their last indices n//Q;
+            # the guesses y, y * margin and floor(y + y * margin), then the
+            # boundaries less one
             with workspace(R) as wb, workspace(size) as wc:
                 q = _indices(a, b, wb.f[0][:R].view(np.int64))
                 tops = int(np.floor_divide(n, q, out=wb.f[1][:R].view(np.int64)).sum())
