@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asymptolim import dirichlet_weak, problems
+from asymptolim import dirichlet_weak
 from asymptolim.accum import CHUNK
 from asymptolim.cli import main
 from asymptolim.convergence import DEFAULT_GRID
