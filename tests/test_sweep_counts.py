@@ -119,3 +119,20 @@ def test_example3_exact_boundaries_give_the_same_counts(monkeypatch):
     exact = PROBLEMS["example3"].counts(TIE_NS, ts)
     assert exact.tolist() == fast.tolist() == streamed("example3", TIE_NS, ts)
 
+
+
+@pytest.mark.parametrize("name", ["example2", "example3"])
+def test_sweeps_that_span_chunks_equal_their_rows(name):
+    # 200 thresholds: example2 walks 655 - 8 rows a chunk, so these last
+    # rows fall on, next to and between chunk edges; example3 steps 655
+    # blocks a chunk.  Each n alone is checked against the stream above.
+    rng = np.random.default_rng(9)
+    lo = -1.0 if name == "example2" else 0.0
+    ts = tuple(rng.uniform(lo, 1.0, 200).tolist())
+    width = 2**17 // 200 - 8
+    ns = sorted({1, (width + 1) ** 2 - 1, (width + 1) ** 2, (width + 2) ** 2 + 5,
+                 (2 * width) ** 2 + 3, (2 * width + 1) ** 2, 3 * width * 3 * width + 7, 10**7})
+    assert len(ns) == 8
+    rows = [PROBLEMS[name].count(n, ts).tolist() for n in ns]
+    for threads in (1, 2):
+        assert PROBLEMS[name].counts(ns, ts, threads).tolist() == rows
