@@ -4,9 +4,11 @@ Probes the point sets of a problem against a limit CDF on a grid, compares
 characteristic functions, applies the countable-boundary continuity-set
 criterion, and checks that variations converge to the variation of the
 limit.  The probe counts through the problem's ``counts`` (see
-``problems.Problem``), which settles exactly, by the problem's ``band`` and
-``settle`` rule, every point that rounding could have moved across a grid
-value.  A problem is counted by its count rule, or by streaming its n points.
+``problems.Problem``): by the problem's count rule, or by streaming its n
+points.  Where the float points stand for exact ones (example1, example3),
+every point that rounding could have moved across a grid value is settled
+exactly, by the problem's ``band`` and ``settle`` rule; the points of
+canonical-uniform and example2 are their float values, counted as they are.
 """
 
 from __future__ import annotations

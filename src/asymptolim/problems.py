@@ -29,7 +29,10 @@ few derivatives at the row's ends, within a bound proved in
 block by Euler-Maclaurin, its integral by a Gauss-Legendre rule, within a
 bound proved in ``frac_n_over_i_mean``; the polynomial family's sum of such
 an f sums each monotone run of P by Euler-Maclaurin, within a bound proved
-in ``polynomial_family``; a plain callable streams.
+in ``polynomial_family``; a plain callable streams.  Every such mean is one
+call of ``_mean_sum``: the spans of indices that stream, then the
+Euler-Maclaurin pieces (rows, blocks or runs), lie end to end in one range
+of fixed chunks, and the exact partials of all chunks are rounded once.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -49,7 +52,6 @@ from .accum import (
     CHUNK,
     Workspace,
     apply_to_array,
-    chunk_ranges,
     exact_partials,
     is_vector,
     map_reduce_fsum,
@@ -304,19 +306,37 @@ def _sin_2pi_sqrt_frac_chunk(
         return _sin_2pi_sqrt_frac(k, np.empty(m) if out is None else out, ws)
 
 
-def _point_partials(f: Callable, points: Callable, n: int, a: int, b: int) -> list:
-    """The exact partials of f over the points(n, a, b, out=...) of a stream,
-    a chunk of at most ``CHUNK``, written into the thread's workspace."""
-    with workspace() as ws:
-        return exact_partials(apply_to_array(f, points(n, a, b, out=ws.f[0][: b - a])))
+def _mean_sum(f: Callable, points: Callable, n: int, spans: Sequence, threads: int,
+              pieces: int = 0, em: Optional[Callable] = None, divisor: int = 1) -> float:
+    """Correctly rounded sum of f over the points(n, lo, hi) of a stream for
+    the (lo, hi) index ranges ``spans``, and of the partials ``em(first,
+    stop)`` of the Euler-Maclaurin pieces first..stop - 1 of 0..pieces - 1;
+    with a ``divisor``, the correctly rounded quotient of that sum by it.
 
+    The spans' indices, then the pieces, lie end to end in one range of
+    fixed chunks.  A chunk's points are written into the thread's
+    workspace and go through f in one call; its exact partials, and its
+    pieces', reach one ``map_reduce_fsum``, which rounds them once, all
+    together, so neither the chunking nor the thread count changes a bit.
+    """
+    starts = list(accumulate((hi - lo for lo, hi in spans), initial=0))
+    head = starts[-1]
 
-def _mean_sum(f: Callable, points: Callable, n: int, count: int, threads: int) -> float:
-    """Correctly rounded sum of f over the points(n, 1, count + 1) of a
-    stream, one fixed-width chunk at a time; each chunk passes on its exact
-    partials, which are rounded once, all together."""
-    return map_reduce_fsum(lambda a, b: _point_partials(f, points, n, a, b), 1, count + 1,
-                           threads=threads)
+    def kernel(a: int, b: int) -> list:
+        partials = []
+        if a < head:
+            with workspace() as ws:
+                x = ws.f[0][: min(b, head) - a]
+                for (lo, _), s, e in zip(spans, starts, starts[1:]):
+                    i, j = max(a, s), min(b, e)
+                    if i < j:
+                        points(n, lo + i - s, lo + j - s, out=x[i - a : j - a])
+                partials = exact_partials(apply_to_array(f, x))
+        if b > head:
+            partials += em(max(a, head) - head, b - head)
+        return partials
+
+    return map_reduce_fsum(kernel, 0, head + pieces, threads=threads, divisor=divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -530,24 +550,16 @@ def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray) -> np.ndarray:
 
 def _row_sum(f: Callable, part: Analytic, n: int, threads: int) -> float:
     """sum of f({sqrt k}) over k <= n, rounded once, by rows (see
-    ``sequence_average``): the rows below ``_first_em_row`` stream through
-    ``_sqrt_frac``, the others by ``_em_rows``, in fixed chunks of rows."""
+    ``sequence_average``): the k below m0*m0, for m0 = ``_first_em_row``,
+    stream, and the rows m0..isqrt(n) are summed by ``_em_rows``."""
     first = _first_em_row(part.bounds)
 
-    def kernel(a: int, b: int) -> list:
-        partials = []
-        lo, hi = a * a, min(min(b, first) ** 2, n + 1)
-        if lo < hi:
-            with workspace(hi - lo) as ws:
-                k = _indices(lo, hi, ws.f[0][: hi - lo])
-                partials += exact_partials(apply_to_array(f, _sqrt_frac(k, ws.f[2][: hi - lo], ws)))
-        a = max(a, first)
-        if a < b:
-            m = _indices(a, b, np.empty(b - a))
-            partials += exact_partials(_em_rows(part, m, np.minimum(2.0 * m, n - m * m)))
-        return partials
+    def em(a: int, b: int) -> list:
+        m = _indices(first + a, first + b, np.empty(b - a))
+        return exact_partials(_em_rows(part, m, np.minimum(2.0 * m, n - m * m)))
 
-    return map_reduce_fsum(kernel, 1, math.isqrt(n) + 1, threads=threads)
+    return _mean_sum(f, PROBLEMS["example1"].points, n, [(1, min(n + 1, first * first))],
+                     threads, max(0, math.isqrt(n) + 1 - first), em)
 
 
 # ---------------------------------------------------------------------------
@@ -635,22 +647,11 @@ def _em_blocks(f: Callable, part: Analytic, n: int, first: int, stop: int) -> li
 
 def _block_mean(f: Callable, part: Analytic, n: int, threads: int) -> float:
     """The mean of f({n/i}) over i <= n, rounded once, by quotient blocks (see
-    ``frac_n_over_i_mean``): one range of fixed chunks holds the head's
-    indices i <= n // (Q0 + 1), streamed through ``_reciprocal_frac_chunk``,
-    then the blocks Q = 1..Q0, summed by ``_em_blocks``."""
+    ``frac_n_over_i_mean``): the i <= n // (Q0 + 1) stream, and the blocks
+    Q = 1..Q0 are summed by ``_em_blocks``."""
     last = _last_block(part.bounds, n)
-    head = n // (last + 1)
-    points = PROBLEMS["example3"].points
-
-    def kernel(a: int, b: int) -> list:
-        partials = []
-        if a <= head:
-            partials += _point_partials(f, points, n, a, min(b, head + 1))
-        if b > head + 1:
-            partials += _em_blocks(f, part, n, max(a, head + 1) - head, b - head)
-        return partials
-
-    return map_reduce_fsum(kernel, 1, head + last + 1, threads=threads, divisor=n)
+    return _mean_sum(f, PROBLEMS["example3"].points, n, [(1, n // (last + 1) + 1)], threads,
+                     last, lambda a, b: _em_blocks(f, part, n, a + 1, b + 1), divisor=n)
 
 
 def reciprocal_frac_map(n: int) -> Callable:
@@ -1225,9 +1226,8 @@ def sequence_average(
     row are 2m (F(U0) - F(0)) as two exact products (Veltkamp's halves of
     26 bits), 2 (G(U0) - G(0)), f(0)/2, f(U0)/2, and a small one: the Taylor
     step of I + f(U)/2 from U0 by V, to second order, and the Bernoulli
-    terms at U0 (``_em_ends``).  All partials, those of the streamed rows
-    too, go in fixed chunks of rows through ``map_reduce_fsum``, so no
-    thread count changes a bit.
+    terms at U0 (``_em_ends``).  The streamed points' partials and the
+    rows' go through one ``_mean_sum``, so no thread count changes a bit.
 
     The bound.  Take e_f, e_d, e_F, e_G and A_k of the analytic part,
     A = max A_k, and m <= M <= 2**26, so that |V| <= u (m + 1) and
@@ -1258,7 +1258,7 @@ def sequence_average(
     problem = PROBLEMS["example1"]
     part = getattr(f, "analytic", None)
     if part is None:
-        empirical = _mean_sum(f, problem.points, n, n, threads) / n
+        empirical = _mean_sum(f, problem.points, n, [(1, n + 1)], threads) / n
     else:
         empirical = _row_sum(f, part, n, threads) / n
     closed = integrate_smooth(f, problem.limit(), tol=tol).value
@@ -1352,8 +1352,8 @@ def frac_n_over_i_mean(
     of the sum and the difference of the ends; its terms
     half w_j f(v_j)/(v_j + Q)**2 are summed exactly and multiplied by n
     exactly (``_times``).  Each end adds f/2 and its Bernoulli terms
-    (``_em_ends``).  All partials, the head's too, go in fixed chunks
-    through ``map_reduce_fsum``, so no thread count changes a bit.
+    (``_em_ends``).  The head's partials and the blocks' go through one
+    ``_mean_sum``, so no thread count changes a bit.
 
     The bound.  Take e_f, e_d and A_k of the analytic part, A = max A_k, and
     M, a bound on |f| over the complex disc |z - 1/2| <= 17/16: cosh(17/16)
@@ -1422,7 +1422,7 @@ def frac_n_over_i_mean(
     problem = PROBLEMS["example3"]
     part = getattr(f, "analytic", None)
     if part is None:
-        empirical = _mean_sum(f, problem.points, n, n, threads) / n
+        empirical = _mean_sum(f, problem.points, n, [(1, n + 1)], threads) / n
     else:
         empirical = _block_mean(f, part, n, threads)
     closed = integrate_smooth(f, problem.limit(), tol=tol).value
@@ -1681,10 +1681,7 @@ def _em_run(f: Callable, part: Analytic, p: list, limit: int, a: int, b: int,
     ``_shift`` coefficients G."""
     K = _EM_TERMS
     x, w = _gauss_rule()
-    y = np.zeros(x.size)
-    for c in G[::-1]:
-        y = y * x + c
-    np.clip(y, 0.0, 1.0, out=y)
+    y = np.clip(_horner(G[::-1], x, np.empty(x.size)), 0.0, 1.0)
     partials = exact_partials((0.5 * (b - a) * w) * apply_to_array(f, y))
     # the ends: g's Taylor coefficients, exact shifts of P over n, rounded once
     ends = [[c / limit for c in _taylor(p, end)[: 2 * K]] for end in (a, b)]
@@ -1702,33 +1699,15 @@ def _em_run(f: Callable, part: Analytic, p: list, limit: int, a: int, b: int,
 def _poly_sum(spec: PolySpec, n: int, count: int, threads: int) -> float:
     """The sum of f(P(i)/n) over i <= count, rounded once (see
     ``polynomial_family``): the runs of ``_em_runs`` by ``_em_run``, the
-    other indices through ``_poly_chunk``, in the stream's fixed chunks."""
-    f = spec.f
-    part = getattr(f, "analytic", None)
+    indices between them through ``_poly_chunk``."""
+    f, part = spec.f, getattr(spec.f, "analytic", None)
+    p, limit = _exact_poly(spec, n)
+    runs = [] if part is None else _em_runs(p, limit, part, count)
+    ends = [1, *(end for a, b, _ in runs for end in (a, b + 1)), count + 1]
     coeffs = np.asarray(spec.p_coeffs, dtype=np.float64)
-    runs = []
-    if part is not None:
-        p, limit = _exact_poly(spec, n)
-        runs = _em_runs(p, limit, part, count)
-
-    def points(n: int, a: int, b: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return _poly_chunk(coeffs, n, a, b, out=out)
-
-    def kernel(lo: int, hi: int) -> list:
-        partials = []
-        for a, b, G in runs:
-            if b < lo or a >= hi:
-                continue
-            if lo < a:
-                partials += _point_partials(f, points, n, lo, a)
-            if lo <= a:
-                partials += _em_run(f, part, p, limit, a, b, G)
-            lo = b + 1
-        if lo < hi:
-            partials += _point_partials(f, points, n, lo, hi)
-        return partials
-
-    return map_reduce_fsum(kernel, 1, count + 1, threads=threads)
+    return _mean_sum(f, functools.partial(_poly_chunk, coeffs), n,
+                     list(zip(ends[::2], ends[1::2])), threads, len(runs),
+                     lambda a, b: [x for run in runs[a:b] for x in _em_run(f, part, p, limit, *run)])
 
 
 def polynomial_family(
@@ -1759,9 +1738,9 @@ def polynomial_family(
     the runs (where P < 0 or P > n, as below a P's dip or past a cubic's
     local maximum above n), and the runs of fewer than _BLOCK_POINTS + 1
     points or whose bounds E_R and T below exceed u A_0 (u = 2**-53; small
-    N(n)), stream through ``_poly_chunk`` as above.  Every partial goes
-    through one ``map_reduce_fsum`` in the stream's fixed chunks, so no
-    thread count changes a bit.
+    N(n)), stream through ``_poly_chunk`` as above.  The streamed points'
+    partials and the runs' go through one ``_mean_sum``, so no thread
+    count changes a bit.
 
     The jets (Griewank and Walther, Evaluating Derivatives, 2nd ed.,
     ch. 13).  g(x + t) = sum_k G_k t**k with G_k = P^(k)(x)/(k! n), exact

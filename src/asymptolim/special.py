@@ -258,8 +258,16 @@ def harmonic(n: int) -> float:
     floats: H_1 and H_2 are floats, and for n >= 3 Bertrand's postulate
     gives an odd prime p with n/2 < p <= n, the only multiple of p up to n,
     so H_n's reduced denominator keeps the factor p and is not a power of 2.
+    n is an integer, or an integral float such as 1e6; anything else raises
+    ValueError.
     """
-    n = int(n)
+    try:
+        k = int(n)
+    except (OverflowError, ValueError):
+        raise ValueError(f"harmonic requires a finite integer n, got {n!r}") from None
+    if k != n:
+        raise ValueError(f"harmonic requires an integer n, got {n!r}")
+    n = k
     if n < 1:
         raise ValueError("harmonic requires n >= 1")
     return round_once(functools.partial(harmonic_exact, n), "H_n")

@@ -262,7 +262,7 @@ def test_threads_give_the_same_bits(name):
     assert len(bits) == 1
 
 
-def test_a_plain_callable_streams_and_a_named_one_does_not(monkeypatch):
+def test_a_plain_callable_streams_and_a_named_one_streams_its_head(monkeypatch):
     calls = []
     kernel = problems._reciprocal_frac_chunk
 
@@ -277,7 +277,11 @@ def test_a_plain_callable_streams_and_a_named_one_does_not(monkeypatch):
     calls.clear()
     frac_n_over_i_mean(n, named("sin"))
     last = _last_block(named("sin").analytic.bounds, n)
-    assert last > 50 and sum(calls) == n // (last + 1)
+    assert last > 50 and calls == [n // (last + 1)]
+    calls.clear()
+    frac_n_over_i_mean(10**7, named("sin"))
+    last = _last_block(named("sin").analytic.bounds, 10**7)
+    assert calls == [10**7 // (last + 1)] == [21_739]
 
 
 def test_huge_polynomials_stream():

@@ -221,6 +221,18 @@ class TestSweepCommand:
         code, _, _ = run_cli(["sweep", "canonical-uniform", "--n", "100,10"], capsys)
         assert code == 2
 
+    def test_nonpositive_n_in_a_list_exits_2(self, monkeypatch, capsys):
+        from asymptolim import problems
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("point stream reached")
+
+        monkeypatch.setattr(problems, "_reciprocal_frac_chunk", no_points)
+        monkeypatch.setattr(problems, "map_reduce_int", no_points)
+        code, out, err = run_cli(["sweep", "example3", "--n", "0,10"], capsys)
+        assert code == 2 and out == ""
+        assert "positive" in err
+
     @pytest.mark.parametrize("n", [2**52 + 1, 10**16])
     def test_n_above_kernel_domain_exits_2(self, n, monkeypatch, capsys):
         from asymptolim import problems

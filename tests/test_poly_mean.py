@@ -319,6 +319,21 @@ def test_a_named_f_streams_only_what_lies_outside_its_runs(monkeypatch):
     assert all(b - a >= _BLOCK_POINTS for a, b, _ in runs(CUBIC, "id", 10**6 + 3))
 
 
+def test_a_span_and_a_run_share_one_chunk():
+    # the dip's i < 2000 stream and its one run follows, all in the first
+    # chunk: the sum is that of the streamed values and the run's partials,
+    # rounded once
+    f = resolve_function("sin")
+    n = 10**6 + 3
+    count = _poly_count(spec(DIP, f), n)
+    (a, b, G), = runs(DIP, "sin", n)
+    assert (a, b) == (2000, count) and count < CHUNK
+    p, limit = _exact_poly(spec(DIP, f), n)
+    values = np.sin(np.polyval(np.asarray(DIP), np.arange(1.0, a)) / n)
+    partials = values.tolist() + problems._em_run(f, f.analytic, p, limit, a, b, G)
+    assert sums(DIP, "sin", n)[0] == math.fsum(partials)
+
+
 def test_a_plain_callable_streams_as_before():
     # the stream's bits: np.polyval at each index over n, summed exactly
     n = 10**6 + 3

@@ -188,6 +188,17 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic(0)
 
+    @pytest.mark.parametrize("n", [2.5, 0.5, math.inf, -math.inf, math.nan])
+    def test_a_fractional_or_non_finite_n_is_rejected(self, n):
+        # 2.5 once gave H_2 and inf an OverflowError
+        with pytest.raises(ValueError, match="harmonic requires"):
+            harmonic(n)
+
+    def test_an_integral_float_is_an_index(self):
+        assert harmonic(1e6) == harmonic(10**6)
+        with pytest.raises(ValueError, match="harmonic requires n >= 1"):
+            harmonic(0.0)
+
     # the sum of the rounded terms 1.0/i, the old route up to 2**20, stays as
     # the oracle
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +138,27 @@ class TestKernels:
         values = np.cos(np.polyval(np.asarray(coeffs), i) / n)
         expected = math.fsum(values.tolist()) / (n / 1.1) ** 0.5
         assert result.empirical == expected
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mean_sum_lays_spans_and_pieces_end_to_end(self, threads):
+        # laid end to end: three spans (one empty) and the head of a fourth
+        # in the first chunk, the rest of it and the first pieces in the
+        # second, the other pieces in the third; the sum is that of every
+        # value and partial, rounded once
+        points = PROBLEMS["example3"].points
+        n = 10**7 + 19
+        spans = [(5, 10), (CHUNK - 7, CHUNK + 9), (2, 2), (3 * CHUNK, 4 * CHUNK + 40)]
+        pieces = [[0.1 * j, -1e-20 * j] for j in range(CHUNK)]
+
+        def em(first, stop):
+            return [x for piece in pieces[first:stop] for x in piece]
+
+        values = np.sin(np.concatenate([points(n, lo, hi) for lo, hi in spans])).tolist()
+        total = values + em(0, CHUNK)
+        got = _mean_sum(np.sin, points, n, spans, threads, CHUNK, em)
+        assert got == math.fsum(total)
+        got = _mean_sum(np.sin, points, n, spans, threads, CHUNK, em, divisor=n)
+        assert got == float(sum(map(Fraction, total)) / n)
 
 
 class TestExactPartials:
@@ -314,7 +336,7 @@ class TestAllocation:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_mean_sum_peak(self, threads, monkeypatch):
         points = PROBLEMS["example1"].points
-        run = lambda: _mean_sum(np.sin, points, self.N, self.N, threads)
+        run = lambda: _mean_sum(np.sin, points, self.N, [(1, self.N + 1)], threads)
         rest = self.traced_peak(run, threads, monkeypatch)
         # np.sin returns one CHUNK array per chunk; nothing else is CHUNK-sized
         assert rest < threads * 8 * CHUNK + 4 * CHUNK
