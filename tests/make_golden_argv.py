@@ -1,8 +1,10 @@
 """Write tests/data/golden_argv.json: the CLI's exit code, stdout and stderr
-for a fixed list of argv, with the report timestamp masked.
+for a fixed list of argv, with the report timestamp masked, and the counts
+``PROBLEMS[name].counts(ns, ts)`` of every problem at fixed indices and
+thresholds.
 
 ``test_golden_argv.py`` replays every argv in the file and compares the
-bytes.  The reports hold values of numpy's sin and cos and of libm's
+bytes, and recomputes every count.  The reports hold values of numpy's sin and cos and of libm's
 functions, whose last bits depend on the CPU and the library versions, so
 the file also holds a digest of those functions at fixed points, and the
 bytes are compared only where the digest matches.  Regenerate the file only
@@ -21,10 +23,13 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+
+from test_kernels import THRESHOLDS
 
 PATH = Path(__file__).resolve().parent / "data" / "golden_argv.json"
 
@@ -94,6 +99,49 @@ SWEEP_DEFAULT_NS = "1000,720720,1000003,1048576"
 SWEEP_ROW_NS = "1,2,3,4,8,1024,1088,1000000,1002000"
 
 
+# example2's interval proportion (the default window, a point, the whole
+# range and the level 0), example3's CDF (ties at 1/4 and 1/2, 1/3 as a
+# float, the float below 1, and 1) and the divisor sum, at small n, the
+# stream's chunk edges 2**17 +- 1, many ties (720720), primes and, for the
+# divisor sum, the largest n
+WINDOWS = ((), ("--lo=-1", "--hi=-1"), ("--lo=-1", "--hi=1"), ("--lo=0", "--hi=0"))
+CDF3_TS = ("0", "0.25", "0.5", repr(1 / 3), repr(math.nextafter(1.0, 0.0)), "1")
+INDEX_NS = (1, 2, 7, 1000, 2**17 - 1, 2**17 + 1, 720720, 10**6 + 3, 10**9 + 7)
+
+# argv that exit 2 (an unknown or malformed f, n outside 1..2**52, a
+# decreasing sweep) or 3 (a quadrature that cannot meet its tolerance)
+REJECTED = (["solve", "example1", "--f=tan", "--n=1000"],
+            ["solve", "example1", "--f=poly:a", "--n=1000"],
+            ["solve", "example1", "--n=0"],
+            ["solve", "example1", f"--n={2**52 + 1}"],
+            ["sweep", "example1", "--n=1000,10"],
+            ["solve", "example1", "--n=1000", "--f=poly:1e6"],
+            ["solve", "example4", "--n=1000", "--f=poly:1e300,1,-1"])
+
+# the counts section: every problem's counts at these indices and thresholds
+COUNT_NS = (1, 2, 3, 1024, 720720, 10**6 + 3)
+COUNT_TS = (*THRESHOLDS, -1.0, math.inf, -math.inf, 0.25)
+
+
+def threshold_text(t) -> str:
+    """A threshold as text: a Fraction as "p/q", a float by repr."""
+    return f"{t.numerator}/{t.denominator}" if isinstance(t, Fraction) else repr(t)
+
+
+def threshold_value(text: str):
+    """The threshold of ``threshold_text``."""
+    return Fraction(text) if "/" in text else float(text)
+
+
+def count_cases() -> list[dict]:
+    from asymptolim.problems import PROBLEMS
+
+    return [{"problem": name, "ns": list(COUNT_NS),
+             "ts": [threshold_text(t) for t in COUNT_TS],
+             "counts": PROBLEMS[name].counts(COUNT_NS, COUNT_TS).tolist()}
+            for name in PROBLEMS]
+
+
 def sweep_grid(problem: str) -> str:
     """15 sorted grid values drawn inside the problem's grid domain."""
     lo, hi = (-1.0, 1.0) if problem == "example2" else (0.0, 1.0)
@@ -137,7 +185,13 @@ def argvs() -> list[list[str]]:
                 for P in POLY_PS for f in fs for n in ns]
     out += [["sweep", "example3", f"--n={SWEEP3_NS}", f"--grid={SWEEP3_GRID}", f"--threads={t}"]
             for t in (1, 2)]
-    return out + sweep_argvs()
+    out += sweep_argvs()
+    out += [["solve", "example2", *window, f"--n={n}"] for window in WINDOWS for n in INDEX_NS]
+    out += [["solve", "example3", f"--t={t}", f"--n={n}"] for t in CDF3_TS for n in INDEX_NS]
+    out += [["solve", "dirichlet", f"--n={n}"] for n in (*INDEX_NS, 2**52 - 1)]
+    out += [["integrate", "--f=const1", f"--phi={phi}", f"--method={method}"]
+            for method in ("density", "parts", "oracle") for phi in PHIS]
+    return out + list(REJECTED)
 
 
 def platform_digest() -> str:
@@ -170,5 +224,6 @@ def run(argv: list[str]) -> dict:
 if __name__ == "__main__":
     PATH.parent.mkdir(exist_ok=True)
     cases = [run(argv) for argv in argvs()]
-    PATH.write_text(json.dumps({"digest": platform_digest(), "cases": cases}, indent=1) + "\n")
+    PATH.write_text(json.dumps({"digest": platform_digest(), "cases": cases,
+                                "counts": count_cases()}, indent=1) + "\n")
     print(f"{len(cases)} argv written to {PATH}", file=sys.stderr)
