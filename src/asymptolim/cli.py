@@ -39,6 +39,7 @@ from .problems import (
     Analytic,
     PolySpec,
     _horner,
+    _poly_eval,
     _poly_part,
     _trig_part,
     arcsin_cdf,
@@ -161,24 +162,16 @@ class NamedFunction:
         return self.fn(t)
 
 
-def _const(value: float) -> Callable:
-    def g(t):
-        if isinstance(t, np.ndarray):
-            return np.full_like(t, value, dtype=float)
-        return value
-
-    return g
-
-
-def _polynomial(c: np.ndarray) -> Callable:
-    """t -> ``np.polynomial.polynomial.polyval(t, c)``, bit for bit; a 1-D
-    float64 array is evaluated by ``problems._horner`` in one new array."""
-    descending = c[::-1]
+def _polynomial(c: Sequence[float]) -> Callable:
+    """t -> ``np.polynomial.polynomial.polyval(t, c)``, bit for bit, by one
+    Horner rule on the float64 coefficients: ``problems._horner`` for a 1-D
+    float64 array, in one new array, ``problems._poly_eval`` otherwise."""
+    descending = np.asarray(c, dtype=np.float64)[::-1]
 
     def p(t):
-        if not (isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64):
-            return np.polynomial.polynomial.polyval(t, c)
-        return _horner(descending, t, np.empty(t.shape))
+        if isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64:
+            return _horner(descending, t, np.empty(t.shape))
+        return _poly_eval(descending, t)
 
     return p
 
@@ -187,8 +180,8 @@ def _polynomial(c: np.ndarray) -> Callable:
 _FUNCTIONS = {
     "sin": (np.sin, np.cos, lambda: _trig_part(0)),
     "cos": (np.cos, lambda t: -np.sin(t), lambda: _trig_part(1)),
-    "id": (lambda t: t, _const(1.0), lambda: _poly_part((0.0, 1.0))),
-    "const1": (_const(1.0), _const(0.0), lambda: _poly_part((1.0,))),
+    "id": (lambda t: t, _polynomial((1.0,)), lambda: _poly_part((0.0, 1.0))),
+    "const1": (_polynomial((1.0,)), _polynomial((0.0,)), lambda: _poly_part((1.0,))),
 }
 
 
@@ -205,13 +198,9 @@ def resolve_function(name: str) -> NamedFunction:
             coeffs = [float(c) for c in name[len("poly:") :].split(",")]
         except ValueError as exc:
             raise CliError(f"bad polynomial spec {name!r}") from exc
-        if not coeffs:
-            raise CliError("polynomial needs at least one coefficient")
-        c = np.asarray(coeffs, dtype=float)
-        dc = c[1:] * np.arange(1, len(c))
-        p = _polynomial(c)
-        dp = _polynomial(dc) if dc.size else _const(0.0)
-        return NamedFunction(p, dp, functools.partial(_poly_part, coeffs))
+        dc = np.asarray(coeffs[1:]) * np.arange(1, len(coeffs))
+        return NamedFunction(_polynomial(coeffs), _polynomial(dc if dc.size else (0.0,)),
+                             functools.partial(_poly_part, coeffs))
     raise CliError(f"unknown function {name!r}")
 
 

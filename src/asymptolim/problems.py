@@ -6,9 +6,10 @@ exact partial sums reduced by one correctly rounded sum, so results are
 bit-identical for every thread count.  Fractional parts of rationals are
 derived from exact float64 remainders and rounded once.  Every count of points
 <= t (the CDF solvers, the interval proportion, the sweep) is
-``Problem.counts``, one call for the whole n-list of a sweep: a count rule,
+``Problem.counts``, one call of a count rule for the whole n-list of a sweep,
 or the stream.  canonical-uniform's rule is a few float compares,
-example1's a floor sum in O(log q) Python-int steps for a threshold T = p/q.
+example1's a floor sum in O(log q) Python-int steps for a threshold T = p/q,
+each threshold's constants built once for the whole n-list.
 example3's points fall along O(sqrt n) blocks of indices, so its rule takes
 each block's boundary with t in closed form, from a float guess or, where
 an integer lies within the guess's error, in Python ints, in O(sqrt n) per
@@ -548,11 +549,12 @@ def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray) -> np.ndarray:
     )
 
 
-def _row_sum(f: Callable, part: Analytic, n: int, threads: int) -> float:
+def _row_sum(f: Callable, part: Optional[Analytic], n: int, threads: int) -> float:
     """sum of f({sqrt k}) over k <= n, rounded once, by rows (see
     ``sequence_average``): the k below m0*m0, for m0 = ``_first_em_row``,
-    stream, and the rows m0..isqrt(n) are summed by ``_em_rows``."""
-    first = _first_em_row(part.bounds)
+    stream, and the rows m0..isqrt(n) are summed by ``_em_rows``; without
+    an analytic part m0 = isqrt(n) + 1, and every k streams."""
+    first = math.isqrt(n) + 1 if part is None else _first_em_row(part.bounds)
 
     def em(a: int, b: int) -> list:
         m = _indices(first + a, first + b, np.empty(b - a))
@@ -699,23 +701,23 @@ class Problem:
 
     A problem whose float points are rounded values of exact points names
     its exactness rule: every rounded point with index below ``stop`` lies
-    within ``band(stop)`` of its exact point x_i, and ``settle(n, i, T)``
-    decides x_i <= T exactly for a Fraction T.  Without a rule the float
-    points are the points.
+    within ``band(stop)`` of its exact point x_i (a zero band by default),
+    and ``settle(n, i, T)`` decides x_i <= T exactly for a Fraction T.
+    Without a settle rule the float points are the points.
 
     ``counts`` takes a count rule, or the stream.  A problem that counts
     faster than its stream names its rule: ``count_rule(problem, ns, ts,
-    threads)`` returns the int64 counts at the indices ``ns`` and the
-    thresholds ``ts``, none of them NaN, as an array of shape
-    ``(len(ns), len(ts))``, and gives the streamed counts.  Every problem in
-    ``PROBLEMS`` names one; without one the n points of each n are streamed,
-    and ``dataclasses.replace(problem, count_rule=None)``, the oracle of a
-    rule, streams.
+    threads)``, one call for a whole sweep, returns the int64 counts at the
+    indices ``ns`` and the thresholds ``ts`` in the form of ``counts``, as
+    an array of shape ``(len(ns), len(ts))``, and gives the streamed counts.
+    Every problem in ``PROBLEMS`` names one; without one the n points of
+    each n are streamed, and ``dataclasses.replace(problem,
+    count_rule=None)``, the oracle of a rule, streams.
     """
 
     points: Callable[[int, int, int], np.ndarray]
     limit: Callable[[], SmoothCdf]
-    band: Optional[Callable[[int], float]] = None
+    band: Callable[[int], float] = lambda stop: 0.0
     settle: Optional[Callable[[int, int, Fraction], bool]] = None
     count_rule: Optional[Callable[[Problem, tuple, tuple, int], np.ndarray]] = None
 
@@ -723,11 +725,14 @@ class Problem:
         """#{i in 1..n : x_i <= t} for each index n in ``ns`` (a row) and
         threshold t in ``ts`` (a column), as int64, by one call of the
         problem's count rule, or else by ``_stream`` over 1..n for each n.
-        An n that is not an index (``_check_n``) or a NaN threshold raises
-        ValueError before either runs."""
+        Each t takes one exact form: an integer (a numpy one too) becomes an
+        int, another rational stays as it is, any other real becomes its
+        float.  An n that is not an index (``_check_n``) or a NaN threshold
+        raises ValueError before either runs."""
         ns = tuple(_check_n(n) for n in ns)
-        ts = tuple(ts)
-        if any(math.isnan(float(t)) for t in ts):
+        ts = tuple(int(t) if isinstance(t, numbers.Integral) else
+                   t if isinstance(t, numbers.Rational) else float(t) for t in ts)
+        if any(isinstance(t, float) and math.isnan(t) for t in ts):
             raise ValueError("t must be a number, got nan")
         if not ns:
             return np.zeros((0, len(ts)), dtype=np.int64)
@@ -746,8 +751,8 @@ class Problem:
         threshold at once, in one (threshold x point) compare: without a
         settle rule, x <= float(t).  With one, a point below tf - w is <= t
         and one above tf + w is not, for the band w = ``band(stop)`` around
-        tf = float(t); a point in between is settled against T = Fraction(t)
-        (of tf unless t is rational), built only when such a point occurs.
+        tf = float(t); a point in between is settled against T = Fraction(t),
+        built only when such a point occurs.
         A non-finite point raises ValueError."""
         T = len(ts)
         if not T:
@@ -760,7 +765,7 @@ class Problem:
                 x = self.points(n, a, b, out=ws.f[0][:m])
                 if not np.isfinite(x, out=ws.mask[:m]).all():
                     raise ValueError("points must be finite")
-                w = self.band(b) if self.settle else 0.0
+                w = self.band(b)
                 # the points and the band's ends as arrays of one shape:
                 # numpy buffers a compare that broadcasts at these sizes
                 X, E = (f[: T * m].reshape(T, m) for f in ws.f[1:])
@@ -782,17 +787,11 @@ class Problem:
                     tj = float(tf[j, 0])
                     np.less_equal(x, tj + w, out=inside)
                     band = np.logical_and(inside, np.greater_equal(x, tj - w, out=above), out=inside)
-                    T_j = Fraction(ts[j] if isinstance(ts[j], numbers.Rational) else tj)
+                    T_j = Fraction(ts[j])
                     tally[j] -= sum(not self.settle(n, a + i, T_j) for i in np.flatnonzero(band).tolist())
             return tally
 
         return map_reduce_int(chunk, lo, hi, threads=threads, chunk=max(1, CHUNK // T))
-
-
-def _per_threshold(count: Callable[[int, object], int]) -> Callable:
-    """The count rule that calls ``count(n, t)`` once per index and threshold."""
-    return lambda problem, ns, ts, threads: np.array(
-        [[count(n, t) for t in ts] for n in ns], dtype=np.int64).reshape(len(ns), len(ts))
 
 
 def _floor_sum(N: int, m: int, a: int, b: int) -> int:
@@ -820,9 +819,9 @@ def _floor_sum(N: int, m: int, a: int, b: int) -> int:
         m, a = a, m
 
 
-def _sqrt_frac_count(n: int, t) -> int:
-    """#{1 <= k <= n : {sqrt k} <= T}, exactly, for T = Fraction(t), of
-    float(t) unless t is rational.
+def _sqrt_frac_count(problem: Problem, ns: tuple, ts: tuple, threads: int) -> np.ndarray:
+    """example1's count rule: #{1 <= k <= n : {sqrt k} <= T}, exactly, for
+    each n in ``ns`` and t in ``ts``, as int64, for T = Fraction(t).
 
     With m = isqrt(k) and j = k - m*m, {sqrt k} = sqrt(k) - m <= T for T >= 0
     exactly when j <= 2mT + T*T (the ``settle`` rule).  Block m holds the k
@@ -834,16 +833,21 @@ def _sqrt_frac_count(n: int, t) -> int:
             + min(n - M*M, floor((2pq*M + p*p) / (q*q))) + 1,
 
     where the sum of floors is ``_floor_sum(M - 1, q*q, 2pq, 2pq + p*p)``.
-    T < 0 holds no point and T >= 1 all n, so a float t may be clipped to
-    [-1, 1] first, which keeps an infinite one from Fraction.
+    T < 0 holds no point and T >= 1 all n, so t may be clipped to [-1, 1]
+    first, which keeps an infinite one from Fraction.
     """
-    T = Fraction(t if isinstance(t, numbers.Rational) else min(max(float(t), -1.0), 1.0))
-    if not 0 <= T < 1:
-        return 0 if T < 0 else n
-    p, q = T.numerator, T.denominator
-    M = math.isqrt(n)
-    a, qq = 2 * p * q, q * q
-    return _floor_sum(M - 1, qq, a, a + p * p) + M + min(n - M * M, (a * M + p * p) // qq)
+    counts = np.empty((len(ns), len(ts)), dtype=np.int64)
+    for j, t in enumerate(ts):
+        T = Fraction(min(max(t, -1), 1))
+        if not 0 <= T < 1:
+            counts[:, j] = [0 if T < 0 else n for n in ns]
+            continue
+        p, q = T.numerator, T.denominator
+        a, qq, pp = 2 * p * q, q * q, p * p
+        for i, n in enumerate(ns):
+            M = math.isqrt(n)
+            counts[i, j] = _floor_sum(M - 1, qq, a, a + pp) + M + min(n - M * M, (a * M + pp) // qq)
+    return counts
 
 
 # A block's boundary ceil(y) is taken from the float guess y where no integer
@@ -853,11 +857,11 @@ _BOUNDARY_MARGIN = 2.0**-50
 
 def _reciprocal_frac_count(problem: Problem, ns: tuple, ts: tuple, threads: int) -> np.ndarray:
     """example3's count rule: #{1 <= i <= n : {n/i} <= T} for each n in
-    ``ns`` and t in ``ts``, as int64, for T = Fraction(t) (of float(t) unless
-    t is rational), in O(sqrt n) per threshold.  The stream decides the same
-    exact points: each {n/i} is correctly rounded and rounding is monotone,
-    so a point below float(t) is below T, one above it is above T, and one
-    equal to it is settled against T.
+    ``ns`` and t in ``ts``, as int64, for T = Fraction(t), in O(sqrt n) per
+    threshold.  The stream decides the same exact points: each {n/i} is
+    correctly rounded and rounding is monotone, so a point below float(t)
+    is below T, one above it is above T, and one equal to it is settled
+    against T.
 
     Every point is in [0, 1), so T < 0 counts none and T >= 1 all n.  For
     0 <= T < 1, indices up to s = isqrt(n) are streamed.  Above s the
@@ -888,15 +892,13 @@ def _reciprocal_frac_count(problem: Problem, ns: tuple, ts: tuple, threads: int)
     arrays in the thread's workspaces, so memory is O(CHUNK) at any n.
     """
     counts = np.zeros((len(ns), len(ts)), dtype=np.int64)
-    # each t as a float, or as a Fraction where it is rational
-    exact = [Fraction(t) if isinstance(t, numbers.Rational) else float(t) for t in ts]
-    counts[:, [T >= 1 for T in exact]] = np.array(ns, dtype=np.int64)[:, None]
-    cols = [j for j, T in enumerate(exact) if 0 <= T < 1]
+    counts[:, [t >= 1 for t in ts]] = np.array(ns, dtype=np.int64)[:, None]
+    cols = [j for j, t in enumerate(ts) if 0 <= t < 1]
     if not cols:
         return counts
     inside = tuple(ts[j] for j in cols)
-    tau = np.array([float(exact[j]) for j in cols])[:, None]
-    ratios = [exact[j].as_integer_ratio() for j in cols]
+    tau = np.array([float(t) for t in inside])[:, None]
+    ratios = [Fraction(t).as_integer_ratio() for t in inside]
     width = max(1, CHUNK // len(cols))
 
     for row, n in enumerate(ns):
@@ -1125,19 +1127,25 @@ def _sin_count(problem: Problem, ns: tuple, ts: tuple, threads: int, first_row: 
     return counts
 
 
-def _uniform_count(n: int, t) -> int:
-    """#{1 <= i <= n : fl(i/n) <= float(t)}.  fl(i/n) rises with i, so the
-    count is floor(n*t') for the t' up to which values round to at most
-    t, and n*(t' - t) <= n*ulp(t)/2 <= t/2; fl(n*tau), for tau = float(t)
-    clipped to [0, 1], is within t/2 of n*t, so its floor is within one of
-    the count, and one compare steps it there."""
-    tf = float(t)
-    c = math.floor(min(max(tf, 0.0), 1.0) * n)
-    while c < n and (c + 1) / n <= tf:
-        c += 1
-    while c > 0 and c / n > tf:
-        c -= 1
-    return c
+def _uniform_count(problem: Problem, ns: tuple, ts: tuple, threads: int) -> np.ndarray:
+    """canonical-uniform's count rule: #{1 <= i <= n : fl(i/n) <= float(t)}
+    for each n in ``ns`` and t in ``ts``, as int64.  fl(i/n) rises with i,
+    so the count is floor(n*t') for the t' up to which values round to at
+    most t, and n*(t' - t) <= n*ulp(t)/2 <= t/2; fl(n*tau), for tau =
+    float(t) clipped to [0, 1], is within t/2 of n*t, so its floor is
+    within one of the count, and one compare steps it there."""
+    counts = np.empty((len(ns), len(ts)), dtype=np.int64)
+    for j, t in enumerate(ts):
+        tf = float(t)
+        tau = min(max(tf, 0.0), 1.0)
+        for i, n in enumerate(ns):
+            c = math.floor(tau * n)
+            while c < n and (c + 1) / n <= tf:
+                c += 1
+            while c > 0 and c / n > tf:
+                c -= 1
+            counts[i, j] = c
+    return counts
 
 
 # sweep name -> problem; streams call the kernels through module globals, so
@@ -1147,7 +1155,7 @@ PROBLEMS = {
     "canonical-uniform": Problem(
         lambda n, a, b, out=None: _uniform_chunk(n, a, b, out=out),
         uniform_cdf,
-        count_rule=_per_threshold(_uniform_count),
+        count_rule=_uniform_count,
     ),
     # uniform weights on the fractional parts of sqrt(k), k <= n, counted by
     # a floor sum; on the stream, the rounded sqrt(k) less the exact isqrt(k)
@@ -1158,7 +1166,7 @@ PROBLEMS = {
         uniform_cdf,
         band=lambda stop: np.spacing(math.sqrt(stop)),
         settle=lambda n, k, T: k <= (math.isqrt(k) + T) ** 2,
-        count_rule=_per_threshold(_sqrt_frac_count),
+        count_rule=_sqrt_frac_count,
     ),
     # uniform weights on sin(2*pi*{sqrt k}), k <= n; counted on these float
     # points by rows, evaluating only those that rounding could move across t
@@ -1173,7 +1181,6 @@ PROBLEMS = {
     "example3": Problem(
         lambda n, a, b, out=None: _reciprocal_frac_chunk(n, a, b, out=out),
         frac_limit_smooth_cdf,
-        band=lambda stop: 0.0,
         settle=lambda n, i, T: n % i <= T * i,
         count_rule=_reciprocal_frac_count,
     ),
@@ -1255,13 +1262,8 @@ def sequence_average(
     boundary.
     """
     n = _check_n(n)
-    problem = PROBLEMS["example1"]
-    part = getattr(f, "analytic", None)
-    if part is None:
-        empirical = _mean_sum(f, problem.points, n, [(1, n + 1)], threads) / n
-    else:
-        empirical = _row_sum(f, part, n, threads) / n
-    closed = integrate_smooth(f, problem.limit(), tol=tol).value
+    empirical = _row_sum(f, getattr(f, "analytic", None), n, threads) / n
+    closed = integrate_smooth(f, PROBLEMS["example1"].limit(), tol=tol).value
     return _result(empirical, closed, n, "mean of f({sqrt k}) vs uniform integral")
 
 

@@ -150,9 +150,13 @@ def settled(k, t):
 
 def counted(k, t):
     """Whether {sqrt k} <= t, for each k, as the floor-sum count reads it:
-    the count up to k less the count up to k - 1."""
-    return np.array([_sqrt_frac_count(int(v), t) - (_sqrt_frac_count(int(v) - 1, t) if v > 1 else 0)
-                     for v in k])
+    the count up to k less the count up to k - 1, all from one call of the
+    count rule."""
+    k = [int(v) for v in k]
+    ns = sorted(set(k) | {v - 1 for v in k if v > 1})
+    up_to = dict(zip(ns, _sqrt_frac_count(PROBLEMS["example1"], tuple(ns), (t,), 1)[:, 0].tolist()))
+    up_to[0] = 0
+    return np.array([up_to[v] - up_to[v - 1] for v in k])
 
 
 def near_integer_thresholds(rng, count):

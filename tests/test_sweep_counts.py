@@ -1,9 +1,11 @@
 """The counts of a whole sweep in one call, ``Problem.counts``.
 
-Every count rule takes the sweep's n-list at once: canonical-uniform and
-example1 count in closed form, example2 walks its rows once for every n,
-and example3 takes each block's boundary in closed form, from a float guess
-where no integer lies near it and in Python ints where one does.  The
+Every count rule takes the sweep's n-list at once, in one call, and each
+threshold in one exact form: an int, another rational as given, or a float.
+canonical-uniform and example1 count in closed form, example2 walks its
+rows once for every n, and example3 takes each block's boundary in closed
+form, from a float guess where no integer lies near it and in Python ints
+where one does.  The
 oracle is the stream of each n alone, the same problem with
 ``count_rule=None``, at 1 and 2 threads.  example2's rows rest on np.sin's
 stated bound (test_sin_count.py), so CI runs this file on numpy's AVX2
@@ -12,6 +14,7 @@ dispatch too.
 
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +24,11 @@ from asymptolim import problems
 from asymptolim.convergence import DEFAULT_GRID, cdf_sequence_probe
 from asymptolim.problems import PROBLEMS
 
-# t <= 0 and t >= 1 for every problem, -1 and below for example2
+# t <= 0 and t >= 1 for every problem, -1 and below for example2, and 0.3 as
+# a float32, a float and a Fraction
 EDGES = (0.0, -0.0, -0.5, 1.0, 1.5, -1.0, -1.5, math.inf, -math.inf, 5e-324,
          math.nextafter(1.0, 0.0), Fraction(1, 3), Fraction(1, 2), Fraction(-1, 7),
-         Fraction(7, 5))
+         Fraction(7, 5), np.float32(0.3), 0.3, Fraction(3, 10))
 
 
 def streamed(name, ns, ts):
@@ -91,18 +95,50 @@ def test_one_n_is_a_row_of_the_sweep(name):
         assert PROBLEMS[name].count(n, DEFAULT_GRID).tolist() == row.tolist()
 
 
-def test_the_probe_counts_a_sweep_in_one_call():
-    problem = PROBLEMS["example3"]
+def recording(name):
+    """PROBLEMS[name] with its count rule wrapped to record the n-list and
+    the thresholds of each call, and the list of those calls."""
+    problem = PROBLEMS[name]
     calls = []
-    rule = problem.count_rule
 
     def recorded(p, ns, ts, threads):
-        calls.append(ns)
-        return rule(p, ns, ts, threads)
+        calls.append((ns, ts))
+        return problem.count_rule(p, ns, ts, threads)
 
-    probe = dataclasses.replace(problem, count_rule=recorded)
+    return dataclasses.replace(problem, count_rule=recorded), calls
+
+
+def test_the_probe_counts_a_sweep_in_one_call():
+    probe, calls = recording("example3")
     cdf_sequence_probe(probe, probe.limit(), n_list=(10, 1000, 720720))
-    assert calls == [(10, 1000, 720720)]
+    assert [ns for ns, _ in calls] == [(10, 1000, 720720)]
+
+
+# rationals, which a rule sees as given (a numpy integer as an int), and
+# other reals, which it sees as floats
+GIVEN = (0, 1, -3, Fraction(1, 3), Fraction(-1, 7), Fraction(7, 5), Fraction(1, 2))
+AS_INTS = (np.int64(0), np.uint8(0), np.int8(1))
+AS_FLOATS = (np.float32(0.3), np.float64(0.3), Decimal("0.3"), np.float64(-0.0), 0.25, math.inf)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_every_rule_takes_a_whole_sweep_once_in_exact_forms(name):
+    ns = (10, 1000, 720720)
+    problem, calls = recording(name)
+    cdf_sequence_probe(problem, problem.limit(), n_list=ns)
+    assert [seen for seen, _ in calls] == [ns]
+    calls.clear()
+    ts = GIVEN + AS_INTS + AS_FLOATS
+    got = problem.counts(ns, ts)
+    [(seen, forms)] = calls
+    assert seen == ns
+    assert all(form is t for form, t in zip(forms, GIVEN))
+    ints = forms[len(GIVEN) : len(GIVEN) + len(AS_INTS)]
+    assert [type(form) for form in ints] == [int] * len(AS_INTS) and ints == AS_INTS
+    floats = forms[len(GIVEN) + len(AS_INTS) :]
+    assert [type(form) for form in floats] == [float] * len(AS_FLOATS)
+    assert [form.hex() for form in floats] == [float(t).hex() for t in AS_FLOATS]
+    assert got.tolist() == streamed(name, ns, ts)
 
 
 # n where many {n/i} are 1/4, 1/2 and 3/4 (720720 = 2**4 3**2 5 7 11 13), a
