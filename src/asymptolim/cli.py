@@ -164,10 +164,9 @@ class NamedFunction:
 
 def _polynomial(c: Sequence[float]) -> Callable:
     """t -> ``np.polynomial.polynomial.polyval(t, c)``, bit for bit, by one
-    Horner rule on the float64 coefficients: ``problems._horner`` for a 1-D
-    float64 array, in one new array, ``problems._poly_eval`` otherwise.  The
-    coefficients are a tuple of np.float64, which iterates faster than an
-    array, for the many scalar calls of a quadrature."""
+    Horner rule on the float64 coefficients, in a tuple, which a quadrature's
+    scalar calls iterate faster than an array: ``problems._horner`` for a 1-D
+    float64 array, in one new array, ``problems._poly_eval`` otherwise."""
     descending = tuple(np.asarray(c, dtype=np.float64)[::-1])
 
     def p(t):
