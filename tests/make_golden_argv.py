@@ -108,6 +108,17 @@ WINDOWS = ((), ("--lo=-1", "--hi=-1"), ("--lo=-1", "--hi=1"), ("--lo=0", "--hi=0
 CDF3_TS = ("0", "0.25", "0.5", repr(1 / 3), repr(math.nextafter(1.0, 0.0)), "1")
 INDEX_NS = (1, 2, 7, 1000, 2**17 - 1, 2**17 + 1, 720720, 10**6 + 3, 10**9 + 7)
 
+# the oracle at either side of the level at which its midpoints outgrow one
+# chunk of 2**17 values (levels 1-16 fill 2**17 - 2); a window whose finest
+# step is subnormal from level 9 on (where sin's products underflow to 0 and
+# the polynomial's, near 0.5, do not), a point, and a width that overflows
+ORACLE_PHIS = ("uniform", "frac-limit")
+ORACLE_FS = ("sin", "poly:0.5,-1.25,2")
+ORACLE_LEVELS = (1, 16, 17, 18)
+ORACLE_WINDOWS = (("--lower=0", "--upper=1e-305", "--levels=18"),
+                  ("--lower=0.5", "--upper=0.5"),
+                  ("--lower=-1e308", "--upper=1e308"))
+
 # argv that exit 2 (an unknown or malformed f, n outside 1..2**52, a
 # decreasing sweep) or 3 (a quadrature that cannot meet its tolerance)
 REJECTED = (["solve", "example1", "--f=tan", "--n=1000"],
@@ -191,6 +202,10 @@ def argvs() -> list[list[str]]:
     out += [["solve", "dirichlet", f"--n={n}"] for n in (*INDEX_NS, 2**52 - 1)]
     out += [["integrate", "--f=const1", f"--phi={phi}", f"--method={method}"]
             for method in ("density", "parts", "oracle") for phi in PHIS]
+    out += [["integrate", f"--f={f}", f"--phi={phi}", "--method=oracle", f"--levels={levels}"]
+            for phi in ORACLE_PHIS for f in ORACLE_FS for levels in ORACLE_LEVELS]
+    out += [["integrate", f"--f={f}", "--phi=uniform", "--method=oracle", *window]
+            for window in ORACLE_WINDOWS for f in ORACLE_FS]
     return out + list(REJECTED)
 
 
