@@ -156,7 +156,8 @@ def root_cdf(q: int) -> SmoothCdf:
         if is_vector(x):
             out = np.where(x >= 1.0, 1.0, 0.0)
             inside = ~((x <= 0.0) | (x >= 1.0))
-            out[inside] = list(map(math.pow, x[inside].tolist(), repeat(1.0 / q)))
+            x = x[inside]
+            out[inside] = np.fromiter(map(math.pow, x.tolist(), repeat(1.0 / q)), float, x.size)
             return out
         x = float(x)
         if x <= 0.0:
@@ -175,7 +176,7 @@ def arcsin_cdf() -> SmoothCdf:
     def value(t):
         if is_vector(t):
             t = np.minimum(np.maximum(t, -1.0), 1.0)
-            return np.array(list(map(math.asin, t.tolist()))) / math.pi + 0.5
+            return np.fromiter(map(math.asin, t.tolist()), float, t.size) / math.pi + 0.5
         return math.asin(min(max(float(t), -1.0), 1.0)) / math.pi + 0.5
 
     return SmoothCdf(

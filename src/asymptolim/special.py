@@ -130,7 +130,7 @@ def _digamma_array(x: np.ndarray) -> np.ndarray:
     tail = 0.0
     for c in reversed(_PSI_TAIL):
         tail = (tail + c) * w
-    return acc + np.array(list(map(math.log, x.tolist()))) - 0.5 / x - tail
+    return acc + np.fromiter(map(math.log, x.tolist()), float, x.size) - 0.5 / x - tail
 
 
 def trigamma(x: float) -> float:

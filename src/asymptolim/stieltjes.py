@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .accum import anchored_cumsum, apply_to_array, exact_units, fsum_array, round_units
+from .accum import CHUNK, anchored_cumsum, apply_to_array, exact_units, fsum_array, round_units
 from .measure import AtomicMeasure, HyperBox, cdf_eval, expectation
 
 __all__ = [
@@ -196,10 +196,32 @@ def _grid(a: float, b: float, num: int) -> np.ndarray:
     """``np.linspace(a, b, num)`` for finite a <= b.  Where b - a overflows,
     the grid of a/2 and b/2, doubled: halving and doubling are exact at that
     size, so these are the points of linspace's formula without the
-    overflow."""
+    overflow.  A dyadic grid whose step is normal holds every coarser one
+    at its strided points (``_normal_step``)."""
     if math.isinf(b - a):
         return 2.0 * np.linspace(0.5 * a, 0.5 * b, num)
     return np.linspace(a, b, num)
+
+
+def _normal_step(a: float, b: float, depth: int) -> bool:
+    """Whether the step of ``_grid(a, b, 2**depth + 1)``, before rounding,
+    is at least the least normal float; then every coarser dyadic grid of
+    the window is its every 2**k-th point, bit for bit.
+
+    linspace computes ``y_i = i * step + a``, with ``step = (b - a) / div``,
+    and sets its last point to b (``_grid`` does the same on the halved
+    ends, then doubles).  When the finest step, (b - a) / 2**depth, is
+    normal, the division by a power of 2 is exact at depth and at every
+    coarser level, so the step of level depth - k is exactly 2**k times the
+    finest.  Then ``i * step`` of that level and ``(i * 2**k) * step`` of the
+    finest are the same real number, round alike, and so do their sums
+    with a; the last points are both b.  A subnormal or zero step (a tiny or
+    empty window) rounds, and its grids are built afresh; so does a step
+    just below the least normal float that rounds up to it, which is why
+    the width is compared unrounded.
+    """
+    width = 0.5 * b - 0.5 * a if math.isinf(b - a) else b - a
+    return abs(width) >= math.ldexp(sys.float_info.min, depth)
 
 
 def _midpoints(xs: np.ndarray) -> np.ndarray:
@@ -216,23 +238,53 @@ def _dyadic_values(phi: Callable, a: float, b: float, first: int, last: int):
     """``(xs, phi(xs))`` on ``xs = _grid(a, b, 2**depth + 1)`` for
     depth = first..last.
 
-    Each grid holds the one before it at its even points, so ``phi`` is
-    called on the new odd points only.  Where rounding moved an even point
-    (a subnormal step), the bits differ and the whole grid is evaluated.
+    Where the step is normal each grid holds the one before it at its even
+    points (``_normal_step``), so ``phi`` is called on the new odd points
+    only; elsewhere the whole grid is evaluated.
     """
-    prev_xs = prev_vals = None
+    prev_vals = None
     for depth in range(first, last + 1):
         xs = _grid(a, b, 2**depth + 1)
-        if prev_xs is not None and np.array_equal(
-            xs[::2].view(np.int64), prev_xs.view(np.int64)
-        ):
+        if prev_vals is not None and _normal_step(a, b, depth):
             vals = np.empty_like(xs)
             vals[::2] = prev_vals
             vals[1::2] = apply_to_array(phi, np.ascontiguousarray(xs[1::2]))
         else:
             vals = apply_to_array(phi, xs)
         yield xs, vals
-        prev_xs, prev_vals = xs, vals
+        prev_vals = vals
+
+
+def _strided_values(phi: Callable, a: float, b: float, levels: int):
+    """``(xs, phi(xs))`` on ``xs = _grid(a, b, 2**level + 1)`` for
+    level = 1..levels, as views: where the finest step is normal, every
+    level is a stride of the finest grid and its values, so ``phi`` is
+    called once; elsewhere each level is its own finest grid."""
+    finest = levels if _normal_step(a, b, levels) else 0
+    held = None
+    for level in range(1, levels + 1):
+        depth = max(level, finest)
+        if depth != held:
+            held, xs = depth, _grid(a, b, 2**depth + 1)
+            vals = apply_to_array(phi, xs)
+        stride = 2 ** (depth - level)
+        yield xs[::stride], vals[::stride]
+
+
+def _terms(f: Callable, batch: list) -> np.ndarray:
+    """f(midpoint) times the increment, for the pairs of the batch's grids
+    end to end: one ``_midpoints``, one ``np.diff`` and one call of ``f``
+    over the joined grids, less the pairs that straddle two of them.  A
+    lone grid is not copied."""
+    if len(batch) == 1:
+        xs, vals = batch[0]
+        mids, incs = _midpoints(xs), np.diff(vals)
+    else:
+        xs, vals = (np.concatenate(arrays) for arrays in zip(*batch))
+        straddles = np.cumsum([len(grid) for grid, _ in batch[:-1]]) - 1
+        mids = np.delete(_midpoints(xs), straddles)
+        incs = np.delete(np.diff(vals), straddles)
+    return np.multiply(apply_to_array(f, mids), incs, out=incs)
 
 
 def variation(
@@ -521,14 +573,25 @@ def riemann_stieltjes_oracle(
 
     Level L splits the interval into 2**L pieces and sums f(midpoint) times
     the increment of ``phi``; the caller inspects stabilization across
-    levels.  ``phi`` is called once per point of the finest grid.  Used as
-    an independent check of the quadrature route.
+    levels.  Used as an independent check of the quadrature route.
+
+    ``phi`` is called once, on the finest grid, 2**levels + 1 points: each
+    level's grid and values are every 2**(levels - L)-th of the finest
+    (``_normal_step``).  Where the finest step is subnormal or zero, each
+    level's grid is built and evaluated afresh.  ``f`` is called once per
+    batch of consecutive levels whose midpoints fit in ``CHUNK`` values
+    together (levels 1-16, then each higher level alone), on the batch's
+    midpoints end to end; each level is summed on its own.
     """
     if not 1 <= levels <= _MAX_DEPTH:
         raise ValueError(f"levels must be in 1..{_MAX_DEPTH}, got {levels}")
     a, b = _finite_interval(interval)
+    grids = _strided_values(phi, a, b, levels)
+    # levels 1..k have 2**(k + 1) - 2 midpoints, at most CHUNK up to k = 16
+    joint = min(levels, CHUNK.bit_length() - 2)
     sums = []
-    for xs, pv in _dyadic_values(phi, a, b, 1, levels):
-        fv = apply_to_array(f, _midpoints(xs))
-        sums.append(fsum_array(fv * np.diff(pv)))
+    for size in [joint] + [1] * (levels - joint):
+        batch = list(itertools.islice(grids, size))
+        pairs = [len(xs) - 1 for xs, _ in batch]
+        sums += map(fsum_array, np.split(_terms(f, batch), np.cumsum(pairs)[:-1]))
     return sums

@@ -1,6 +1,7 @@
 """The named limit CDFs take 1-D float64 arrays and give each element the
-bits of their scalar call, so the Riemann-Stieltjes oracle and the
-variation estimator call them once per level; the per-element route,
+bits of their scalar call, so the Riemann-Stieltjes oracle calls them once,
+on its finest grid, and the variation estimator once per depth; the
+per-element route,
 forced by a callback that takes floats only, is the oracle of both."""
 
 import math
@@ -125,11 +126,12 @@ class Counted:
 
 @pytest.mark.parametrize("name", NAMES)
 def test_phi_is_called_once_per_level(name):
-    # the first grid whole, then the new odd points of each finer grid
+    # the oracle calls phi once, on its finest grid; variation on its first
+    # grid whole, then on the new odd points of each finer grid
     window = windows(name)[0]
     phi = Counted(phi_of(name))
     riemann_stieltjes_oracle(np.sin, phi, window, 12)
-    assert phi.sizes == [3] + [2 ** (level - 1) for level in range(2, 13)]
+    assert phi.sizes == [2**12 + 1]
     phi = Counted(phi_of(name))
     variation(phi, window)
     assert len(phi.sizes) >= 3

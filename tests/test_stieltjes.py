@@ -24,6 +24,7 @@ from asymptolim import (
     variation,
     variation_nd,
 )
+from asymptolim.cli import resolve_cdf, resolve_function
 from asymptolim.problems import arcsin_cdf, frac_limit_smooth_cdf, root_cdf, uniform_cdf
 from asymptolim.special import EULER_GAMMA
 import heapq
@@ -605,6 +606,12 @@ _DYADIC_WINDOWS = [
     for _ in range(6)
 ]
 
+# every --phi name, and every --f name but const1, plus a callback that
+# rejects arrays
+_ORACLE_PHIS = ("uniform", "sqrt", "root:3", "frac-limit", "arcsin")
+_ORACLE_FS = {name: resolve_function(name).fn
+              for name in ("sin", "cos", "id", "poly:0.5,-1.25,2")} | {"math.sin": math.sin}
+
 
 class TestDyadicGrids:
     """Each dyadic point of phi is evaluated once, with the same bits as the
@@ -634,12 +641,13 @@ class TestDyadicGrids:
         seen = []
 
         def f(mids):
-            # f is called once per level, after phi has seen that level's grid
+            # f is called once per batch of levels (1-16, then 17), after phi
+            # has seen every point of the finest grid
             seen.append(phi.calls)
             return np.sin(mids)
 
         got = riemann_stieltjes_oracle(f, phi, (-1.0, 3.0), 17)
-        assert seen == [2**level + 1 for level in range(1, 18)]
+        assert seen == [2**17 + 1] * 2
         assert np.asarray(got).tobytes() == np.asarray(
             oracle_per_level(np.sin, ScalarPhi(math.atan), (-1.0, 3.0), 17)
         ).tobytes()
@@ -656,6 +664,19 @@ class TestDyadicGrids:
         assert sum(seen) == 2**levels + 1
         want = oracle_per_level(np.cos, np.arctan, (-0.5, 2.0), levels)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("f", list(_ORACLE_FS), ids=str)
+    @pytest.mark.parametrize("phi", _ORACLE_PHIS, ids=str)
+    def test_named_cdfs_at_the_batch_edges(self, phi, f):
+        # levels 1-16 share one call of f, 17 and 18 take one each; a
+        # scalar-only f takes the per-element route over the joined midpoints
+        cdf = resolve_cdf(phi)
+        fn = _ORACLE_FS[f]
+        window = (cdf.support.lower[0], cdf.support.upper[0])
+        want = oracle_per_level(fn, cdf.value, window, 18)
+        for levels in (1, 15, 16, 17, 18):
+            got = riemann_stieltjes_oracle(fn, cdf.value, window, levels)
+            assert np.asarray(got).tobytes() == np.asarray(want[:levels]).tobytes()
 
     def test_variation_calls_phi_once_per_point_of_its_last_depth(self):
         # a linear phi sums to phi(1) - phi(0) at every depth, so variation
@@ -689,6 +710,63 @@ class TestOverflowingWidth:
         xs = [1.6e308, 1.7e308, 1.75e308, -1.75e308]
         want = [float((Fraction(a) + Fraction(b)) / 2) for a, b in zip(xs, xs[1:])]
         assert stieltjes._midpoints(np.array(xs)).tolist() == want
+
+
+class TestNormalStep:
+    """Where the finest dyadic step is a normal float, every coarser grid
+    is its strided points, bit for bit; the oracle and variation rely on it."""
+
+    @staticmethod
+    def nests(a, b, levels):
+        finest = stieltjes._grid(a, b, 2**levels + 1)
+        return all(
+            stieltjes._grid(a, b, 2**level + 1).tobytes()
+            == finest[:: 2 ** (levels - level)].tobytes()
+            for level in range(1, levels + 1)
+        )
+
+    @staticmethod
+    def windows(rng, levels):
+        """Random windows; windows of width near 2**(levels - 1022), where
+        the finest step turns subnormal, from tiny ends; +-0 ends; and
+        widths that overflow."""
+        out = [tuple(np.sort(rng.normal(size=2) * 10.0 ** rng.integers(-300, 300, 2)))
+               for _ in range(20)]
+        edge = 2.0 ** (levels - 1022)
+        for scale in (0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52, 1.5, 3.0):
+            a = float(rng.integers(-2**20, 2**20)) * 5e-324
+            out += [(a, a + scale * edge), (0.0, scale * edge), (-scale * edge, -0.0)]
+        out += [(-0.0, 0.0), (0.0, -0.0), (-0.0, 1.0), (-1.0, -0.0), (0.0, 0.0),
+                (-1e308, 1e308), (-1.7976931348623157e308, 1.7976931348623157e308),
+                (-1.7976931348623157e308, 1e300), (-1e300, 1.7e308)]
+        return out
+
+    @pytest.mark.parametrize("levels", [1, 2, 5, 11, 16])
+    def test_strided_grids_are_fresh_grids_where_the_step_is_normal(self, levels):
+        rng = np.random.default_rng(levels)
+        normal = other = 0
+        for a, b in self.windows(rng, levels):
+            if stieltjes._normal_step(a, b, levels):
+                normal += 1
+                assert self.nests(a, b, levels), (a, b)
+            else:
+                other += 1
+            if not math.isinf(b - a):
+                # linspace's step, where it is normal and exact
+                step = np.linspace(a, b, 2**levels + 1, retstep=True)[1]
+                exact = abs(step) >= 2.0**-1022 and step * 2**levels == b - a
+                assert stieltjes._normal_step(a, b, levels) == exact
+        assert normal >= 20 and other >= 5
+
+    def test_deepest_grid_and_a_step_rounded_up_to_normal(self):
+        for a, b in [(0.0, 1.0), (-3.0, 1e-3), (0.0, 2.0**-1000), (-1e308, 1e308)]:
+            assert stieltjes._normal_step(a, b, 22)
+            assert self.nests(a, b, 22)
+        assert not stieltjes._normal_step(0.0, 2.0**-1001, 22)
+        # a subnormal step that rounds up to the least normal float
+        below = (1.0 - 2.0**-53) * 2.0**-1000
+        assert below / 2**22 == 2.0**-1022
+        assert not stieltjes._normal_step(0.0, below, 22)
 
 
 def _numeric_derivative(phi, h=1e-6):
