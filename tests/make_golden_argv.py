@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -129,6 +130,28 @@ REJECTED = (["solve", "example1", "--f=tan", "--n=1000"],
             ["solve", "example1", "--n=1000", "--f=poly:1e6"],
             ["solve", "example4", "--n=1000", "--f=poly:1e300,1,-1"])
 
+# argv that argparse itself rejects or reshapes: an unknown option, a
+# trailing extra positional, a missing --n, a bad --method choice, an option
+# before the command, no argv, an unknown command, help after a command and
+# alone, an abbreviated option, the space form, "--" before a positional and
+# before an option, and the probe alias; usage and help are wrapped at
+# COLUMNS characters
+PARSED = (["integrate", "--f=sin", "--phi=uniform", "--bogus=1"],
+          ["special", "digamma", "--x=1", "extra"],
+          ["solve", "example1"],
+          ["integrate", "--f=sin", "--phi=uniform", "--method=simpson"],
+          ["--threads=2", "special", "digamma", "--x=1"],
+          [],
+          ["solv", "example1", "--n=10"],
+          ["special", "-h"],
+          ["--help"],
+          ["integrate", "--f=sin", "--phi=uniform", "--method=oracle", "--lev=3"],
+          ["solve", "dirichlet", "--n", "10"],
+          ["special", "--x=1", "--", "digamma"],
+          ["special", "digamma", "--", "--x=1"],
+          ["probe", "example3", "--n=100,1000", "--grid=0.25,0.5"])
+COLUMNS = "80"
+
 # the counts section: every problem's counts at these indices and thresholds
 COUNT_NS = (1, 2, 3, 1024, 720720, 10**6 + 3)
 COUNT_TS = (*THRESHOLDS, -1.0, math.inf, -math.inf, 0.25)
@@ -206,7 +229,7 @@ def argvs() -> list[list[str]]:
             for phi in ORACLE_PHIS for f in ORACLE_FS for levels in ORACLE_LEVELS]
     out += [["integrate", f"--f={f}", "--phi=uniform", "--method=oracle", *window]
             for window in ORACLE_WINDOWS for f in ORACLE_FS]
-    return out + list(REJECTED)
+    return out + list(REJECTED) + list(PARSED)
 
 
 def platform_digest() -> str:
@@ -237,6 +260,7 @@ def run(argv: list[str]) -> dict:
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
     PATH.parent.mkdir(exist_ok=True)
     cases = [run(argv) for argv in argvs()]
     PATH.write_text(json.dumps({"digest": platform_digest(), "cases": cases,

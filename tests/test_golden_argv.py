@@ -7,6 +7,7 @@ import json
 import pytest
 
 from make_golden_argv import (
+    COLUMNS,
     COUNT_NS,
     COUNT_TS,
     PATH,
@@ -37,7 +38,9 @@ def test_the_file_holds_every_argv_of_the_generator():
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
-def test_argv_prints_the_recorded_bytes(case, same_functions, capsys):
+def test_argv_prints_the_recorded_bytes(case, same_functions, monkeypatch, capsys):
+    # argparse wraps usage and help at the terminal's width
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     code = main(case["argv"])
     out = capsys.readouterr()
     assert code == case["code"]
