@@ -7,7 +7,9 @@ thresholds.
 bytes, and recomputes every count.  The reports hold values of numpy's sin and cos and of libm's
 functions, whose last bits depend on the CPU and the library versions, so
 the file also holds a digest of those functions at fixed points, and the
-bytes are compared only where the digest matches.  Regenerate the file only
+bytes of an argv that computes a value are compared only where the digest
+matches; an argv that exits 2 or prints help is compared everywhere.
+Regenerate the file only
 for a change that alters a report on purpose, and say so where the change is
 recorded:
 

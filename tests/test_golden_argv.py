@@ -1,6 +1,7 @@
 """Every argv in tests/data/golden_argv.json prints the bytes recorded there,
 with the report timestamp masked, and every problem gives the counts
-recorded there, at 1 and 2 threads (see make_golden_argv.py)."""
+recorded there, at 1 and 2 threads (see make_golden_argv.py).  Where the
+platform digest differs, only the argv that compute nothing are replayed."""
 
 import json
 
@@ -37,8 +38,17 @@ def test_the_file_holds_every_argv_of_the_generator():
     assert [case["argv"] for case in CASES] == argvs()
 
 
+def computes_nothing(case) -> bool:
+    """An argv rejected with exit code 2, or one that prints help, reaches
+    no elementary function of numpy or libm, so its bytes are the same on
+    every machine."""
+    return case["code"] == 2 or case["stdout"].startswith("usage:")
+
+
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
-def test_argv_prints_the_recorded_bytes(case, same_functions, monkeypatch, capsys):
+def test_argv_prints_the_recorded_bytes(case, monkeypatch, capsys, request):
+    if not computes_nothing(case):
+        request.getfixturevalue("same_functions")
     # argparse wraps usage and help at the terminal's width
     monkeypatch.setenv("COLUMNS", COLUMNS)
     code = main(case["argv"])
