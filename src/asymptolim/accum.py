@@ -28,7 +28,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -265,6 +265,18 @@ def is_vector(x) -> bool:
     """Whether ``x`` is a 1-D float64 array: the argument on which a callback
     that takes arrays is first called by ``apply_to_array``."""
     return isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
+
+
+def map_math(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(v, *args)`` of each value v of the 1-D float64 array ``x``, in a
+    new array: a ``math`` function, where numpy's own differs from it in the
+    last bit.  ``CHUNK`` values pass through Python floats at a time, so no
+    list of all of ``x`` exists."""
+    out = np.empty(x.size)
+    for lo in range(0, x.size, CHUNK):
+        part = x[lo : lo + CHUNK].tolist()
+        out[lo : lo + len(part)] = np.fromiter(map(fn, part, *map(repeat, args)), float, len(part))
+    return out
 
 
 def apply_to_array(f: Callable, x: np.ndarray) -> np.ndarray:

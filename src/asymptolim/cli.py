@@ -27,6 +27,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -310,6 +311,11 @@ def _real(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and its command parsers by name, ``probe`` among them."""
     parser = argparse.ArgumentParser(
         prog="asymptolim",
         description="Solvers, convergence probes, Stieltjes integrals and "
@@ -366,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_special.add_argument("--k-max", type=int, default=None)
     add_common(p_special)
 
-    return parser
+    return parser, sub.choices
 
 
 def _parse_poly_p(text: str) -> tuple[float, ...]:
@@ -487,9 +493,19 @@ COMMANDS = {
 }
 
 
+# types none of whose values is a float
+_FINITE_KINDS = {int, bool, str}
+
+
 def _finite(value) -> bool:
+    """False where ``value`` is a NaN or infinite float, or a list or tuple
+    that holds one at any depth.  A row of floats alone, or of ints, bools
+    and strs alone, is checked in one pass; any other row recurses."""
     if isinstance(value, (list, tuple)):
-        return all(_finite(v) for v in value)
+        kinds = set(map(type, value))
+        if kinds == {float}:
+            return all(map(math.isfinite, value))
+        return kinds <= _FINITE_KINDS or all(map(_finite, value))
     return not isinstance(value, float) or math.isfinite(value)
 
 
@@ -523,9 +539,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, its lines after the
+    first indented by ``pad``, without json's pure-Python encoder, which it
+    takes whenever ``indent`` is set.  Str-keyed dicts, lists and tuples are
+    laid out here, a row of finite floats in one join; strings take json's
+    own escaping, and ints, finite floats, bools and None json's literals.
+    Any other value, a non-finite float among them, goes to ``json.dumps``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    if value is None or kind is bool:
+        return _LITERALS[value]
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            return _layout("[", map(repr, value), "]", pad)
+        return _layout("[", [_json(v, inner) for v in value], "]", pad)
+    if kind is dict and set(map(type, value)) <= {str}:
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return _layout("{", items, "}", pad)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+def _layout(opening: str, items, closing: str, pad: str) -> str:
+    """json's indented layout of a list's or a dict's rendered items."""
+    newline = "\n" + pad + "  "
+    body = ("," + newline).join(items)
+    return f"{opening}{newline}{body}\n{pad}{closing}" if body else opening + closing
+
+
 def render_report(report: dict, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _json(report) + "\n"
     if output_format == "csv":
         return _render_csv(report)
     raise CliError(f"unknown output format {output_format!r}")
@@ -581,15 +632,32 @@ def write_output(text: str, path: Optional[str]) -> None:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: built on the first call, as argparse keeps
-    no state from one parse to the next."""
-    return build_parser()
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers ``main`` reuses (``_parsers``): built on the first call, as
+    argparse keeps no state from one parse to the next."""
+    return _parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``.  Where ``argv[0]`` names a
+    command, that command's parser parses the rest by ``parse_known_args``,
+    the call argparse's subparsers action makes, without the whole parser's
+    walk over the argv first.  An argv that leaves anything over, or that
+    names no command first, goes to the whole parser, which writes the usage
+    error, the help or the namespace, and exits as it does."""
+    parser, commands = _shared_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

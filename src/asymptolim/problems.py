@@ -44,7 +44,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -55,6 +55,7 @@ from .accum import (
     apply_to_array,
     exact_partials,
     is_vector,
+    map_math,
     map_reduce_fsum,
     map_reduce_int,
     workspace,
@@ -157,7 +158,7 @@ def root_cdf(q: int) -> SmoothCdf:
             out = np.where(x >= 1.0, 1.0, 0.0)
             inside = ~((x <= 0.0) | (x >= 1.0))
             x = x[inside]
-            out[inside] = np.fromiter(map(math.pow, x.tolist(), repeat(1.0 / q)), float, x.size)
+            out[inside] = map_math(math.pow, x, 1.0 / q)
             return out
         x = float(x)
         if x <= 0.0:
@@ -176,7 +177,7 @@ def arcsin_cdf() -> SmoothCdf:
     def value(t):
         if is_vector(t):
             t = np.minimum(np.maximum(t, -1.0), 1.0)
-            return np.fromiter(map(math.asin, t.tolist()), float, t.size) / math.pi + 0.5
+            return map_math(math.asin, t) / math.pi + 0.5
         return math.asin(min(max(float(t), -1.0), 1.0)) / math.pi + 0.5
 
     return SmoothCdf(

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .accum import is_vector
+from .accum import is_vector, map_math
 
 __all__ = [
     "EULER_GAMMA",
@@ -130,7 +130,7 @@ def _digamma_array(x: np.ndarray) -> np.ndarray:
     tail = 0.0
     for c in reversed(_PSI_TAIL):
         tail = (tail + c) * w
-    return acc + np.fromiter(map(math.log, x.tolist()), float, x.size) - 0.5 / x - tail
+    return acc + map_math(math.log, x) - 0.5 / x - tail
 
 
 def trigamma(x: float) -> float:

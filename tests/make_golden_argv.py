@@ -4,14 +4,13 @@ for a fixed list of argv, with the report timestamp masked, and the counts
 thresholds.
 
 ``test_golden_argv.py`` replays every argv in the file and compares the
-bytes, and recomputes every count.  The reports hold values of numpy's sin and cos and of libm's
-functions, whose last bits depend on the CPU and the library versions, so
-the file also holds a digest of those functions at fixed points, and the
-bytes of an argv that computes a value are compared only where the digest
-matches; an argv that exits 2 or prints help is compared everywhere.
-Regenerate the file only
-for a change that alters a report on purpose, and say so where the change is
-recorded:
+bytes, and recomputes every count.  The reports hold values of numpy's sin
+and cos and of libm's functions, whose last bits depend on the CPU and the
+library versions, so the file also holds a digest of those functions at
+fixed points, and the bytes of an argv that computes a value are compared
+only where the digest matches; an argv that exits 2 or prints help is
+compared everywhere.  Regenerate the file only for a change that alters a
+report on purpose, and say so where the change is recorded:
 
     PYTHONPATH=src python tests/make_golden_argv.py
 """

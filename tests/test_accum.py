@@ -18,6 +18,7 @@ from asymptolim.accum import (
     exact_partials,
     exact_units,
     fsum_array,
+    map_math,
     map_reduce_fsum,
     map_reduce_int,
     round_units,
@@ -40,6 +41,16 @@ class TestChunkRanges:
         first = next(iter(chunk_ranges(1, 2**52)))
         assert first == (1, CHUNK + 1)
         assert time.perf_counter() - start < 0.1
+
+
+class TestMapMath:
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("fn, args", [(math.log, ()), (math.pow, (1.0 / 3.0,))])
+    def test_each_value_across_chunk_edges(self, size, fn, args):
+        x = np.random.default_rng(size).random(size) + 0.5
+        out = map_math(fn, x, *args)
+        assert out.dtype == np.float64 and out.shape == (size,)
+        assert out.tobytes() == np.array([fn(v, *args) for v in x.tolist()]).tobytes()
 
 
 class TestMapOrdered:

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import asymptolim
@@ -615,13 +616,14 @@ class TestSharedParser:
         from asymptolim import cli
 
         builds = []
+        parsers = cli._parsers
 
         def counting_build():
             builds.append(1)
-            return build_parser()
+            return parsers()
 
         steps = self.sequence(tmp_path)
-        monkeypatch.setattr(cli, "build_parser", counting_build)
+        monkeypatch.setattr(cli, "_parsers", counting_build)
         cli._shared_parser.cache_clear()
         try:
             shared = self.run_all(steps, tmp_path, monkeypatch, capsys)
@@ -650,6 +652,163 @@ class TestSharedParser:
 
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()
+
+
+def _outcome(parse, argv, capsys):
+    """(namespace, None, "", "") of a parse that returns, or (None, exit
+    code, stdout, stderr) of one that exits."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return None, exc.code, out.out, out.err
+    out = capsys.readouterr()
+    return args, None, out.out, out.err
+
+
+class TestParse:
+    """``cli._parse`` gives what the whole parser's ``parse_args`` gives: the
+    namespace, or the exit code, stdout and stderr."""
+
+    # argparse-level argv beyond the golden file's: repeated and reordered
+    # options, an ambiguous and a help abbreviation, missing and malformed
+    # values, a value that looks like an option, "--" after every positional
+    # and help before the command
+    MATRIX = (["solve", "example1", "--n=10", "--n=20"],
+              ["solve", "--n=10", "example1"],
+              ["integrate", "--f", "sin", "--phi", "uniform", "--l=3"],
+              ["solve", "example1", "--n=10", "--he"],
+              ["sweep", "example1", "--n", "10,100", "--grid", "-0.5,0.5"],
+              ["special", "digamma", "--x", "-1"],
+              ["special", "digamma", "--x=1", "--x"],
+              ["integrate", "--f=sin", "--phi=uniform", "--levels=abc"],
+              ["special", "digamma", "--x=nan"],
+              ["solve", "example1", "--n=10", "--", "extra"],
+              ["solve", "example1", "--n=10", "-"],
+              ["solve", "example1", "--n=10", "-x"],
+              ["solve"],
+              ["probe", "-h"],
+              ["-h", "solve"],
+              ["sweep", "example3", "--n=10,100", "--format", "csv", "--output"],
+              ["integrate", "--f=sin", "--phi=uniform", "--method=oracle", "--lev", "3",
+               "--low=0", "--upp=1"])
+
+    @pytest.fixture(scope="class")
+    def whole(self):
+        return build_parser()
+
+    def check(self, argv, whole, monkeypatch, capsys):
+        from asymptolim.cli import _parse
+
+        monkeypatch.setenv("COLUMNS", "80")
+        got = _outcome(_parse, list(argv), capsys)
+        assert got == _outcome(whole.parse_args, list(argv), capsys)
+        return got
+
+    def test_golden_argv(self, whole, monkeypatch, capsys):
+        from make_golden_argv import argvs
+
+        outcomes = [self.check(argv, whole, monkeypatch, capsys) for argv in argvs()]
+        assert {code for _, code, _, _ in outcomes} == {None, 0, 2}
+
+    @pytest.mark.parametrize("argv", MATRIX, ids=" ".join)
+    def test_argparse_matrix(self, argv, whole, monkeypatch, capsys):
+        self.check(argv, whole, monkeypatch, capsys)
+
+    def test_command_is_the_name_given(self):
+        from asymptolim.cli import _parse
+
+        args = _parse(["probe", "example3", "--n=10"])
+        assert args == build_parser().parse_args(["probe", "example3", "--n=10"])
+        assert args.command == "probe"
+
+
+class TestJsonWriter:
+    """JSON reports are ``json.dumps(report, sort_keys=True, indent=2)``'s
+    bytes, whatever the report holds."""
+
+    @staticmethod
+    def same(value):
+        from asymptolim.cli import _json
+
+        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("command", list(TestReports.ROUND_TRIP_ARGVS))
+    def test_report_of_each_command(self, command):
+        argv = TestReports.ROUND_TRIP_ARGVS[command]
+        report = execute(config_from_args(build_parser().parse_args(argv)))
+        self.same(report)
+        assert render_report(report, "json") == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    def test_edge_values_in_the_config(self):
+        config = RunConfig(command="integrate", f="poly:0.5,-1.25,2", phi="uniform",
+                           lower=-0.0, upper=5e-324, x=1e308, s=-math.inf, tolerance=math.inf,
+                           grid=(-0.0, 5e-324, 1e308, math.inf, -math.inf), n_list=())
+        self.same({"config": config.to_dict(), "result": {"value": 0.5}})
+
+    @pytest.mark.parametrize("value", [
+        {"flags": (True, False, None), "big": 2**64, "huge": -(10**30), "empty": (),
+         "nested": [[], {}, [()]], "ints": (1, 2, 3), "mixed": [1.5, 2, True, None]},
+        {"text": "é, ü, \u2211 and \U0001f600", "control": "tab\tnew\nline\x00\x1f\x7f",
+         "quote": 'a "b" \\ c', "": "empty key", "\u00e9key": "non-ASCII key"},
+        {"floats": [0.1, -0.0, 5e-324, 1e308, 1e16, 1e-5, 123456789.0],
+         "non_finite": [1.0, math.nan, math.inf, -math.inf], "nan": math.nan},
+        {"numpy": [np.float64(0.1), np.float64(-0.0)], "scalar": np.float64(2.5),
+         "int_keys": {2: 1.5, 1: [1.0]}, "tuple_of_rows": ((1.0, 2.0), (3.0,))},
+        [], {}, "top", 1.5, math.inf, 7, None, True,
+    ], ids=["plain", "strings", "floats", "subclasses", "empty-list", "empty-dict", "str",
+            "float", "inf", "int", "null", "bool"])
+    def test_value_matrix(self, value):
+        self.same(value)
+
+    def test_random_nested_values(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text())
+        values = st.recursive(scalars, lambda inner: (
+            st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+            | st.lists(st.floats(), max_size=6)
+            | st.dictionaries(st.text(max_size=5), inner, max_size=4)), max_leaves=20)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(values)
+        def check(value):
+            self.same(value)
+
+        check()
+
+
+class TestFinite:
+    @staticmethod
+    def reference(value) -> bool:
+        # the recursive walk the flat check replaces
+        if isinstance(value, (list, tuple)):
+            return all(TestFinite.reference(v) for v in value)
+        return not isinstance(value, float) or math.isfinite(value)
+
+    @pytest.mark.parametrize("value", [
+        1.0, math.nan, -math.inf, 10**400, "nan", True, None, (), [],
+        (1.0, 2.0), (1.0, math.inf), [1, 2, True, "x"], [1, 10**400, math.nan],
+        ((1.0, 2.0), (3.0, (4.0, (5.0, math.nan)))), ((1.0, 2.0), (3.0, (4.0, (5.0, 6.0)))),
+        [np.float64(1.0), np.float64("nan")], [np.float64(1.0), 2.0], ["a", [1.0, [math.inf]]],
+    ])
+    def test_matches_the_recursive_walk(self, value):
+        from asymptolim.cli import _finite
+
+        assert _finite(value) == self.reference(value)
+
+    def test_nan_deep_in_a_nested_tuple_names_the_first_field(self, monkeypatch, capsys):
+        from asymptolim import cli
+
+        result = {"value": 1.0, "meta": "ok", "rows": ((1.0, 2.0), (3.0, (4.0, (5.0, math.nan)))),
+                  "later": math.inf}
+        monkeypatch.setitem(cli.COMMANDS, "special", lambda config: dict(result))
+        with pytest.raises(FloatingPointError, match="result field 'rows'"):
+            execute(RunConfig(command="special", problem="digamma", x=1.0))
+        code, out, err = run_cli(["special", "digamma", "--x=1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: non-finite value in result field 'rows'\n"
 
 
 class TestFunctionRegistry:
