@@ -63,11 +63,14 @@ HARMONIC_NS = (0, 1, 2, 3, 4, 255, 256, 257, 1024, 1025, 2000, 2**20 - 1, 2**20,
 IDENTITY_NS = (1, 2, 7, 256, 257, 1024, 1025, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**9 + 7,
                2**52 - 1)
 
-# example1's means of the named f: every row streamed (n < 32**2) and row 32
-# summed by Euler-Maclaurin (n = 32**2 + 1), either side of the stream's
-# chunk edge 2**17, a prime past a million and the benchmark's n
+# example1's means of the named f: every row streamed (n < 32**2), row 32
+# summed by Euler-Maclaurin (n = 32**2 + 1), either side of the first n
+# whose complete rows are summed as one series (33**2), either side of the
+# stream's chunk edge 2**17, a prime past a million, the benchmark's n and
+# the largest n
 MEAN_FS = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")
-MEAN_NS = (1, 2, 3, 7, 32**2 - 1, 32**2 + 1, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**7)
+MEAN_NS = (1, 2, 3, 7, 32**2 - 1, 32**2 + 1, 33**2 - 1, 33**2 + 1, 2**17 - 1, 2**17 + 1,
+           10**6 + 3, 10**7, 2**52 - 1)
 
 # example4's means of the named f: the same n, and either side of the first
 # n at which a quotient block is summed by Euler-Maclaurin: 32 for const1,
@@ -79,12 +82,14 @@ BLOCK_NS = (1, 2, 3, 7, 31, 32, 211, 212, 285, 286, 345, 346, 1000, 2**17 - 1, 2
 # its N(n) = 999,999 indices (none at n < 1e6, so the CLI rejects it), a P
 # below 0 over i < 2000, and a cubic whose local maximum, 148,148 at i = 33,
 # passes n before it falls to 0 at i = 100; each at q = r (the default r),
-# q > r (r = 1) and q < r (r = 4)
+# q > r (r = 1) and q < r (r = 4); and each at the smallest n, where most
+# have no index (exit 2) or a few
 POLY_PS = ("1.3,0.7,0.2", "1,0,0", "1e-10,1000000,0", "1,-2000,1", "1,-200,10000,0")
 POLY_NS = (1000, 2**17 - 1, 2**17 + 1, 10**6 + 3, 10**9 + 7, 10**12)
 POLY_RS = ((None, ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2"), POLY_NS),
            (1, ("sin", "poly:0.5,-1.25,2"), (1000, 10**6 + 3, 10**12)),
-           (4, ("sin", "poly:0.5,-1.25,2"), (1000, 10**6 + 3, 10**12)))
+           (4, ("sin", "poly:0.5,-1.25,2"), (1000, 10**6 + 3, 10**12)),
+           (None, ("sin", "poly:0.5,-1.25,2"), (1, 2, 7)))
 
 # example3's sweep: 720720 has many points at 1/2 and 1/4, 999983 is prime;
 # the grid holds 1/3 as a float
