@@ -23,17 +23,20 @@ have moved across t is decided in exact integer arithmetic, so no point is
 misclassified.  The divisor sum takes the hyperbola identity, O(sqrt n), and
 through it example4's identity mean is H_n - D(n)/n, correctly rounded,
 with no stream at all.  example1's mean of an f with an analytic part
-(antiderivatives F of f and G of u f, and bounds on the derivatives) sums
-each of the O(sqrt n) rows k = m*m + j by Euler-Maclaurin, from F, G and a
-few derivatives at the row's ends, within a bound proved in
-``sequence_average``; example4's mean of such an f sums each quotient
-block by Euler-Maclaurin, its integral by a Gauss-Legendre rule, within a
-bound proved in ``frac_n_over_i_mean``; the polynomial family's sum of such
-an f sums each monotone run of P by Euler-Maclaurin, within a bound proved
-in ``polynomial_family``; a plain callable streams.  Every such mean is one
+(antiderivatives F of f and G of u f, bounds on the derivatives, and f's
+Taylor coefficients at 1) takes the rows k = m*m + j by Euler-Maclaurin:
+the complete rows as one series in t = 1/(m + 1), through harmonic and
+Hurwitz zeta values, in O(1) at any n, the last row from F, G and a few
+derivatives at its ends, within a bound proved in ``sequence_average``;
+example4's mean of such an f sums each quotient block by Euler-Maclaurin,
+its integral by a Gauss-Legendre rule, within a bound proved in
+``frac_n_over_i_mean``; the polynomial family's sum of such an f sums each
+monotone run of P by Euler-Maclaurin, within a bound proved in
+``polynomial_family``; a plain callable streams.  Every such mean is one
 call of ``_mean_sum``: the spans of indices that stream, then the
-Euler-Maclaurin pieces (rows, blocks or runs), lie end to end in one range
-of fixed chunks, and the exact partials of all chunks are rounded once.
+Euler-Maclaurin pieces (rows and the series, blocks or runs), lie end to
+end in one range of fixed chunks, and the exact partials of all chunks are
+rounded once.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import decimal
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -68,6 +72,7 @@ from .special import (
     frac_limit_cdf,
     frac_limit_density,
     harmonic_exact,
+    hurwitz_zeta,
     round_once,
 )
 from .stieltjes import SmoothCdf, integrate_smooth
@@ -367,17 +372,45 @@ class Analytic:
 
     ``rows(U)`` takes a float64 array of U in [0, 1] and returns
     ``(F(U) - F(0), G(U) - G(0), d)``, where F' = f, G'(u) = u f(u) and
-    ``d(i)`` is f^(i)(U) for 0 <= i < 2 * _EM_TERMS.  ``bounds[k]`` bounds
-    |f^(k)| on [0, 1] for k <= 2 * _EM_TERMS + 2.  ``errors`` holds the
-    absolute errors (e_f, e_d, e_F, e_G) of the callback, of ``d``, and of
-    the two differences, on [0, 1].  ``disc(r)`` bounds |f| on the complex
-    disc |z| <= r (OverflowError where that bound is not a float).
+    ``d(i)`` is f^(i)(U) for 0 <= i < 2 * _EM_TERMS, each evaluated once
+    per call.  ``bounds[k]`` bounds |f^(k)| on [0, 1] for
+    k <= 2 * _EM_TERMS + 2.  ``errors`` holds the absolute errors
+    (e_f, e_d, e_F, e_G) of the callback, of ``d``, and of the two
+    differences, on [0, 1].  ``disc(r)`` bounds |f| on the complex disc
+    |z| <= r (OverflowError where that bound is not a float).
+    ``at_one(L)``, for example1's series of rows, returns
+    ``((hi, lo), J, a, e)``: hi = fl(I) and lo = fl(I - hi) for
+    I = F(1) - F(0), J = fl(G(1) - G(0)), each from a rational within
+    2**-200 of the exact value, and floats a_j within e_j of f's Taylor
+    coefficients f^(j)(1)/j! at 1, for 0 <= j <= L.
     """
 
     rows: Callable[[np.ndarray], tuple]
     bounds: tuple
     errors: tuple
     disc: Callable[[float], float]
+    at_one: Callable[[int], tuple]
+
+
+def _rounded(x: Fraction) -> tuple:
+    """hi = fl(x) and lo = fl(x - hi): x within |lo| u of hi + lo."""
+    hi = float(x)
+    return hi, float(x - Fraction(hi))
+
+
+@functools.cache
+def _trig_at_one(phase: int, L: int) -> tuple:
+    """``at_one(L)`` of np.sin (phase 0) or np.cos (phase 1): f^(j)(1) is
+    sin(1 + (j + phase) pi/2), from sin 1 and cos 1 as Fractions within
+    2**-200, their Taylor series to the terms 1/49! and 1/48! (the first
+    omitted terms, 1/51! and 1/50!, bound what is left out), and each a_j
+    is rounded once from a Fraction.  The same for every call, so kept."""
+    s = sum(Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(25))
+    c = sum(Fraction((-1) ** k, math.factorial(2 * k)) for k in range(25))
+    cycle = (s, c, -s, -c)
+    a = [float(cycle[(j + phase) % 4] / math.factorial(j)) for j in range(L + 1)]
+    I, J = (s, s + c - 1) if phase else (1 - c, s - c)
+    return _rounded(I), float(J), a, [_U * abs(v) + 2.0**-200 for v in a]
 
 
 def _trig_part(phase: int) -> Analytic:
@@ -388,7 +421,8 @@ def _trig_part(phase: int) -> Analytic:
     s - U c; for cos, s and U s - (1 - cos U).  np.sin and np.cos are within
     a relative e = _TRIG_ERROR, so the squared sine is within 2e + 2u of
     1 - cos U < 1 (u = 2**-53), and either G term, below 0.4, within
-    2e + 3u.  |sin(x + iy)| and |cos(x + iy)| are at most cosh y."""
+    2e + 3u.  |sin(x + iy)| and |cos(x + iy)| are at most cosh y.  Their
+    values at 1 come from ``_trig_at_one``."""
 
     def rows(U: np.ndarray) -> tuple:
         s, c = np.sin(U), np.cos(U)
@@ -403,7 +437,7 @@ def _trig_part(phase: int) -> Analytic:
 
     e = _TRIG_ERROR
     return Analytic(rows, (1.0,) * (2 * _EM_TERMS + 3), (e, e, 2 * e + 2 * _U, 2 * e + 3 * _U),
-                    math.cosh)
+                    math.cosh, functools.partial(_trig_at_one, phase))
 
 
 def _poly_part(c: Sequence[float]) -> Optional[Analytic]:
@@ -427,20 +461,43 @@ def _poly_part(c: Sequence[float]) -> Optional[Analytic]:
     def gamma(j: int) -> float:
         return j * _U / (1.0 - j * _U)
 
-    def coeffs(k: int) -> np.ndarray:
-        # f^(k), descending
-        return np.array([c[i] * math.perm(i, k) for i in range(q, k - 1, -1)])
+    # the coefficients, descending, of F, G and f^(k) for k < 2 * _EM_TERMS,
+    # one row each, led by zeros: Horner's rule takes 0 * x + 0 = 0 from a
+    # leading zero at x >= 0, so each row of one pass over the columns has
+    # the bits of its own polynomial's _horner
+    table = np.zeros((2 + 2 * _EM_TERMS, q + 3))
+    table[0, 1:] = [c[i] / (i + 1) for i in range(q, -1, -1)] + [0.0]
+    table[1] = [c[i] / (i + 2) for i in range(q, -1, -1)] + [0.0, 0.0]
+    for k in range(min(q, 2 * _EM_TERMS - 1) + 1):
+        table[2 + k, k + 2 :] = [c[i] * math.perm(i, k) for i in range(q, k - 1, -1)]
+    columns = table.T[:, :, None]
 
     def rows(U: np.ndarray) -> tuple:
-        F = np.array([c[i] / (i + 1) for i in range(q, -1, -1)] + [0.0])
-        G = np.array([c[i] / (i + 2) for i in range(q, -1, -1)] + [0.0, 0.0])
-        return (_horner(F, U, np.empty(U.shape)), _horner(G, U, np.empty(U.shape)),
-                lambda i: _horner(coeffs(i), U, np.empty(U.shape)))
+        out = _horner(columns, U, np.empty((len(table), U.size)))
+        return out[0], out[1], lambda i: out[2 + i]
+
+    def at_one(L: int) -> tuple:
+        # a_j = sum_i c_i C(i, j): each product and the sum rounded once
+        top = min(L, q) + 1
+        a = [math.fsum(c[i] * math.comb(i, j) for i in range(j, q + 1)) for j in range(top)]
+        e = [2 * _U * math.fsum(abs(c[i]) * math.comb(i, j) for i in range(j, q + 1))
+             for j in range(top)]
+        a, e = a + [0.0] * (L + 1 - top), e + [0.0] * (L + 1 - top)
+        return _rounded(moment(1)), float(moment(2)), a, e
+
+    def moment(shift: int) -> Fraction:
+        # sum_i c_i / (i + shift), exactly, over one common denominator
+        ratios = [v.as_integer_ratio() for v in c]
+        E = max(d for _, d in ratios)
+        den = math.lcm(*range(shift, q + shift + 1))
+        return Fraction(sum(p * (E // d) * (den // (i + shift)) for i, (p, d) in enumerate(ratios)),
+                        E * den)
 
     errors = (gamma(2 * q) * A[0], gamma(2 * q + 2) * max(A),
               gamma(2 * q + 3) * math.fsum(abs(c[i]) / (i + 1) for i in range(q + 1)),
               gamma(2 * q + 5) * math.fsum(abs(c[i]) / (i + 2) for i in range(q + 1)))
-    return Analytic(rows, A, errors, lambda r: math.fsum(abs(v) * r**i for i, v in enumerate(c)))
+    return Analytic(rows, A, errors, lambda r: math.fsum(abs(v) * r**i for i, v in enumerate(c)),
+                    at_one)
 
 
 # Euler-Maclaurin terms of h(x) = f(u) for the rows' map and the blocks'.
@@ -527,10 +584,11 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray) -> np.ndarray:
+def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray, d0: Callable) -> np.ndarray:
     """Partials whose exact sum is within the bound of ``sequence_average``
     of the sum of f(sqrt(m*m + j) - m) over 0 <= j <= N, for the float
-    arrays m >= _FIRST_EM_ROW and 0 <= N <= 2m."""
+    arrays m >= _FIRST_EM_ROW and 0 <= N <= 2m, with the ``d`` of
+    ``part.rows`` at 0 as ``d0``."""
     a = m * m + N
     s = np.sqrt(a)
     U = s - m
@@ -541,7 +599,6 @@ def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray) -> np.ndarray:
     dF, dG, d = part.rows(U)
     f, f1 = d(0), d(1)
     w = m + U
-    _, _, d0 = part.rows(np.zeros(1))
     small = V * (2.0 * w * f + 0.5 * f1 + V * (w * f1 + f))
     small += _em_ends(d, w, -2, 0.5) - _em_ends(d0, m, -2, 0.5)
     hi, lo = _split(dF)
@@ -551,19 +608,245 @@ def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray) -> np.ndarray:
     )
 
 
+# ---------------------------------------------------------------------------
+# example1's complete rows as one series in t = 1/(m + 1)
+# ---------------------------------------------------------------------------
+
+# The complete rows from the first Euler-Maclaurin row on, or from a later
+# row where that tail needs it (_series_plan), are summed as one series in
+# t = 1/(m + 1) of at most _SERIES_ORDER powers, whose tail is bounded on
+# |t| <= _SERIES_RADIUS
+_SERIES_ORDER = 16
+_SERIES_RADIUS = 0.5
+
+# hurwitz_zeta(k, x) is within this relative error of zeta(k, x) for
+# 2 <= k <= _SERIES_ORDER and the integers 33 <= x <= 2**26 + 1 (a test
+# checks it against mpmath at 120 digits; it is within 2.4 u there)
+_ZETA_ERROR = 2.0**-50
+
+# _series_matrix's float entries are within this of the exact rationals (a
+# test checks each of them in Fractions; they are within 2**-54 there)
+_SERIES_MATRIX_ERROR = 2.0**-52
+
+
+def _series_matrix(L: int, one=1.0) -> np.ndarray:
+    """The matrix C of the series of a complete row (see ``sequence_average``)
+    to the power L, in the numbers of ``one`` (floats, or Fractions for a
+    test): with t = 1/(m + 1), a row's Euler-Maclaurin value is
+    2 (F(1) - F(0))/t + sum_{k<=L} c_k t**k + O(t**(L+1)), where c = C x for
+    x = (F(1) - F(0), G(1) - G(0), f(0), f'(0), ..., f^(2K-1)(0), a_0, ...,
+    a_L), a_j = f^(j)(1)/j!, K = _EM_TERMS.  Row k of C takes x's entries
+    up to a_k alone, so the C of a smaller L is a leading block of it.
+
+    With U = 1 + delta, delta = -(1 - sqrt(1 - t*t))/t, and
+    F(U) - F(1) = sum_j a_j delta**(j+1)/(j + 1), G(U) - G(1) - (F(U) - F(1))
+    = sum_j a_j delta**(j+2)/(j + 2), the row's 2m (F(U) - F(0)) +
+    2 (G(U) - G(0)) + (f(0) + f(U))/2 less 2 (F(1) - F(0))/t is
+    2 (G(1) - G(0)) - 2 (F(1) - F(0)) + f(0)/2 plus, for each a_j,
+    2 delta**(j+1)/((j + 1) t) + 2 delta**(j+2)/(j + 2) + delta**j/2.  The
+    Bernoulli terms at the row's end add sum_{1<=i<2K} j!/(j-i)!
+    delta**(j-i) W_i for a_j, since w**(i-2p) = v**(2p-i) there with
+    v = t/sqrt(1 - t*t); those at its start, where w = m = (1 - t)/t, add
+    -W'_i for f^(i)(0), with y = t/(1 - t) for v.  W_i and W'_i sum
+    B_2k/(2k)! 2**-p a_i v**(2p-i) and the same in y over the k <= K with
+    p = 2k - 1 >= i, for the a_i of ``_em_table``.  The coefficients of
+    delta, -C_(j-1)/2**(2j-1) at t**(2j-1) (Catalan numbers), of v,
+    (2j)!/(j! j! 4**j) at t**(2j+1), and of y, 1, are dyadic, and so are
+    their powers', all exact in floats.  Products of series go by
+    elementwise passes in a fixed order, so C's bits are the same on every
+    machine."""
+    K = _EM_TERMS
+    n = L + 2
+    dtype = float if isinstance(one, float) else object
+
+    def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # each row of a times the series b, to the power n - 1
+        out = np.zeros(a.shape, dtype)
+        for k in np.flatnonzero(b).tolist():
+            out[..., k:] += a[..., : n - k] * b[k]
+        return out
+
+    def powers(coefficients: dict, top: int) -> np.ndarray:
+        series = np.array([coefficients.get(k, 0 * one) for k in range(n)], dtype)
+        out = [np.array([one] + [0 * one] * (n - 1), dtype)]
+        for _ in range(top):
+            out.append(times(out[-1], series))
+        return np.array(out)
+
+    delta, v = {}, {}
+    e = g = one
+    for j in range(1, n // 2 + 1):
+        e = e * (2 * j - 3) / (2 * j)
+        delta[2 * j - 1], v[2 * j - 1] = e, g
+        g = g * (2 * j - 1) / (2 * j)
+    P = powers(delta, L + 2)
+    V = powers(v, 4 * K - 3)
+    Y = powers({k: one for k in range(1, n)}, 4 * K - 3)
+    W = np.zeros((2 * K, n), dtype)
+    W0 = np.zeros((2 * K, n), dtype)
+    for k, (num, den) in enumerate(BERNOULLI_2J[:K], start=1):
+        p = 2 * k - 1
+        beta = one * num / (den * math.factorial(2 * k)) / 2**p
+        for i, a in _em_table(-2, p).items():
+            W[i] += beta * int(a) * V[2 * p - i]
+            W0[i] -= beta * int(a) * Y[2 * p - i]
+    j = np.arange(L + 1)
+    S = np.zeros((2 + 2 * K + L + 1, n), dtype)
+    S[:3, 0] = (-2 * one, 2 * one, one / 2)
+    S[3 : 2 + 2 * K] = W0[1:]
+    a = S[2 + 2 * K :]
+    a[:, :-1] = (2 * one / (j + 1))[:, None] * P[1 : L + 2, 1:]
+    a += (2 * one / (j + 2))[:, None] * P[2 : L + 3] + P[: L + 1] / 2
+    for i in range(1, 2 * K):
+        perm = np.array([math.perm(m, i) for m in range(i, L + 1)])
+        a[i:] += perm[:, None] * times(P[: L + 1 - i], W[i])
+    return S[:, : L + 1].T
+
+
+@functools.cache
+def _series_rows() -> list:
+    """The rows of ``_series_matrix(_SERIES_ORDER)`` as lists of floats."""
+    return _series_matrix(_SERIES_ORDER).tolist()
+
+
+@functools.cache
+def _series_weights() -> tuple:
+    """(rU, w0, w1, w2) such that B = disc(rU) w0 + disc(rU + 1) w1 +
+    sum_i A_i w2[i] in ``_series_order``."""
+    r = _SERIES_RADIUS
+    s = math.sqrt(1.0 - r * r)
+    rU = 1.0 + r / (1.0 + s)
+    w1, w2 = 0.0, [0.0] * (2 * _EM_TERMS)
+    for k, (num, den) in enumerate(BERNOULLI_2J[:_EM_TERMS], start=1):
+        p = 2 * k - 1
+        beta = abs(num) / (den * math.factorial(2 * k)) / 2**p
+        for i, a in _em_table(-2, p).items():
+            w1 += beta * abs(a) * math.factorial(i) * (r / s) ** (2 * p - i)
+            w2[i] += beta * abs(a) * (r / (1.0 - r)) ** (2 * p - i)
+    return rU, 2.0 / (1.0 + s) + 2.0 * rU + rU * rU + 1.0, w1, w2
+
+
+def _series_order(part: Analytic, s0: int) -> Optional[int]:
+    """The least L <= _SERIES_ORDER at which the series' tail T(L) over the
+    rows m >= s0 is at most u A_0, one rounding of |f|'s bound, or None.
+
+    The tail.  On |t| <= r = _SERIES_RADIUS, with s = sqrt(1 - r*r),
+    |U| <= rU = 1 + r/(1 + s), |v| <= r/s and |y| <= r/(1 - r) (see
+    ``_series_matrix``).  A row's value less 2 (F(1) - F(0))/t is
+    2 (F(U) - F(1))/t - 2 (F(U) - F(0)) + 2 (G(U) - G(0)) +
+    (f(0) + f(U))/2 and the Bernoulli terms, analytic on |t| < 1 for an
+    entire f; there it is at most B = D (2/(1 + s) + 2 rU + rU**2 + 1) +
+    sum_k |B_2k|/(2k)! 2**-p sum_i |a_i| (i! D1 (r/s)**(2p-i) +
+    A_i (r/(1 - r))**(2p-i)), with D = disc(rU) and D1 = disc(rU + 1): the
+    integrals of f and u f run along segments in |z| <= rU,
+    |delta/t| = 1/|1 + sqrt(1 - t*t)| <= 1/(1 + s), and Cauchy's estimate
+    on the circle of radius 1 bounds f^(i)(U) by i! D1.  So |c_k| <= B/r**k
+    (Cauchy), and with sum_{m>=s0} t**k <= s0**(1-k)/(k - 1), the terms
+    past t**L sum over the rows to at most T(L) = B s0 q**(L+1)/(L (1 - q)),
+    q = 1/(r s0)."""
+    A = part.bounds
+    rU, w0, w1, w2 = _series_weights()
+    try:
+        B = part.disc(rU) * w0 + part.disc(rU + 1.0) * w1 + sum(map(operator.mul, A, w2))
+    except OverflowError:
+        return None
+    q = 1.0 / (_SERIES_RADIUS * s0)
+    tail = B * s0 * q * q / (1.0 - q)
+    for L in range(1, _SERIES_ORDER + 1):
+        if tail <= _U * A[0]:
+            return L
+        tail *= q * L / (L + 1)
+    return None
+
+
+def _series_plan(part: Analytic, first: int, M: int) -> Optional[tuple[int, int]]:
+    """(s0, L): the series takes the rows s0 <= m < M to the power L
+    (``_series_order``), from s0 = first, doubled while no L <=
+    _SERIES_ORDER holds its tail; None where s0 reaches M."""
+    s0 = first
+    while s0 < M:
+        L = _series_order(part, s0)
+        if L is not None:
+            return s0, L
+        s0 *= 2
+    return None
+
+
+def _harmonic_gap(a: int, b: int) -> float:
+    """H_b - H_a for 32 <= a <= b <= 2**26, within (1 + 3 H) 2**-52 of it
+    (a test checks it against mpmath): ln(b/a) + 1/(2b) - 1/(2a) -
+    sum_{j<=5} B_2j/(2j) (b**-2j - a**-2j), the small terms summed first.
+    Its remainder, a difference of two of the same sign (DLMF 5.11(ii)),
+    is at most |B_12|/(12 a**12) < 2**-64."""
+    x, y = float(a), float(b)
+    small = 0.5 / y - 0.5 / x
+    for j, (num, den) in enumerate(BERNOULLI_2J[:5], start=1):
+        small -= num / (2 * j * den) * (y ** (-2 * j) - x ** (-2 * j))
+    return math.log(y / x) + small
+
+
+@functools.lru_cache(maxsize=64)
+def _zeta_row(x: int, L: int) -> tuple:
+    """hurwitz_zeta(k, x) for k = 2..L, after two zeros for k = 0 and 1."""
+    return (0.0, 0.0) + tuple(hurwitz_zeta(float(k), float(x)) for k in range(2, L + 1))
+
+
+def _row_series(part: Analytic, d0: Callable, s0: int, L: int, M: int) -> list:
+    """Partials whose exact sum is within the bound of ``sequence_average``
+    of the Euler-Maclaurin values of the complete rows s0 <= m < M, as one
+    series in t = 1/(m + 1) to the power L, for the ``d`` of ``part.rows``
+    at 0 as ``d0``.  Over these t, sum 1/t = sum_{j=s0+1}^{M} j, an integer,
+    times hi + lo = F(1) - F(0) in exact products (``_times``);
+    sum 1 = M - s0; sum t = H_M - H_s0 (``_harmonic_gap``); and sum t**k =
+    zeta(k, s0 + 1) - zeta(k, M + 1) (``hurwitz_zeta``), the latter left out
+    from the least k from which sum |c_k| M**(1-k)/(k - 1), a bound on the
+    rest, is at most u A_0."""
+    (hi, lo), J, a, _ = part.at_one(L)
+    x = [hi, J, *(float(d0(i)[0]) for i in range(2 * _EM_TERMS)), *a]
+    c = [sum(map(operator.mul, row, x)) for row in _series_rows()[: L + 1]]
+    partials = _times((M * (M + 1) - s0 * (s0 + 1)) // 2, [2.0 * hi, 2.0 * lo])
+    partials += [c[0] * (M - s0), c[1] * _harmonic_gap(s0, M)]
+    zeta = _zeta_row(s0 + 1, L)
+    stop, rest = L + 1, 0.0
+    while stop > 2:
+        more = rest + abs(c[stop - 1]) * float(M) ** (2 - stop) / (stop - 2)
+        if more > _U * part.bounds[0]:
+            break
+        stop, rest = stop - 1, more
+    partials += [c[k] * (zeta[k] - hurwitz_zeta(float(k), M + 1.0)) for k in range(2, stop)]
+    partials += [c[k] * zeta[k] for k in range(stop, L + 1)]
+    return partials
+
+
 def _row_sum(f: Callable, part: Optional[Analytic], n: int, threads: int) -> float:
     """sum of f({sqrt k}) over k <= n, rounded once, by rows (see
     ``sequence_average``): the k below m0*m0, for m0 = ``_first_em_row``,
-    stream, and the rows m0..isqrt(n) are summed by ``_em_rows``; without
-    an analytic part m0 = isqrt(n) + 1, and every k streams."""
-    first = math.isqrt(n) + 1 if part is None else _first_em_row(part.bounds)
+    stream; the rows m0..s0-1 and the last row M = isqrt(n) are summed by
+    ``_em_rows``, and the complete rows s0..M-1 of ``_series_plan`` by
+    ``_row_series``; without a plan s0 = M, and without an analytic part
+    m0 = M + 1, and every k streams."""
+    M = math.isqrt(n)
+    first = M + 1 if part is None else _first_em_row(part.bounds)
+    plan = None if part is None else _series_plan(part, first, M)
+    d0 = None if first > M else part.rows(np.zeros(1))[2]
+    # the pieces: rows first..top-1, row M, then the series
+    top = M if plan is None else plan[0]
+    rows = max(0, top - first) + (M >= first)
 
     def em(a: int, b: int) -> list:
-        m = _indices(first + a, first + b, np.empty(b - a))
-        return exact_partials(_em_rows(part, m, np.minimum(2.0 * m, n - m * m)))
+        stop = min(b, rows)
+        partials = []
+        if a < stop:
+            m = _indices(first + a, first + stop, np.empty(stop - a))
+            if stop == rows:
+                m[-1] = M
+            partials = exact_partials(_em_rows(part, m, np.minimum(2.0 * m, n - m * m), d0))
+        if b > rows:
+            partials += _row_series(part, d0, *plan, M)
+        return partials
 
     return _mean_sum(f, PROBLEMS["example1"].points, n, [(1, min(n + 1, first * first))],
-                     threads, max(0, math.isqrt(n) + 1 - first), em)
+                     threads, rows + (plan is not None), em)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,8 +1489,9 @@ def sequence_average(
 
     A plain callable streams: the sum of f over the rounded points, rounded
     once, over n.  A callable with an ``analytic`` part (``Analytic``: the
-    CLI's sin, cos, id, const1 and poly:...) is summed by rows, in
-    O(sqrt n), and the rows' sum is rounded once, then divided by n.
+    CLI's sin, cos, id, const1 and poly:...) is summed by rows: the
+    complete rows as one series, in O(1), the last row by Euler-Maclaurin;
+    the sum is rounded once, then divided by n.
 
     The rows.  Row m holds k = m*m + j for 0 <= j <= N, with N = 2m, or
     n - M*M in the last row M = isqrt(n); its points are u_j =
@@ -1215,7 +1499,7 @@ def sequence_average(
     m0 (``_first_em_row``) is the least row from _FIRST_EM_ROW = 32 on at
     which the remainder bound rho below (``_em_remainder``) is at most
     u A_0: 32 for sin, cos, id, const1 and polynomials of low degree, later
-    for f with large high derivatives.  Each other row is summed by
+    for f with large high derivatives.  Each other row's sum is taken by
     Euler-Maclaurin (DLMF 2.10.1) for h(x) = f(sqrt(m*m + x) - m), with
     K = _EM_TERMS:
 
@@ -1227,41 +1511,81 @@ def sequence_average(
     of a_i f^(i)(u) w**(i-2p), w = m + u, for the integers a_i of
     ``_em_table`` with alpha = -2 (d/dx = (1/(2w)) d/du), and
     |R| <= 2|B_2K+2|/(2K+2)! times the integral of |h^(2K+2)| over [0, N].
+    The complete rows s0 <= m < M go as one series (``_row_series``), and
+    the rows m0..s0-1 and the last row M one by one (``_em_rows``); s0 is
+    m0 for the named f (``_series_plan``).
 
-    The rows in floats (``_em_rows``).  m*m + N < 2**53 is exact, so
+    The rows one by one (``_em_rows``).  m*m + N < 2**53 is exact, so
     s = fl(sqrt(m*m + N)) and U0 = s - m are, the difference by Sterbenz's
     lemma; V = (m*m + N - s*s)/(2s), with s*s in two exact parts (Dekker),
     puts U0 + V within 3u*u(m + 1) of U, for u = 2**-53.  The partials of a
     row are 2m (F(U0) - F(0)) as two exact products (Veltkamp's halves of
     26 bits), 2 (G(U0) - G(0)), f(0)/2, f(U0)/2, and a small one: the Taylor
     step of I + f(U)/2 from U0 by V, to second order, and the Bernoulli
-    terms at U0 (``_em_ends``).  The streamed points' partials and the
-    rows' go through one ``_mean_sum``, so no thread count changes a bit.
+    terms at U0 (``_em_ends``).
+
+    The series.  For a complete row, t = 1/(m + 1) gives m = 1/t - 1,
+    U = 1 - (1 - sqrt(1 - t*t))/t, and the ends w = sqrt(1 - t*t)/t and
+    w = (1 - t)/t, so the row's value less R is analytic in t:
+    c_{-1}/t + sum_{k=0}^{L} c_k t**k + a tail, with c_{-1} =
+    2 (F(1) - F(0)) and c = C x (``_series_matrix``, built once) for
+    x = (F(1) - F(0), G(1) - G(0), f^(i)(0) for i < 2K, and f's Taylor
+    coefficients a_j at 1 from ``Analytic.at_one``).  Over the t of the
+    rows s0..M-1, sum 1/t = sum_{j=s0+1}^{M} j is an integer, sum 1 =
+    M - s0, sum t = H_M - H_s0 (``_harmonic_gap``) and sum t**k =
+    zeta(k, s0 + 1) - zeta(k, M + 1) (``hurwitz_zeta``, DLMF 25.11); the
+    zeta(k, s0 + 1) are kept, and the zeta(k, M + 1) are left out from the
+    first k from which D = sum_k |c_k| M**(1-k)/(k - 1), a bound on the
+    rest, is at most u A_0.  L is the least order at which T, a Cauchy
+    majorant of the tail from ``Analytic.disc`` on |t| <= 1/2
+    (``_series_order``), is at most u A_0: 14 for sin, cos and the
+    polynomials of low degree from s0 = 32.  So the series costs a few
+    dozen float operations, the kept zeta values and four to six
+    hurwitz_zeta calls at any n, and the mean O(1) in all: at n = 2**52 - 1
+    about 0.3 ms in place of 22 s by rows.  The streamed points' partials,
+    the rows' and the series' go through one ``_mean_sum``, so no thread
+    count changes a bit.
 
     The bound.  Take e_f, e_d, e_F, e_G and A_k of the analytic part,
     A = max A_k, and m <= M <= 2**26, so that |V| <= u (m + 1) and
     2u (m + 1)**2 < 1.01.
     - A streamed point fl(sqrt k) - m is within u m0 of u_k, so each of the
       min(n, m0*m0 - 1) streamed values is within e_f + u m0 A_1 of f(u_k).
-    - A row's first four partials are within 2m e_F + 2 e_G + e_d of theirs
-      at U0.  The small partial is off by at most 2 e_d (its f(U0) and
-      f'(U0), times at most 2(m + 1)|V| and |V|) plus 16 u A: its nine
-      roundings on a value below 1.01 A, the error of V (6u*u(m + 1)**2 A),
-      the Taylor terms left out, and the Bernoulli terms (below A/(12m)
-      each, with their shift from U to U0) stay below that.
+    - A row by ``_em_rows``: its first four partials are within
+      2m e_F + 2 e_G + e_d of theirs at U0.  The small partial is off by at
+      most 2 e_d (its f(U0) and f'(U0), times at most 2(m + 1)|V| and |V|)
+      plus 16 u A: its nine roundings on a value below 1.01 A, the error of
+      V (6u*u(m + 1)**2 A), the Taylor terms left out, and the Bernoulli
+      terms (below A/(12m) each, with their shift from U to U0) stay below
+      that.
     - Summed over m >= m0, R is at most rho = 2|B_p|/p! 2**(1-p) times
       sum_i |a_i| A_i (m0 - 1)**(i+2-2p) / (2p-2-i), for p = 2K + 2 and
       the a_i of h^(p) (``_em_remainder`` with X = m0 - 1): the rows' w
       lie in [m0, inf).  m0 makes rho at most u A_0.
+    - The series.  x's entries are within e_x: u|v|/2 + 2**-200 for each
+      v of hi and J (``at_one``), e_d for the f^(i)(0), e_j for a_j.  C's entries are within 2**-52 of the exact rationals
+      (_SERIES_MATRIX_ERROR), and each c_k is a sum of at most 25 rounded
+      products, left to right, so it is within ce_k = sum_j |C_kj|
+      (e_x_j + gamma(25)|x_j|) + 2**-52 (|x_j| + e_x_j) of the exact
+      coefficient.  hi + lo is within u|lo| + 2**-200 of F(1) - F(0), and
+      S1 = sum_{j=s0+1}^{M} j times 2 hi and 2 lo is exact (``_times``).
+      H = H_M - H_s0 is within e_H = (1 + 3H) 2**-52, and each zeta value
+      within _ZETA_ERROR = 2**-50 relative.  So the series is within
+      E_t = T + D + 2 S1 (u|lo| + 2**-200) + (M - s0)(ce_0 + u|c_0|/2)
+      + (ce_1 + u|c_1|/2) H + |c_1| e_H + sum_{k>=2} ((ce_k + u|c_k|)
+      zeta(k, s0 + 1) + 2**-50 |c_k| (zeta(k, s0 + 1) + zeta(k, M + 1)))
+      of the rows' values less R; T and D are at most u A_0 each.
     - Rounding the sum, then dividing by n, add 2**-52 (1 + 2**-52)|mean|.
-    So the mean is within 2**-52 (1 + 2**-52)|mean| + (E_s + E_r)/n of the
-    exact mean of f(u_k), with E_s = min(n, m0*m0 - 1)(e_f + u m0 A_1) and
-    E_r = rho + sum_{m=m0}^{M} (2m e_F + 2 e_G + 3 e_d + 16 u A): at large n
-    about 22 ulp of the mean for sin, 12 for cos (most of it the stated
-    error of np.sin and np.cos) and 7 for id.  It is not rounded through
-    ``round_once``: the partials' errors fix the bound's width, and no
-    number of digits would narrow an enclosure that straddles a rounding
-    boundary.
+    So the mean is within 2**-52 (1 + 2**-52)|mean| + (E_s + E_r + E_t)/n
+    of the exact mean of f(u_k), with E_s = min(n, m0*m0 - 1)(e_f +
+    u m0 A_1) and E_r = rho + sum_m (2m e_F + 2 e_G + 3 e_d + 16 u A) over
+    the rows of ``_em_rows``.  For the named f only the last row goes
+    one by one, so at large n the bound is the final rounding, about 1 ulp
+    of the mean, and a little more; the all-rows route, kept as the
+    tests' oracle, summed 2m e_F over every row, 22 ulp for sin at large n.
+    It is not rounded through ``round_once``: the partials' errors fix the
+    bound's width, and no number of digits would narrow an enclosure that
+    straddles a rounding boundary.
     """
     n = _check_n(n)
     empirical = _row_sum(f, getattr(f, "analytic", None), n, threads) / n
