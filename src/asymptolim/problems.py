@@ -381,8 +381,9 @@ class Analytic:
     ``at_one(L)``, for example1's series of rows, returns
     ``((hi, lo), J, a, e)``: hi = fl(I) and lo = fl(I - hi) for
     I = F(1) - F(0), J = fl(G(1) - G(0)), each from a rational within
-    2**-200 of the exact value, and floats a_j within e_j of f's Taylor
-    coefficients f^(j)(1)/j! at 1, for 0 <= j <= L.
+    2**-116 of the exact value, and floats a_j within e_j of f's Taylor
+    coefficients f^(j)(1)/j! at 1, for 0 <= j <= L, where a list shorter
+    than L + 1 leaves out a_j that are 0.
     """
 
     rows: Callable[[np.ndarray], tuple]
@@ -392,25 +393,27 @@ class Analytic:
     at_one: Callable[[int], tuple]
 
 
-def _rounded(x: Fraction) -> tuple:
-    """hi = fl(x) and lo = fl(x - hi): x within |lo| u of hi + lo."""
-    hi = float(x)
-    return hi, float(x - Fraction(hi))
+def _rounded(num: int, den: int) -> tuple:
+    """hi = fl(x) and lo = fl(x - hi) for x = num/den, den > 0: x within
+    u |lo| of hi + lo.  Python divides ints with one rounding."""
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
 
 
 @functools.cache
 def _trig_at_one(phase: int, L: int) -> tuple:
     """``at_one(L)`` of np.sin (phase 0) or np.cos (phase 1): f^(j)(1) is
     sin(1 + (j + phase) pi/2), from sin 1 and cos 1 as Fractions within
-    2**-200, their Taylor series to the terms 1/49! and 1/48! (the first
-    omitted terms, 1/51! and 1/50!, bound what is left out), and each a_j
+    2**-116, their Taylor series to the terms 1/31! and 1/30! (the first
+    omitted terms, 1/33! and 1/32!, bound what is left out), and each a_j
     is rounded once from a Fraction.  The same for every call, so kept."""
-    s = sum(Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(25))
-    c = sum(Fraction((-1) ** k, math.factorial(2 * k)) for k in range(25))
+    s = sum(Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(16))
+    c = sum(Fraction((-1) ** k, math.factorial(2 * k)) for k in range(16))
     cycle = (s, c, -s, -c)
     a = [float(cycle[(j + phase) % 4] / math.factorial(j)) for j in range(L + 1)]
     I, J = (s, s + c - 1) if phase else (1 - c, s - c)
-    return _rounded(I), float(J), a, [_U * abs(v) + 2.0**-200 for v in a]
+    return _rounded(I.numerator, I.denominator), float(J), a, [_U * abs(v) + 2.0**-116 for v in a]
 
 
 def _trig_part(phase: int) -> Analytic:
@@ -477,21 +480,21 @@ def _poly_part(c: Sequence[float]) -> Optional[Analytic]:
         return out[0], out[1], lambda i: out[2 + i]
 
     def at_one(L: int) -> tuple:
-        # a_j = sum_i c_i C(i, j): each product and the sum rounded once
+        # a_j = sum_i c_i C(i, j), each product and the sum rounded once;
+        # a_j = 0 for j > q is left out
         top = min(L, q) + 1
         a = [math.fsum(c[i] * math.comb(i, j) for i in range(j, q + 1)) for j in range(top)]
         e = [2 * _U * math.fsum(abs(c[i]) * math.comb(i, j) for i in range(j, q + 1))
              for j in range(top)]
-        a, e = a + [0.0] * (L + 1 - top), e + [0.0] * (L + 1 - top)
-        return _rounded(moment(1)), float(moment(2)), a, e
+        num, den = moment(2)
+        return _rounded(*moment(1)), num / den, a, e
 
-    def moment(shift: int) -> Fraction:
-        # sum_i c_i / (i + shift), exactly, over one common denominator
+    def moment(shift: int) -> tuple:
+        # sum_i c_i / (i + shift), exactly, as a numerator and a denominator
         ratios = [v.as_integer_ratio() for v in c]
         E = max(d for _, d in ratios)
         den = math.lcm(*range(shift, q + shift + 1))
-        return Fraction(sum(p * (E // d) * (den // (i + shift)) for i, (p, d) in enumerate(ratios)),
-                        E * den)
+        return sum(p * (E // d) * (den // (i + shift)) for i, (p, d) in enumerate(ratios)), E * den
 
     errors = (gamma(2 * q) * A[0], gamma(2 * q + 2) * max(A),
               gamma(2 * q + 3) * math.fsum(abs(c[i]) / (i + 1) for i in range(q + 1)),
@@ -652,9 +655,10 @@ def _series_matrix(L: int, one=1.0) -> np.ndarray:
     p = 2k - 1 >= i, for the a_i of ``_em_table``.  The coefficients of
     delta, -C_(j-1)/2**(2j-1) at t**(2j-1) (Catalan numbers), of v,
     (2j)!/(j! j! 4**j) at t**(2j+1), and of y, 1, are dyadic, and so are
-    their powers', all exact in floats.  Products of series go by
-    elementwise passes in a fixed order, so C's bits are the same on every
-    machine."""
+    their powers', all exact in floats, so those powers may come by matrix
+    products, whose sums' order is free; the products with the rounded
+    W_i go by elementwise passes in a fixed order, so C's bits are the
+    same on every machine."""
     K = _EM_TERMS
     n = L + 2
     dtype = float if isinstance(one, float) else object
@@ -667,10 +671,13 @@ def _series_matrix(L: int, one=1.0) -> np.ndarray:
         return out
 
     def powers(coefficients: dict, top: int) -> np.ndarray:
-        series = np.array([coefficients.get(k, 0 * one) for k in range(n)], dtype)
+        # the series' powers 0..top, by products with its Toeplitz matrix
+        step = np.zeros((n, n), dtype)
+        for k, v in coefficients.items():
+            step[np.arange(n - k), np.arange(k, n)] = v
         out = [np.array([one] + [0 * one] * (n - 1), dtype)]
         for _ in range(top):
-            out.append(times(out[-1], series))
+            out.append(out[-1] @ step)
         return np.array(out)
 
     delta, v = {}, {}
@@ -1540,9 +1547,8 @@ def sequence_average(
     majorant of the tail from ``Analytic.disc`` on |t| <= 1/2
     (``_series_order``), is at most u A_0: 14 for sin, cos and the
     polynomials of low degree from s0 = 32.  So the series costs a few
-    dozen float operations, the kept zeta values and four to six
-    hurwitz_zeta calls at any n, and the mean O(1) in all: at n = 2**52 - 1
-    about 0.3 ms in place of 22 s by rows.  The streamed points' partials,
+    hundred float operations, the kept zeta values and a few hurwitz_zeta
+    calls, and the mean the same at any n.  The streamed points' partials,
     the rows' and the series' go through one ``_mean_sum``, so no thread
     count changes a bit.
 
@@ -1562,16 +1568,16 @@ def sequence_average(
       sum_i |a_i| A_i (m0 - 1)**(i+2-2p) / (2p-2-i), for p = 2K + 2 and
       the a_i of h^(p) (``_em_remainder`` with X = m0 - 1): the rows' w
       lie in [m0, inf).  m0 makes rho at most u A_0.
-    - The series.  x's entries are within e_x: u|v|/2 + 2**-200 for each
+    - The series.  x's entries are within e_x: u|v|/2 + 2**-116 for each
       v of hi and J (``at_one``), e_d for the f^(i)(0), e_j for a_j.  C's entries are within 2**-52 of the exact rationals
       (_SERIES_MATRIX_ERROR), and each c_k is a sum of at most 25 rounded
       products, left to right, so it is within ce_k = sum_j |C_kj|
       (e_x_j + gamma(25)|x_j|) + 2**-52 (|x_j| + e_x_j) of the exact
-      coefficient.  hi + lo is within u|lo| + 2**-200 of F(1) - F(0), and
+      coefficient.  hi + lo is within u|lo| + 2**-116 of F(1) - F(0), and
       S1 = sum_{j=s0+1}^{M} j times 2 hi and 2 lo is exact (``_times``).
       H = H_M - H_s0 is within e_H = (1 + 3H) 2**-52, and each zeta value
       within _ZETA_ERROR = 2**-50 relative.  So the series is within
-      E_t = T + D + 2 S1 (u|lo| + 2**-200) + (M - s0)(ce_0 + u|c_0|/2)
+      E_t = T + D + 2 S1 (u|lo| + 2**-116) + (M - s0)(ce_0 + u|c_0|/2)
       + (ce_1 + u|c_1|/2) H + |c_1| e_H + sum_{k>=2} ((ce_k + u|c_k|)
       zeta(k, s0 + 1) + 2**-50 |c_k| (zeta(k, s0 + 1) + zeta(k, M + 1)))
       of the rows' values less R; T and D are at most u A_0 each.

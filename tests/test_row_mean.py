@@ -61,7 +61,7 @@ def series_error(part, s0, L, M):
     (hi, lo), J, a, e = part.at_one(L)
     d0 = part.rows(np.zeros(1))[2]
     x = np.array([hi, J, *(d0(i)[0] for i in range(2 * _EM_TERMS)), *a])
-    ex = np.array([U * abs(hi) / 2 + 2.0**-200, U * abs(J) / 2 + 2.0**-200,
+    ex = np.array([U * abs(hi) / 2 + 2.0**-116, U * abs(J) / 2 + 2.0**-116,
                    *[part.errors[1]] * (2 * _EM_TERMS), *e])
     C = np.array(_series_rows())[: L + 1, : x.size]
     c = C @ x
@@ -69,7 +69,7 @@ def series_error(part, s0, L, M):
     S1 = (M * (M + 1) - s0 * (s0 + 1)) // 2
     H = _harmonic_gap(s0, M)
     za = _zeta_row(s0 + 1, L)
-    bound = 2 * U * part.bounds[0] + 2 * S1 * (U * abs(lo) + 2.0**-200)
+    bound = 2 * U * part.bounds[0] + 2 * S1 * (U * abs(lo) + 2.0**-116)
     bound += (M - s0) * (ce[0] + U * abs(c[0]) / 2) + (ce[1] + U * abs(c[1]) / 2) * H
     bound += abs(c[1]) * (1 + 3 * H) * 2.0**-52
     for k in range(2, L + 1):
