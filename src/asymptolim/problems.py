@@ -411,9 +411,10 @@ def _trig_at_one(phase: int, L: int) -> tuple:
     s = sum(Fraction((-1) ** k, math.factorial(2 * k + 1)) for k in range(16))
     c = sum(Fraction((-1) ** k, math.factorial(2 * k)) for k in range(16))
     cycle = (s, c, -s, -c)
-    a = [float(cycle[(j + phase) % 4] / math.factorial(j)) for j in range(L + 1)]
+    a = tuple(float(cycle[(j + phase) % 4] / math.factorial(j)) for j in range(L + 1))
     I, J = (s, s + c - 1) if phase else (1 - c, s - c)
-    return _rounded(I.numerator, I.denominator), float(J), a, [_U * abs(v) + 2.0**-116 for v in a]
+    return (_rounded(I.numerator, I.denominator), float(J), a,
+            tuple(_U * abs(v) + 2.0**-116 for v in a))
 
 
 def _trig_part(phase: int) -> Analytic:
@@ -711,9 +712,9 @@ def _series_matrix(L: int, one=1.0) -> np.ndarray:
 
 
 @functools.cache
-def _series_rows() -> list:
-    """The rows of ``_series_matrix(_SERIES_ORDER)`` as lists of floats."""
-    return _series_matrix(_SERIES_ORDER).tolist()
+def _series_rows() -> tuple:
+    """The rows of ``_series_matrix(_SERIES_ORDER)`` as tuples of floats."""
+    return tuple(map(tuple, _series_matrix(_SERIES_ORDER).tolist()))
 
 
 @functools.cache

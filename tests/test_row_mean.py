@@ -302,10 +302,11 @@ def test_const1_sums_each_row_to_its_count():
 
 @pytest.mark.parametrize("name", NAMES)
 def test_threads_give_the_same_bits(name):
-    # 2**36 + 7 has 2**18 + 1 rows: three chunks
-    n = 2**36 + 7
-    bits = {sequence_average(n, named(name), threads=t).empirical.hex() for t in (1, 2)}
-    assert len(bits) == 1
+    # the series after one row and after many; test_row_series.py has a
+    # head long enough for several chunks
+    for n in (33**2 + 1, 10**7, 2**36 + 7, 2**52 - 1):
+        bits = {sequence_average(n, named(name), threads=t).empirical.hex() for t in (1, 2)}
+        assert len(bits) == 1, n
 
 
 def test_a_plain_callable_streams_and_a_named_one_streams_its_head(monkeypatch):

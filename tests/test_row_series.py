@@ -164,10 +164,3 @@ def test_the_largest_n_returns(name):
     # by rows this took 22 s; the series takes no pass over them
     result = sequence_average(2**52 - 1, named(name))
     assert result.n == 2**52 - 1 and result.abs_error < 1e-7
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_threads_give_the_same_bits_with_the_series(name):
-    for n in (33**2 + 1, 10**7, 2**52 - 1):
-        bits = {sequence_average(n, named(name), threads=t).empirical.hex() for t in (1, 2)}
-        assert len(bits) == 1, n
