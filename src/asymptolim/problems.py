@@ -695,9 +695,9 @@ def _series_matrix(L: int, one=1.0) -> np.ndarray:
     for k, (num, den) in enumerate(BERNOULLI_2J[:K], start=1):
         p = 2 * k - 1
         beta = one * num / (den * math.factorial(2 * k)) / 2**p
-        for i, a in _em_table(-2, p).items():
-            W[i] += beta * int(a) * V[2 * p - i]
-            W0[i] -= beta * int(a) * Y[2 * p - i]
+        for i, a_i in _em_table(-2, p).items():
+            W[i] += beta * int(a_i) * V[2 * p - i]
+            W0[i] -= beta * int(a_i) * Y[2 * p - i]
     j = np.arange(L + 1)
     S = np.zeros((2 + 2 * K + L + 1, n), dtype)
     S[:3, 0] = (-2 * one, 2 * one, one / 2)
@@ -1570,7 +1570,8 @@ def sequence_average(
       the a_i of h^(p) (``_em_remainder`` with X = m0 - 1): the rows' w
       lie in [m0, inf).  m0 makes rho at most u A_0.
     - The series.  x's entries are within e_x: u|v|/2 + 2**-116 for each
-      v of hi and J (``at_one``), e_d for the f^(i)(0), e_j for a_j.  C's entries are within 2**-52 of the exact rationals
+      v of hi and J (``at_one``), e_d for the f^(i)(0), e_j for a_j.  C's
+      entries are within 2**-52 of the exact rationals
       (_SERIES_MATRIX_ERROR), and each c_k is a sum of at most 25 rounded
       products, left to right, so it is within ce_k = sum_j |C_kj|
       (e_x_j + gamma(25)|x_j|) + 2**-52 (|x_j| + e_x_j) of the exact

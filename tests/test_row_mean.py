@@ -65,7 +65,8 @@ def series_error(part, s0, L, M):
                    *[part.errors[1]] * (2 * _EM_TERMS), *e])
     C = np.array(_series_rows())[: L + 1, : x.size]
     c = C @ x
-    ce = np.abs(C) @ (ex + gamma(x.size) * np.abs(x)) + _SERIES_MATRIX_ERROR * np.sum(np.abs(x) + ex)
+    ce = np.abs(C) @ (ex + gamma(x.size) * np.abs(x))
+    ce += _SERIES_MATRIX_ERROR * np.sum(np.abs(x) + ex)
     S1 = (M * (M + 1) - s0 * (s0 + 1)) // 2
     H = _harmonic_gap(s0, M)
     za = _zeta_row(s0 + 1, L)
