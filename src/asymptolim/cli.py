@@ -7,8 +7,8 @@ Subcommands: ``solve`` runs a named problem at one index, ``sweep`` (alias
 echo the full configuration, and are byte-identical for identical
 configurations except for the timestamp field.
 
-Each accepted name lives in one table: sweep problems in
-``problems.PROBLEMS``, the rest below.  Entries call library functions
+Each accepted name lives in one table: sweep problems, callbacks and
+limit CDFs in ``problems``, the rest below.  Entries call library functions
 through module globals, so rebinding a function on its module takes effect.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (including
@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,22 +37,15 @@ from .accum import MAX_THREADS
 from .convergence import DEFAULT_GRID, cdf_sequence_probe
 from .problems import (
     PROBLEMS,
-    Analytic,
     PolySpec,
-    _horner,
-    _poly_eval,
-    _poly_part,
-    _trig_part,
-    arcsin_cdf,
     dirichlet_weak,
-    frac_limit_smooth_cdf,
     frac_n_over_i_cdf,
     frac_n_over_i_mean,
     interval_proportion_sin,
     polynomial_family,
-    root_cdf,
+    resolve_cdf,
+    resolve_function,
     sequence_average,
-    uniform_cdf,
 )
 from .special import (
     SeriesValue,
@@ -136,92 +129,6 @@ def _coerce(hint, value):
             value = value.split(";")
         return tuple(get_args(kind)[0](v) for v in value)
     return kind(value)
-
-
-# ---------------------------------------------------------------------------
-# Named callbacks and CDFs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NamedFunction:
-    """A named callback and its derivative; calling it calls ``fn``.  Where
-    example1's mean of f has a route by rows, example4's one by quotient
-    blocks and the polynomial family's one by P's monotone runs,
-    ``analytic`` holds what they need (``problems.Analytic``), built by
-    ``make_analytic`` on first use, as no other command needs it; where it
-    is None all three stream."""
-
-    fn: Callable
-    derivative: Callable
-    make_analytic: Callable[[], Optional[Analytic]] = lambda: None
-
-    @functools.cached_property
-    def analytic(self) -> Optional[Analytic]:
-        return self.make_analytic()
-
-    def __call__(self, t):
-        return self.fn(t)
-
-
-def _polynomial(c: Sequence[float]) -> Callable:
-    """t -> ``np.polynomial.polynomial.polyval(t, c)``, bit for bit, by one
-    Horner rule on the float64 coefficients, in a tuple, which a quadrature's
-    scalar calls iterate faster than an array: ``problems._horner`` for a 1-D
-    float64 array, in one new array, ``problems._poly_eval`` otherwise."""
-    descending = tuple(np.asarray(c, dtype=np.float64)[::-1])
-
-    def p(t):
-        if isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64:
-            return _horner(descending, t, np.empty(t.shape))
-        return _poly_eval(descending, t)
-
-    return p
-
-
-# name -> (callback, derivative, maker of the analytic part)
-_FUNCTIONS = {
-    "sin": (np.sin, np.cos, lambda: _trig_part(0)),
-    "cos": (np.cos, lambda t: -np.sin(t), lambda: _trig_part(1)),
-    "id": (lambda t: t, _polynomial((1.0,)), lambda: _poly_part((0.0, 1.0))),
-    "const1": (_polynomial((1.0,)), _polynomial((0.0,)), lambda: _poly_part((1.0,))),
-}
-
-
-def resolve_function(name: str) -> NamedFunction:
-    """Look up a callback by registry name.
-
-    Known names: ``sin``, ``cos``, ``id``, ``const1`` and
-    ``poly:c0,c1,...`` (ascending coefficients).
-    """
-    if name in _FUNCTIONS:
-        return NamedFunction(*_FUNCTIONS[name])
-    if name.startswith("poly:"):
-        try:
-            coeffs = [float(c) for c in name[len("poly:") :].split(",")]
-        except ValueError as exc:
-            raise CliError(f"bad polynomial spec {name!r}") from exc
-        dc = np.asarray(coeffs[1:]) * np.arange(1, len(coeffs))
-        return NamedFunction(_polynomial(coeffs), _polynomial(dc if dc.size else (0.0,)),
-                             functools.partial(_poly_part, coeffs))
-    raise CliError(f"unknown function {name!r}")
-
-
-# name -> limit CDF; ``root:q`` is parsed by resolve_cdf
-CDFS = {
-    "uniform": lambda: uniform_cdf(),
-    "sqrt": lambda: root_cdf(2),
-    "frac-limit": lambda: frac_limit_smooth_cdf(),
-    "arcsin": lambda: arcsin_cdf(),
-}
-
-
-def resolve_cdf(name: str):
-    if name.startswith("root:"):
-        try:
-            return root_cdf(int(name[len("root:") :]))
-        except ValueError as exc:
-            raise CliError(f"bad root spec {name!r}") from exc
-    return _lookup(CDFS, name, "unknown cdf {!r}")()
 
 
 def _lookup(table: dict, key, message: str):

@@ -85,6 +85,10 @@ __all__ = [
     "root_cdf",
     "arcsin_cdf",
     "frac_limit_smooth_cdf",
+    "CDFS",
+    "resolve_cdf",
+    "NamedFunction",
+    "resolve_function",
     "Problem",
     "PROBLEMS",
     "reciprocal_frac_map",
@@ -193,6 +197,27 @@ def arcsin_cdf() -> SmoothCdf:
 def frac_limit_smooth_cdf() -> SmoothCdf:
     """The limit CDF of the fractional parts of n/i, with its density."""
     return SmoothCdf(frac_limit_cdf, HyperBox(0.0, 1.0), density=frac_limit_density)
+
+
+# name -> limit CDF; ``root:q`` is parsed by resolve_cdf
+CDFS = {
+    "uniform": lambda: uniform_cdf(),
+    "sqrt": lambda: root_cdf(2),
+    "frac-limit": lambda: frac_limit_smooth_cdf(),
+    "arcsin": lambda: arcsin_cdf(),
+}
+
+
+def resolve_cdf(name: str) -> SmoothCdf:
+    """A limit CDF by name: a key of ``CDFS``, or ``root:q``."""
+    if name.startswith("root:"):
+        try:
+            return root_cdf(int(name[len("root:") :]))
+        except ValueError as exc:
+            raise ValueError(f"bad root spec {name!r}") from exc
+    if name not in CDFS:
+        raise ValueError(f"unknown cdf {name!r}")
+    return CDFS[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +393,7 @@ _U = 2.0**-53
 class Analytic:
     """What example1's rows, example4's quotient blocks and the polynomial
     family's runs need of f on [0, 1] besides its values (the blocks and
-    the runs take only ``d``).
+    the runs take only ``d``); ``resolve_function``'s callbacks carry one.
 
     ``rows(U)`` takes a float64 array of U in [0, 1] and returns
     ``(F(U) - F(0), G(U) - G(0), d)``, where F' = f, G'(u) = u f(u) and
@@ -502,6 +527,70 @@ def _poly_part(c: Sequence[float]) -> Optional[Analytic]:
               gamma(2 * q + 5) * math.fsum(abs(c[i]) / (i + 2) for i in range(q + 1)))
     return Analytic(rows, A, errors, lambda r: math.fsum(abs(v) * r**i for i, v in enumerate(c)),
                     at_one)
+
+
+@dataclass(frozen=True)
+class NamedFunction:
+    """A callback and its derivative, as ``resolve_function`` names them;
+    calling it calls ``fn``.  Where example1's mean of f has a route by
+    rows, example4's one by quotient blocks and the polynomial family's one
+    by P's monotone runs, ``analytic`` holds what they need (``Analytic``),
+    built by ``make_analytic`` on first use, as nothing else needs it; where
+    it is None all three stream."""
+
+    fn: Callable
+    derivative: Callable
+    make_analytic: Callable[[], Optional[Analytic]] = lambda: None
+
+    @functools.cached_property
+    def analytic(self) -> Optional[Analytic]:
+        return self.make_analytic()
+
+    def __call__(self, t):
+        return self.fn(t)
+
+
+def _polynomial(c: Sequence[float]) -> Callable:
+    """t -> ``np.polynomial.polynomial.polyval(t, c)``, bit for bit, by one
+    Horner rule on the float64 coefficients, in a tuple, which a quadrature's
+    scalar calls iterate faster than an array: ``_horner`` for a 1-D float64
+    array, in one new array, ``_poly_eval`` otherwise."""
+    descending = tuple(np.asarray(c, dtype=np.float64)[::-1])
+
+    def p(t):
+        if isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64:
+            return _horner(descending, t, np.empty(t.shape))
+        return _poly_eval(descending, t)
+
+    return p
+
+
+# name -> (callback, derivative, maker of the analytic part)
+_FUNCTIONS = {
+    "sin": (np.sin, np.cos, lambda: _trig_part(0)),
+    "cos": (np.cos, lambda t: -np.sin(t), lambda: _trig_part(1)),
+    "id": (lambda t: t, _polynomial((1.0,)), lambda: _poly_part((0.0, 1.0))),
+    "const1": (_polynomial((1.0,)), _polynomial((0.0,)), lambda: _poly_part((1.0,))),
+}
+
+
+def resolve_function(name: str) -> NamedFunction:
+    """Look up a callback by registry name.
+
+    Known names: ``sin``, ``cos``, ``id``, ``const1`` and
+    ``poly:c0,c1,...`` (ascending coefficients); ValueError for any other.
+    """
+    if name in _FUNCTIONS:
+        return NamedFunction(*_FUNCTIONS[name])
+    if name.startswith("poly:"):
+        try:
+            coeffs = [float(c) for c in name[len("poly:") :].split(",")]
+        except ValueError as exc:
+            raise ValueError(f"bad polynomial spec {name!r}") from exc
+        dc = np.asarray(coeffs[1:]) * np.arange(1, len(coeffs))
+        return NamedFunction(_polynomial(coeffs), _polynomial(dc if dc.size else (0.0,)),
+                             functools.partial(_poly_part, coeffs))
+    raise ValueError(f"unknown function {name!r}")
 
 
 # Euler-Maclaurin terms of h(x) = f(u) for the rows' map and the blocks'.
@@ -1496,8 +1585,8 @@ def sequence_average(
     """Mean of f({sqrt k}) for k <= n, against the uniform-law integral.
 
     A plain callable streams: the sum of f over the rounded points, rounded
-    once, over n.  A callable with an ``analytic`` part (``Analytic``: the
-    CLI's sin, cos, id, const1 and poly:...) is summed by rows: the
+    once, over n.  A callable with an ``analytic`` part (``Analytic``: an f
+    from ``resolve_function``) is summed by rows: the
     complete rows as one series, in O(1), the last row by Euler-Maclaurin;
     the sum is rounded once, then divided by n.
 
@@ -1656,7 +1745,7 @@ def frac_n_over_i_mean(
     density.  A plain callable streams: each {n/i} is the exact remainder
     (n mod i)/i converted once to float, and the sum of f over them is
     rounded once, then divided by n.  A callable with an ``analytic`` part
-    (``Analytic``: the CLI's sin, cos, id, const1 and poly:...) is summed by
+    (``Analytic``: an f from ``resolve_function``) is summed by
     quotient blocks, streaming about n**(8/15) points, and the exact sum of
     the partials is divided by n and rounded once.
 
@@ -2057,8 +2146,8 @@ def polynomial_family(
     greatest i with P(i) <= n (``_poly_count``); it is rounded once, then
     divided by (n/b)**(1/r).  A plain callable streams: the points are
     P(i)/n by Horner's rule on the float coefficients, then one division.
-    A callable with an ``analytic`` part (the CLI's sin, cos, id, const1
-    and poly:...) is summed by Euler-Maclaurin over P's monotone runs.
+    A callable with an ``analytic`` part (an f from ``resolve_function``)
+    is summed by Euler-Maclaurin over P's monotone runs.
 
     The runs.  ``_monotone_runs`` cuts 1..N(n) into integer ranges on each
     of which P is monotone in real x, and each is cut down to its [a, b]
@@ -2137,7 +2226,11 @@ def polynomial_family(
     count = _poly_count(spec, n)
     if count > _MAX_INDEX:
         raise ValueError(f"N(n) = {count} indices, but index solvers need N(n) <= 2**52")
-    g_norm = (n / spec.norm_b) ** (1.0 / spec.norm_r)
+    # a normal n / b has a normal r-th root, so g_norm is neither 0 nor inf
+    ratio = n / spec.norm_b
+    if not 2.0**-1022 <= ratio < math.inf:
+        raise ValueError(f"n / b = {ratio!r} must be a finite normal float")
+    g_norm = ratio ** (1.0 / spec.norm_r)
     empirical = _poly_sum(spec, n, count, threads) / g_norm
     meta = (
         f"(n/b)^(-1/r) * sum f(P(i)/n), deg P = {spec.q}, r = {spec.norm_r}, "

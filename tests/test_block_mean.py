@@ -18,9 +18,9 @@ import pytest
 
 from asymptolim import frac_n_over_i_mean, problems
 from asymptolim.accum import CHUNK
-from asymptolim.cli import resolve_function
 from asymptolim.problems import (_BLOCK_POINTS, _EM_TERMS, _GAUSS_NODES, _em_blocks,
-                                 _em_remainder, _em_table, _gauss_rule, _last_block)
+                                 _em_remainder, _em_table, _gauss_rule, _last_block,
+                                 resolve_function)
 from asymptolim.special import BERNOULLI_2J
 
 NAMES = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asymptolim.cli import resolve_cdf
+from asymptolim.problems import resolve_cdf
 from asymptolim.stieltjes import riemann_stieltjes_oracle, variation
 
 # every --phi name, and a root of higher degree

@@ -16,7 +16,7 @@ import pytest
 import asymptolim
 from asymptolim import EULER_GAMMA
 from asymptolim.accum import CHUNK
-from asymptolim.problems import PROBLEMS
+from asymptolim.problems import PROBLEMS, resolve_function
 from asymptolim.cli import (
     MAX_GRID,
     RunConfig,
@@ -26,7 +26,6 @@ from asymptolim.cli import (
     main,
     parse_config_from_report,
     render_report,
-    resolve_function,
 )
 
 
@@ -94,6 +93,16 @@ class TestSolveCommand:
         exact = math.sqrt(b / a) * (c[0] + c[1] / 3 + c[2] / 5)
         assert exact == pytest.approx(-1.3184976950120748, abs=1e-15)
         assert abs(rep["result"]["closed_form"] - exact) <= 1e-9
+
+    @pytest.mark.parametrize("options", [["--poly-p=1,0,0", "--poly-r=2", "--poly-b=1e-320"],
+                                         ["--poly-p=1,0", "--poly-b=1e-320"],
+                                         ["--poly-b=inf"]])
+    def test_poly_n_over_b_out_of_range_exits_2(self, options, capsys):
+        # a subnormal b printed a silent 0.0 and b = inf exited 3
+        code, out, err = run_cli(["solve", "poly", "--n=10", *options], capsys)
+        assert (code, out) == (2, "")
+        ratio = "0.0" if options == ["--poly-b=inf"] else "inf"
+        assert err == f"error: n / b = {ratio} must be a finite normal float\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -815,9 +824,7 @@ class TestFunctionRegistry:
         assert named.derivative(123.0) == 0.0
 
     def test_unknown_name(self):
-        from asymptolim.cli import CliError
-
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match="unknown function 'tan'"):
             resolve_function("tan")
 
     def test_example4_with_named_f(self, capsys):
@@ -872,6 +879,10 @@ def test_readme_cli_example_exits_0(line, capsys):
 def test_readme_library_example_prints_its_limits(capsys):
     exec(compile(_readme_block("## Library example", "```python"), "README.md", "exec"), {})
     printed = [float(v) for v in capsys.readouterr().out.split()]
-    assert len(printed) == 2
+    assert len(printed) == 4
     assert printed[0] == pytest.approx(1 - EULER_GAMMA, abs=1e-2)
     assert printed[1] == pytest.approx(1 - math.cos(1), abs=1e-2)
+    # the mean at n = 1e12, and E sin(U**2) = sum_k (-1)**k / ((2k+1)! (4k+3))
+    assert printed[2] == pytest.approx(1 - math.cos(1), abs=1e-6)
+    series = math.fsum((-1) ** k / (math.factorial(2 * k + 1) * (4 * k + 3)) for k in range(12))
+    assert printed[3] == pytest.approx(series, abs=1e-9)

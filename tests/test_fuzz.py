@@ -19,8 +19,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from asymptolim.cli import CDFS, INTEGRATE, SOLVE, SPECIAL, main  # noqa: E402
-from asymptolim.problems import PROBLEMS  # noqa: E402
+from asymptolim.cli import INTEGRATE, SOLVE, SPECIAL, main  # noqa: E402
+from asymptolim.problems import CDFS, PROBLEMS  # noqa: E402
 
 BOUND_S = 10
 

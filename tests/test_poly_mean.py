@@ -17,10 +17,9 @@ import pytest
 
 from asymptolim import problems
 from asymptolim.accum import CHUNK
-from asymptolim.cli import resolve_function
 from asymptolim.problems import (_BLOCK_POINTS, _EM_TERMS, _GAUSS_NODES, PolySpec, _derivative,
                                  _em_runs, _exact_poly, _monotone_runs, _poly_count, _shift,
-                                 _poly_eval, _poly_sum, polynomial_family)
+                                 _poly_eval, _poly_sum, polynomial_family, resolve_function)
 from asymptolim.special import BERNOULLI_2J
 
 NAMES = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")

@@ -1,6 +1,12 @@
+import ast
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from asymptolim import (
     sequence_average,
     sqrt_frac_cdf,
 )
+from asymptolim import problems
 from asymptolim.accum import CHUNK
 from asymptolim.problems import (
     PROBLEMS,
@@ -429,6 +436,21 @@ class TestPolynomialFamily:
         spec = PolySpec([2, 1, 0], norm_r=2, norm_b=1.0, f=lambda x: x)
         assert (spec.p_coeffs, spec.q, spec.a) == ((2, 1, 0), 2, 2.0)
 
+    @pytest.mark.parametrize("coeffs, r, b", [((1.0, 0.0, 0.0), 2, 1e-320),
+                                              ((1.0, 0.0), 1, 1e-320),
+                                              ((1.0, 0.0, 0.0), 2, math.inf)])
+    def test_n_over_b_must_be_a_finite_normal_float(self, coeffs, r, b):
+        # n / b overflowed to inf at a subnormal b, and the sum over its root
+        # was a silent 0.0; at b = inf the root was 0 and the sum divided by it
+        spec = PolySpec(coeffs, r, b, lambda x: x)
+        with pytest.raises(ValueError, match="n / b = .* must be a finite normal float"):
+            polynomial_family(spec, 10)
+
+    def test_least_normal_n_over_b_is_accepted(self):
+        # n / b = 2**-1022, whose cube root divides the one point, P(1)/1 = 1
+        res = polynomial_family(PolySpec((1.0, 0.0, 0.0), 3, 2.0**1022, lambda x: x), 1)
+        assert (res.empirical, res.closed_form) == (1.0 / (2.0**-1022) ** (1.0 / 3), 0.0)
+
 
 class TestErrorDecay:
     @pytest.mark.parametrize(
@@ -527,3 +549,49 @@ class TestNonIntegralIndices:
         assert sequence_average(1e3, math.sin) == sequence_average(1000, math.sin)
         report = cdf_sequence_probe(PROBLEMS["example1"], uniform_cdf(), n_list=[10.0, 1e3])
         assert report.n_list == (10, 1000) and all(type(n) is int for n in report.n_list)
+
+
+class TestEmptyCounts:
+    """An empty n-list gives shape (0, T), and no thresholds (len(ns), 0),
+    by every problem's rule and by its stream."""
+
+    NS = (1, 7, 1000)
+    TS = (0.25, 0.5)
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    @pytest.mark.parametrize("route", ["rule", "stream"])
+    def test_shapes(self, name, route):
+        problem = PROBLEMS[name]
+        if route == "stream":
+            problem = dataclasses.replace(problem, count_rule=None)
+        for ns, ts, shape in (((), self.TS, (0, 2)), (self.NS, (), (3, 0)), ((), (), (0, 0))):
+            counts = problem.counts(ns, ts, threads=2)
+            assert counts.shape == shape and counts.dtype == np.int64
+
+
+class TestLibraryBoundary:
+    """The named callbacks and limit laws are the library's own: the CLI
+    takes them by their public names and none of problems.py's private
+    helpers, and a library caller reaches them without loading the CLI."""
+
+    def test_cli_imports_no_private_name_of_problems(self):
+        tree = ast.parse(Path(problems.__file__).with_name("cli.py").read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and (node.module, node.level) in (("problems", 1), ("asymptolim.problems", 0))
+                    for alias in node.names]
+        reached = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id == "problems"]
+        assert {"resolve_function", "resolve_cdf"} <= set(imported)
+        assert [name for name in imported + reached
+                if name.startswith("_") or name in ("Analytic", "*")] == []
+
+    def test_named_callbacks_load_without_the_cli(self):
+        # a fresh interpreter: this one has imported the CLI already
+        code = ("import sys; from asymptolim import problems; "
+                "assert problems.resolve_function('sin').analytic is not None; "
+                "problems.resolve_cdf('root:3'); "
+                "print('asymptolim.cli' in sys.modules)")
+        src = str(Path(problems.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

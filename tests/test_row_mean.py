@@ -18,11 +18,10 @@ import pytest
 
 from asymptolim import problems, sequence_average
 from asymptolim.accum import CHUNK
-from asymptolim.cli import resolve_function
 from asymptolim.problems import (_EM_TERMS, _FIRST_EM_ROW, _SERIES_MATRIX_ERROR, _TRIG_ERROR,
                                  _ZETA_ERROR, _em_remainder, _em_table, _first_em_row,
                                  _harmonic_gap, _poly_part, _series_plan, _series_rows,
-                                 _zeta_row)
+                                 _zeta_row, resolve_function)
 from asymptolim.special import BERNOULLI_2J, hurwitz_zeta
 
 NAMES = ("sin", "cos", "id", "const1", "poly:0.5,-1.25,2")

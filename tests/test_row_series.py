@@ -20,7 +20,8 @@ from asymptolim import problems, sequence_average
 from asymptolim.accum import CHUNK, exact_partials
 from asymptolim.problems import (_EM_TERMS, _SERIES_MATRIX_ERROR, _SERIES_ORDER, _ZETA_ERROR,
                                  _em_rows, _first_em_row, _harmonic_gap, _indices, _mean_sum,
-                                 _series_matrix, _series_plan, _series_rows)
+                                 _series_matrix, _series_order, _series_plan, _series_rows,
+                                 _series_weights)
 from asymptolim.special import hurwitz_zeta
 
 
@@ -157,6 +158,16 @@ def test_series_starts_later_where_its_tail_needs_it():
     assert _series_plan(part, first, 256) is None
     for n in (256**2 - 1, 257**2, 10**9 + 7):
         assert ulps(sequence_average(n, f).empirical, all_rows(f, n)) <= 2, n
+
+
+def test_no_order_where_the_disc_bound_overflows():
+    # 1000 coefficients of 1e-300: |f|'s bound on the disc of radius
+    # rU + 1 = 2.27 sums r**i, which overflows past i = 868, so the tail has
+    # no bound and the series takes no row
+    part = named("poly:" + ",".join(["1e-300"] * 1000)).analytic
+    with pytest.raises(OverflowError):
+        part.disc(_series_weights()[0] + 1.0)
+    assert _series_order(part, 32) is None
 
 
 @pytest.mark.parametrize("name", NAMES)

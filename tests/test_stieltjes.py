@@ -24,8 +24,8 @@ from asymptolim import (
     variation,
     variation_nd,
 )
-from asymptolim.cli import resolve_cdf, resolve_function
-from asymptolim.problems import arcsin_cdf, frac_limit_smooth_cdf, root_cdf, uniform_cdf
+from asymptolim.problems import (arcsin_cdf, frac_limit_smooth_cdf, resolve_cdf, resolve_function,
+                                 root_cdf, uniform_cdf)
 from asymptolim.special import EULER_GAMMA
 import heapq
 

@@ -17,7 +17,6 @@ import pytest
 from asymptolim import PolySpec, polynomial_family, sequence_average
 from asymptolim import accum
 from asymptolim.accum import CHUNK, Workspace, exact_partials, workspace
-from asymptolim.cli import resolve_function
 from asymptolim.convergence import cdf_sequence_probe
 from asymptolim.problems import (
     PROBLEMS,
@@ -25,6 +24,7 @@ from asymptolim.problems import (
     _reciprocal_frac_chunk,
     _remainder_chunk,
     _sqrt_frac_chunk,
+    resolve_function,
 )
 
 # Bytes of one workspace: three float64 arrays and a bool array.
