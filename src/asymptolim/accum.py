@@ -44,8 +44,9 @@ MAX_THREADS = 256
 _CUMSUM_BLOCK = 4096
 
 # Shortest float64 array reduced by extraction.  Below it ``math.fsum`` of the
-# list is faster: they break even at 600-800 values of one sign or 1-3 decades.
-_EXTRACT_MIN = 1024
+# list is faster: they break even at 600-640 values of one sign or of 1-3
+# decades, and at 1,023 values extraction takes 22 us against 35 us.
+_EXTRACT_MIN = 640
 
 # Extraction passes before the remainder is handed on as it is.  Each pass
 # clears the top 53 - log2(size) bits; values of 0-3 decades need 2-3 passes.
@@ -267,12 +268,13 @@ def is_vector(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
 
 
-def map_math(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
-    """``fn(v, *args)`` of each value v of the 1-D float64 array ``x``, in a
-    new array: a ``math`` function, where numpy's own differs from it in the
-    last bit.  ``CHUNK`` values pass through Python floats at a time, so no
-    list of all of ``x`` exists."""
-    out = np.empty(x.size)
+def map_math(fn: Callable[..., float], x: np.ndarray, *args: float, out=None) -> np.ndarray:
+    """``fn(v, *args)`` of each value v of the 1-D float64 array ``x``, in
+    ``out`` or a new array: a ``math`` function, where numpy's own differs
+    from it in the last bit.  ``CHUNK`` values pass through Python floats at
+    a time, so no list of all of ``x`` exists."""
+    if out is None:
+        out = np.empty(x.size)
     for lo in range(0, x.size, CHUNK):
         part = x[lo : lo + CHUNK].tolist()
         out[lo : lo + len(part)] = np.fromiter(map(fn, part, *map(repeat, args)), float, len(part))

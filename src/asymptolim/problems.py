@@ -56,6 +56,7 @@ import numpy as np
 from .accum import (
     CHUNK,
     Workspace,
+    _extract,
     apply_to_array,
     exact_partials,
     is_vector,
@@ -669,35 +670,49 @@ def _first_em_row(bounds: tuple) -> int:
     return _bisect(small, max(hi // 2 + 1, _FIRST_EM_ROW), hi - 1)
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split(x):
     """x = hi + lo exactly, each with at most 26 significant bits (Veltkamp's
-    split, for |x| < 2**995)."""
+    split, for |x| < 2**995), for a float or elementwise for an array."""
     big = x * 134217729.0
     hi = big - (big - x)
     return hi, x - hi
 
 
-def _em_rows(part: Analytic, m: np.ndarray, N: np.ndarray, d0: Callable) -> np.ndarray:
+def _rows_at(part: Analytic, U: float) -> tuple:
+    """``part.rows`` at one float U, as floats: F(U) - F(0), G(U) - G(0) and
+    a ``d`` whose d(i) is a float, from one call on a one-element array."""
+    dF, dG, d = part.rows(np.array([U]))
+    values = [float(v[0]) for v in (dF, dG, *map(d, range(2 * _EM_TERMS)))]
+    return values[0], values[1], values[2:].__getitem__
+
+
+def _em_rows(part: Analytic, m, N, d0: Callable):
     """Partials whose exact sum is within the bound of ``sequence_average``
     of the sum of f(sqrt(m*m + j) - m) over 0 <= j <= N, for the float
-    arrays m >= _FIRST_EM_ROW and 0 <= N <= 2m, with the ``d`` of
-    ``part.rows`` at 0 as ``d0``."""
+    arrays m >= _FIRST_EM_ROW and 0 <= N <= 2m, with ``_rows_at(part, 0.0)``'s
+    ``d`` as ``d0``.  For one row, m and N as floats, the partials are a
+    list of floats: ``part.rows`` takes a one-element array
+    (``_rows_at``), and the rest is the same IEEE arithmetic in Python
+    floats, so each partial has the bits it has in an array."""
+    row = not isinstance(m, np.ndarray)
     a = m * m + N
-    s = np.sqrt(a)
+    s = math.sqrt(a) if row else np.sqrt(a)
     U = s - m
     # U + V = sqrt(a) - m: V = (a - s*s) / (2s), with s*s exact in two parts
     hi, lo = _split(s)
     p = s * s
     V = ((a - p) - (((hi * hi - p) + 2.0 * hi * lo) + lo * lo)) / (2.0 * s)
-    dF, dG, d = part.rows(U)
+    dF, dG, d = _rows_at(part, U) if row else part.rows(U)
     f, f1 = d(0), d(1)
     w = m + U
     small = V * (2.0 * w * f + 0.5 * f1 + V * (w * f1 + f))
     small += _em_ends(d, w, -2, 0.5) - _em_ends(d0, m, -2, 0.5)
     hi, lo = _split(dF)
     twom = 2.0 * m
+    if row:
+        return [twom * hi, twom * lo, 2.0 * dG, 0.5 * f, 0.5 * d0(0), small]
     return np.concatenate(
-        (twom * hi, twom * lo, 2.0 * dG, 0.5 * f, np.full(m.shape, 0.5 * d0(0)[0]), small)
+        (twom * hi, twom * lo, 2.0 * dG, 0.5 * f, np.full(m.shape, 0.5 * d0(0)), small)
     )
 
 
@@ -891,15 +906,15 @@ def _zeta_row(x: int, L: int) -> tuple:
 def _row_series(part: Analytic, d0: Callable, s0: int, L: int, M: int) -> list:
     """Partials whose exact sum is within the bound of ``sequence_average``
     of the Euler-Maclaurin values of the complete rows s0 <= m < M, as one
-    series in t = 1/(m + 1) to the power L, for the ``d`` of ``part.rows``
-    at 0 as ``d0``.  Over these t, sum 1/t = sum_{j=s0+1}^{M} j, an integer,
+    series in t = 1/(m + 1) to the power L, for ``_rows_at(part, 0.0)``'s
+    ``d`` as ``d0``.  Over these t, sum 1/t = sum_{j=s0+1}^{M} j, an integer,
     times hi + lo = F(1) - F(0) in exact products (``_times``);
     sum 1 = M - s0; sum t = H_M - H_s0 (``_harmonic_gap``); and sum t**k =
     zeta(k, s0 + 1) - zeta(k, M + 1) (``hurwitz_zeta``), the latter left out
     from the least k from which sum |c_k| M**(1-k)/(k - 1), a bound on the
     rest, is at most u A_0."""
     (hi, lo), J, a, _ = part.at_one(L)
-    x = [hi, J, *(float(d0(i)[0]) for i in range(2 * _EM_TERMS)), *a]
+    x = [hi, J, *map(d0, range(2 * _EM_TERMS)), *a]
     c = [sum(map(operator.mul, row, x)) for row in _series_rows()[: L + 1]]
     partials = _times((M * (M + 1) - s0 * (s0 + 1)) // 2, [2.0 * hi, 2.0 * lo])
     partials += [c[0] * (M - s0), c[1] * _harmonic_gap(s0, M)]
@@ -919,25 +934,26 @@ def _row_sum(f: Callable, part: Optional[Analytic], n: int, threads: int) -> flo
     """sum of f({sqrt k}) over k <= n, rounded once, by rows (see
     ``sequence_average``): the k below m0*m0, for m0 = ``_first_em_row``,
     stream; the rows m0..s0-1 and the last row M = isqrt(n) are summed by
-    ``_em_rows``, and the complete rows s0..M-1 of ``_series_plan`` by
-    ``_row_series``; without a plan s0 = M, and without an analytic part
-    m0 = M + 1, and every k streams."""
+    ``_em_rows``, the last alone in floats, and the complete rows s0..M-1
+    of ``_series_plan`` by ``_row_series``; without a plan s0 = M, and
+    without an analytic part m0 = M + 1, and every k streams."""
     M = math.isqrt(n)
     first = M + 1 if part is None else _first_em_row(part.bounds)
     plan = None if part is None else _series_plan(part, first, M)
-    d0 = None if first > M else part.rows(np.zeros(1))[2]
+    d0 = None if first > M else _rows_at(part, 0.0)[2]
     # the pieces: rows first..top-1, row M, then the series
     top = M if plan is None else plan[0]
     rows = max(0, top - first) + (M >= first)
 
     def em(a: int, b: int) -> list:
         stop = min(b, rows)
+        last = a < stop == rows
         partials = []
-        if a < stop:
-            m = _indices(first + a, first + stop, np.empty(stop - a))
-            if stop == rows:
-                m[-1] = M
+        if a < stop - last:
+            m = _indices(first + a, first + stop - last, np.empty(stop - last - a))
             partials = exact_partials(_em_rows(part, m, np.minimum(2.0 * m, n - m * m), d0))
+        if last:
+            partials += _em_rows(part, float(M), float(n - M * M), d0)
         if b > rows:
             partials += _row_series(part, d0, *plan, M)
         return partials
@@ -999,9 +1015,12 @@ def _times(n: int, partials: list) -> list:
     """Floats whose exact sum is n times the exact sum of ``partials``, for
     1 <= n <= 2**52: n's two halves of 26 bits times each partial's Veltkamp
     halves, products of at most 52 bits."""
-    hi, lo = _split(np.array(partials))
     top, bottom = float(n >> 26 << 26), float(n & (2**26 - 1))
-    return np.concatenate((top * hi, top * lo, bottom * hi, bottom * lo)).tolist()
+    out = []
+    for x in partials:
+        hi, lo = _split(x)
+        out += (top * hi, top * lo, bottom * hi, bottom * lo)
+    return out
 
 
 def _em_blocks(f: Callable, part: Analytic, n: int, first: int, stop: int) -> list:
@@ -1025,7 +1044,8 @@ def _em_blocks(f: Callable, part: Analytic, n: int, first: int, stop: int) -> li
         _, _, d = part.rows(v)
         ends = 0.5 * d(0) + np.repeat((1.0, -1.0), q.size) * _em_ends(
             d, np.concatenate((vb + q, va + q)), 1, -1.0 / n)
-        partials += _times(n, exact_partials(((half * wx) * g).ravel())) + exact_partials(ends)
+        # extracted at any length, so _times takes a few partials
+        partials += _times(n, _extract(((half * wx) * g).ravel())) + exact_partials(ends)
     return partials
 
 
@@ -1619,7 +1639,10 @@ def sequence_average(
     row are 2m (F(U0) - F(0)) as two exact products (Veltkamp's halves of
     26 bits), 2 (G(U0) - G(0)), f(0)/2, f(U0)/2, and a small one: the Taylor
     step of I + f(U)/2 from U0 by V, to second order, and the Bernoulli
-    terms at U0 (``_em_ends``).
+    terms at U0 (``_em_ends``).  The rows m0..s0-1 take these steps on
+    arrays; the last row, alone, takes them in Python floats, the same
+    IEEE operations with the same bits, apart from one ``Analytic.rows``
+    call on a one-element array (``_rows_at``).
 
     The series.  For a complete row, t = 1/(m + 1) gives m = 1/t - 1,
     U = 1 - (1 - sqrt(1 - t*t))/t, and the ends w = sqrt(1 - t*t)/t and
@@ -2085,11 +2108,15 @@ def _em_runs(p: list, limit: int, part: Analytic, count: int) -> list:
         def P(i: int) -> int:
             return _poly_eval(p, i)
 
-        # the part of the run where 0 <= P <= n
-        if P(a) <= P(b):
-            a, b = _bisect(lambda i: P(i) >= 0, a, b), _bisect(lambda i: P(i) > limit, a, b) - 1
+        # the part of the run where 0 <= P <= n; an end already inside it is
+        # what the bisection would return
+        Pa, Pb = P(a), P(b)
+        if Pa <= Pb:
+            a, b = (a if Pa >= 0 else _bisect(lambda i: P(i) >= 0, a, b),
+                    b if Pb <= limit else _bisect(lambda i: P(i) > limit, a, b) - 1)
         else:
-            a, b = _bisect(lambda i: P(i) <= limit, a, b), _bisect(lambda i: P(i) < 0, a, b) - 1
+            a, b = (a if Pa <= limit else _bisect(lambda i: P(i) <= limit, a, b),
+                    b if Pb >= 0 else _bisect(lambda i: P(i) < 0, a, b) - 1)
         if b - a < _BLOCK_POINTS:
             continue
         G = _shift(p, limit, a, b)

@@ -117,20 +117,30 @@ def _digamma_array(x: np.ndarray) -> np.ndarray:
     """``digamma`` of each element of a float64 array ``x``, which it
     overwrites: the scalar's IEEE steps in numpy, each element recurring
     until it reaches the threshold, and ``math.log`` once per element, since
-    numpy's log differs from it in the last bit at some points."""
+    numpy's log differs from it in the last bit at some points.  Two arrays
+    the size of ``x`` hold the work, in place."""
     if not (x > 0.0).all():
         raise ValueError("digamma requires x > 0")
     acc = np.zeros_like(x)
+    r = np.empty_like(x)
     low = x < _ASY_THRESHOLD
     while low.any():
-        np.subtract(acc, 1.0 / x, out=acc, where=low)
+        np.divide(1.0, x, out=r, where=low)
+        np.subtract(acc, r, out=acc, where=low)
         np.add(x, 1.0, out=x, where=low)
         np.less(x, _ASY_THRESHOLD, out=low)
-    w = 1.0 / (x * x)
-    tail = 0.0
+    # acc + log x - 0.5/x - tail, left to right
+    acc += map_math(math.log, x, out=r)
+    acc -= np.divide(0.5, x, out=r)
+    # the tail in x, with w = 1/x**2 in r
+    w = np.divide(1.0, np.multiply(x, x, out=r), out=r)
+    tail = x
+    tail.fill(0.0)
     for c in reversed(_PSI_TAIL):
-        tail = (tail + c) * w
-    return acc + map_math(math.log, x) - 0.5 / x - tail
+        tail += c
+        tail *= w
+    acc -= tail
+    return acc
 
 
 def trigamma(x: float) -> float:
@@ -172,12 +182,7 @@ def hurwitz_zeta(s: float, x: float) -> float:
     if s == math.inf:
         # the limit: every term after the first is 0
         return x ** -s
-    # log of (first omitted term) / (2**-53 * leading term) at a = 1; the
-    # ratio falls as a**-18 (the cap keeps exp finite for s near 1e308)
-    log_ratio = math.fsum(
-        [_LOG_B18, 53 * math.log(2.0), math.log(s - 1.0)] + [math.log(s + j) for j in range(17)]
-    )
-    start = max(_ZETA_START, math.exp(min(log_ratio / 18.0, 709.0)))
+    start = _zeta_start(s)
     terms = []
     total = 0.0
     shift = 0
@@ -201,6 +206,18 @@ def hurwitz_zeta(s: float, x: float) -> float:
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         apow /= a * a
     return value + correction
+
+
+@functools.lru_cache(maxsize=64)
+def _zeta_start(s: float) -> float:
+    """``hurwitz_zeta``'s start point for s, the same for every x, so kept:
+    from the log of (first omitted term) / (2**-53 * leading term) at
+    a = 1, a ratio that falls as a**-18 (the cap keeps exp finite for s
+    near 1e308)."""
+    log_ratio = math.fsum(
+        [_LOG_B18, 53 * math.log(2.0), math.log(s - 1.0)] + [math.log(s + j) for j in range(17)]
+    )
+    return max(_ZETA_START, math.exp(min(log_ratio / 18.0, 709.0)))
 
 
 def harmonic_exact(n: int, digits: int) -> tuple[Fraction, Fraction]:

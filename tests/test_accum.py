@@ -51,6 +51,9 @@ class TestMapMath:
         out = map_math(fn, x, *args)
         assert out.dtype == np.float64 and out.shape == (size,)
         assert out.tobytes() == np.array([fn(v, *args) for v in x.tolist()]).tobytes()
+        into = np.empty(size)
+        assert map_math(fn, x, *args, out=into) is into
+        assert into.tobytes() == out.tobytes()
 
 
 class TestMapOrdered:

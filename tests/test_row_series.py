@@ -4,8 +4,9 @@ The series' matrix against its exact rationals, a row's series against the
 row's Euler-Maclaurin value in mpmath, the harmonic and Hurwitz zeta values
 it takes against mpmath, and the solver against the all-rows route, the
 route it replaced, kept here as an oracle: every row m0..isqrt(n) by
-``_em_rows``.  test_row_mean.py checks the solver against the exact mean
-within the bound of ``sequence_average``.
+``_em_rows``.  The last row, which the solver sums in Python floats, must
+have the bits of the same row on arrays.  test_row_mean.py checks the
+solver against the exact mean within the bound of ``sequence_average``.
 """
 
 import math
@@ -20,8 +21,8 @@ from asymptolim import problems, sequence_average
 from asymptolim.accum import CHUNK, exact_partials
 from asymptolim.problems import (_EM_TERMS, _SERIES_MATRIX_ERROR, _SERIES_ORDER, _ZETA_ERROR,
                                  _em_rows, _first_em_row, _harmonic_gap, _indices, _mean_sum,
-                                 _series_matrix, _series_order, _series_plan, _series_rows,
-                                 _series_weights)
+                                 _rows_at, _series_matrix, _series_order, _series_plan,
+                                 _series_rows, _series_weights)
 from asymptolim.special import hurwitz_zeta
 
 
@@ -30,7 +31,7 @@ def all_rows(f, n, threads=1):
     m0..isqrt(n) is summed by ``_em_rows``."""
     part = f.analytic
     first = _first_em_row(part.bounds)
-    d0 = part.rows(np.zeros(1))[2]
+    d0 = _rows_at(part, 0.0)[2]
 
     def em(a, b):
         m = _indices(first + a, first + b, np.empty(b - a))
@@ -132,6 +133,41 @@ def test_within_2_ulp_of_all_rows(name):
         assert ulps(got, rows) <= 2, n
         if n < 33**2:
             assert got.hex() == rows.hex(), n
+
+
+# the last row M at n = M*M (one point), M*M + 1 and M*M + 2M (complete),
+# from the first Euler-Maclaurin row to 2**26 - 1, where n = 2**52 - 1, and
+# random n up to there
+LAST_ROW_MS = [32, 33, 45, 100, 1000, 3162, 4096, 10**4 + 7, 2**20 - 1, 2**20, 10**6 + 3,
+               2**25 + 1, 2**26 - 1]
+LAST_ROW_NS = [n for M in LAST_ROW_MS for n in (M * M, M * M + 1, M * M + 2 * M)]
+LAST_ROW_NS += [int(v) for v in
+                np.exp(np.random.default_rng(11).uniform(math.log(32**2), math.log(2**52), 24))]
+
+
+@pytest.mark.parametrize("name", NAMES + ("poly:0.3,-0.2,0.7", alternating(0.37, 10)))
+def test_last_row_in_floats_has_the_bits_of_an_array_row(name, monkeypatch):
+    # _row_sum sums the last row by _em_rows on floats; each of its partials
+    # must have the bits of the same row's partial on one-element arrays
+    part = named(name).analytic
+    d0 = _rows_at(part, 0.0)[2]
+    rows = []
+
+    def spy(part, m, N, d0):
+        partials = _em_rows(part, m, N, d0)
+        if not isinstance(m, np.ndarray):
+            rows.append((m, N, partials))
+        return partials
+
+    monkeypatch.setattr(problems, "_em_rows", spy)
+    first = _first_em_row(part.bounds)
+    ns = [n for n in LAST_ROW_NS if math.isqrt(n) >= first]
+    for n in ns:
+        problems._row_sum(named(name), part, n, 1)
+    assert [(m, N) for m, N, _ in rows] == [(math.isqrt(n), n - math.isqrt(n) ** 2) for n in ns]
+    for m, N, partials in rows:
+        array = _em_rows(part, np.array([m]), np.array([N]), d0)
+        assert [v.hex() for v in partials] == [v.hex() for v in array.tolist()], (m, N)
 
 
 def test_a_late_first_row_starts_the_series_there_and_threads_agree():

@@ -167,6 +167,18 @@ class TestHurwitzZeta:
         assert hurwitz_zeta(math.inf, x) == expected
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("s", [*range(2, 17), *np.random.default_rng(5).uniform(1.0, 60.0, 12),
+                                   1.0 + 2.0**-40, 1e9, 1e300])
+    def test_kept_start_is_the_formula(self, s):
+        # the start depends on s alone and is kept per s: a second call, from
+        # the cache, gives the same float as the first
+        s = float(s)
+        log_ratio = math.fsum([special._LOG_B18, 53 * math.log(2.0), math.log(s - 1.0)]
+                              + [math.log(s + j) for j in range(17)])
+        want = max(12.0, math.exp(min(log_ratio / 18.0, 709.0)))
+        assert special._zeta_start(s) == want
+        assert special._zeta_start(s) == want
+
     def test_domain(self):
         with pytest.raises(ValueError):
             hurwitz_zeta(1.0, 1.0)
